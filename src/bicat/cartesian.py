@@ -21,8 +21,8 @@ from .homprod import transport_cell, transport_hom
 from .kernel import compose_adjunctions
 from .mapprod import map_iso, times_on_arrows
 from . import groth
-from .groth import (frame_adjunction, g_identity, g_map_arrow, g_pair,
-                    g_tensor, garr_from_primary, paste_vertical)
+from .groth import (g_identity, g_map_arrow, g_pair, g_tensor,
+                    garr_from_primary, paste_vertical)
 
 
 # --- the tensor on 2-cells ---------------------------------------------------
@@ -37,8 +37,8 @@ def tensor_2cells(B, alpha, beta):
     t_cod = g_tensor(B, alpha.cod, beta.cod)
     p_s, r_s = t_dom.src_cone.legs
     p_t, r_t = t_dom.tgt_cone.legs
-    pa = transport_cell(B, p_s, alpha, frame_adjunction(B, p_t).right)
-    pb = transport_cell(B, r_s, beta, frame_adjunction(B, r_t).right)
+    pa = transport_cell(B, p_s, alpha, B.map_adjunction(p_t).right)
+    pb = transport_cell(B, r_s, beta, B.map_adjunction(r_t).right)
     return t_cod.wedge.pair(B.vcomp(t_dom.wedge.proj1, pa),
                             B.vcomp(t_dom.wedge.proj2, pb))
 
@@ -232,8 +232,8 @@ def conjugate_cell(B, arr: groth.GArr):
     """The Beck-style conjugate of a square: transpose the secondary form
     across the source frame's adjunction, giving
     ``comp(f*, dom) -> comp(cod, u*)``."""
-    adj_f = frame_adjunction(B, arr.f)
-    adj_u = frame_adjunction(B, arr.u)
+    adj_f = B.map_adjunction(arr.f)
+    adj_u = B.map_adjunction(arr.u)
     fs = adj_f.right
     tail = B.comp(arr.cod, adj_u.right)
     return B.vc(
@@ -274,7 +274,7 @@ def _transported_wedge(B, tens: groth.TensorWitness, h, w):
     """Transport the tensor wedge along ``comp(h, comp(-, w*))`` and return
     the canonical wedge of the transported factors with the comparison
     into it."""
-    ws = frame_adjunction(B, w).right
+    ws = B.map_adjunction(w).right
     C1 = tens.wedge.proj1.cod
     C2 = tens.wedge.proj2.cod
     W0 = B.local_product(transport_hom(B, h, C1, ws),
@@ -298,7 +298,7 @@ def precompose_iso(B, f, g, R, S):
     p_t, r_t = tens.tgt_cone.legs
 
     def leg_cell(side, leg_src, leg_tgt, m, factor):
-        star = frame_adjunction(B, leg_tgt).right
+        star = B.map_adjunction(leg_tgt).right
         inner = B.comp(factor, star)
         leg2 = target.src_cone.legs[side]
         return B.vc(
@@ -326,16 +326,16 @@ def postcompose_star_iso(B, R, S, u, v):
     """
     tens = g_tensor(B, R, S)
     uv = times_on_arrows(B, u, v)
-    adj_uv = frame_adjunction(B, uv)
+    adj_uv = B.map_adjunction(uv)
     W0, e = _transported_wedge(B, tens, B.identity(tens.src_cone.vertex), uv)
-    target = g_tensor(B, B.comp(R, frame_adjunction(B, u).right),
-                      B.comp(S, frame_adjunction(B, v).right))
+    target = g_tensor(B, B.comp(R, B.map_adjunction(u).right),
+                      B.comp(S, B.map_adjunction(v).right))
     p_t, r_t = tens.tgt_cone.legs
 
     def leg_cell(side, leg_tgt, m, factor):
-        adj_t = frame_adjunction(B, leg_tgt)
-        adj_m = frame_adjunction(B, m)
-        adj_leg2 = frame_adjunction(B, target.tgt_cone.legs[side])
+        adj_t = B.map_adjunction(leg_tgt)
+        adj_m = B.map_adjunction(m)
+        adj_leg2 = B.map_adjunction(target.tgt_cone.legs[side])
         switch = adjoint_switch_iso(
             B,
             compose_adjunctions(B, adj_uv, adj_t),

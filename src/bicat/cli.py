@@ -58,6 +58,8 @@ def main(argv=None) -> int:
         cfg = GenConfig(seed=args.seed, max_carrier=args.max_size,
                         trials=args.trials, instance=args.instance,
                         suites=_suites(args.suite))
+        # Accepted for compatibility and otherwise ignored; a non-integer
+        # value is still a configuration error.
         jobs_raw = os.environ.get("BICAT_CHECK_JOBS", "1")
         int(jobs_raw or "1")
     except (InvalidConfig, ValueError) as exc:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import kernel
-from .kernel import (Adjunction, compose_adjunctions, mate_to_primary,
-                     mate_to_secondary, right_mate_of_map_cell)
+from .kernel import (compose_adjunctions, mate_to_primary, mate_to_secondary,
+                     right_mate_of_map_cell)
 from .homprod import transport_cell, transport_hom
-from .mapprod import NotAMap, map_iso, product_object
+from .mapprod import NotAMap, pairing, product_object
 
 
 class GPairError(ValueError):
@@ -78,16 +78,12 @@ class GCell:
         return hash((self.dom, self.cod, self.phi, self.psi))
 
 
-def frame_adjunction(B, u) -> Adjunction:
-    return B.map_adjunction(u)
-
-
 def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
     if not f.is_map() or not u.is_map():
         raise NotAMap("square frames must be maps")
     if primary.dom != B.comp(dom, u) or primary.cod != B.comp(f, cod):
         raise ValueError("primary cell boundary does not match the square")
-    adj = frame_adjunction(B, u)
+    adj = B.map_adjunction(u)
     secondary = mate_to_secondary(B, primary, dom, cod, f, adj)
     return GArr(dom, cod, f, u, primary, secondary)
 
@@ -95,7 +91,7 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
 def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
     if not f.is_map() or not u.is_map():
         raise NotAMap("square frames must be maps")
-    adj = frame_adjunction(B, u)
+    adj = B.map_adjunction(u)
     expected = B.comp(f, B.comp(cod, adj.right))
     if secondary.dom != dom or secondary.cod != expected:
         raise ValueError("secondary cell boundary does not match the square")
@@ -218,8 +214,8 @@ def g_tensor(B, R, S) -> TensorWitness:
     tgt = product_object(B, R.target, S.target)
     p_s, r_s = src.legs
     p_t, r_t = tgt.legs
-    adj_pt = frame_adjunction(B, p_t)
-    adj_rt = frame_adjunction(B, r_t)
+    adj_pt = B.map_adjunction(p_t)
+    adj_rt = B.map_adjunction(r_t)
     C1 = transport_hom(B, p_s, R, adj_pt.right)
     C2 = transport_hom(B, r_s, S, adj_rt.right)
     wedge = B.local_product(C1, C2)
@@ -229,14 +225,14 @@ def g_tensor(B, R, S) -> TensorWitness:
     return TensorWitness(obj, proj1, proj2, R, S, wedge, src, tgt)
 
 
-def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr, frame=None):
+def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     """Mediate a cone through the tensor.
 
-    ``aR : T => R`` and ``aS : T => S`` share their domain object; ``frame``
-    optionally supplies ``(h, w, mu0, mu1, nu0, nu1)`` where ``h`` and ``w``
-    pair the frames and the invertible cells compare the projected frames
-    with the cone's (all identities for canonical graph frames, which is
-    what the default builds).  Returns ``(arrow, cell_R, cell_S)`` where the
+    ``aR : T => R`` and ``aS : T => S`` share their domain object.  The
+    pairings ``h`` and ``w`` of the cone's frames come from
+    :func:`~bicat.mapprod.pairing`, with invertible cells ``mu0, mu1, nu0,
+    nu1`` comparing the projected frames with the cone's (identities for
+    canonical graph frames).  Returns ``(arrow, cell_R, cell_S)`` where the
     cells exhibit the two projection composites as the given cone legs.
 
     Failure of existence or of invertibility of the transported-wedge
@@ -251,25 +247,13 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr, frame=None):
     p_s, r_s = tens.src_cone.legs
     p_t, r_t = tens.tgt_cone.legs
 
-    if frame is None:
-        from .mapprod import pairing
-        h, mu0, nu0 = pairing(B, aR.f, aS.f)
-        w, mu1, nu1 = pairing(B, aR.u, aS.u)
-    else:
-        h, w, mu0, mu1, nu0, nu1 = frame
-        if mu0.dom != B.comp(h, p_s) or mu0.cod != aR.f:
-            raise ValueError("mu0 must compare comp(h, p) with the first frame")
-        if mu1.dom != B.comp(w, p_t) or mu1.cod != aR.u:
-            raise ValueError("mu1 must compare comp(w, p) with the first frame")
-        if nu0.dom != B.comp(h, r_s) or nu0.cod != aS.f:
-            raise ValueError("nu0 must compare comp(h, r) with the second frame")
-        if nu1.dom != B.comp(w, r_t) or nu1.cod != aS.u:
-            raise ValueError("nu1 must compare comp(w, r) with the second frame")
+    h, mu0, nu0 = pairing(B, aR.f, aS.f)
+    w, mu1, nu1 = pairing(B, aR.u, aS.u)
     for c in (mu0, mu1, nu0, nu1):
         if not B.is_invertible(c):
             raise ValueError("frame comparison cells must be invertible")
 
-    adj_w = frame_adjunction(B, w)
+    adj_w = B.map_adjunction(w)
     ws = adj_w.right
 
     c1 = _transport_cone_leg(B, aR, h, w, adj_w, mu0, mu1, p_s, p_t, tens.factor1)
@@ -304,8 +288,8 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr, frame=None):
 def _transport_cone_leg(B, a: GArr, h, w, adj_w, iso0, iso1, p_src, p_tgt, factor):
     """Rewrite a cone leg's secondary cell as a cell into the transported
     factor ``comp(h, comp(comp(p_src, comp(factor, p_tgt*)), w*))``."""
-    adj_pt = frame_adjunction(B, p_tgt)
-    adj_u = frame_adjunction(B, a.u)
+    adj_pt = B.map_adjunction(p_tgt)
+    adj_u = B.map_adjunction(a.u)
     adj_wp = compose_adjunctions(B, adj_w, adj_pt)
     pts, ws = adj_pt.right, adj_w.right
     # iso1* : u* -> comp(p_tgt*, w*)
@@ -361,7 +345,7 @@ def dunit_iso(B, R, S):
     tens = g_tensor(B, R, S)
     d_src = diag(B, R.source)
     d_tgt = diag(B, R.target)
-    adj_d = frame_adjunction(B, d_tgt)
+    adj_d = B.map_adjunction(d_tgt)
     D = transport_hom(B, d_src, tens.obj, adj_d.right)
     w = B.local_product(R, S)
     c1 = _collapse_diag_leg(B, tens, 0, d_src, d_tgt, adj_d, R)
@@ -379,7 +363,7 @@ def _collapse_diag_leg(B, tens: TensorWitness, side: int, d_src, d_tgt, adj_d, f
     proj = (tens.wedge.proj1, tens.wedge.proj2)[side]
     p_s = tens.src_cone.legs[side]
     p_t = tens.tgt_cone.legs[side]
-    adj_pt = frame_adjunction(B, p_t)
+    adj_pt = B.map_adjunction(p_t)
     pts, ds = adj_pt.right, adj_d.right
     # comp(d, p) is an identity map, so the composite adjunction's counit
     # contracts comp(p*, d*) onto the identity.

@@ -31,19 +31,6 @@ class LocalProductWitness:
         self.pair = pair
 
 
-def local_product(B, R, S) -> LocalProductWitness:
-    return B.local_product(R, S)
-
-
-def local_terminal(B, source, target):
-    return B.local_terminal(source, target)
-
-
-def tau(B, R):
-    """The canonical 2-cell into the chosen local terminal."""
-    return B.tau(R)
-
-
 def delta(B, R):
     """The diagonal ``R -> R /\\ R``."""
     w = B.local_product(R, R)

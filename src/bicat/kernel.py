@@ -1,15 +1,12 @@
 """Instance-independent bicategory machinery.
 
-Pasting diagrams are represented as small expression trees over an instance's
-2-cells (:class:`Leaf`, :class:`VComp`, :class:`WhiskerLeft`,
-:class:`WhiskerRight`, :class:`Assoc`) and evaluated against an instance
-object.  Identity 1-cells compose strictly in both instances, so no unitor
-nodes exist; rebracketing is always an explicit :class:`Assoc` node.
-
-On top of the evaluator sit the constructions that only need composition,
-whiskering and associativity to state: adjunctions and their triangle
-equations, composite adjunctions, mates in both directions, right adjoints of
-2-cells between maps, and adjoint equivalence witnesses.
+The constructions here only need composition, whiskering and associativity
+to state: adjunctions and their triangle equations, composite adjunctions,
+mates in both directions, right adjoints of 2-cells between maps, and adjoint
+equivalence witnesses.  Each pasting is a vertical chain ``B.vc(...)`` of
+whiskerings, associators and (co)units, first to last.  Identity 1-cells
+compose strictly in both instances, so no unitors appear; rebracketing is
+always an explicit ``B.assoc`` or ``B.assoc_inv``.
 """
 
 from __future__ import annotations
@@ -18,92 +15,8 @@ from dataclasses import dataclass
 from typing import Any
 
 
-class BoundaryError(ValueError):
-    """An ill-typed pasting, reported with the offending node's path."""
-
-
 class AdjunctionMismatch(ValueError):
     """Input cells do not have the boundaries the adjunction calls for."""
-
-
-# --- 2-cell expressions -------------------------------------------------
-
-@dataclass(frozen=True)
-class Leaf:
-    cell: Any
-
-
-@dataclass(frozen=True)
-class VComp:
-    """Vertical composite of the parts, first to last."""
-    parts: tuple
-
-    def __init__(self, *parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
-@dataclass(frozen=True)
-class WhiskerLeft:
-    outer: Any  # 1-cell composed on the left of the body's boundary
-    body: Any
-
-
-@dataclass(frozen=True)
-class WhiskerRight:
-    body: Any
-    outer: Any  # 1-cell composed on the right of the body's boundary
-
-
-@dataclass(frozen=True)
-class Assoc:
-    """Rebracketing cell for the triple (A, B, C); ``forward`` moves the
-    parenthesis from the first two factors to the last two."""
-    A: Any
-    B: Any
-    C: Any
-    forward: bool = True
-
-
-def evaluate(B, expr, _path: str = "root"):
-    """Evaluate an expression tree to a single 2-cell of the instance ``B``.
-
-    Raises :class:`BoundaryError` naming the node path where boundaries
-    fail to meet.
-    """
-    if isinstance(expr, Leaf):
-        return expr.cell
-    if isinstance(expr, VComp):
-        if not expr.parts:
-            raise BoundaryError("%s: empty vertical composite" % _path)
-        out = evaluate(B, expr.parts[0], "%s.vcomp[0]" % _path)
-        for i, part in enumerate(expr.parts[1:], start=1):
-            nxt = evaluate(B, part, "%s.vcomp[%d]" % (_path, i))
-            try:
-                out = B.vcomp(out, nxt)
-            except ValueError as e:
-                raise BoundaryError(
-                    "%s.vcomp[%d]: %s" % (_path, i, e)) from None
-        return out
-    if isinstance(expr, WhiskerLeft):
-        body = evaluate(B, expr.body, "%s.whisker_left.body" % _path)
-        try:
-            return B.whisker_left(expr.outer, body)
-        except ValueError as e:
-            raise BoundaryError("%s.whisker_left: %s" % (_path, e)) from None
-    if isinstance(expr, WhiskerRight):
-        body = evaluate(B, expr.body, "%s.whisker_right.body" % _path)
-        try:
-            return B.whisker_right(body, expr.outer)
-        except ValueError as e:
-            raise BoundaryError("%s.whisker_right: %s" % (_path, e)) from None
-    if isinstance(expr, Assoc):
-        try:
-            if expr.forward:
-                return B.assoc(expr.A, expr.B, expr.C)
-            return B.assoc_inv(expr.A, expr.B, expr.C)
-        except ValueError as e:
-            raise BoundaryError("%s.assoc: %s" % (_path, e)) from None
-    raise BoundaryError("%s: unknown expression node %r" % (_path, expr))
 
 
 # --- adjunctions ----------------------------------------------------------
@@ -130,7 +43,7 @@ class AdjunctionCheck:
 
 
 def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
-    """Verify both triangle identities by evaluating their pastings."""
+    """Verify both triangle identities by pasting them."""
     f, fs = adj.left, adj.right
     one_src = B.identity(f.source)
     one_tgt = B.identity(f.target)
@@ -139,16 +52,16 @@ def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
     if adj.counit.dom != B.comp(fs, f) or adj.counit.cod != one_tgt:
         raise AdjunctionMismatch("counit boundary does not match the adjunction")
 
-    t1 = evaluate(B, VComp(
-        WhiskerRight(Leaf(adj.unit), f),
-        Assoc(f, fs, f, forward=True),
-        WhiskerLeft(f, Leaf(adj.counit)),
-    ))
-    t2 = evaluate(B, VComp(
-        WhiskerLeft(fs, Leaf(adj.unit)),
-        Assoc(fs, f, fs, forward=False),
-        WhiskerRight(Leaf(adj.counit), fs),
-    ))
+    t1 = B.vc(
+        B.whisker_right(adj.unit, f),
+        B.assoc(f, fs, f),
+        B.whisker_left(f, adj.counit),
+    )
+    t2 = B.vc(
+        B.whisker_left(fs, adj.unit),
+        B.assoc_inv(fs, f, fs),
+        B.whisker_right(adj.counit, fs),
+    )
     failures = []
     if t1 != B.id2(f):
         failures.append("left triangle")
@@ -165,18 +78,18 @@ def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
         raise AdjunctionMismatch("adjunctions are not composable")
     left = B.comp(f, g)
     right = B.comp(gs, fs)
-    unit = evaluate(B, VComp(
-        Leaf(first.unit),
-        WhiskerLeft(f, WhiskerRight(Leaf(second.unit), fs)),
-        WhiskerLeft(f, Assoc(g, gs, fs, forward=True)),
-        Assoc(f, g, B.comp(gs, fs), forward=False),
-    ))
-    counit = evaluate(B, VComp(
-        Assoc(gs, fs, left, forward=True),
-        WhiskerLeft(gs, Assoc(fs, f, g, forward=False)),
-        WhiskerLeft(gs, WhiskerRight(Leaf(first.counit), g)),
-        Leaf(second.counit),
-    ))
+    unit = B.vc(
+        first.unit,
+        B.whisker_left(f, B.whisker_right(second.unit, fs)),
+        B.whisker_left(f, B.assoc(g, gs, fs)),
+        B.assoc_inv(f, g, right),
+    )
+    counit = B.vc(
+        B.assoc(gs, fs, left),
+        B.whisker_left(gs, B.assoc_inv(fs, f, g)),
+        B.whisker_left(gs, B.whisker_right(first.counit, g)),
+        second.counit,
+    )
     return Adjunction(left, right, unit, counit)
 
 
@@ -188,12 +101,12 @@ def mate_to_secondary(B, alpha, R, S, f, adj: Adjunction):
     u, us = adj.left, adj.right
     if alpha.dom != B.comp(R, u) or alpha.cod != B.comp(f, S):
         raise AdjunctionMismatch("primary cell boundary mismatch")
-    return evaluate(B, VComp(
-        WhiskerLeft(R, Leaf(adj.unit)),
-        Assoc(R, u, us, forward=False),
-        WhiskerRight(Leaf(alpha), us),
-        Assoc(f, S, us, forward=True),
-    ))
+    return B.vc(
+        B.whisker_left(R, adj.unit),
+        B.assoc_inv(R, u, us),
+        B.whisker_right(alpha, us),
+        B.assoc(f, S, us),
+    )
 
 
 def mate_to_primary(B, beta, R, S, f, adj: Adjunction):
@@ -202,12 +115,12 @@ def mate_to_primary(B, beta, R, S, f, adj: Adjunction):
     u, us = adj.left, adj.right
     if beta.dom != R or beta.cod != B.comp(f, B.comp(S, us)):
         raise AdjunctionMismatch("secondary cell boundary mismatch")
-    return evaluate(B, VComp(
-        WhiskerRight(Leaf(beta), u),
-        Assoc(f, B.comp(S, us), u, forward=True),
-        WhiskerLeft(f, Assoc(S, us, u, forward=True)),
-        WhiskerLeft(f, WhiskerLeft(S, Leaf(adj.counit))),
-    ))
+    return B.vc(
+        B.whisker_right(beta, u),
+        B.assoc(f, B.comp(S, us), u),
+        B.whisker_left(f, B.assoc(S, us, u)),
+        B.whisker_left(f, B.whisker_left(S, adj.counit)),
+    )
 
 
 def right_mate_of_map_cell(B, psi, adj_m: Adjunction, adj_m2: Adjunction):
@@ -219,12 +132,12 @@ def right_mate_of_map_cell(B, psi, adj_m: Adjunction, adj_m2: Adjunction):
     m2, m2s = adj_m2.left, adj_m2.right
     if psi.dom != m or psi.cod != m2:
         raise AdjunctionMismatch("cell boundary does not match the adjunctions")
-    return evaluate(B, VComp(
-        WhiskerLeft(m2s, Leaf(adj_m.unit)),
-        Assoc(m2s, m, ms, forward=False),
-        WhiskerRight(WhiskerLeft(m2s, Leaf(psi)), ms),
-        WhiskerRight(Leaf(adj_m2.counit), ms),
-    ))
+    return B.vc(
+        B.whisker_left(m2s, adj_m.unit),
+        B.assoc_inv(m2s, m, ms),
+        B.whisker_right(B.whisker_left(m2s, psi), ms),
+        B.whisker_right(adj_m2.counit, ms),
+    )
 
 
 # --- equivalences ----------------------------------------------------------

@@ -51,10 +51,6 @@ def _require_map(B, m):
     return m
 
 
-def map_fn(m) -> SetFn:
-    return m.fn()
-
-
 def maps_isomorphic(m1, m2) -> bool:
     """Maps are isomorphic exactly when their underlying functions agree."""
     return m1.fn() == m2.fn()

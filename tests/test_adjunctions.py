@@ -1,4 +1,4 @@
-"""Adjunctions, mates, and the pasting-expression evaluator."""
+"""Adjunctions, composite adjunctions and mates."""
 
 import random
 
@@ -6,12 +6,10 @@ import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
-from bicat.gen import carrier, map_cell, one_cell, thicken, thin
-from bicat.kernel import (Adjunction, AdjunctionMismatch, Assoc, BoundaryError,
-                          Leaf, VComp, WhiskerLeft, WhiskerRight,
-                          check_adjunction, compose_adjunctions, evaluate,
-                          mate_to_primary, mate_to_secondary,
-                          right_mate_of_map_cell)
+from bicat.gen import carrier, map_cell, one_cell, thin
+from bicat.kernel import (Adjunction, AdjunctionMismatch, check_adjunction,
+                          compose_adjunctions, mate_to_primary,
+                          mate_to_secondary, right_mate_of_map_cell)
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -118,30 +116,3 @@ def test_right_mate_reverses_direction():
         assert star == B.id2(adj.right)
         done += 1
 
-
-def test_evaluator_matches_direct_calls():
-    rng = random.Random(99)
-    B = span_instance()
-    X = carrier(rng, "x", 3)
-    A = carrier(rng, "a", 3)
-    L = carrier(rng, "l", 3)
-    Rc = one_cell(B, rng, X, A, 3)
-    T = one_cell(B, rng, A, L, 3)
-    R1, a = thicken(B, rng, Rc, 1)
-    _, b = thicken(B, rng, R1, 1)
-
-    assert evaluate(B, VComp(Leaf(a), Leaf(b))) == B.vcomp(a, b)
-    assert evaluate(B, WhiskerRight(Leaf(a), T)) == B.whisker_right(a, T)
-    U = one_cell(B, rng, L, X, 3)
-    assert evaluate(B, WhiskerLeft(U, Leaf(a))) == B.whisker_left(U, a)
-    assert evaluate(B, Assoc(Rc, T, U, forward=True)) == B.assoc(Rc, T, U)
-
-
-def test_evaluator_reports_the_failing_path():
-    B = span_instance()
-    X = FinSet(("x0",))
-    a = B.id2(B.identity(X))
-    bad = VComp(Leaf(a), WhiskerRight(Leaf(a), B.identity(FinSet(("y",)))))
-    with pytest.raises(BoundaryError) as err:
-        evaluate(B, bad)
-    assert "root" in str(err.value)

@@ -7,12 +7,11 @@ import pytest
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import carrier, map_cell, one_cell, thicken
-from bicat.groth import (GArr, GPairError, dunit_iso, frame_adjunction,
-                         g_bang, g_cell, g_cell_invertible, g_compose,
-                         g_diag, g_identity, g_is_equivalence, g_map_arrow,
-                         g_pair, g_tensor, g_terminal, g_vcomp,
-                         garr_from_primary, garr_from_secondary,
-                         paste_vertical)
+from bicat.groth import (GArr, GPairError, dunit_iso, g_bang, g_cell,
+                         g_cell_invertible, g_compose, g_diag, g_identity,
+                         g_is_equivalence, g_map_arrow, g_pair, g_tensor,
+                         g_terminal, g_vcomp, garr_from_primary,
+                         garr_from_secondary, paste_vertical)
 from bicat.mapprod import NotAMap
 from bicat.rels import Rel
 

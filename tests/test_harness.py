@@ -167,6 +167,27 @@ def test_cli_failing_fixture_exits_one(tmp_path, capsys):
     assert "FAILURES PRESENT" in out
 
 
+def test_cli_cell_check_on_large_span_apex_needs_no_enumeration(tmp_path,
+                                                                capsys):
+    # 2**21 candidate cells F -> G would exceed the enumeration budget; a
+    # cell exists exactly when every fibre of G over F's legs is non-empty.
+    apex = " ".join("s%d:x0:a0" % i for i in range(21))
+    for legs, rc_want, status in (("x0:a0", 0, "pass"), ("x1:a0", 1, "fail")):
+        fix = tmp_path / "cell.bicat"
+        fix.write_text("set X = x0 x1\nset A = a0\n"
+                       "span F : X -> A = %s\n"
+                       "span G : X -> A = t0:%s t1:%s\n"
+                       "check cell F -> G\n" % (apex, legs, legs))
+        rc = cli.main(["--instance", "span", "--max-size", "1", "--trials",
+                       "1", "--suite", "kernel", "--report", "machine",
+                       "--fixtures", str(fix)])
+        out, err = capsys.readouterr()
+        assert rc == rc_want
+        assert "Traceback" not in out + err
+        (row,) = parse_machine(out).suites[-1].checks
+        assert (row.check_id, row.status) == ("fixture-0-cell", status)
+
+
 def test_cli_usage_errors_exit_two(tmp_path, capsys):
     assert cli.main(["--instance", "rel", "--suite", "wrong"]) == 2
     assert cli.main(["--instance", "rel", "--trials", "0"]) == 2
