@@ -103,7 +103,8 @@ class FinSet:
         return self._index[label]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinSet) and self.elements == other.elements
+        return self is other or (
+            isinstance(other, FinSet) and self.elements == other.elements)
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,7 +158,7 @@ class SetFn:
         return self.values[self.domain.index(label)]
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, SetFn)
             and self.domain == other.domain
             and self.codomain == other.codomain

@@ -10,9 +10,11 @@ alphabet, pairs written ``(a,b)`` and nesting freely):
     span NAME : SRC -> TGT = s:x:a s:x:a ...    (apex element, left image,
                                                  right image; apex order)
     rel NAME : SRC -> TGT = x:a x:a ...         (related pairs)
-    cell NAME : DOM -> COD = s:t s:t ...        (apex mapping for span cells;
-                                                 relation cells carry no
-                                                 entries)
+    cell NAME : DOM -> COD = s:t s:t ...        (apex mapping for span cells,
+                                                 one entry per DOM apex
+                                                 element, each landing in
+                                                 COD's apex; relation cells
+                                                 carry no entries)
     check compose A B = C
     check equal A B
     check map A
@@ -227,12 +229,41 @@ def _parse_line(doc: Document, line: str):
                              (_split_entry(t, 2) for t in body))
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
-        doc.cells[name] = CellRec(dom, cod,
-                                  tuple(_split_entry(t, 2) for t in body))
+        entries = tuple(_split_entry(t, 2) for t in body)
+        _check_cell_entries(doc, dom, cod, entries)
+        doc.cells[name] = CellRec(dom, cod, entries)
     elif kind == "check":
         doc.checks.append(_parse_check(rest))
     else:
         raise FmtError("unknown record kind %r" % kind)
+
+
+def _cell_boundary(doc: Document, name: str):
+    for table in (doc.spans, doc.rels):
+        if name in table:
+            return table[name]
+    raise FmtError("cell boundary %r is not a declared span or rel" % name)
+
+
+def _check_cell_entries(doc: Document, dom_name: str, cod_name: str,
+                        entries: tuple):
+    dom = _cell_boundary(doc, dom_name)
+    cod = _cell_boundary(doc, cod_name)
+    if type(dom) is not type(cod):
+        raise FmtError("cell boundaries %s and %s are not both spans or "
+                       "both rels" % (dom_name, cod_name))
+    if isinstance(dom, Rel):
+        if entries:
+            raise FmtError("relation cells carry no entries")
+        return
+    sources = [s for s, _ in entries]
+    if len(sources) != len(dom.apex) or set(sources) != set(dom.apex):
+        raise FmtError("cell entries do not cover the apex of %s exactly"
+                       % dom_name)
+    for _, t in entries:
+        if t not in cod.apex:
+            raise FmtError("cell entry %s is not in the apex of %s"
+                           % (render_label(t), cod_name))
 
 
 def _parse_check(rest) -> Check:

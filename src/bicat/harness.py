@@ -49,7 +49,12 @@ def _payload(entities: dict) -> str:
 
 
 def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
-    """A seeded check: ``body(B, rng, carriers) -> None | entity dict``."""
+    """A seeded check: ``body(B, rng, carriers) -> None | entity dict``.
+
+    Every call of ``body`` (each trial and each shrink attempt) is one unit
+    of work and starts with an empty memo of composites, so ``B.comp``
+    reuses only what that call built.
+    """
 
     def run(B, cfg: GenConfig) -> CheckResult:
         t0 = time.monotonic()
@@ -58,6 +63,7 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
 
         def attempt(trial, carriers):
             rng = rng_for(cfg.seed, "%s.%s.%d.body" % (B.name, check_id, trial))
+            B.forget_composites()
             return body(B, rng, carriers)
 
         for t in range(trials):
@@ -94,11 +100,13 @@ def negative_check(check_id, body):
     """A corrupted-fixture check: ``body(B, cfg) -> (caught, entities)``.
 
     Passes when the corruption is detected; the detected violation travels
-    in the payload so the report shows a printable counterexample.
+    in the payload so the report shows a printable counterexample.  The body
+    is one unit of work and starts with an empty memo of composites.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
         t0 = time.monotonic()
+        B.forget_composites()
         caught, entities = body(B, cfg)
         status = "pass" if caught else "fail"
         return CheckResult(check_id, status, 1, _payload(entities), _ms(t0))
@@ -735,9 +743,12 @@ def _fixture_entity(B, doc: Document, name: str):
 
 
 def run_fixture_checks(B, doc: Document) -> tuple:
+    """One result per ``check`` record; each record is one unit of work
+    and starts with an empty memo of composites."""
     results = []
     for i, chk in enumerate(doc.checks):
         t0 = time.monotonic()
+        B.forget_composites()
         cid = "fixture-%d-%s" % (i, chk.kind)
         try:
             ok, entities = _eval_check(B, doc, chk)

@@ -6,6 +6,11 @@ associative and unital on the nose, so every structural cell here is an
 identity witness and equation checking degenerates to boundary equality.
 The real content sits in cell construction: building a pasting whose
 underlying containment fails raises immediately.
+
+:meth:`RelBicat.comp` memoises composites within one unit of work (a
+trial, shrink attempt, negative control or fixture record): the harness
+empties the memo with :meth:`RelBicat.forget_composites` when a unit
+starts, so memory stays flat over a run.  Failures are not stored.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ class Rel:
         self._hash = hash((source, target, self.pairs))
 
     def __eq__(self, other):
-        return (isinstance(other, Rel) and self.source == other.source
-                and self.target == other.target and self.pairs == other.pairs)
+        return self is other or (
+            isinstance(other, Rel) and self.source == other.source
+            and self.target == other.target and self.pairs == other.pairs)
 
     def __hash__(self):
         return self._hash
@@ -109,10 +115,27 @@ class RelBicat:
 
     name = "rel"
 
+    def __init__(self):
+        self._composites = {}
+
+    def forget_composites(self) -> None:
+        """Empty the memo of composites.  The harness calls this when a unit
+        of work starts; other callers of ``comp`` call it to bound memory."""
+        self._composites.clear()
+
     def identity(self, carrier: FinSet) -> Rel:
         return identity_rel(carrier)
 
     def comp(self, R: Rel, T: Rel) -> Rel:
+        """Relational composite ``R then T``, memoised within the current
+        unit of work."""
+        key = (R, T)
+        got = self._composites.get(key)
+        if got is None:
+            got = self._composites[key] = self._compose(R, T)
+        return got
+
+    def _compose(self, R: Rel, T: Rel) -> Rel:
         if R.target != T.source:
             raise ValueError("composite of non-composable relations")
         out = set()

@@ -18,6 +18,12 @@ Both choices are pullbacks, just not the pair-set one.  The helpers
 between factor elements and composite elements uniformly across all three
 representations, and every whiskering and associativity cell is defined
 through them, so the special cases never leak.
+
+Whether a span is in graph or identity form is decided once, when it is
+built.  :meth:`SpanBicat.comp` memoises composites within one unit of
+work (a trial, shrink attempt, negative control or fixture record): the
+harness empties the memo with :meth:`SpanBicat.forget_composites` when a
+unit starts, so memory stays flat over a run.  Failures are not stored.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ class Span:
     False
     """
 
-    __slots__ = ("source", "target", "apex", "left", "right", "_hash")
+    __slots__ = ("source", "target", "apex", "left", "right", "_hash",
+                 "_graph", "_identity")
 
     def __init__(self, source: FinSet, target: FinSet, apex: FinSet,
                  left: SetFn, right: SetFn):
@@ -52,9 +59,11 @@ class Span:
         self.left = left
         self.right = right
         self._hash = hash((source, target, apex, left, right))
+        self._graph = apex == source and left.is_identity()
+        self._identity = self._graph and right.is_identity()
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Span)
             and self.source == other.source
             and self.target == other.target
@@ -77,10 +86,10 @@ class Span:
     def is_graph(self) -> bool:
         """True for the canonical graph form: apex is the source, left leg
         the identity."""
-        return self.apex == self.source and self.left.is_identity()
+        return self._graph
 
     def is_identity(self) -> bool:
-        return self.is_graph() and self.right.is_identity()
+        return self._identity
 
     def is_map(self) -> bool:
         """Maps are the spans whose left leg is a bijection."""
@@ -163,13 +172,29 @@ class SpanBicat:
 
     name = "span"
 
+    def __init__(self):
+        self._composites = {}
+
+    def forget_composites(self) -> None:
+        """Empty the memo of composites.  The harness calls this when a unit
+        of work starts; other callers of ``comp`` call it to bound memory."""
+        self._composites.clear()
+
     # -- 1-cell structure ------------------------------------------------
 
     def identity(self, carrier: FinSet) -> Span:
         return identity_span(carrier)
 
     def comp(self, R: Span, T: Span) -> Span:
-        """Diagrammatic composite ``R then T`` on the canonical pullback."""
+        """Diagrammatic composite ``R then T`` on the canonical pullback,
+        memoised within the current unit of work."""
+        key = (R, T)
+        got = self._composites.get(key)
+        if got is None:
+            got = self._composites[key] = self._compose(R, T)
+        return got
+
+    def _compose(self, R: Span, T: Span) -> Span:
         if R.target != T.source:
             raise ValueError("composite of non-composable spans")
         if R.is_identity():

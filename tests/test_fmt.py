@@ -151,3 +151,37 @@ def test_empty_set_and_empty_span():
     assert len(doc.spans["Z"].apex) == 0
     assert doc.rels["N"].pairs == ()
     assert parse_document(print_document(doc)).spans["Z"] == doc.spans["Z"]
+
+
+CELL_HEAD = """\
+set X = x0 x1
+set A = a0
+span F : X -> A = s0:x0:a0 s1:x1:a0
+span G : X -> A = t0:x0:a0 t1:x1:a0
+rel R : X -> A = x0:a0
+"""
+
+
+def test_well_formed_cell_records_are_accepted():
+    doc = parse_document(CELL_HEAD + "cell c : F -> G = s0:t0 s1:t1\n"
+                         "cell r : R -> R =\n")
+    assert doc.cells["c"].entries == (("s0", "t0"), ("s1", "t1"))
+    assert doc.cells["r"].entries == ()
+    assert parse_document(print_document(doc)).cells == doc.cells
+
+
+@pytest.mark.parametrize("record,why", [
+    ("cell c : F -> NOPE = s0:s0 s1:zz", "not a declared span or rel"),
+    ("cell c : NOPE -> G = s0:t0", "not a declared span or rel"),
+    ("cell c : X -> X = x0:x0 x1:x1", "not a declared span or rel"),
+    ("cell c : F -> R = s0:t0 s1:t1", "not both spans or both rels"),
+    ("cell c : F -> G = s0:t0", "do not cover the apex of F"),
+    ("cell c : F -> G = s0:t0 s0:t1 s1:t1", "do not cover the apex of F"),
+    ("cell c : F -> G = s0:t0 s1:t1 s2:t1", "do not cover the apex of F"),
+    ("cell c : F -> G = s0:t0 s1:zz", "zz is not in the apex of G"),
+    ("cell r : R -> R = x0:x0", "relation cells carry no entries"),
+])
+def test_invalid_cell_records_are_refused(record, why):
+    with pytest.raises(FmtError, match=why) as info:
+        parse_document(CELL_HEAD + record + "\n")
+    assert "line 6" in str(info.value)

@@ -202,6 +202,20 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_invalid_cell_record_exits_two(tmp_path, capsys):
+    fix = tmp_path / "cell.bicat"
+    fix.write_text("set X = x0\nset A = a0\n"
+                   "span F : X -> A = s0:x0:a0 s1:x0:a0\n"
+                   "cell c : F -> NOPE = s0:s0 s1:zz\n"
+                   "check map F\n")
+    rc = cli.main(["--instance", "span", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--fixtures", str(fix)])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert "malformed fixtures: line 4" in err
+    assert "Traceback" not in err
+
+
 def test_cli_bad_jobs_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("BICAT_CHECK_JOBS", "many")
     rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "2",

@@ -102,3 +102,52 @@ def test_one_cells_enumerates_the_whole_poset():
     rels = list(R.one_cells(X, A))
     assert len(rels) == 4
     assert len(set(rels)) == 4
+
+
+def _full_pair():
+    X = FinSet(("x0", "x1"))
+    A = FinSet(("a0", "a1"))
+    full = R.local_terminal(X, A)
+    return full, converse(full)
+
+
+def test_repeated_composite_is_the_same_object():
+    R.forget_composites()
+    f, g = _full_pair()
+    first = R.comp(f, g)
+    assert R.comp(f, g) is first
+    f2, g2 = _full_pair()
+    assert f2 is not f and R.comp(f2, g2) is first
+    R.forget_composites()
+    again = R.comp(f, g)
+    assert again == first and again is not first
+
+
+def test_non_composable_pair_raises_after_a_composite():
+    R.forget_composites()
+    f, g = _full_pair()
+    R.comp(f, g)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-composable"):
+            R.comp(f, f)
+
+
+def test_property_check_attempts_start_with_an_empty_memo():
+    from bicat.gen import GenConfig
+    from bicat.harness import property_check
+
+    seen = []
+
+    def body(B, rng, carriers):
+        f, g = _full_pair()
+        got = B.comp(f, g)
+        assert all(got is not prev for prev in seen)
+        seen.append(got)
+        return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
+
+    spec = property_check("toy-memo-scope", ("x",), body)
+    cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance="rel",
+                    suites=("kernel",))
+    result = spec.run(R, cfg)
+    assert result.status == "fail"
+    assert len(seen) > result.trials

@@ -228,3 +228,62 @@ def test_identity_span_shape():
     X = FinSet(("x0", "x1"))
     assert identity_span(X) == graph(SetFn.identity(X))
     assert B.identity(UNIT).source == UNIT
+
+
+def test_shape_tags_match_their_definitions():
+    X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
+    for S in list(B.one_cells(X, A, 2)) + list(B.one_cells(X, X, 2)):
+        graph_form = S.apex == S.source and S.left.is_identity()
+        assert S.is_graph() == graph_form
+        assert S.is_identity() == (graph_form and S.right.is_identity())
+
+
+def _pullback_pair():
+    X = FinSet(("x0", "x1"))
+    top = B.local_terminal(X, X)
+    return top, reverse(top)
+
+
+def test_repeated_composite_is_the_same_object():
+    B.forget_composites()
+    R, T = _pullback_pair()
+    first = B.comp(R, T)
+    assert B.comp(R, T) is first
+    # Equal factors built separately hit the same memo entry.
+    R2, T2 = _pullback_pair()
+    assert R2 is not R and B.comp(R2, T2) is first
+    B.forget_composites()
+    again = B.comp(R, T)
+    assert again == first and again is not first
+
+
+def test_non_composable_pair_raises_after_a_composite():
+    B.forget_composites()
+    R, T = _pullback_pair()
+    B.comp(R, T)
+    bad = identity_span(FinSet(("y0",)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-composable"):
+            B.comp(R, bad)
+
+
+def test_property_check_attempts_start_with_an_empty_memo():
+    from bicat.gen import GenConfig
+    from bicat.harness import property_check
+
+    seen = []
+
+    def body(B, rng, carriers):
+        R, T = _pullback_pair()
+        got = B.comp(R, T)
+        assert all(got is not prev for prev in seen)
+        seen.append(got)
+        return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
+
+    spec = property_check("toy-memo-scope", ("x",), body)
+    cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance="span",
+                    suites=("kernel",))
+    result = spec.run(B, cfg)
+    assert result.status == "fail"
+    # More attempts than trials: the shrink attempts were checked too.
+    assert len(seen) > result.trials
