@@ -11,16 +11,51 @@ were given in, equality compares that order, and every derived carrier
 (products, pullbacks, wedges) lists its elements in the row-major order
 induced by its factors.  That convention is what makes repeated runs produce
 identical structures.
+
+Values are hash-consed within one unit of work (a trial, shrink attempt,
+negative control or fixture record).  One table holds every value built in
+the current unit, keyed on its class and components, so building an equal
+value again returns the stored object and skips validation; the instances
+memoise their structure operations in the same table through
+:func:`memoised`.  A raised error is never stored.  The harness empties the
+table with :func:`clear_table` when a unit starts, so memory stays flat over
+a run.  Values may outlive their unit (``UNIT``, parsed fixture documents),
+so equality falls back to comparing components after the identity test, and
+hashes are structural: a value rebuilt after a clear hashes as before.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Iterable, Iterator
 
 Label = "str | tuple"
 
 _ATOM = re.compile(r"[A-Za-z0-9_*'+.=|!?$-]+")
+
+#: The current unit's table: interned values and memoised results.
+_TABLE: dict = {}
+
+
+def clear_table() -> None:
+    """Forget every interned value and memoised result; a unit starts."""
+    _TABLE.clear()
+
+
+def memoised(op):
+    """Memoise a pure operation in the table, keyed on ``op`` and its
+    arguments (``self`` included).  A raised error is never stored."""
+
+    @functools.wraps(op)
+    def run(*args):
+        key = (op, *args)
+        got = _TABLE.get(key)
+        if got is None:
+            got = _TABLE[key] = op(*args)
+        return got
+
+    return run
 
 
 def is_atom(label) -> bool:
@@ -79,16 +114,25 @@ class FinSet:
 
     __slots__ = ("elements", "_index", "_hash")
 
-    def __init__(self, elements: Iterable):
+    def __new__(cls, elements: Iterable):
         elems = tuple(elements)
-        index = {}
-        for i, e in enumerate(elems):
-            if e in index:
-                raise ValueError("duplicate element %s" % render_label(e))
-            index[e] = i
-        self.elements = elems
-        self._index = index
-        self._hash = hash(elems)
+        key = (cls, elems)
+        self = _TABLE.get(key)
+        if self is None:
+            index = {}
+            for i, e in enumerate(elems):
+                if e in index:
+                    raise ValueError("duplicate element %s" % render_label(e))
+                index[e] = i
+            self = _TABLE[key] = object.__new__(cls)
+            self.elements = elems
+            self._index = index
+            self._hash = hash(elems)
+        return self
+
+    def __init__(self, elements: Iterable):
+        """Nothing left to do once :meth:`__new__` has found or built the
+        value; kept so that wrapping ``__init__`` sees every construction."""
 
     def __iter__(self) -> Iterator:
         return iter(self.elements)
@@ -130,17 +174,25 @@ class SetFn:
 
     __slots__ = ("domain", "codomain", "values", "_hash")
 
-    def __init__(self, domain: FinSet, codomain: FinSet, values: Iterable):
+    def __new__(cls, domain: FinSet, codomain: FinSet, values: Iterable):
         vals = tuple(values)
-        if len(vals) != len(domain):
-            raise ValueError("function values do not cover the domain")
-        for v in vals:
-            if v not in codomain:
-                raise ValueError("value %s not in codomain" % render_label(v))
-        self.domain = domain
-        self.codomain = codomain
-        self.values = vals
-        self._hash = hash((domain, codomain, vals))
+        key = (cls, domain, codomain, vals)
+        self = _TABLE.get(key)
+        if self is None:
+            if len(vals) != len(domain):
+                raise ValueError("function values do not cover the domain")
+            for v in vals:
+                if v not in codomain:
+                    raise ValueError("value %s not in codomain" % render_label(v))
+            self = _TABLE[key] = object.__new__(cls)
+            self.domain = domain
+            self.codomain = codomain
+            self.values = vals
+            self._hash = hash((domain, codomain, vals))
+        return self
+
+    def __init__(self, domain: FinSet, codomain: FinSet, values: Iterable):
+        """Nothing left to do: see :meth:`FinSet.__init__`."""
 
     @classmethod
     def from_callable(cls, domain: FinSet, codomain: FinSet, fn: Callable) -> "SetFn":

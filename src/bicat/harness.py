@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
-from .fin import FinSet, SetFn, UNIT
+from .fin import FinSet, SetFn, UNIT, clear_table
 from .fmt import Document, FmtError, describe, parse_document, print_document
 from .gen import (GenConfig, SUITES, carrier, map_cell, one_cell, rng_for,
                   thicken, thin)
@@ -52,8 +52,8 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
     """A seeded check: ``body(B, rng, carriers) -> None | entity dict``.
 
     Every call of ``body`` (each trial and each shrink attempt) is one unit
-    of work and starts with an empty memo of composites, so ``B.comp``
-    reuses only what that call built.
+    of work and starts with an empty table (:func:`bicat.fin.clear_table`),
+    so it reuses only the values and results that call built.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
@@ -63,7 +63,7 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
 
         def attempt(trial, carriers):
             rng = rng_for(cfg.seed, "%s.%s.%d.body" % (B.name, check_id, trial))
-            B.forget_composites()
+            clear_table()
             return body(B, rng, carriers)
 
         for t in range(trials):
@@ -101,12 +101,12 @@ def negative_check(check_id, body):
 
     Passes when the corruption is detected; the detected violation travels
     in the payload so the report shows a printable counterexample.  The body
-    is one unit of work and starts with an empty memo of composites.
+    is one unit of work and starts with an empty table.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
         t0 = time.monotonic()
-        B.forget_composites()
+        clear_table()
         caught, entities = body(B, cfg)
         status = "pass" if caught else "fail"
         return CheckResult(check_id, status, 1, _payload(entities), _ms(t0))
@@ -744,11 +744,11 @@ def _fixture_entity(B, doc: Document, name: str):
 
 def run_fixture_checks(B, doc: Document) -> tuple:
     """One result per ``check`` record; each record is one unit of work
-    and starts with an empty memo of composites."""
+    and starts with an empty table."""
     results = []
     for i, chk in enumerate(doc.checks):
         t0 = time.monotonic()
-        B.forget_composites()
+        clear_table()
         cid = "fixture-%d-%s" % (i, chk.kind)
         try:
             ok, entities = _eval_check(B, doc, chk)

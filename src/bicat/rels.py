@@ -7,42 +7,52 @@ identity witness and equation checking degenerates to boundary equality.
 The real content sits in cell construction: building a pasting whose
 underlying containment fails raises immediately.
 
-:meth:`RelBicat.comp` memoises composites within one unit of work (a
-trial, shrink attempt, negative control or fixture record): the harness
-empties the memo with :meth:`RelBicat.forget_composites` when a unit
-starts, so memory stays flat over a run.  Failures are not stored.
+A relation keeps its pairs twice: as the ``frozenset`` that keys it in the
+unit-of-work table of :mod:`bicat.fin` and that membership, containment and
+intersection read, and as a label-sorted tuple for printing, computed only
+when a new relation is built.  Relations and their cells are hash-consed in
+that table, and :class:`RelBicat` memoises its structure operations in it
+(``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
+``assoc``, ``invert`` and ``map_adjunction``).
 """
 
 from __future__ import annotations
 
-from .fin import FinSet, SetFn, UNIT, label_key, render_label
+from .fin import _TABLE, FinSet, SetFn, UNIT, label_key, memoised, render_label
 
 
 class Rel:
     """A binary relation between two finite carriers."""
 
-    __slots__ = ("source", "target", "pairs", "_hash")
+    __slots__ = ("source", "target", "pairset", "pairs", "_hash")
 
-    def __init__(self, source: FinSet, target: FinSet, pairs):
-        ps = set(pairs)
-        for x, a in ps:
-            if x not in source or a not in target:
-                raise ValueError("relation pair out of bounds")
-        self.source = source
-        self.target = target
-        self.pairs = tuple(sorted(ps, key=lambda p: (label_key(p[0]), label_key(p[1]))))
-        self._hash = hash((source, target, self.pairs))
+    def __new__(cls, source: FinSet, target: FinSet, pairs):
+        ps = frozenset(pairs)
+        key = (cls, source, target, ps)
+        self = _TABLE.get(key)
+        if self is None:
+            for x, a in ps:
+                if x not in source or a not in target:
+                    raise ValueError("relation pair out of bounds")
+            self = _TABLE[key] = object.__new__(cls)
+            self.source = source
+            self.target = target
+            self.pairset = ps
+            self.pairs = tuple(sorted(
+                ps, key=lambda p: (label_key(p[0]), label_key(p[1]))))
+            self._hash = hash((source, target, self.pairs))
+        return self
 
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Rel) and self.source == other.source
-            and self.target == other.target and self.pairs == other.pairs)
+            and self.target == other.target and self.pairset == other.pairset)
 
     def __hash__(self):
         return self._hash
 
     def __contains__(self, pair):
-        return pair in set(self.pairs)
+        return pair in self.pairset
 
     def __repr__(self):
         body = ", ".join("%s:%s" % (render_label(x), render_label(a))
@@ -51,7 +61,7 @@ class Rel:
 
     def is_identity(self):
         return (self.source == self.target
-                and set(self.pairs) == {(x, x) for x in self.source})
+                and self.pairset == {(x, x) for x in self.source})
 
     def is_graph(self):
         """True when the relation is the graph of a total function."""
@@ -87,21 +97,28 @@ class RelCell:
 
     __slots__ = ("dom", "cod", "_hash")
 
-    def __init__(self, dom: Rel, cod: Rel):
-        if dom.source != cod.source or dom.target != cod.target:
-            raise ValueError("2-cell between non-parallel relations")
-        missing = set(dom.pairs) - set(cod.pairs)
-        if missing:
-            x, a = min(missing, key=lambda p: (label_key(p[0]), label_key(p[1])))
-            raise ValueError(
-                "containment fails at %s:%s" % (render_label(x), render_label(a)))
-        self.dom = dom
-        self.cod = cod
-        self._hash = hash((dom, cod))
+    def __new__(cls, dom: Rel, cod: Rel):
+        key = (cls, dom, cod)
+        self = _TABLE.get(key)
+        if self is None:
+            if dom.source != cod.source or dom.target != cod.target:
+                raise ValueError("2-cell between non-parallel relations")
+            missing = dom.pairset - cod.pairset
+            if missing:
+                x, a = min(missing,
+                           key=lambda p: (label_key(p[0]), label_key(p[1])))
+                raise ValueError("containment fails at %s:%s"
+                                 % (render_label(x), render_label(a)))
+            self = _TABLE[key] = object.__new__(cls)
+            self.dom = dom
+            self.cod = cod
+            self._hash = hash((dom, cod))
+        return self
 
     def __eq__(self, other):
-        return (isinstance(other, RelCell)
-                and self.dom == other.dom and self.cod == other.cod)
+        return self is other or (
+            isinstance(other, RelCell)
+            and self.dom == other.dom and self.cod == other.cod)
 
     def __hash__(self):
         return self._hash
@@ -115,27 +132,13 @@ class RelBicat:
 
     name = "rel"
 
-    def __init__(self):
-        self._composites = {}
-
-    def forget_composites(self) -> None:
-        """Empty the memo of composites.  The harness calls this when a unit
-        of work starts; other callers of ``comp`` call it to bound memory."""
-        self._composites.clear()
-
+    @memoised
     def identity(self, carrier: FinSet) -> Rel:
         return identity_rel(carrier)
 
+    @memoised
     def comp(self, R: Rel, T: Rel) -> Rel:
-        """Relational composite ``R then T``, memoised within the current
-        unit of work."""
-        key = (R, T)
-        got = self._composites.get(key)
-        if got is None:
-            got = self._composites[key] = self._compose(R, T)
-        return got
-
-    def _compose(self, R: Rel, T: Rel) -> Rel:
+        """Relational composite ``R then T``."""
         if R.target != T.source:
             raise ValueError("composite of non-composable relations")
         out = set()
@@ -150,9 +153,11 @@ class RelBicat:
     def cell(self, dom: Rel, cod: Rel) -> RelCell:
         return RelCell(dom, cod)
 
+    @memoised
     def id2(self, R: Rel) -> RelCell:
         return RelCell(R, R)
 
+    @memoised
     def vcomp(self, a: RelCell, b: RelCell) -> RelCell:
         if a.cod != b.dom:
             raise ValueError("vertical composite of non-composable 2-cells")
@@ -164,15 +169,19 @@ class RelBicat:
             out = self.vcomp(out, c)
         return out
 
+    @memoised
     def whisker_left(self, T: Rel, a: RelCell) -> RelCell:
         return RelCell(self.comp(T, a.dom), self.comp(T, a.cod))
 
+    @memoised
     def whisker_right(self, a: RelCell, T: Rel) -> RelCell:
         return RelCell(self.comp(a.dom, T), self.comp(a.cod, T))
 
+    @memoised
     def hcomp(self, a: RelCell, b: RelCell) -> RelCell:
         return RelCell(self.comp(a.dom, b.dom), self.comp(a.cod, b.cod))
 
+    @memoised
     def assoc(self, A: Rel, B: Rel, C: Rel) -> RelCell:
         # Strict associativity: both bracketings are the same value.
         return RelCell(self.comp(self.comp(A, B), C),
@@ -184,19 +193,20 @@ class RelBicat:
     def is_invertible(self, a: RelCell) -> bool:
         return a.dom == a.cod
 
+    @memoised
     def invert(self, a: RelCell) -> RelCell:
         if a.dom != a.cod:
             raise ValueError("2-cell is not invertible")
         return RelCell(a.cod, a.dom)
 
     def hom_cells(self, R: Rel, S: Rel, budget: int = 0):
-        if set(R.pairs) <= set(S.pairs):
+        if R.pairset <= S.pairset:
             yield RelCell(R, S)
 
     def local_product(self, R: Rel, S: Rel):
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel relations")
-        W = Rel(R.source, R.target, set(R.pairs) & set(S.pairs))
+        W = Rel(R.source, R.target, R.pairset & S.pairset)
 
         def pair(phi: RelCell, psi: RelCell) -> RelCell:
             if phi.dom != psi.dom:
@@ -232,6 +242,7 @@ class RelBicat:
     def normalize_map(self, R: Rel) -> Rel:
         return R
 
+    @memoised
     def map_adjunction(self, R: Rel):
         """``R -| converse(R)`` when R is the graph of a function."""
         if not R.is_map():

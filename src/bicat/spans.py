@@ -20,17 +20,18 @@ representations, and every whiskering and associativity cell is defined
 through them, so the special cases never leak.
 
 Whether a span is in graph or identity form is decided once, when it is
-built.  :meth:`SpanBicat.comp` memoises composites within one unit of
-work (a trial, shrink attempt, negative control or fixture record): the
-harness empties the memo with :meth:`SpanBicat.forget_composites` when a
-unit starts, so memory stays flat over a run.  Failures are not stored.
+built.  Spans and their cells are hash-consed in the unit-of-work table of
+:mod:`bicat.fin`, and :class:`SpanBicat` memoises its structure operations
+(``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
+``assoc``, ``invert`` and ``map_adjunction``) in the same table, so an
+operation repeated within a unit returns the object it returned before.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fin import FinSet, SetFn, UNIT, render_label
+from .fin import _TABLE, FinSet, SetFn, UNIT, memoised, render_label
 
 
 class Span:
@@ -47,20 +48,25 @@ class Span:
     __slots__ = ("source", "target", "apex", "left", "right", "_hash",
                  "_graph", "_identity")
 
-    def __init__(self, source: FinSet, target: FinSet, apex: FinSet,
-                 left: SetFn, right: SetFn):
-        if left.domain != apex or left.codomain != source:
-            raise ValueError("left leg does not match the span boundary")
-        if right.domain != apex or right.codomain != target:
-            raise ValueError("right leg does not match the span boundary")
-        self.source = source
-        self.target = target
-        self.apex = apex
-        self.left = left
-        self.right = right
-        self._hash = hash((source, target, apex, left, right))
-        self._graph = apex == source and left.is_identity()
-        self._identity = self._graph and right.is_identity()
+    def __new__(cls, source: FinSet, target: FinSet, apex: FinSet,
+                left: SetFn, right: SetFn):
+        key = (cls, source, target, apex, left, right)
+        self = _TABLE.get(key)
+        if self is None:
+            if left.domain != apex or left.codomain != source:
+                raise ValueError("left leg does not match the span boundary")
+            if right.domain != apex or right.codomain != target:
+                raise ValueError("right leg does not match the span boundary")
+            self = _TABLE[key] = object.__new__(cls)
+            self.source = source
+            self.target = target
+            self.apex = apex
+            self.left = left
+            self.right = right
+            self._hash = hash((source, target, apex, left, right))
+            self._graph = apex == source and left.is_identity()
+            self._identity = self._graph and right.is_identity()
+        return self
 
     def __eq__(self, other):
         return self is other or (
@@ -134,27 +140,33 @@ class SpanCell:
 
     __slots__ = ("dom", "cod", "fn", "_hash")
 
-    def __init__(self, dom: Span, cod: Span, fn: SetFn):
-        if dom.source != cod.source or dom.target != cod.target:
-            raise ValueError("2-cell between non-parallel spans")
-        if fn.domain != dom.apex or fn.codomain != cod.apex:
-            raise ValueError("2-cell function does not match the apexes")
-        for s in dom.apex:
-            t = fn(s)
-            if cod.left(t) != dom.left(s) or cod.right(t) != dom.right(s):
-                raise ValueError(
-                    "2-cell does not commute with the legs at %s" % render_label(s))
-        self.dom = dom
-        self.cod = cod
-        self.fn = fn
-        self._hash = hash((dom, cod, fn))
+    def __new__(cls, dom: Span, cod: Span, fn: SetFn):
+        key = (cls, dom, cod, fn)
+        self = _TABLE.get(key)
+        if self is None:
+            if dom.source != cod.source or dom.target != cod.target:
+                raise ValueError("2-cell between non-parallel spans")
+            if fn.domain != dom.apex or fn.codomain != cod.apex:
+                raise ValueError("2-cell function does not match the apexes")
+            for s in dom.apex:
+                t = fn(s)
+                if cod.left(t) != dom.left(s) or cod.right(t) != dom.right(s):
+                    raise ValueError("2-cell does not commute with the legs "
+                                     "at %s" % render_label(s))
+            self = _TABLE[key] = object.__new__(cls)
+            self.dom = dom
+            self.cod = cod
+            self.fn = fn
+            self._hash = hash((dom, cod, fn))
+        return self
 
     def __call__(self, label):
         return self.fn(label)
 
     def __eq__(self, other):
-        return (isinstance(other, SpanCell) and self.dom == other.dom
-                and self.cod == other.cod and self.fn == other.fn)
+        return self is other or (
+            isinstance(other, SpanCell) and self.dom == other.dom
+            and self.cod == other.cod and self.fn == other.fn)
 
     def __hash__(self):
         return self._hash
@@ -172,29 +184,15 @@ class SpanBicat:
 
     name = "span"
 
-    def __init__(self):
-        self._composites = {}
-
-    def forget_composites(self) -> None:
-        """Empty the memo of composites.  The harness calls this when a unit
-        of work starts; other callers of ``comp`` call it to bound memory."""
-        self._composites.clear()
-
     # -- 1-cell structure ------------------------------------------------
 
+    @memoised
     def identity(self, carrier: FinSet) -> Span:
         return identity_span(carrier)
 
+    @memoised
     def comp(self, R: Span, T: Span) -> Span:
-        """Diagrammatic composite ``R then T`` on the canonical pullback,
-        memoised within the current unit of work."""
-        key = (R, T)
-        got = self._composites.get(key)
-        if got is None:
-            got = self._composites[key] = self._compose(R, T)
-        return got
-
-    def _compose(self, R: Span, T: Span) -> Span:
+        """Diagrammatic composite ``R then T`` on the canonical pullback."""
         if R.target != T.source:
             raise ValueError("composite of non-composable spans")
         if R.is_identity():
@@ -241,9 +239,11 @@ class SpanBicat:
     def cell_from_callable(self, dom: Span, cod: Span, fn) -> SpanCell:
         return SpanCell(dom, cod, SetFn.from_callable(dom.apex, cod.apex, fn))
 
+    @memoised
     def id2(self, R: Span) -> SpanCell:
         return SpanCell(R, R, SetFn.identity(R.apex))
 
+    @memoised
     def vcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
         if a.cod != b.dom:
             raise ValueError("vertical composite of non-composable 2-cells")
@@ -255,6 +255,7 @@ class SpanBicat:
             out = self.vcomp(out, c)
         return out
 
+    @memoised
     def whisker_left(self, T: Span, a: SpanCell) -> SpanCell:
         """``comp(T, dom a) -> comp(T, cod a)``: act on the second factor."""
         dom = self.comp(T, a.dom)
@@ -266,6 +267,7 @@ class SpanBicat:
 
         return self.cell_from_callable(dom, cod, fn)
 
+    @memoised
     def whisker_right(self, a: SpanCell, T: Span) -> SpanCell:
         """``comp(dom a, T) -> comp(cod a, T)``: act on the first factor."""
         dom = self.comp(a.dom, T)
@@ -277,6 +279,7 @@ class SpanBicat:
 
         return self.cell_from_callable(dom, cod, fn)
 
+    @memoised
     def hcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
         """Horizontal composite ``comp(dom a, dom b) -> comp(cod a, cod b)``."""
         dom = self.comp(a.dom, b.dom)
@@ -288,20 +291,21 @@ class SpanBicat:
 
         return self.cell_from_callable(dom, cod, fn)
 
+    @memoised
     def assoc(self, A: Span, B: Span, C: Span) -> SpanCell:
         """The canonical rebracketing ``comp(comp(A,B),C) -> comp(A,comp(B,C))``.
 
         Degenerates to an identity cell whenever the special-cased composites
         make both sides literally equal.
         """
-        dom = self.comp(self.comp(A, B), C)
-        cod = self.comp(A, self.comp(B, C))
+        AB, BC = self.comp(A, B), self.comp(B, C)
+        dom = self.comp(AB, C)
+        cod = self.comp(A, BC)
 
         def fn(elt):
-            ab, c = self.comp_split(self.comp(A, B), C, elt)
+            ab, c = self.comp_split(AB, C, elt)
             a, b = self.comp_split(A, B, ab)
-            return self.comp_pair(A, self.comp(B, C), a,
-                                  self.comp_pair(B, C, b, c))
+            return self.comp_pair(A, BC, a, self.comp_pair(B, C, b, c))
 
         return self.cell_from_callable(dom, cod, fn)
 
@@ -311,6 +315,7 @@ class SpanBicat:
     def is_invertible(self, a: SpanCell) -> bool:
         return a.fn.is_bijective()
 
+    @memoised
     def invert(self, a: SpanCell) -> SpanCell:
         if not a.fn.is_bijective():
             raise ValueError("2-cell is not invertible")
@@ -430,6 +435,7 @@ class SpanBicat:
         """Canonical graph form of a map-span."""
         return graph(R.fn())
 
+    @memoised
     def map_adjunction(self, R: Span):
         """The adjunction ``R -| reverse(R)`` for any map-span, canonical
         form or not.

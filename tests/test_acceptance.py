@@ -15,7 +15,7 @@ from bicat import coherence as C
 from bicat import kernel
 from bicat import mapprod as mp
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, all_functions
+from bicat.fin import UNIT, FinSet, all_functions, clear_table
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig, map_cell, one_cell
 from bicat.harness import run_config
@@ -183,9 +183,11 @@ def test_criterion_5_tensor_constraints_invertible(capsys):
             assert iu == B.id2(B.identity(UNIT))
             assert ic == B.id2(B.identity(UNIT))
             for nx, ny in itertools.product(range(5), repeat=2):
+                clear_table()
                 X, Y = _carriers(nx, ny)
                 assert _two_sided(B, ct.tensor_unit_cell(B, X, Y))
             for _ in range(55):
+                clear_table()
                 X, Y, A, Cc, L, M = (FinSet("%s%d" % (p, i)
                                             for i in range(rng.randint(0, 2)))
                                      for p in "xyaclm")
@@ -202,12 +204,14 @@ def test_criterion_5_tensor_constraints_invertible(capsys):
                         for fn in all_functions(D, E)]
             for f in all_maps:
                 for g in all_maps:
+                    clear_table()
                     assert _two_sided(B, ct.m_cell(B, f, g))
                     maps += 1
         # Scrambled (non-canonical) map pairs must work too.
         B = span_instance()
         done = 0
         while done < 20:
+            clear_table()
             X, A = _carriers(rng.randint(1, 2), rng.randint(1, 2))
             f = map_cell(B, rng, X, A)
             g = map_cell(B, rng, A, X)
@@ -229,6 +233,7 @@ def test_criterion_6_projection_and_unit_isos(capsys):
         rng = random.Random(2)
         for B in INSTANCES:
             for _ in range(30):
+                clear_table()
                 X, Y, A = (FinSet("%s%d" % (p, i)
                                   for i in range(rng.randint(0, 3)))
                            for p in "xya")
@@ -240,6 +245,7 @@ def test_criterion_6_projection_and_unit_isos(capsys):
                 configs += 1
             done = 0
             while done < 30:
+                clear_table()
                 X, Y, A, Cc, L, M = (FinSet("%s%d" % (p, i)
                                             for i in range(rng.randint(0, 2)))
                                      for p in "xyaclm")
@@ -264,6 +270,7 @@ def test_criterion_6_projection_and_unit_isos(capsys):
                 X, A = _carriers(nx, na)
                 for R in B.one_cells(X, UNIT, 2):
                     for S in B.one_cells(UNIT, A, 2):
+                        clear_table()
                         _, rep = ct.strange_pair(B, R, S)
                         assert rep == {"f": True, "u": True, "cell": True}
                         strange += 1
@@ -278,6 +285,7 @@ def test_criterion_7_symmetry_and_pentagon(capsys):
     def body():
         for B in INSTANCES:
             for nx, ny in itertools.product(range(4), repeat=2):
+                clear_table()
                 X, Y = _carriers(nx, ny)
                 s, bmu, bnu = C.braid(B, X, Y)
                 p, r = mp.product_object(B, X, Y).legs
@@ -288,17 +296,21 @@ def test_criterion_7_symmetry_and_pentagon(capsys):
                 assert B.whisker_right(sigma, p) == phi
                 assert B.whisker_right(sigma, r) == psi
             for nx, ny in itertools.product(range(5), repeat=2):
+                clear_table()
                 rep = C.symmetry_holds(B, *_carriers(nx, ny))
                 assert all(rep.values()), (nx, ny, rep)
             for sizes in itertools.product(range(3), repeat=4):
+                clear_table()
                 rep = C.check_quad_assoc(B, *_carriers(*sizes))
                 assert rep == {"equation": True, "invertible": True}
             for sizes in itertools.product(range(3), repeat=5):
+                clear_table()
                 rep = C.pentagon_unique(B, *_carriers(*sizes))
                 assert rep == {"routes_parallel": True,
                                "compatible_cells": 1}, sizes
             rng = random.Random(3)
             for _ in range(5):
+                clear_table()
                 cells = [one_cell(B, rng,
                                   _carriers(rng.randint(1, 2))[0],
                                   FinSet("b%d" % i

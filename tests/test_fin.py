@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bicat.fin import (FinSet, SetFn, UNIT, all_functions, parse_label,
-                       render_label)
+from bicat.fin import (FinSet, SetFn, UNIT, all_functions, clear_table,
+                       parse_label, render_label)
 
 atoms = st.from_regex(r"[A-Za-z0-9_*'+.=|!?$-]{1,8}", fullmatch=True)
 labels = st.recursive(atoms, lambda inner: st.tuples(inner, inner),
@@ -90,3 +90,37 @@ def test_from_callable():
     Y = FinSet(("1", "2", "3"))
     f = SetFn.from_callable(X, Y, lambda s: str(len(s)))
     assert f.values == ("1", "2", "3")
+
+
+def test_equal_values_are_one_object_within_a_unit():
+    X, Y = FinSet(("a", "b")), FinSet(["a", "b"])
+    f = SetFn(X, UNIT, ("*", "*"))
+    assert X is Y
+    assert SetFn.constant(Y, UNIT, "*") is f
+    hashes = hash(X), hash(f)
+    clear_table()
+    X2 = FinSet(("a", "b"))
+    f2 = SetFn(X2, UNIT, ("*", "*"))
+    assert X2 == X and X2 is not X
+    assert f2 == f and f2 is not f
+    assert (hash(X2), hash(f2)) == hashes
+
+
+def test_invalid_values_raise_on_every_call():
+    FinSet(("a", "b"))
+    X = FinSet(("a",))
+    SetFn(X, X, ("a",))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            FinSet(("a", "a"))
+        with pytest.raises(ValueError, match="not in codomain"):
+            SetFn(X, X, ("b",))
+        with pytest.raises(ValueError, match="cover"):
+            SetFn(X, X, ("a", "a"))
+
+
+def test_unit_outlives_a_clear():
+    clear_table()
+    fresh = FinSet(("*",))
+    assert fresh == UNIT and hash(fresh) == hash(UNIT)
+    assert SetFn.constant(fresh, UNIT, "*") == SetFn.identity(UNIT)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn
+from bicat.fin import FinSet, SetFn, clear_table
 from bicat.gen import carrier, one_cell, rng_for
 from bicat.rels import Rel, RelCell, converse, identity_rel, rel_graph, span_image
 
@@ -112,24 +112,73 @@ def _full_pair():
 
 
 def test_repeated_composite_is_the_same_object():
-    R.forget_composites()
     f, g = _full_pair()
     first = R.comp(f, g)
     assert R.comp(f, g) is first
+    # Within a unit, equal values built separately are one object.
     f2, g2 = _full_pair()
-    assert f2 is not f and R.comp(f2, g2) is first
-    R.forget_composites()
-    again = R.comp(f, g)
+    assert f2 is f and g2 is g
+    clear_table()
+    f3, g3 = _full_pair()
+    assert f3 == f and f3 is not f and hash(f3) == hash(f)
+    again = R.comp(f3, g3)
     assert again == first and again is not first
+    assert hash(again) == hash(first)
+
+
+def _memoised_calls():
+    """Every memoised operation, with arguments it is defined at."""
+    f, g = _full_pair()
+    X = f.source
+    h = rel_graph(SetFn(X, f.target, ("a0", "a0")))
+    a = R.tau(h)
+    return [("comp", (f, g)), ("identity", (X,)), ("id2", (f,)),
+            ("vcomp", (R.id2(h), a)), ("whisker_left", (g, a)),
+            ("whisker_right", (a, g)), ("hcomp", (a, R.id2(g))),
+            ("assoc", (f, g, f)), ("invert", (R.assoc(f, g, f),)),
+            ("map_adjunction", (h,))]
+
+
+def test_memoised_operations_repeat_within_a_unit_only():
+    for name, args in _memoised_calls():
+        op = getattr(R, name)
+        first = op(*args)
+        assert op(*args) is first, name
+        clear_table()
+        again = op(*args)
+        assert again == first and again is not first, name
+        assert hash(again) == hash(first), name
 
 
 def test_non_composable_pair_raises_after_a_composite():
-    R.forget_composites()
     f, g = _full_pair()
     R.comp(f, g)
     for _ in range(2):
         with pytest.raises(ValueError, match="non-composable"):
             R.comp(f, f)
+
+
+def test_invalid_values_raise_after_a_valid_one():
+    f, g = _full_pair()
+    X, A = f.source, f.target
+    small = Rel(X, A, (("x0", "a0"),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of bounds"):
+            Rel(X, A, (("x0", "a0"), ("x0", "zz")))
+        with pytest.raises(ValueError, match="containment fails"):
+            RelCell(f, small)
+        with pytest.raises(ValueError, match="non-composable"):
+            R.vcomp(R.id2(small), R.id2(f))
+
+
+def test_pair_set_is_stored_and_read():
+    f, _ = _full_pair()
+    X, A = f.source, f.target
+    r = Rel(X, A, [("x1", "a0"), ("x0", "a1")])
+    assert r.pairset == frozenset(r.pairs)
+    assert r is Rel(X, A, {("x0", "a1"), ("x1", "a0")})
+    assert ("x1", "a0") in r and ("x0", "a0") not in r
+    assert R.local_product(r, f).product.pairset == r.pairset
 
 
 def test_property_check_attempts_start_with_an_empty_memo():

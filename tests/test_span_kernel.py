@@ -12,9 +12,10 @@ import random
 import pytest
 
 from bicat import span_instance
-from bicat.fin import FinSet, SetFn, UNIT
+from bicat.fin import FinSet, SetFn, UNIT, clear_table
 from bicat.gen import carrier, map_cell, one_cell, rng_for, thicken
-from bicat.spans import (Span, graph, identity_span, relabel_apex, reverse)
+from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
+                         reverse)
 from bicat import kernel
 
 B = span_instance()
@@ -245,26 +246,65 @@ def _pullback_pair():
 
 
 def test_repeated_composite_is_the_same_object():
-    B.forget_composites()
     R, T = _pullback_pair()
     first = B.comp(R, T)
     assert B.comp(R, T) is first
-    # Equal factors built separately hit the same memo entry.
+    # Within a unit, equal values built separately are one object.
     R2, T2 = _pullback_pair()
-    assert R2 is not R and B.comp(R2, T2) is first
-    B.forget_composites()
-    again = B.comp(R, T)
+    assert R2 is R and T2 is T
+    clear_table()
+    R3, T3 = _pullback_pair()
+    assert R3 == R and R3 is not R and hash(R3) == hash(R)
+    again = B.comp(R3, T3)
     assert again == first and again is not first
+    assert hash(again) == hash(first)
+
+
+def _memoised_calls():
+    """Every memoised operation, with arguments it is defined at."""
+    X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
+    R = B.local_terminal(X, A)
+    T = reverse(R)
+    f = graph(SetFn(X, A, ("a0", "a0")))
+    a = B.tau(f)
+    return [("comp", (R, T)), ("identity", (X,)), ("id2", (R,)),
+            ("vcomp", (B.id2(f), a)), ("whisker_left", (T, a)),
+            ("whisker_right", (a, T)), ("hcomp", (a, B.id2(T))),
+            ("assoc", (R, T, R)), ("invert", (B.assoc(R, T, R),)),
+            ("map_adjunction", (f,))]
+
+
+def test_memoised_operations_repeat_within_a_unit_only():
+    for name, args in _memoised_calls():
+        op = getattr(B, name)
+        first = op(*args)
+        assert op(*args) is first, name
+        clear_table()
+        again = op(*args)
+        assert again == first and again is not first, name
+        assert hash(again) == hash(first), name
 
 
 def test_non_composable_pair_raises_after_a_composite():
-    B.forget_composites()
     R, T = _pullback_pair()
     B.comp(R, T)
     bad = identity_span(FinSet(("y0",)))
     for _ in range(2):
         with pytest.raises(ValueError, match="non-composable"):
             B.comp(R, bad)
+
+
+def test_invalid_cells_raise_after_a_valid_one():
+    X = FinSet(("x0", "x1"))
+    R = graph(SetFn(X, X, ("x0", "x1")))
+    S = graph(SetFn(X, X, ("x1", "x0")))
+    ident = SetFn.identity(X)
+    assert SpanCell(R, R, ident) is B.id2(R)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="commute"):
+            SpanCell(R, S, ident)
+        with pytest.raises(ValueError, match="non-composable"):
+            B.vcomp(B.id2(R), B.id2(S))
 
 
 def test_property_check_attempts_start_with_an_empty_memo():
