@@ -17,7 +17,7 @@ equality for relations), never by search.
 from __future__ import annotations
 
 from .fin import UNIT
-from .homprod import transport_cell, transport_hom
+from .homprod import transport_cell
 from .kernel import compose_adjunctions
 from .mapprod import map_iso, times_on_arrows
 from . import groth
@@ -270,20 +270,6 @@ def adjoint_switch_iso(B, adj1, adj2):
     )
 
 
-def _transported_wedge(B, tens: groth.TensorWitness, h, w):
-    """Transport the tensor wedge along ``comp(h, comp(-, w*))`` and return
-    the canonical wedge of the transported factors with the comparison
-    into it."""
-    ws = B.map_adjunction(w).right
-    C1 = tens.wedge.proj1.cod
-    C2 = tens.wedge.proj2.cod
-    W0 = B.local_product(transport_hom(B, h, C1, ws),
-                         transport_hom(B, h, C2, ws))
-    e = W0.pair(transport_cell(B, h, tens.wedge.proj1, ws),
-                transport_cell(B, h, tens.wedge.proj2, ws))
-    return W0, e
-
-
 def precompose_iso(B, f, g, R, S):
     """``comp(f x g, R (x) S)  ~  comp(f, R) (x) comp(g, S)`` for maps f, g.
 
@@ -292,7 +278,7 @@ def precompose_iso(B, f, g, R, S):
     """
     tens = g_tensor(B, R, S)
     fg = times_on_arrows(B, f, g)
-    W0, e = _transported_wedge(B, tens, fg, B.identity(tens.tgt_cone.vertex))
+    W0, e = groth.transported_wedge(B, tens, fg, B.identity(tens.tgt_cone.vertex))
     target = g_tensor(B, B.comp(f, R), B.comp(g, S))
     p_s, r_s = tens.src_cone.legs
     p_t, r_t = tens.tgt_cone.legs
@@ -327,7 +313,7 @@ def postcompose_star_iso(B, R, S, u, v):
     tens = g_tensor(B, R, S)
     uv = times_on_arrows(B, u, v)
     adj_uv = B.map_adjunction(uv)
-    W0, e = _transported_wedge(B, tens, B.identity(tens.src_cone.vertex), uv)
+    W0, e = groth.transported_wedge(B, tens, B.identity(tens.src_cone.vertex), uv)
     target = g_tensor(B, B.comp(R, B.map_adjunction(u).right),
                       B.comp(S, B.map_adjunction(v).right))
     p_t, r_t = tens.tgt_cone.legs

@@ -34,6 +34,11 @@ Label = "str | tuple"
 
 _ATOM = re.compile(r"[A-Za-z0-9_*'+.=|!?$-]+")
 
+#: Pairs nest at most this deep in label text: far deeper than any label
+#: the checks build, and shallow enough for the recursive label code to
+#: stay inside the interpreter's recursion limit.
+MAX_LABEL_DEPTH = 100
+
 #: The current unit's table: interned values and memoised results.
 _TABLE: dict = {}
 
@@ -94,12 +99,15 @@ def parse_label(text: str):
     return label
 
 
-def _parse_label_prefix(text: str):
+def _parse_label_prefix(text: str, depth: int = 0):
     if text.startswith("("):
-        left, rest = _parse_label_prefix(text[1:])
+        if depth == MAX_LABEL_DEPTH:
+            raise ValueError("label nests pairs more than %d deep"
+                             % MAX_LABEL_DEPTH)
+        left, rest = _parse_label_prefix(text[1:], depth + 1)
         if not rest.startswith(","):
             raise ValueError("expected ',' in pair label near %r" % rest)
-        right, rest = _parse_label_prefix(rest[1:])
+        right, rest = _parse_label_prefix(rest[1:], depth + 1)
         if not rest.startswith(")"):
             raise ValueError("unclosed pair label near %r" % rest)
         return (left, right), rest[1:]
@@ -245,9 +253,6 @@ class SetFn:
             raise ValueError("inverse of a non-bijective function")
         table = {v: d for d, v in zip(self.domain, self.values)}
         return SetFn(self.codomain, self.domain, (table[c] for c in self.codomain))
-
-    def preimage(self, label) -> tuple:
-        return tuple(d for d, v in zip(self.domain, self.values) if v == label)
 
 
 def all_functions(domain: FinSet, codomain: FinSet) -> Iterator[SetFn]:

@@ -2,7 +2,8 @@
 
 One record per line, one entity per record.  The grammar, with labels as
 produced by :func:`bicat.fin.render_label` (atoms from a restricted
-alphabet, pairs written ``(a,b)`` and nesting freely):
+alphabet, pairs written ``(a,b)`` and nesting at most
+:data:`bicat.fin.MAX_LABEL_DEPTH` deep):
 
     set NAME = label label ...
     fn NAME : DOM -> COD = d:v d:v ...          (one entry per domain element,
@@ -21,10 +22,11 @@ alphabet, pairs written ``(a,b)`` and nesting freely):
     check cell A -> B
 
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
-to entities declared earlier in the same document.  Blank lines and lines
-starting with ``#`` are ignored.  Printing a document and parsing it back
-yields an equal document; that round trip is load-bearing because check
-reports embed counterexamples in this format.
+to entities declared earlier in the same document.  No two records declare
+the same name, whatever their kinds.  Blank lines and lines starting with
+``#`` are ignored.  Printing a document and parsing it back yields an equal
+document; that round trip is load-bearing because check reports embed
+counterexamples in this format.
 """
 
 from __future__ import annotations
@@ -68,11 +70,20 @@ class Document:
     cells: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
+    def tables(self):
+        return (self.sets, self.fns, self.spans, self.rels, self.cells)
+
     def lookup(self, name):
-        for table in (self.sets, self.fns, self.spans, self.rels, self.cells):
+        for table in self.tables():
             if name in table:
                 return table[name]
         raise FmtError("unknown entity %r" % name)
+
+    def declare(self, table: dict, name: str, value):
+        """Add an entity; names are unique across all record kinds."""
+        if any(name in t for t in self.tables()):
+            raise FmtError("entity name %r is already declared" % name)
+        table[name] = value
 
 
 def _check_label(label):
@@ -207,14 +218,14 @@ def _parse_line(doc: Document, line: str):
         if len(rest) < 2 or rest[1] != "=":
             raise FmtError("malformed set record")
         name = rest[0]
-        doc.sets[name] = FinSet(parse_label(t) for t in rest[2:])
+        doc.declare(doc.sets, name, FinSet(parse_label(t) for t in rest[2:]))
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
         table = dict(_split_entry(t, 2) for t in body)
         if set(table) != set(A.elements):
             raise FmtError("fn %s entries do not cover the domain" % name)
-        doc.fns[name] = SetFn(A, C, (table[d] for d in A))
+        doc.declare(doc.fns, name, SetFn(A, C, (table[d] for d in A)))
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
@@ -222,16 +233,17 @@ def _parse_line(doc: Document, line: str):
         apex = FinSet(t[0] for t in triples)
         left = SetFn(apex, X, (t[1] for t in triples))
         right = SetFn(apex, A, (t[2] for t in triples))
-        doc.spans[name] = Span(X, A, apex, left, right)
+        doc.declare(doc.spans, name, Span(X, A, apex, left, right))
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
-        doc.rels[name] = Rel(_named_set(doc, src), _named_set(doc, tgt),
-                             (_split_entry(t, 2) for t in body))
+        rel = Rel(_named_set(doc, src), _named_set(doc, tgt),
+                  (_split_entry(t, 2) for t in body))
+        doc.declare(doc.rels, name, rel)
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
         entries = tuple(_split_entry(t, 2) for t in body)
         _check_cell_entries(doc, dom, cod, entries)
-        doc.cells[name] = CellRec(dom, cod, entries)
+        doc.declare(doc.cells, name, CellRec(dom, cod, entries))
     elif kind == "check":
         doc.checks.append(_parse_check(rest))
     else:
@@ -343,9 +355,7 @@ def _fresh(doc: Document, counters) -> str:
     while True:
         name = "S%d" % counters["S"]
         counters["S"] += 1
-        taken = any(name in table for table in
-                    (doc.sets, doc.fns, doc.spans, doc.rels, doc.cells))
-        if not taken:
+        if not any(name in table for table in doc.tables()):
             return name
 
 

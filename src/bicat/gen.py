@@ -158,17 +158,3 @@ def thin(B, rng: random.Random, R):
                    SetFn(apex, R.target, (R.right(s) for s in keep)))
     return smaller, B.cell_from_callable(smaller, R, lambda s: s)
 
-
-def generate(config: GenConfig):
-    """The documented per-trial stream: a dict of carriers, a 1-cell, a
-    map, and a thickening 2-cell, drawn deterministically from the seed."""
-    from . import rel_instance, span_instance
-    B = span_instance() if config.instance == "span" else rel_instance()
-    for t in range(config.trials):
-        rng = rng_for(config.seed, "generate.%d" % t)
-        X = carrier(rng, "x", config.max_carrier)
-        A = carrier(rng, "a", config.max_carrier)
-        R = one_cell(B, rng, X, A, config.max_carrier)
-        bigger, inc = thicken(B, rng, R, rng.randint(0, config.max_carrier))
-        yield {"X": X, "A": A, "R": R, "thick": bigger, "inclusion": inc,
-               "map": map_cell(B, rng, X, A)}

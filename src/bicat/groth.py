@@ -26,7 +26,7 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from . import kernel
@@ -42,40 +42,27 @@ class GPairError(ValueError):
         self.kind = kind
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GArr:
-    """A square between 1-cells ``dom`` and ``cod`` of the base instance."""
+    """A square between 1-cells ``dom`` and ``cod`` of the base instance.
+
+    The secondary form is the mate of the primary one, so it takes no part
+    in equality or hashing."""
     dom: Any
     cod: Any
     f: Any
     u: Any
     primary: Any
-    secondary: Any
-
-    def __eq__(self, other):
-        return (isinstance(other, GArr) and self.dom == other.dom
-                and self.cod == other.cod and self.f == other.f
-                and self.u == other.u and self.primary == other.primary)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.f, self.u, self.primary))
+    secondary: Any = field(compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GCell:
     """A 2-cell between parallel squares: a pair of frame cells."""
     dom: GArr
     cod: GArr
     phi: Any
     psi: Any
-
-    def __eq__(self, other):
-        return (isinstance(other, GCell) and self.dom == other.dom
-                and self.cod == other.cod and self.phi == other.phi
-                and self.psi == other.psi)
-
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.phi, self.psi))
 
 
 def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
@@ -171,13 +158,6 @@ def g_cell(B, dom: GArr, cod: GArr, phi, psi) -> GCell:
     return GCell(dom, cod, phi, psi)
 
 
-def g_vcomp(B, c1: GCell, c2: GCell) -> GCell:
-    if c1.cod != c2.dom:
-        raise ValueError("square 2-cells are not composable")
-    return g_cell(B, c1.dom, c2.cod,
-                  B.vcomp(c1.phi, c2.phi), B.vcomp(c1.psi, c2.psi))
-
-
 def g_cell_invertible(B, c: GCell) -> bool:
     return B.is_invertible(c.phi) and B.is_invertible(c.psi)
 
@@ -261,11 +241,8 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
 
     # The transported tensor must still be a wedge of the transported
     # factors; the comparison into the canonical wedge witnesses that.
-    Phi_tensor = transport_hom(B, h, tens.obj, ws)
-    W0 = B.local_product(c1.cod, c2.cod)
-    e = W0.pair(transport_cell(B, h, tens.wedge.proj1, ws),
-                transport_cell(B, h, tens.wedge.proj2, ws))
-    if e.dom != Phi_tensor:
+    W0, e = transported_wedge(B, tens, h, w)
+    if e.dom != transport_hom(B, h, tens.obj, ws):
         raise GPairError("no-solution", "transported wedge comparison is ill-typed")
     if not B.is_invertible(e):
         raise GPairError(
@@ -283,6 +260,20 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
                          "mediating square fails the projection equations"
                          " (%s)" % exc) from None
     return arrow, cell_R, cell_S
+
+
+def transported_wedge(B, tens: TensorWitness, h, w):
+    """Transport the tensor wedge along ``comp(h, comp(-, w*))`` and return
+    the canonical wedge of the transported factors with the comparison
+    into it."""
+    ws = B.map_adjunction(w).right
+    C1 = tens.wedge.proj1.cod
+    C2 = tens.wedge.proj2.cod
+    W0 = B.local_product(transport_hom(B, h, C1, ws),
+                         transport_hom(B, h, C2, ws))
+    e = W0.pair(transport_cell(B, h, tens.wedge.proj1, ws),
+                transport_cell(B, h, tens.wedge.proj2, ws))
+    return W0, e
 
 
 def _transport_cone_leg(B, a: GArr, h, w, adj_w, iso0, iso1, p_src, p_tgt, factor):

@@ -543,10 +543,8 @@ def _chk_global_constraints(B, rng, carriers):
     S = one_cell(B, rng, Y, C, 2)
     T = one_cell(B, rng, A, X, 2)
     U = one_cell(B, rng, C, Y, 2)
-    unit = cartesian.tensor_unit_cell(B, X, Y)
-    compc = cartesian.tensor_comp_cell(B, R, S, T, U)
-    ok = B.is_invertible(unit) and B.is_invertible(compc)
-    return None if ok else {"R": R, "S": S, "T": T, "U": U}
+    rep = cartesian.is_cartesian(B, [(X, Y)], [(R, S, T, U)], [])
+    return None if rep["ok"] else {"R": R, "S": S, "T": T, "U": U}
 
 
 def _chk_map_comparison(B, rng, carriers):

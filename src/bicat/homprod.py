@@ -3,11 +3,11 @@
 Parallel 1-cells R, S have a chosen binary product ("wedge") R /\\ S and a
 chosen terminal 1-cell, both supplied by the instance; this module wraps the
 chosen data in a witness carrying the two projections and the mediating-cell
-constructor, provides the derived cells (diagonal, terminal cell, functorial
-action on 2-cell pairs), and checks universal properties by brute force:
-enumerate every candidate mediating 2-cell and count the ones that commute.
-At the carrier sizes used in tests the enumeration is exact, so "unique" in
-the reports means literally one candidate out of all of them.
+constructor, provides the derived cells (the diagonal, transport along
+maps), and checks universal properties by brute force: enumerate every
+candidate mediating 2-cell and count the ones that commute.  At the carrier
+sizes used in tests the enumeration is exact, so "unique" in the reports
+means literally one candidate out of all of them.
 """
 
 from __future__ import annotations
@@ -35,18 +35,6 @@ def delta(B, R):
     """The diagonal ``R -> R /\\ R``."""
     w = B.local_product(R, R)
     return w.pair(B.id2(R), B.id2(R))
-
-
-def wedge_cell(B, alpha, beta):
-    """The functorial action on a pair of 2-cells.
-
-    Given ``alpha : R -> R'`` and ``beta : S -> S'`` this is the unique cell
-    ``R /\\ S -> R' /\\ S'`` commuting with both projections.
-    """
-    w_dom = B.local_product(alpha.dom, beta.dom)
-    w_cod = B.local_product(alpha.cod, beta.cod)
-    return w_cod.pair(B.vcomp(w_dom.proj1, alpha),
-                      B.vcomp(w_dom.proj2, beta))
 
 
 def transport_hom(B, f, S, u_star):
@@ -82,11 +70,3 @@ def is_product_diagram(B, W, proj1, proj2, R, S, tests, budget: int = 200_000):
                     }
     return None
 
-
-def is_terminal_cell_unique(B, top, tests, budget: int = 200_000):
-    """Check that each test 1-cell admits exactly one 2-cell into ``top``."""
-    for T in tests:
-        cells = list(B.hom_cells(T, top, budget))
-        if len(cells) != 1:
-            return {"test": T, "count": len(cells)}
-    return None

@@ -142,34 +142,22 @@ def right_mate_of_map_cell(B, psi, adj_m: Adjunction, adj_m2: Adjunction):
 
 # --- equivalences ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivWitness:
-    """An adjoint equivalence: an adjunction with invertible unit and counit."""
-    forward: Any
-    backward: Any
-    unit_iso: Any
-    counit_iso: Any
-
-    def adjunction(self) -> Adjunction:
-        return Adjunction(self.forward, self.backward,
-                          self.unit_iso, self.counit_iso)
-
-
 def find_equivalence(B, R):
-    """Return an :class:`EquivWitness` for the 1-cell if one exists.
+    """Return the adjoint-equivalence :class:`Adjunction` of the 1-cell, if
+    one exists.
 
     Delegates the instance-specific criterion (for spans: both legs
-    bijective) and then insists the witness really is an adjoint equivalence.
+    bijective) and then insists the witness really is an adjoint equivalence:
+    invertible unit and counit, and both triangle identities.
     """
-    w = B.equivalence_witness(R)
-    if w is None:
+    adj = B.equivalence_witness(R)
+    if adj is None:
         return None
-    if not (B.is_invertible(w.unit_iso) and B.is_invertible(w.counit_iso)):
+    if not (B.is_invertible(adj.unit) and B.is_invertible(adj.counit)):
         raise ValueError("equivalence witness has non-invertible unit or counit")
-    report = check_adjunction(B, w.adjunction())
-    if not report.ok:
+    if not check_adjunction(B, adj).ok:
         raise ValueError("equivalence witness fails the triangle identities")
-    return w
+    return adj
 
 
 # --- small law helpers used by suites and tests -----------------------------

@@ -78,24 +78,6 @@ def product_object(B, X: FinSet, Y: FinSet) -> ProductCone:
     return ProductCone(vertex, (p, r), (X, Y))
 
 
-def terminal(B) -> ProductCone:
-    return ProductCone(UNIT, (), ())
-
-
-def nary_product(B, objs) -> ProductCone:
-    """Iterated binary product with flattened projection legs."""
-    objs = tuple(objs)
-    if not objs:
-        return terminal(B)
-    cone = ProductCone(objs[0], (B.identity(objs[0]),), (objs[0],))
-    for Y in objs[1:]:
-        step = product_object(B, cone.vertex, Y)
-        legs = tuple(B.comp(step.legs[0], leg) for leg in cone.legs)
-        cone = ProductCone(step.vertex, legs + (step.legs[1],),
-                           cone.factors + (Y,))
-    return cone
-
-
 def pairing(B, f, g):
     """``(f, g) -> <f,g>`` into the canonical product of the targets.
 

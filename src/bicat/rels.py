@@ -262,9 +262,7 @@ class RelBicat:
         """Equivalences of relations are the graphs of bijections."""
         if not (R.is_graph() and R.fn().is_bijective()):
             return None
-        from .kernel import EquivWitness
-        adj = self.map_adjunction(R)
-        return EquivWitness(adj.left, adj.right, adj.unit, adj.counit)
+        return self.map_adjunction(R)
 
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int = 0):
         """Every relation ``source -> target``.  The bound is ignored: the

@@ -474,9 +474,7 @@ class SpanBicat:
         legs; the witness is the adjunction against the reversed span."""
         if not (R.left.is_bijective() and R.right.is_bijective()):
             return None
-        from .kernel import EquivWitness
-        adj = self.map_adjunction(R)
-        return EquivWitness(adj.left, adj.right, adj.unit, adj.counit)
+        return self.map_adjunction(R)
 
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int):
         """Every span ``source -> target`` with apex a canonical carrier of

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn
+from bicat.fin import MAX_LABEL_DEPTH, FinSet, SetFn
 from bicat.fmt import (Check, Document, FmtError, describe, parse_document,
                        print_document)
 from bicat.gen import one_cell
@@ -118,6 +118,33 @@ def test_malformed_documents_are_refused():
     for text in bad:
         with pytest.raises(FmtError):
             parse_document(text)
+
+
+def _nested(depth):
+    return "(" * depth + "a" + ",b)" * depth
+
+
+def test_label_nesting_is_bounded():
+    doc = parse_document("set X = %s\n" % _nested(MAX_LABEL_DEPTH))
+    assert len(doc.sets["X"]) == 1
+    for depth in (MAX_LABEL_DEPTH + 1, 2000):
+        with pytest.raises(FmtError, match="line 1: label nests pairs"):
+            parse_document("set X = %s\n" % _nested(depth))
+
+
+@pytest.mark.parametrize("record", [
+    "set X = b",
+    "span X : X -> X = s0:a:a",
+    "rel G : X -> X = a:a",
+    "fn G : X -> X = a:a",
+    "cell G : G -> G = s0:s0",
+])
+def test_names_are_unique_across_record_kinds(record):
+    text = "set X = a\nspan G : X -> X = s0:a:a\n%s\n" % record
+    name = record.split()[1]
+    with pytest.raises(FmtError,
+                       match="line 3: entity name '%s' is already" % name):
+        parse_document(text)
 
 
 def test_parse_errors_carry_line_numbers():

@@ -216,6 +216,23 @@ def test_cli_invalid_cell_record_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    "set X = %s\n" % ("(" * 2000 + "a" + ",b)" * 2000),
+    "set X = x0\nspan X : X -> X = s0:x0:x0\ncheck map X\n",
+    "set X = x0\nset X = x1\ncheck map X\n",
+])
+def test_cli_hostile_fixture_names_and_labels_exit_two(tmp_path, capsys,
+                                                       text):
+    fix = tmp_path / "hostile.bicat"
+    fix.write_text(text)
+    rc = cli.main(["--instance", "span", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--fixtures", str(fix)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "bicat-check: malformed fixtures: line " in err
+    assert "Traceback" not in out + err
+
+
 def test_cli_bad_jobs_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("BICAT_CHECK_JOBS", "many")
     rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "2",

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
+from bicat.coherence import shape_leaf, shape_prod
 from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import carrier, map_cell
 from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
                            check_product_cone, diag, diag_nat, fill2, map_iso,
-                           maps_isomorphic, nary_product, pairing,
-                           product_object, terminal, times_on_arrows)
+                           maps_isomorphic, pairing, product_object,
+                           times_on_arrows)
 from bicat.rels import Rel
 
 INSTANCES = (span_instance(), rel_instance())
@@ -23,7 +24,7 @@ def test_canonical_cones_verify():
                 X = FinSet("x%d" % i for i in range(nx))
                 Y = FinSet("y%d" % i for i in range(ny))
                 assert check_product_cone(B, product_object(B, X, Y), 2) is None
-        assert check_product_cone(B, terminal(B), 2) is None
+        assert check_product_cone(B, ProductCone(UNIT, (), ()), 2) is None
 
 
 def test_ternary_product_flattens():
@@ -31,8 +32,10 @@ def test_ternary_product_flattens():
     X = FinSet(("x0", "x1"))
     Y = FinSet(("y0",))
     Z = FinSet(("z0", "z1"))
-    cone = nary_product(B, (X, Y, Z))
-    assert cone.factors == (X, Y, Z)
+    shape = shape_prod(B, shape_prod(B, shape_leaf(B, X), shape_leaf(B, Y)),
+                       shape_leaf(B, Z))
+    cone = ProductCone(shape.carrier, shape.legs, (X, Y, Z))
+    assert check_product_cone(B, cone, 2) is None
     assert len(cone.legs) == 3
     assert len(cone.vertex) == 4
     for leg, factor in zip(cone.legs, cone.factors):

@@ -219,7 +219,7 @@ def test_equivalences_are_two_bijective_legs():
              SetFn(FinSet(("e0", "e1")), X, ("x1", "x0")),
              SetFn(FinSet(("e0", "e1")), Y, ("y0", "y1")))
     w = kernel.find_equivalence(B, E)
-    assert w is not None and w.forward == E
+    assert w is not None and w.left == E
 
     N = graph(SetFn.constant(X, Y, "y0"))
     assert kernel.find_equivalence(B, N) is None
