@@ -93,28 +93,30 @@ def parse_label(text: str):
     >>> parse_label("(x,(y,z))")
     ('x', ('y', 'z'))
     """
-    label, rest = _parse_label_prefix(text.strip())
-    if rest:
-        raise ValueError("trailing text %r after label" % rest)
+    text = text.strip()
+    label, end = _parse_label_at(text, 0, 0)
+    if end != len(text):
+        raise ValueError("trailing text %r after label" % text[end:])
     return label
 
 
-def _parse_label_prefix(text: str, depth: int = 0):
-    if text.startswith("("):
+def _parse_label_at(text: str, pos: int, depth: int):
+    """The label starting at ``text[pos]`` and the index just past it."""
+    if text.startswith("(", pos):
         if depth == MAX_LABEL_DEPTH:
             raise ValueError("label nests pairs more than %d deep"
                              % MAX_LABEL_DEPTH)
-        left, rest = _parse_label_prefix(text[1:], depth + 1)
-        if not rest.startswith(","):
-            raise ValueError("expected ',' in pair label near %r" % rest)
-        right, rest = _parse_label_prefix(rest[1:], depth + 1)
-        if not rest.startswith(")"):
-            raise ValueError("unclosed pair label near %r" % rest)
-        return (left, right), rest[1:]
-    m = _ATOM.match(text)
+        left, pos = _parse_label_at(text, pos + 1, depth + 1)
+        if not text.startswith(",", pos):
+            raise ValueError("expected ',' in pair label near %r" % text[pos:])
+        right, pos = _parse_label_at(text, pos + 1, depth + 1)
+        if not text.startswith(")", pos):
+            raise ValueError("unclosed pair label near %r" % text[pos:])
+        return (left, right), pos + 1
+    m = _ATOM.match(text, pos)
     if not m:
-        raise ValueError("expected a label atom at %r" % text)
-    return m.group(0), text[m.end():]
+        raise ValueError("expected a label atom at %r" % text[pos:])
+    return m.group(0), m.end()
 
 
 class FinSet:
@@ -127,11 +129,14 @@ class FinSet:
         key = (cls, elems)
         self = _TABLE.get(key)
         if self is None:
-            index = {}
-            for i, e in enumerate(elems):
-                if e in index:
-                    raise ValueError("duplicate element %s" % render_label(e))
-                index[e] = i
+            index = dict(zip(elems, range(len(elems))))
+            if len(index) != len(elems):
+                seen = set()
+                for e in elems:
+                    if e in seen:
+                        raise ValueError("duplicate element %s"
+                                         % render_label(e))
+                    seen.add(e)
             self = _TABLE[key] = object.__new__(cls)
             self.elements = elems
             self._index = index
@@ -189,9 +194,9 @@ class SetFn:
         if self is None:
             if len(vals) != len(domain):
                 raise ValueError("function values do not cover the domain")
-            for v in vals:
-                if v not in codomain:
-                    raise ValueError("value %s not in codomain" % render_label(v))
+            if not codomain._index.keys() >= set(vals):
+                bad = next(v for v in vals if v not in codomain)
+                raise ValueError("value %s not in codomain" % render_label(bad))
             self = _TABLE[key] = object.__new__(cls)
             self.domain = domain
             self.codomain = codomain

@@ -21,6 +21,10 @@ alphabet, pairs written ``(a,b)`` and nesting at most
     check map A
     check cell A -> B
 
+``:`` never occurs inside a label (the atom alphabet has none), so an
+entry splits on ``:`` exactly, into as many labels as the record expects.
+Each distinct label text is parsed once per :func:`parse_document` call.
+
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
 to entities declared earlier in the same document.  No two records declare
 the same name, whatever their kinds.  Blank lines and lines starting with
@@ -127,9 +131,8 @@ def print_document(doc: Document) -> str:
         src = _name_of(doc.sets, sp.source, "source of span %s" % name)
         tgt = _name_of(doc.sets, sp.target, "target of span %s" % name)
         body = " ".join(
-            "%s:%s:%s" % (render_label(s), render_label(sp.left(s)),
-                          render_label(sp.right(s)))
-            for s in sp.apex)
+            "%s:%s:%s" % (render_label(s), render_label(x), render_label(a))
+            for s, x, a in zip(sp.apex, sp.left.values, sp.right.values))
         lines.append(("span %s : %s -> %s = %s" % (name, src, tgt, body)).rstrip())
     for name, rel in doc.rels.items():
         _check_name(name)
@@ -164,14 +167,24 @@ def _name_of(table: dict, value, what: str) -> str:
 
 # --- parsing ------------------------------------------------------------
 
+class _Labels(dict):
+    """Label text to label, each text parsed once: one per parsed document,
+    so nothing outlives it.  A text that fails to parse is not stored."""
+
+    def __missing__(self, text: str):
+        got = self[text] = parse_label(text)
+        return got
+
+
 def parse_document(text: str) -> Document:
     doc = Document()
+    label = _Labels().__getitem__
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            _parse_line(doc, line)
+            _parse_line(doc, line, label)
         except FmtError as exc:
             raise FmtError("line %d: %s" % (lineno, exc)) from exc
         except ValueError as exc:
@@ -179,22 +192,11 @@ def parse_document(text: str) -> Document:
     return doc
 
 
-def _split_entry(token: str, parts: int):
-    bits, depth, cur = [], 0, []
-    for ch in token:
-        if ch == ":" and depth == 0:
-            bits.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    bits.append("".join(cur))
+def _split_entry(token: str, parts: int, label):
+    bits = token.split(":")
     if len(bits) != parts:
         raise FmtError("expected %d-part entry, got %r" % (parts, token))
-    return tuple(parse_label(b) for b in bits)
+    return tuple(map(label, bits))
 
 
 def _header(tokens, keyword):
@@ -211,25 +213,25 @@ def _named_set(doc: Document, name: str) -> FinSet:
         raise FmtError("unknown set %r" % name) from None
 
 
-def _parse_line(doc: Document, line: str):
+def _parse_line(doc: Document, line: str, label):
     tokens = line.split()
     kind, rest = tokens[0], tokens[1:]
     if kind == "set":
         if len(rest) < 2 or rest[1] != "=":
             raise FmtError("malformed set record")
         name = rest[0]
-        doc.declare(doc.sets, name, FinSet(parse_label(t) for t in rest[2:]))
+        doc.declare(doc.sets, name, FinSet(map(label, rest[2:])))
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
-        table = dict(_split_entry(t, 2) for t in body)
+        table = dict(_split_entry(t, 2, label) for t in body)
         if set(table) != set(A.elements):
             raise FmtError("fn %s entries do not cover the domain" % name)
         doc.declare(doc.fns, name, SetFn(A, C, (table[d] for d in A)))
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        triples = [_split_entry(t, 3) for t in body]
+        triples = [_split_entry(t, 3, label) for t in body]
         apex = FinSet(t[0] for t in triples)
         left = SetFn(apex, X, (t[1] for t in triples))
         right = SetFn(apex, A, (t[2] for t in triples))
@@ -237,11 +239,11 @@ def _parse_line(doc: Document, line: str):
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
         rel = Rel(_named_set(doc, src), _named_set(doc, tgt),
-                  (_split_entry(t, 2) for t in body))
+                  (_split_entry(t, 2, label) for t in body))
         doc.declare(doc.rels, name, rel)
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
-        entries = tuple(_split_entry(t, 2) for t in body)
+        entries = tuple(_split_entry(t, 2, label) for t in body)
         _check_cell_entries(doc, dom, cod, entries)
         doc.declare(doc.cells, name, CellRec(dom, cod, entries))
     elif kind == "check":

@@ -18,7 +18,7 @@ that table, and :class:`RelBicat` memoises its structure operations in it
 
 from __future__ import annotations
 
-from .fin import _TABLE, FinSet, SetFn, UNIT, label_key, memoised, render_label
+from .fin import _TABLE, FinSet, SetFn, label_key, memoised, render_label
 
 
 class Rel:

@@ -201,14 +201,20 @@ class SpanBicat:
             return R
         if R.is_graph() and T.is_graph():
             return graph(R.right.then(T.right))
-        apex = FinSet(
-            (r, t)
-            for r in R.apex for t in T.apex
-            if R.right(r) == T.left(t)
-        )
-        left = SetFn(apex, R.source, (R.left(r) for (r, t) in apex))
-        right = SetFn(apex, T.target, (T.right(t) for (r, t) in apex))
-        return Span(R.source, T.target, apex, left, right)
+        # Hash join on the middle carrier: each fibre of T's left leg keeps
+        # T's apex order, so the pairs come out row-major.
+        fibres = {}
+        for t, y, z in zip(T.apex.elements, T.left.values, T.right.values):
+            fibres.setdefault(y, []).append((t, z))
+        pairs, lefts, rights = [], [], []
+        for r, x, y in zip(R.apex.elements, R.left.values, R.right.values):
+            for t, z in fibres.get(y, ()):
+                pairs.append((r, t))
+                lefts.append(x)
+                rights.append(z)
+        apex = FinSet(pairs)
+        return Span(R.source, T.target, apex, SetFn(apex, R.source, lefts),
+                    SetFn(apex, T.target, rights))
 
     def comp_pair(self, R: Span, T: Span, r_elt, t_elt):
         """The element of ``comp(R, T)`` determined by composable factor

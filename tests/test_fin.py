@@ -123,3 +123,20 @@ def test_unit_outlives_a_clear():
     fresh = FinSet(("*",))
     assert fresh == UNIT and hash(fresh) == hash(UNIT)
     assert SetFn.constant(fresh, UNIT, "*") == SetFn.identity(UNIT)
+
+
+def test_invalid_values_name_the_first_offender():
+    X = FinSet(("a", "b", "c"))
+    SetFn(X, X, ("a", "b", "c"))
+    for _ in range(2):
+        # Neighbours of the bad values are interned first, so a lookup that
+        # wrongly hit the table would return them instead of raising.
+        FinSet(("a", ("p", "q"), "b"))
+        SetFn(X, X, ("c", "b", "a"))
+        with pytest.raises(ValueError,
+                           match=r"^duplicate element \(p,q\)$"):
+            FinSet(("a", ("p", "q"), "b", ("p", "q"), "a"))
+        with pytest.raises(ValueError, match=r"^value \(z,z\) not in codomain$"):
+            SetFn(X, X, ("c", ("z", "z"), "y"))
+        clear_table()
+        X = FinSet(("a", "b", "c"))

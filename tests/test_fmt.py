@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bicat import rel_instance, span_instance
+from bicat import cli, rel_instance, span_instance
 from bicat.fin import MAX_LABEL_DEPTH, FinSet, SetFn
-from bicat.fmt import (Check, Document, FmtError, describe, parse_document,
+from bicat.fmt import (Check, FmtError, describe, parse_document,
                        print_document)
 from bicat.gen import one_cell
 from bicat.rels import Rel
@@ -212,3 +213,56 @@ def test_invalid_cell_records_are_refused(record, why):
     with pytest.raises(FmtError, match=why) as info:
         parse_document(CELL_HEAD + record + "\n")
     assert "line 6" in str(info.value)
+
+
+atoms = st.text("ab09_*'+.=|!?$-", min_size=1, max_size=3)
+nested_labels = st.recursive(atoms, lambda inner: st.tuples(inner, inner),
+                             max_leaves=5)
+carriers = st.lists(nested_labels, unique=True, max_size=4).map(FinSet)
+
+
+@st.composite
+def spans_with_pair_apexes(draw):
+    X, A = draw(carriers), draw(carriers)
+    size = draw(st.integers(0, 5)) if len(X) and len(A) else 0
+    apex = FinSet(draw(st.lists(st.tuples(nested_labels, nested_labels),
+                                unique=True, min_size=size, max_size=size)))
+    legs = [SetFn(apex, C, (draw(st.sampled_from(C.elements))
+                            for _ in apex)) for C in (X, A)]
+    return Span(X, A, apex, *legs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spans_with_pair_apexes(), spans_with_pair_apexes())
+def test_document_round_trip_with_nested_pair_labels(R, T):
+    doc = describe({"R": R, "T": T})
+    assert parse_document(print_document(doc)) == doc
+
+
+MALFORMED_ENTRIES = [
+    ("span S : X -> X = (a:b,c):x:y", "expected 3-part entry"),
+    ("span S : X -> X = a::b", "expected a label atom at ''"),
+    ("rel R : X -> X = (a,b:x", "unclosed pair label"),
+    ("span S : X -> X = s0:x:x:", "expected 3-part entry"),
+    ("rel R : X -> X = x:", "expected a label atom at ''"),
+    ("span S : X -> X = %s:x:x" % _nested(MAX_LABEL_DEPTH + 1),
+     "label nests pairs more than"),
+]
+
+
+@pytest.mark.parametrize("record,why", MALFORMED_ENTRIES)
+def test_malformed_entries_are_refused_with_their_line(record, why):
+    with pytest.raises(FmtError, match="^line 2: " + why):
+        parse_document("set X = x\n" + record + "\n")
+
+
+@pytest.mark.parametrize("record,why", MALFORMED_ENTRIES)
+def test_cli_malformed_entries_exit_two(tmp_path, capsys, record, why):
+    fix = tmp_path / "malformed.bicat"
+    fix.write_text("set X = x\n%s\ncheck equal X X\n" % record)
+    rc = cli.main(["--instance", "span", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--fixtures", str(fix)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "bicat-check: malformed fixtures: line 2: " + why in err
+    assert "Traceback" not in out + err

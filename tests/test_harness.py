@@ -3,7 +3,6 @@
 import pytest
 
 from bicat import cli
-from bicat.fin import FinSet
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (FixtureError, instance_for, property_check,

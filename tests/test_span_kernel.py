@@ -13,7 +13,7 @@ import pytest
 
 from bicat import span_instance
 from bicat.fin import FinSet, SetFn, UNIT, clear_table
-from bicat.gen import carrier, map_cell, one_cell, rng_for, thicken
+from bicat.gen import carrier, map_cell, one_cell, set_fn, span, thicken
 from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
                          reverse)
 from bicat import kernel
@@ -84,6 +84,40 @@ def test_canonical_pullback_apex_is_row_major_pairs():
     C = B.comp(R, T)
     assert list(C.apex) == [("r0", "t0"), ("r0", "t1"),
                             ("r1", "t0"), ("r1", "t1")]
+
+
+def reference_pullback(R, T):
+    """The composite "R then T" by nested loops over both apexes: its apex
+    pairs, left-leg values and right-leg values."""
+    apex = [(r, t) for r in R.apex for t in T.apex if R.right(r) == T.left(t)]
+    return apex, [R.left(r) for r, _ in apex], [T.right(t) for _, t in apex]
+
+
+def test_composite_matches_nested_loop_pullback():
+    rng = random.Random(23)
+    seen = {"empty apex": 0, "empty fibre": 0, "graph first": 0,
+            "graph second": 0}
+    for trial in range(240):
+        X, A, L = (carrier(rng, p, 4) for p in "xal")
+        R, T = span(rng, X, A, 6), span(rng, A, L, 6)
+        if trial % 3 == 1 and len(A):
+            R = graph(set_fn(rng, X, A))
+        elif trial % 3 == 2 and len(L):
+            T = graph(set_fn(rng, A, L))
+        if R.is_identity() or T.is_identity() or (R.is_graph()
+                                                  and T.is_graph()):
+            continue  # the strict shortcuts, tested above
+        seen["empty apex"] += not (len(R.apex) and len(T.apex))
+        seen["empty fibre"] += not set(A) <= set(T.left.values)
+        seen["graph first"] += R.is_graph()
+        seen["graph second"] += T.is_graph()
+        C = B.comp(R, T)
+        apex, left, right = reference_pullback(R, T)
+        assert (C.source, C.target) == (R.source, T.target)
+        assert list(C.apex) == apex
+        assert list(C.left.values) == left
+        assert list(C.right.values) == right
+    assert min(seen.values()) >= 10, seen
 
 
 def test_cell_requires_commuting_legs():
