@@ -237,7 +237,7 @@ def conjugate_cell(B, arr: groth.GArr):
     fs = adj_f.right
     tail = B.comp(arr.cod, adj_u.right)
     return B.vc(
-        B.whisker_left(fs, arr.secondary),
+        B.whisker_left(fs, groth.secondary(B, arr)),
         B.assoc_inv(fs, arr.f, tail),
         B.whisker_right(adj_f.counit, tail),
     )

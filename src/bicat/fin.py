@@ -67,10 +67,6 @@ def is_atom(label) -> bool:
     return isinstance(label, str)
 
 
-def pair(a, b):
-    return (a, b)
-
-
 def label_key(label):
     """Sort key putting atoms first, then pairs ordered componentwise."""
     if is_atom(label):

@@ -122,22 +122,22 @@ def print_document(doc: Document) -> str:
                       + " ".join(render_label(e) for e in fs)).rstrip())
     for name, fn in doc.fns.items():
         _check_name(name)
-        dom = _name_of(doc.sets, fn.domain, "domain of fn %s" % name)
-        cod = _name_of(doc.sets, fn.codomain, "codomain of fn %s" % name)
+        dom = _find(doc.sets, fn.domain, "domain of fn %s" % name)
+        cod = _find(doc.sets, fn.codomain, "codomain of fn %s" % name)
         body = _entries(zip(fn.domain, fn.values))
         lines.append(("fn %s : %s -> %s = %s" % (name, dom, cod, body)).rstrip())
     for name, sp in doc.spans.items():
         _check_name(name)
-        src = _name_of(doc.sets, sp.source, "source of span %s" % name)
-        tgt = _name_of(doc.sets, sp.target, "target of span %s" % name)
+        src = _find(doc.sets, sp.source, "source of span %s" % name)
+        tgt = _find(doc.sets, sp.target, "target of span %s" % name)
         body = " ".join(
             "%s:%s:%s" % (render_label(s), render_label(x), render_label(a))
             for s, x, a in zip(sp.apex, sp.left.values, sp.right.values))
         lines.append(("span %s : %s -> %s = %s" % (name, src, tgt, body)).rstrip())
     for name, rel in doc.rels.items():
         _check_name(name)
-        src = _name_of(doc.sets, rel.source, "source of rel %s" % name)
-        tgt = _name_of(doc.sets, rel.target, "target of rel %s" % name)
+        src = _find(doc.sets, rel.source, "source of rel %s" % name)
+        tgt = _find(doc.sets, rel.target, "target of rel %s" % name)
         lines.append(("rel %s : %s -> %s = %s"
                       % (name, src, tgt, _entries(rel.pairs))).rstrip())
     for name, rec in doc.cells.items():
@@ -156,13 +156,6 @@ def print_document(doc: Document) -> str:
         else:
             raise FmtError("unknown check kind %r" % chk.kind)
     return "\n".join(lines) + "\n"
-
-
-def _name_of(table: dict, value, what: str) -> str:
-    for name, candidate in table.items():
-        if candidate == value:
-            return name
-    raise FmtError("%s is not a declared entity" % what)
 
 
 # --- parsing ------------------------------------------------------------
@@ -346,10 +339,14 @@ def describe(entities: dict) -> Document:
     return doc
 
 
-def _find(table: dict, value):
+def _find(table: dict, value, what: str = ""):
+    """The name ``value`` has in ``table``.  When it has none: None, or a
+    :class:`FmtError` naming ``what`` if that is given."""
     for name, candidate in table.items():
         if candidate == value:
             return name
+    if what:
+        raise FmtError("%s is not a declared entity" % what)
     return None
 
 

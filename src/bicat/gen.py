@@ -120,9 +120,8 @@ def thicken(B, rng: random.Random, R, extra: int):
     """
     if B.name == "rel":
         bigger = Rel(R.source, R.target,
-                     tuple(R.pairs) + tuple(
-                         (x, a) for x in R.source for a in R.target
-                         if rng.random() < 0.3))
+                     R.pairset.union((x, a) for x in R.source for a in R.target
+                                     if rng.random() < 0.3))
         return bigger, B.cell(R, bigger)
     from .spans import Span
     fresh, i = [], 0

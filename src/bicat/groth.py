@@ -2,14 +2,16 @@
 
 An object here is exactly a 1-cell of the base instance (no wrapper type).
 An arrow ``R => S`` is a square: two map frames ``f`` (between the sources)
-and ``u`` (between the targets) plus a 2-cell filling it.  The filler is
-kept in two interchangeable forms, cached in lock step:
+and ``u`` (between the targets) plus a 2-cell filling it.  The filler has
+two interchangeable forms:
 
 * primary   ``comp(R, u) -> comp(f, S)``
 * secondary ``R -> comp(f, comp(S, u*))``
 
 where ``u*`` is the right adjoint of ``u``; passing between the two is the
-mate construction and is exact, so either form may be trusted.
+mate construction and is exact.  A square keeps only its primary filler;
+:func:`garr_from_secondary` builds one from the other form, and
+:func:`secondary` derives that form for the few readers that need it.
 
 Squares compose two ways.  :func:`g_compose` composes along the frames
 (source objects stay 1-cells, frames compose as maps); :func:`paste_vertical`
@@ -26,7 +28,7 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import kernel
@@ -44,16 +46,12 @@ class GPairError(ValueError):
 
 @dataclass(frozen=True)
 class GArr:
-    """A square between 1-cells ``dom`` and ``cod`` of the base instance.
-
-    The secondary form is the mate of the primary one, so it takes no part
-    in equality or hashing."""
+    """A square between 1-cells ``dom`` and ``cod`` of the base instance."""
     dom: Any
     cod: Any
     f: Any
     u: Any
     primary: Any
-    secondary: Any = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,7 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
         raise NotAMap("square frames must be maps")
     if primary.dom != B.comp(dom, u) or primary.cod != B.comp(f, cod):
         raise ValueError("primary cell boundary does not match the square")
-    adj = B.map_adjunction(u)
-    secondary = mate_to_secondary(B, primary, dom, cod, f, adj)
-    return GArr(dom, cod, f, u, primary, secondary)
+    return GArr(dom, cod, f, u, primary)
 
 
 def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
@@ -83,7 +79,14 @@ def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
     if secondary.dom != dom or secondary.cod != expected:
         raise ValueError("secondary cell boundary does not match the square")
     primary = mate_to_primary(B, secondary, dom, cod, f, adj)
-    return GArr(dom, cod, f, u, primary, secondary)
+    return GArr(dom, cod, f, u, primary)
+
+
+def secondary(B, a: GArr):
+    """The filler's secondary form ``dom -> comp(f, comp(cod, u*))``: the
+    mate of the primary one across ``u -| u*``."""
+    return mate_to_secondary(B, a.primary, a.dom, a.cod, a.f,
+                             B.map_adjunction(a.u))
 
 
 def g_identity(B, R) -> GArr:
@@ -287,7 +290,7 @@ def _transport_cone_leg(B, a: GArr, h, w, adj_w, iso0, iso1, p_src, p_tgt, facto
     iso1_star = right_mate_of_map_cell(B, iso1, adj_wp, adj_u)
     rest = B.comp(B.comp(factor, pts), ws)
     return B.vc(
-        a.secondary,
+        secondary(B, a),
         B.whisker_left(a.f, B.whisker_left(factor, iso1_star)),
         B.whisker_left(a.f, B.assoc_inv(factor, pts, ws)),
         B.whisker_right(B.invert(iso0), rest),

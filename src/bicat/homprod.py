@@ -3,11 +3,11 @@
 Parallel 1-cells R, S have a chosen binary product ("wedge") R /\\ S and a
 chosen terminal 1-cell, both supplied by the instance; this module wraps the
 chosen data in a witness carrying the two projections and the mediating-cell
-constructor, provides the derived cells (the diagonal, transport along
-maps), and checks universal properties by brute force: enumerate every
-candidate mediating 2-cell and count the ones that commute.  At the carrier
-sizes used in tests the enumeration is exact, so "unique" in the reports
-means literally one candidate out of all of them.
+constructor, provides transport along maps, and checks universal properties
+by brute force: enumerate every candidate mediating 2-cell and count the
+ones that commute.  At the carrier sizes used in tests the enumeration is
+exact, so "unique" in the reports means literally one candidate out of all
+of them.
 """
 
 from __future__ import annotations
@@ -18,23 +18,26 @@ from typing import Callable
 class LocalProductWitness:
     """A chosen binary product in a hom-category.
 
-    ``pair(phi, psi)`` builds the mediating 2-cell of a cone; the witness is
-    only as trustworthy as the checks run against it, which is the point.
+    ``pair(phi, psi)`` checks that the two legs form a cone over the
+    factors and builds its mediating 2-cell with the instance's
+    ``mediate``; the witness is only as trustworthy as the checks run
+    against it, which is the point.
     """
 
-    __slots__ = ("product", "proj1", "proj2", "pair")
+    __slots__ = ("product", "proj1", "proj2", "_mediate")
 
-    def __init__(self, product, proj1, proj2, pair: Callable):
+    def __init__(self, product, proj1, proj2, mediate: Callable):
         self.product = product
         self.proj1 = proj1
         self.proj2 = proj2
-        self.pair = pair
+        self._mediate = mediate
 
-
-def delta(B, R):
-    """The diagonal ``R -> R /\\ R``."""
-    w = B.local_product(R, R)
-    return w.pair(B.id2(R), B.id2(R))
+    def pair(self, phi, psi):
+        if phi.dom != psi.dom:
+            raise ValueError("cone legs have different domains")
+        if phi.cod != self.proj1.cod or psi.cod != self.proj2.cod:
+            raise ValueError("cone legs do not land in the two factors")
+        return self._mediate(phi, psi)
 
 
 def transport_hom(B, f, S, u_star):

@@ -7,11 +7,12 @@ identity witness and equation checking degenerates to boundary equality.
 The real content sits in cell construction: building a pasting whose
 underlying containment fails raises immediately.
 
-A relation keeps its pairs twice: as the ``frozenset`` that keys it in the
-unit-of-work table of :mod:`bicat.fin` and that membership, containment and
-intersection read, and as a label-sorted tuple for printing, computed only
-when a new relation is built.  Relations and their cells are hash-consed in
-that table, and :class:`RelBicat` memoises its structure operations in it
+A relation keeps its pairs once, as the ``frozenset`` that keys it in the
+unit-of-work table of :mod:`bicat.fin`; composition, containment and
+intersection read that set, and only the readers that need an order
+(printing, the generators' draws) ask for the label-sorted ``pairs`` view,
+computed on each read.  Relations and their cells are hash-consed in that
+table, and :class:`RelBicat` memoises its structure operations in it
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
 ``assoc``, ``invert`` and ``map_adjunction``).
 """
@@ -21,10 +22,14 @@ from __future__ import annotations
 from .fin import _TABLE, FinSet, SetFn, label_key, memoised, render_label
 
 
+def _pair_key(p):
+    return label_key(p[0]), label_key(p[1])
+
+
 class Rel:
     """A binary relation between two finite carriers."""
 
-    __slots__ = ("source", "target", "pairset", "pairs", "_hash")
+    __slots__ = ("source", "target", "pairset", "_hash")
 
     def __new__(cls, source: FinSet, target: FinSet, pairs):
         ps = frozenset(pairs)
@@ -38,10 +43,13 @@ class Rel:
             self.source = source
             self.target = target
             self.pairset = ps
-            self.pairs = tuple(sorted(
-                ps, key=lambda p: (label_key(p[0]), label_key(p[1]))))
-            self._hash = hash((source, target, self.pairs))
+            self._hash = hash((source, target, ps))
         return self
+
+    @property
+    def pairs(self) -> tuple:
+        """The pairs in label order, for the readers that need an order."""
+        return tuple(sorted(self.pairset, key=_pair_key))
 
     def __eq__(self, other):
         return self is other or (
@@ -66,7 +74,7 @@ class Rel:
     def is_graph(self):
         """True when the relation is the graph of a total function."""
         seen = {}
-        for x, a in self.pairs:
+        for x, a in self.pairset:
             if x in seen:
                 return False
             seen[x] = a
@@ -76,7 +84,7 @@ class Rel:
         return self.is_graph()
 
     def fn(self) -> SetFn:
-        table = dict(self.pairs)
+        table = dict(self.pairset)
         return SetFn(self.source, self.target, (table[x] for x in self.source))
 
 
@@ -89,7 +97,7 @@ def identity_rel(carrier: FinSet) -> Rel:
 
 
 def converse(rel: Rel) -> Rel:
-    return Rel(rel.target, rel.source, ((a, x) for x, a in rel.pairs))
+    return Rel(rel.target, rel.source, ((a, x) for x, a in rel.pairset))
 
 
 class RelCell:
@@ -105,8 +113,7 @@ class RelCell:
                 raise ValueError("2-cell between non-parallel relations")
             missing = dom.pairset - cod.pairset
             if missing:
-                x, a = min(missing,
-                           key=lambda p: (label_key(p[0]), label_key(p[1])))
+                x, a = min(missing, key=_pair_key)
                 raise ValueError("containment fails at %s:%s"
                                  % (render_label(x), render_label(a)))
             self = _TABLE[key] = object.__new__(cls)
@@ -143,9 +150,9 @@ class RelBicat:
             raise ValueError("composite of non-composable relations")
         out = set()
         by_left = {}
-        for y, z in T.pairs:
+        for y, z in T.pairset:
             by_left.setdefault(y, []).append(z)
-        for x, y in R.pairs:
+        for x, y in R.pairset:
             for z in by_left.get(y, ()):
                 out.add((x, z))
         return Rel(R.source, T.target, out)
@@ -207,16 +214,9 @@ class RelBicat:
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel relations")
         W = Rel(R.source, R.target, R.pairset & S.pairset)
-
-        def pair(phi: RelCell, psi: RelCell) -> RelCell:
-            if phi.dom != psi.dom:
-                raise ValueError("cone legs have different domains")
-            if phi.cod != R or psi.cod != S:
-                raise ValueError("cone legs do not land in the two factors")
-            return RelCell(phi.dom, W)
-
         from .homprod import LocalProductWitness
-        return LocalProductWitness(W, RelCell(W, R), RelCell(W, S), pair)
+        return LocalProductWitness(W, RelCell(W, R), RelCell(W, S),
+                                   lambda phi, psi: RelCell(phi.dom, W))
 
     def local_terminal(self, source: FinSet, target: FinSet) -> Rel:
         # The full relation; on the unit carrier it coincides with the
@@ -239,9 +239,6 @@ class RelBicat:
     def graph(self, fn: SetFn) -> Rel:
         return rel_graph(fn)
 
-    def normalize_map(self, R: Rel) -> Rel:
-        return R
-
     @memoised
     def map_adjunction(self, R: Rel):
         """``R -| converse(R)`` when R is the graph of a function."""
@@ -252,11 +249,6 @@ class RelBicat:
         unit = RelCell(self.identity(R.source), self.comp(R, rstar))
         counit = RelCell(self.comp(rstar, R), self.identity(R.target))
         return Adjunction(R, rstar, unit, counit)
-
-    def is_map(self, R: Rel):
-        if not R.is_map():
-            return None
-        return self.map_adjunction(R)
 
     def equivalence_witness(self, R: Rel):
         """Equivalences of relations are the graphs of bijections."""

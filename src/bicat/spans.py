@@ -367,16 +367,12 @@ class SpanBicat:
         proj1 = self.cell_from_callable(W, R, lambda rs: rs[0])
         proj2 = self.cell_from_callable(W, S, lambda rs: rs[1])
 
-        def pair(phi: SpanCell, psi: SpanCell) -> SpanCell:
-            if phi.dom != psi.dom:
-                raise ValueError("cone legs have different domains")
-            if phi.cod != R or psi.cod != S:
-                raise ValueError("cone legs do not land in the two factors")
+        def mediate(phi: SpanCell, psi: SpanCell) -> SpanCell:
             return self.cell_from_callable(
                 phi.dom, W, lambda t: (phi(t), psi(t)))
 
         from .homprod import LocalProductWitness
-        return LocalProductWitness(W, proj1, proj2, pair)
+        return LocalProductWitness(W, proj1, proj2, mediate)
 
     def local_terminal(self, source: FinSet, target: FinSet) -> Span:
         """The chosen terminal object of the hom-category.
@@ -437,10 +433,6 @@ class SpanBicat:
     def graph(self, fn: SetFn) -> Span:
         return graph(fn)
 
-    def normalize_map(self, R: Span) -> Span:
-        """Canonical graph form of a map-span."""
-        return graph(R.fn())
-
     @memoised
     def map_adjunction(self, R: Span):
         """The adjunction ``R -| reverse(R)`` for any map-span, canonical
@@ -467,13 +459,6 @@ class SpanBicat:
         counit = self.cell_from_callable(
             counit_dom, self.identity(R.target), collapse)
         return Adjunction(R, rstar, unit, counit)
-
-    def is_map(self, R: Span):
-        """None for non-maps, otherwise the adjunction of the normalized
-        graph form."""
-        if not R.is_map():
-            return None
-        return self.map_adjunction(self.normalize_map(R))
 
     def equivalence_witness(self, R: Span):
         """Equivalences of spans are exactly the spans with two bijective

@@ -2,11 +2,9 @@
 
 import random
 
-import pytest
-
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, SetFn, all_functions
+from bicat.fin import UNIT, FinSet
 from bicat.gen import carrier, map_cell, one_cell
 from bicat.groth import g_tensor
 from bicat.mapprod import product_object

@@ -1,17 +1,18 @@
 """Squares over the base instance: the arrow-layer bicategory and its tensor."""
 
+import dataclasses
 import random
 
 import pytest
 
-from bicat import rel_instance, span_instance
+from bicat import groth, rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import carrier, map_cell, one_cell, thicken
 from bicat.groth import (GArr, GPairError, dunit_iso, g_bang, g_cell,
                          g_cell_invertible, g_compose, g_diag, g_identity,
                          g_is_equivalence, g_map_arrow, g_pair, g_tensor,
                          g_terminal, garr_from_primary,
-                         garr_from_secondary, paste_vertical)
+                         garr_from_secondary, paste_vertical, secondary)
 from bicat.mapprod import NotAMap
 from bicat.rels import Rel
 
@@ -25,14 +26,16 @@ def _inclusion_square(B, rng, R):
                              B.identity(R.source), B.identity(R.target), inc)
 
 
-def test_square_identity_ignores_secondary():
+def test_square_keeps_only_its_primary_filler():
     B = rel_instance()
     X = FinSet(("x0", "x1"))
     R = B.identity(X)
     a = g_identity(B, R)
-    forged = GArr(a.dom, a.cod, a.f, a.u, a.primary, None)
-    assert a == forged
-    assert hash(a) == hash(forged)
+    assert [f.name for f in dataclasses.fields(GArr)] == [
+        "dom", "cod", "f", "u", "primary"]
+    rebuilt = GArr(a.dom, a.cod, a.f, a.u, a.primary)
+    assert a == rebuilt
+    assert hash(a) == hash(rebuilt)
 
 
 def test_primary_and_secondary_views_agree():
@@ -52,7 +55,7 @@ def test_primary_and_secondary_views_agree():
             if not cells:
                 continue
             a = garr_from_primary(B, R, S, f, u, cells[0])
-            again = garr_from_secondary(B, R, S, f, u, a.secondary)
+            again = garr_from_secondary(B, R, S, f, u, secondary(B, a))
             assert again.primary == a.primary
             assert again == a
             done += 1
@@ -206,10 +209,19 @@ def test_terminal_and_bang():
         R = B.graph(SetFn.constant(X, A, "a0"))
         sq = g_bang(B, R)
         assert sq.dom == R and sq.cod == g_terminal(B)
-        assert sq.secondary == B.tau(R)
+        assert secondary(B, sq) == B.tau(R)
 
 
-def test_diagonal_square_and_unit_comparison():
+def test_diagonal_square_and_unit_comparison(monkeypatch):
+    built = []
+
+    def recording(B, dom, cod, f, u, cell):
+        built.append((garr_from_secondary(B, dom, cod, f, u, cell), cell))
+        return built[-1][0]
+
+    # g_diag builds the two tensor projections and the g_pair arrow from
+    # their secondary cells; each must derive back to the cell it came from.
+    monkeypatch.setattr(groth, "garr_from_secondary", recording)
     rng = random.Random(63)
     for B in INSTANCES:
         done = 0
@@ -218,8 +230,13 @@ def test_diagonal_square_and_unit_comparison():
             A = carrier(rng, "a", 2)
             R = one_cell(B, rng, X, A, 2)
             S = one_cell(B, rng, X, A, 2)
+            built.clear()
             d = g_diag(B, R)
-            assert d.dom == R and d.cod == g_tensor(B, R, R).obj
+            tens = g_tensor(B, R, R)
+            assert d.dom == R and d.cod == tens.obj
+            assert [a for a, _ in built[:3]] == [tens.proj1, tens.proj2, d]
+            for a, cell in built:
+                assert secondary(B, a) == cell
             iso = dunit_iso(B, R, S)
             assert B.is_invertible(iso)
             assert iso.cod == B.local_product(R, S).product

@@ -1,5 +1,7 @@
 """End-to-end runs of the check harness and the command line entry."""
 
+import os
+
 import pytest
 
 from bicat import cli
@@ -232,9 +234,25 @@ def test_cli_hostile_fixture_names_and_labels_exit_two(tmp_path, capsys,
     assert "Traceback" not in out + err
 
 
-def test_cli_bad_jobs_env_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("BICAT_CHECK_JOBS", "many")
+def test_cli_does_not_read_jobs_env(monkeypatch, capsys):
+    class Watched(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            read.add(key)
+            return super().__contains__(key)
+
+    read = set()
+    monkeypatch.setattr(os, "environ",
+                        Watched(os.environ, BICAT_CHECK_JOBS="many"))
     rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "2",
                    "--suite", "kernel"])
     capsys.readouterr()
-    assert rc == 2
+    assert rc == 0
+    assert "BICAT_CHECK_JOBS" not in read

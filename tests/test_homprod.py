@@ -5,8 +5,7 @@ import random
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
 from bicat.gen import carrier, map_cell, one_cell, thicken, thin
-from bicat.homprod import (delta, is_product_diagram, transport_cell,
-                           transport_hom)
+from bicat.homprod import is_product_diagram, transport_cell, transport_hom
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -77,8 +76,9 @@ def test_module_level_helpers_agree_with_instance_methods():
         X = carrier(rng, "x", 3)
         A = carrier(rng, "a", 3)
         R = one_cell(B, rng, X, A, 3)
-        d = delta(B, R)
-        assert d.dom == R and d.cod == B.local_product(R, R).product
+        w = B.local_product(R, R)
+        d = w.pair(B.id2(R), B.id2(R))
+        assert d.dom == R and d.cod == w.product
 
 
 def test_transport_is_a_functor():

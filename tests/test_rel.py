@@ -6,7 +6,7 @@ import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn, clear_table
-from bicat.gen import carrier, one_cell, rng_for
+from bicat.gen import carrier, one_cell
 from bicat.rels import Rel, RelCell, converse, identity_rel, rel_graph, span_image
 
 R = rel_instance()
@@ -179,6 +179,16 @@ def test_pair_set_is_stored_and_read():
     assert r is Rel(X, A, {("x0", "a1"), ("x1", "a0")})
     assert ("x1", "a0") in r and ("x0", "a0") not in r
     assert R.local_product(r, f).product.pairset == r.pairset
+    # ``pairs`` reads in label order (atoms, then pairs), not set order:
+    # ten pairs leave set order no real chance to agree with it.
+    Y = FinSet([("p", "q")] + ["y%d" % i for i in range(8, -1, -1)])
+    wide = Rel(Y, A, ((y, "a0") for y in Y))
+    assert wide.pairs == tuple(
+        (y, "a0") for y in ["y%d" % i for i in range(9)] + [("p", "q")])
+    # The hash reads the pair set alone, so it survives a fresh table.
+    h = hash(r)
+    clear_table()
+    assert hash(Rel(X, A, [("x0", "a1"), ("x1", "a0")])) == h
 
 
 def test_property_check_attempts_start_with_an_empty_memo():

@@ -3,8 +3,11 @@
 A public function (or method) of ``src/bicat`` that only tests call is a
 second mechanism for a job the checks already do, or a law no report row
 states.  Either wire it into a check or delete it; the allowlist names the
-few that stay on purpose.  Uses are matched by name, so a function that
-shares its name with one the program reads is not caught.
+few that stay on purpose.  A module-level function counts as used only
+where the program reaches it: by its bare name in its own module or in one
+that imports it, or as ``module.name`` through an imported module.  Methods
+are matched by attribute name, so a method that shares its name with one
+the program reads is not caught.
 """
 
 import ast
@@ -25,10 +28,16 @@ ALLOWED = {
 
 
 class _Uses(ast.NodeVisitor):
-    """Names read anywhere, except a function's mentions of itself."""
+    """The reads of one module, except a function's mentions of itself.
 
-    def __init__(self):
-        self.names = set()
+    ``names`` holds every name and attribute read.  ``reached`` holds the
+    ``(module, function)`` pairs those reads resolve to through ``bound``
+    (bare names: the module's own functions and its ``from .m import f``)
+    and ``modules`` (aliases of imported sibling modules)."""
+
+    def __init__(self, bound, modules):
+        self.bound, self.modules = bound, modules
+        self.names, self.reached = set(), set()
         self.inside = []
 
     def visit_FunctionDef(self, node):
@@ -36,45 +45,87 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
         self.inside.pop()
 
-    def _use(self, name):
-        if name not in self.inside:
-            self.names.add(name)
-
     def visit_Name(self, node):
-        self._use(node.id)
+        if node.id not in self.inside:
+            self.names.add(node.id)
+            if node.id in self.bound:
+                self.reached.add(self.bound[node.id])
 
     def visit_Attribute(self, node):
-        self._use(node.attr)
+        if node.attr not in self.inside:
+            self.names.add(node.attr)
+            if (isinstance(node.value, ast.Name)
+                    and node.value.id in self.modules):
+                self.reached.add((self.modules[node.value.id], node.attr))
         self.generic_visit(node)
 
 
 def _public_functions(tree):
+    """``(name, is_method)`` for each public function and method."""
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else [node]
-        for m in members:
-            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
-                yield m.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield m.name, True
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, False
+
+
+def _imports(tree, module_names):
+    """The sibling functions and modules ``tree`` imports, by local name."""
+    bound, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None and alias.name in module_names:
+                    modules[local] = alias.name
+                else:
+                    bound[local] = (node.module or "__init__", alias.name)
+    return bound, modules
 
 
 def _surface():
-    defined, uses = {}, _Uses()
-    for path in PROGRAM:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name in _public_functions(tree):
-            defined.setdefault(name, path.name)
+    """The public functions and methods, each with its module, and the
+    uses: ``(module, name)`` pairs for functions, bare names for methods."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PROGRAM}
+    functions, methods = set(), {}
+    for mod, tree in trees.items():
+        for name, is_method in _public_functions(tree):
+            if is_method:
+                methods.setdefault(name, mod)
+            else:
+                functions.add((mod, name))
+    names, reached = set(), set()
+    for mod, tree in trees.items():
+        bound, modules = _imports(tree, trees)
+        bound.update({n: (m, n) for m, n in functions if m == mod})
+        uses = _Uses(bound, modules)
         uses.visit(tree)
-    return defined, uses.names
+        names |= uses.names
+        reached |= uses.reached
+    return functions, methods, names, reached
+
+
+def _unused():
+    functions, methods, names, reached = _surface()
+    unused = {(mod, name) for mod, name in functions
+              if (mod, name) not in reached}
+    unused |= {(mod, name) for name, mod in methods.items()
+               if name not in names}
+    return functions, methods, unused
 
 
 def test_no_public_function_is_used_only_by_tests():
-    defined, used = _surface()
-    unused = sorted("%s.%s" % (mod[:-3], name)
-                    for name, mod in defined.items()
-                    if name not in used and name not in ALLOWED)
-    assert not unused, "wire these into a check or delete them: %s" % unused
+    _, _, unused = _unused()
+    flagged = sorted("%s.%s" % (mod, name) for mod, name in unused
+                     if name not in ALLOWED)
+    assert not flagged, "wire these into a check or delete them: %s" % flagged
 
 
 def test_allowlist_names_only_unused_public_functions():
-    defined, used = _surface()
-    stale = sorted(n for n in ALLOWED if n not in defined or n in used)
+    functions, methods, unused = _unused()
+    defined = {name for _, name in functions} | set(methods)
+    flagged = {name for _, name in unused}
+    stale = sorted(n for n in ALLOWED if n not in defined or n not in flagged)
     assert not stale, "drop these from the allowlist: %s" % stale
