@@ -16,12 +16,13 @@ Values are hash-consed within one unit of work (a trial, shrink attempt,
 negative control or fixture record).  One table holds every value built in
 the current unit, keyed on its class and components, so building an equal
 value again returns the stored object and skips validation; the instances
-memoise their structure operations in the same table through
-:func:`memoised`.  A raised error is never stored.  The harness empties the
-table with :func:`clear_table` when a unit starts, so memory stays flat over
-a run.  Values may outlive their unit (``UNIT``, parsed fixture documents),
-so equality falls back to comparing components after the identity test, and
-hashes are structural: a value rebuilt after a clear hashes as before.
+memoise their structure operations, and :mod:`bicat.mapprod` its canonical
+product cones, in the same table through :func:`memoised`.  A raised error
+is never stored.  The harness empties the table with :func:`clear_table`
+when a unit starts, so memory stays flat over a run.  Values may outlive
+their unit (``UNIT``, parsed fixture documents), so equality falls back to
+comparing components after the identity test, and hashes are structural: a
+value rebuilt after a clear hashes as before.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class FinSet:
     def __contains__(self, label) -> bool:
         return label in self._index
 
-    def index(self, label) -> int:
-        return self._index[label]
-
     def __eq__(self, other) -> bool:
         return self is other or (
             isinstance(other, FinSet) and self.elements == other.elements)
@@ -216,7 +214,12 @@ class SetFn:
         return cls(domain, codomain, (value for _ in domain))
 
     def __call__(self, label):
-        return self.values[self.domain.index(label)]
+        return self.values[self.domain._index[label]]
+
+    def values_at(self, labels) -> list:
+        """The values at ``labels``, in their order: one index lookup each."""
+        values, index = self.values, self.domain._index
+        return [values[index[x]] for x in labels]
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -240,7 +243,7 @@ class SetFn:
         """Diagrammatic composite: apply ``self`` first, then ``other``."""
         if self.codomain != other.domain:
             raise ValueError("composite of non-composable functions")
-        return SetFn(self.domain, other.codomain, (other(v) for v in self.values))
+        return SetFn(self.domain, other.codomain, other.values_at(self.values))
 
     def is_identity(self) -> bool:
         return self.domain == self.codomain and self.values == self.domain.elements
@@ -250,10 +253,11 @@ class SetFn:
 
     def inverse(self) -> "SetFn":
         """The unique inverse of a bijection (canonical: no tie to break)."""
-        if not self.is_bijective():
+        table = dict(zip(self.values, self.domain.elements))
+        if not len(table) == len(self.values) == len(self.codomain):
             raise ValueError("inverse of a non-bijective function")
-        table = {v: d for d, v in zip(self.domain, self.values)}
-        return SetFn(self.codomain, self.domain, (table[c] for c in self.codomain))
+        return SetFn(self.codomain, self.domain,
+                     [table[c] for c in self.codomain.elements])
 
 
 def all_functions(domain: FinSet, codomain: FinSet) -> Iterator[SetFn]:

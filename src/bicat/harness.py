@@ -185,7 +185,11 @@ def _neg_nonmap(B, cfg):
         from .spans import Span
         S = FinSet(("s0", "s1"))
         bad = Span(X, A, S, SetFn(S, X, ("x0", "x0")), SetFn(S, A, ("a0", "a1")))
-    caught = not bad.is_map()
+    try:
+        B.map_adjunction(bad)
+        caught = False
+    except ValueError:
+        caught = True
     return caught, {"claimed-map": bad}
 
 

@@ -6,8 +6,10 @@ terminal object is the unit carrier, and pairings are built pointwise.  The
 constructions here are chosen so that on canonical graph maps everything is
 strict: pairing constraint cells, projection composites and naturality
 squares of the terminal and diagonal transformations all come out as
-identity 2-cells.  A checker validates arbitrary candidate cones by brute
-force, which is what gives the negative controls teeth.
+identity 2-cells.  The canonical product cone of two carriers is memoised
+in the unit-of-work table of :mod:`bicat.fin`, so a unit builds each one
+once.  A checker validates arbitrary candidate cones by brute force, which is
+what gives the negative controls teeth.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from .fin import FinSet, SetFn, UNIT, all_functions
+from .fin import FinSet, SetFn, UNIT, all_functions, memoised
 
 
 class NotAMap(ValueError):
@@ -65,12 +67,12 @@ def map_iso(B, m1, m2):
         raise ValueError("maps are not isomorphic")
     if B.name == "rel":
         return B.cell(m1, m2)
-    back = m2.left.inverse()
-    return B.cell_from_callable(m1, m2, lambda s: back(m1.left(s)))
+    return B.cell(m1, m2, m1.left.then(m2.left.inverse()))
 
 
 # --- canonical cones --------------------------------------------------------
 
+@memoised
 def product_object(B, X: FinSet, Y: FinSet) -> ProductCone:
     vertex = X.product(Y)
     p = B.graph(SetFn(vertex, X, (x for (x, y) in vertex)))
@@ -91,8 +93,7 @@ def pairing(B, f, g):
         raise ValueError("pairing of maps with different sources")
     cone = product_object(B, f.target, g.target)
     ffn, gfn = f.fn(), g.fn()
-    h = B.graph(SetFn(f.source, cone.vertex,
-                      ((ffn(a), gfn(a)) for a in f.source)))
+    h = B.graph(SetFn(f.source, cone.vertex, zip(ffn.values, gfn.values)))
     mu = map_iso(B, B.comp(h, cone.legs[0]), f)
     nu = map_iso(B, B.comp(h, cone.legs[1]), g)
     return h, mu, nu
@@ -105,7 +106,8 @@ def times_on_arrows(B, f, g):
     src = f.source.product(g.source)
     tgt = f.target.product(g.target)
     ffn, gfn = f.fn(), g.fn()
-    return B.graph(SetFn(src, tgt, ((ffn(x), gfn(y)) for (x, y) in src)))
+    return B.graph(SetFn(src, tgt, ((a, b) for a in ffn.values
+                                    for b in gfn.values)))
 
 
 def bang(B, X: FinSet):

@@ -13,11 +13,16 @@ load-bearing for everything built on top:
 * composing two canonical graph spans returns the graph of the composed
   function.
 
-Both choices are pullbacks, just not the pair-set one.  The helpers
-:meth:`SpanBicat.comp_pair` and :meth:`SpanBicat.comp_split` translate
-between factor elements and composite elements uniformly across all three
-representations, and every whiskering and associativity cell is defined
-through them, so the special cases never leak.
+Both choices are pullbacks, just not the pair-set one.  Two helpers,
+:meth:`SpanBicat._split` and :meth:`SpanBicat._pair`, translate between
+factor elements and composite elements uniformly across all three
+representations.  They pick the representation once per composite and then
+walk aligned element tuples: a list of composite elements against the two
+lists of factor elements it splits into.  Every whiskering, horizontal
+composite, associativity cell, adjunction unit and counit and cone fill is
+defined through them, so the special cases never leak, and a cell's apex
+function is read through the aligned ``values`` tuples and the apex index,
+never element by element through :meth:`SetFn.__call__`.
 
 Whether a span is in graph or identity form is decided once, when it is
 built.  Spans and their cells are hash-consed in the unit-of-work table of
@@ -32,6 +37,15 @@ from __future__ import annotations
 import itertools
 
 from .fin import _TABLE, FinSet, SetFn, UNIT, memoised, render_label
+
+
+def _fibres(S: "Span") -> dict:
+    """S's apex elements keyed by their pair of leg values, each list in
+    apex order: the build side of the hash joins over two parallel spans."""
+    fibres = {}
+    for s, legs in zip(S.apex.elements, zip(S.left.values, S.right.values)):
+        fibres.setdefault(legs, []).append(s)
+    return fibres
 
 
 class Span:
@@ -148,9 +162,12 @@ class SpanCell:
                 raise ValueError("2-cell between non-parallel spans")
             if fn.domain != dom.apex or fn.codomain != cod.apex:
                 raise ValueError("2-cell function does not match the apexes")
-            for s in dom.apex:
-                t = fn(s)
-                if cod.left(t) != dom.left(s) or cod.right(t) != dom.right(s):
+            index, lefts, rights = (cod.apex._index, cod.left.values,
+                                    cod.right.values)
+            for s, t, x, a in zip(dom.apex.elements, fn.values,
+                                  dom.left.values, dom.right.values):
+                i = index[t]
+                if lefts[i] != x or rights[i] != a:
                     raise ValueError("2-cell does not commute with the legs "
                                      "at %s" % render_label(s))
             self = _TABLE[key] = object.__new__(cls)
@@ -216,26 +233,32 @@ class SpanBicat:
         return Span(R.source, T.target, apex, SetFn(apex, R.source, lefts),
                     SetFn(apex, T.target, rights))
 
-    def comp_pair(self, R: Span, T: Span, r_elt, t_elt):
-        """The element of ``comp(R, T)`` determined by composable factor
-        elements ``r_elt`` of R's apex and ``t_elt`` of T's apex."""
+    @staticmethod
+    def _pair(R: Span, T: Span, rs, ts):
+        """The elements of ``comp(R, T)`` determined by composable factor
+        elements: ``rs`` of R's apex aligned with ``ts`` of T's apex."""
         if R.is_identity():
-            return t_elt
-        if T.is_identity():
-            return r_elt
-        if R.is_graph() and T.is_graph():
-            return r_elt
-        return (r_elt, t_elt)
+            return ts
+        if T.is_identity() or (R.is_graph() and T.is_graph()):
+            return rs
+        return list(zip(rs, ts))
 
-    def comp_split(self, R: Span, T: Span, c_elt):
-        """Inverse direction of :meth:`comp_pair`: recover the factor pair."""
+    @staticmethod
+    def _split(R: Span, T: Span, cs):
+        """Inverse direction of :meth:`_pair`: the factor elements of R's
+        apex and of T's apex, each aligned with the elements ``cs`` of
+        ``comp(R, T)``."""
         if R.is_identity():
-            return T.left(c_elt), c_elt
-        if T.is_identity():
-            return c_elt, R.right(c_elt)
-        if R.is_graph() and T.is_graph():
-            return c_elt, R.right(c_elt)
-        return c_elt
+            return T.left.values_at(cs), cs
+        if T.is_identity() or (R.is_graph() and T.is_graph()):
+            return cs, R.right.values_at(cs)
+        return [r for r, _ in cs], [t for _, t in cs]
+
+    @staticmethod
+    def _cell(dom: Span, cod: Span, values) -> SpanCell:
+        """The 2-cell whose apex function takes the values ``values``,
+        aligned with ``dom``'s apex."""
+        return SpanCell(dom, cod, SetFn(dom.apex, cod.apex, values))
 
     # -- 2-cell structure ------------------------------------------------
 
@@ -265,37 +288,26 @@ class SpanBicat:
     def whisker_left(self, T: Span, a: SpanCell) -> SpanCell:
         """``comp(T, dom a) -> comp(T, cod a)``: act on the second factor."""
         dom = self.comp(T, a.dom)
-        cod = self.comp(T, a.cod)
-
-        def fn(c):
-            t, d = self.comp_split(T, a.dom, c)
-            return self.comp_pair(T, a.cod, t, a(d))
-
-        return self.cell_from_callable(dom, cod, fn)
+        ts, ds = self._split(T, a.dom, dom.apex.elements)
+        return self._cell(dom, self.comp(T, a.cod),
+                          self._pair(T, a.cod, ts, a.fn.values_at(ds)))
 
     @memoised
     def whisker_right(self, a: SpanCell, T: Span) -> SpanCell:
         """``comp(dom a, T) -> comp(cod a, T)``: act on the first factor."""
         dom = self.comp(a.dom, T)
-        cod = self.comp(a.cod, T)
-
-        def fn(c):
-            d, t = self.comp_split(a.dom, T, c)
-            return self.comp_pair(a.cod, T, a(d), t)
-
-        return self.cell_from_callable(dom, cod, fn)
+        ds, ts = self._split(a.dom, T, dom.apex.elements)
+        return self._cell(dom, self.comp(a.cod, T),
+                          self._pair(a.cod, T, a.fn.values_at(ds), ts))
 
     @memoised
     def hcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
         """Horizontal composite ``comp(dom a, dom b) -> comp(cod a, cod b)``."""
         dom = self.comp(a.dom, b.dom)
-        cod = self.comp(a.cod, b.cod)
-
-        def fn(c):
-            r, t = self.comp_split(a.dom, b.dom, c)
-            return self.comp_pair(a.cod, b.cod, a(r), b(t))
-
-        return self.cell_from_callable(dom, cod, fn)
+        rs, ts = self._split(a.dom, b.dom, dom.apex.elements)
+        return self._cell(dom, self.comp(a.cod, b.cod),
+                          self._pair(a.cod, b.cod, a.fn.values_at(rs),
+                                     b.fn.values_at(ts)))
 
     @memoised
     def assoc(self, A: Span, B: Span, C: Span) -> SpanCell:
@@ -306,14 +318,10 @@ class SpanBicat:
         """
         AB, BC = self.comp(A, B), self.comp(B, C)
         dom = self.comp(AB, C)
-        cod = self.comp(A, BC)
-
-        def fn(elt):
-            ab, c = self.comp_split(AB, C, elt)
-            a, b = self.comp_split(A, B, ab)
-            return self.comp_pair(A, BC, a, self.comp_pair(B, C, b, c))
-
-        return self.cell_from_callable(dom, cod, fn)
+        abs_, cs = self._split(AB, C, dom.apex.elements)
+        as_, bs = self._split(A, B, abs_)
+        return self._cell(dom, self.comp(A, BC),
+                          self._pair(A, BC, as_, self._pair(B, C, bs, cs)))
 
     def assoc_inv(self, A: Span, B: Span, C: Span) -> SpanCell:
         return self.invert(self.assoc(A, B, C))
@@ -333,11 +341,11 @@ class SpanBicat:
         The count is the product over R's apex of the matching fibre sizes
         in S; ``budget`` guards against accidental blow-ups in tests.
         """
+        fibres = _fibres(S)
         slots = []
-        for s in R.apex:
-            matches = [t for t in S.apex
-                       if S.left(t) == R.left(s) and S.right(t) == R.right(s)]
-            if not matches:
+        for legs in zip(R.left.values, R.right.values):
+            matches = fibres.get(legs)
+            if matches is None:
                 return
             slots.append(matches)
         total = 1
@@ -351,25 +359,28 @@ class SpanBicat:
     # -- local (hom-category) products ------------------------------------
 
     def wedge_apex(self, R: Span, S: Span) -> FinSet:
+        """The pairs of R's and S's apex elements with equal legs, row-major."""
+        fibres = _fibres(S)
         return FinSet(
             (r, s)
-            for r in R.apex for s in S.apex
-            if R.left(r) == S.left(s) and R.right(r) == S.right(s)
+            for r, legs in zip(R.apex.elements,
+                               zip(R.left.values, R.right.values))
+            for s in fibres.get(legs, ())
         )
 
     def local_product(self, R: Span, S: Span):
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel spans")
         apex = self.wedge_apex(R, S)
+        firsts = [r for r, _ in apex]
         W = Span(R.source, R.target, apex,
-                 SetFn(apex, R.source, (R.left(r) for (r, s) in apex)),
-                 SetFn(apex, R.target, (R.right(r) for (r, s) in apex)))
-        proj1 = self.cell_from_callable(W, R, lambda rs: rs[0])
-        proj2 = self.cell_from_callable(W, S, lambda rs: rs[1])
+                 SetFn(apex, R.source, R.left.values_at(firsts)),
+                 SetFn(apex, R.target, R.right.values_at(firsts)))
+        proj1 = self._cell(W, R, firsts)
+        proj2 = self._cell(W, S, [s for _, s in apex])
 
         def mediate(phi: SpanCell, psi: SpanCell) -> SpanCell:
-            return self.cell_from_callable(
-                phi.dom, W, lambda t: (phi(t), psi(t)))
+            return self._cell(phi.dom, W, zip(phi.fn.values, psi.fn.values))
 
         from .homprod import LocalProductWitness
         return LocalProductWitness(W, proj1, proj2, mediate)
@@ -397,11 +408,10 @@ class SpanBicat:
         """The unique 2-cell into the chosen local terminal."""
         top = self.local_terminal(R.source, R.target)
         if top.is_identity() or R.target == UNIT:
-            return self.cell_from_callable(R, top, lambda s: R.left(s))
+            return self._cell(R, top, R.left.values)
         if R.source == UNIT:
-            return self.cell_from_callable(R, top, lambda s: R.right(s))
-        return self.cell_from_callable(
-            R, top, lambda s: (R.left(s), R.right(s)))
+            return self._cell(R, top, R.right.values)
+        return self._cell(R, top, zip(R.left.values, R.right.values))
 
     def fill_pair_cone(self, T: Span, U: Span, alpha: SpanCell,
                        beta: SpanCell, p: Span, r: Span) -> SpanCell:
@@ -412,17 +422,18 @@ class SpanBicat:
         into a leg-respecting function, otherwise no fill exists.
         """
         from .mapprod import FillError
-        pinv = p.left.inverse()
-        rinv = r.left.inverse()
-        values = []
-        for t in T.apex:
-            v = T.right(t)
-            u1, _ = self.comp_split(U, p, alpha(self.comp_pair(T, p, t, pinv(v))))
-            u2, _ = self.comp_split(U, r, beta(self.comp_pair(T, r, t, rinv(v))))
+        ts = T.apex.elements
+
+        def pins(leg: Span, cell: SpanCell):
+            vs = leg.left.inverse().values_at(T.right.values)
+            return self._split(U, leg, cell.fn.values_at(
+                self._pair(T, leg, ts, vs)))[0]
+
+        values = pins(p, alpha)
+        for t, u1, u2 in zip(ts, values, pins(r, beta)):
             if u1 != u2:
                 raise FillError("no-solution",
                                 "projection pins disagree at %r" % (t,))
-            values.append(u1)
         try:
             return SpanCell(T, U, SetFn(T.apex, U.apex, values))
         except ValueError as exc:
@@ -445,19 +456,13 @@ class SpanBicat:
             raise ValueError("adjunction requested for a non-map span")
         from .kernel import Adjunction
         rstar = reverse(R)
-        linv = R.left.inverse()
-        unit_cod = self.comp(R, rstar)
-        unit = self.cell_from_callable(
-            self.identity(R.source), unit_cod,
-            lambda x: self.comp_pair(R, rstar, linv(x), linv(x)))
+        diagonal = R.left.inverse().values
+        unit = self._cell(self.identity(R.source), self.comp(R, rstar),
+                          self._pair(R, rstar, diagonal, diagonal))
         counit_dom = self.comp(rstar, R)
-
-        def collapse(c):
-            _, t = self.comp_split(rstar, R, c)
-            return R.right(t)
-
-        counit = self.cell_from_callable(
-            counit_dom, self.identity(R.target), collapse)
+        _, ts = self._split(rstar, R, counit_dom.apex.elements)
+        counit = self._cell(counit_dom, self.identity(R.target),
+                            R.right.values_at(ts))
         return Adjunction(R, rstar, unit, counit)
 
     def equivalence_witness(self, R: Span):

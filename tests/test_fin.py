@@ -140,3 +140,18 @@ def test_invalid_values_name_the_first_offender():
             SetFn(X, X, ("c", ("z", "z"), "y"))
         clear_table()
         X = FinSet(("a", "b", "c"))
+
+
+def test_inverse_refuses_non_bijections_around_a_valid_one():
+    X, Y = FinSet(("x0", "x1")), FinSet(("y0", "y1"))
+    not_injective = SetFn(X, Y, ("y0", "y0"))
+    not_surjective = SetFn(X, FinSet(("y0", "y1", "y2")), ("y1", "y0"))
+    for _ in range(2):
+        for bad in (not_injective, not_surjective):
+            with pytest.raises(ValueError,
+                               match="^inverse of a non-bijective function$"):
+                bad.inverse()
+        # A valid neighbour and its inverse are interned between the rounds.
+        valid = SetFn(X, Y, ("y1", "y0"))
+        assert valid.inverse() == SetFn(Y, X, ("x1", "x0"))
+        assert valid.inverse().then(valid) == SetFn.identity(Y)

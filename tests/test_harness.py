@@ -7,8 +7,8 @@ import pytest
 from bicat import cli
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig
-from bicat.harness import (FixtureError, instance_for, property_check,
-                           run_config, run_fixture_checks)
+from bicat.harness import (KERNEL_CHECKS, FixtureError, instance_for,
+                           property_check, run_config, run_fixture_checks)
 from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
@@ -59,11 +59,22 @@ def test_runs_are_reproducible():
     assert render_machine(strip_wall(a)) == render_machine(strip_wall(b))
 
 
-def test_parallel_run_matches_serial(monkeypatch):
-    serial = strip_wall(run_config(FAST))
-    monkeypatch.setenv("BICAT_CHECK_JOBS", "4")
-    parallel = strip_wall(run_config(FAST))
-    assert serial == parallel
+def test_nonmap_control_asks_the_instance():
+    # The row is decided by the instance's map_adjunction refusing the
+    # non-map, so an instance that accepts it fails the row, payload intact.
+    spec = next(c for c in KERNEL_CHECKS
+                if c.check_id == "negative-nonmap-rejected")
+    for name in ("rel", "span"):
+        B = instance_for(name)
+
+        class Accepting(type(B)):
+            def map_adjunction(self, R):
+                return None
+
+        honest, lax = spec.run(B, FAST), spec.run(Accepting(), FAST)
+        assert (honest.status, lax.status) == ("pass", "fail")
+        assert lax.counterexample == honest.counterexample
+        assert "claimed-map" in honest.counterexample
 
 
 def test_counterexamples_shrink_to_local_minimum():

@@ -6,7 +6,7 @@ import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.coherence import shape_leaf, shape_prod
-from bicat.fin import UNIT, FinSet, SetFn
+from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell
 from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
                            check_product_cone, diag, diag_nat, fill2, map_iso,
@@ -25,6 +25,18 @@ def test_canonical_cones_verify():
                 Y = FinSet("y%d" % i for i in range(ny))
                 assert check_product_cone(B, product_object(B, X, Y), 2) is None
         assert check_product_cone(B, ProductCone(UNIT, (), ()), 2) is None
+
+
+def test_canonical_cone_is_built_once_per_unit():
+    X, Y = FinSet(("x0", "x1")), FinSet(("y0",))
+    for B in INSTANCES:
+        cone = product_object(B, X, Y)
+        assert product_object(B, X, Y) is cone
+        assert product_object(B, Y, X) != cone
+        clear_table()
+        again = product_object(B, X, Y)
+        assert again == cone and again is not cone
+        assert again.legs[0] is not cone.legs[0]
 
 
 def test_ternary_product_flattens():

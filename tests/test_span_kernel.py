@@ -7,6 +7,7 @@ invariant under the choice of pullback, so it validates both the canonical
 pair apex and the strict graph/identity shortcuts.
 """
 
+import itertools
 import random
 
 import pytest
@@ -118,6 +119,51 @@ def test_composite_matches_nested_loop_pullback():
         assert list(C.left.values) == left
         assert list(C.right.values) == right
     assert min(seen.values()) >= 10, seen
+
+
+def reference_fibres(R, S):
+    """For each element of R's apex, in order, the elements of S's apex with
+    the same pair of leg values, by nested loops in S's apex order."""
+    return [[s for s in S.apex
+             if S.left(s) == R.left(r) and S.right(s) == R.right(r)]
+            for r in R.apex]
+
+
+def test_hom_cells_and_wedge_match_nested_loop_references():
+    rng = random.Random(29)
+    seen = {"empty R apex": 0, "empty fibre": 0, "fibre of two or more": 0,
+            "several cells": 0}
+    for _ in range(240):
+        X, A = carrier(rng, "x", 2), carrier(rng, "a", 2)
+        R, S = span(rng, X, A, 3), span(rng, X, A, 5)
+        fibres = reference_fibres(R, S)
+        seen["empty R apex"] += not fibres
+        seen["empty fibre"] += any(not f for f in fibres)
+        seen["fibre of two or more"] += any(len(f) > 1 for f in fibres)
+        want = list(itertools.product(*fibres))
+        seen["several cells"] += len(want) > 1
+        cells = list(B.hom_cells(R, S))
+        assert [c.fn.values for c in cells] == want
+        assert all((c.dom, c.cod) == (R, S) for c in cells)
+        assert list(B.wedge_apex(R, S)) == [
+            (r, s) for r, f in zip(R.apex, fibres) for s in f]
+    assert min(seen.values()) >= 10, seen
+
+
+def test_non_commuting_cell_names_its_first_offender():
+    X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
+    S = FinSet(("s0", "s1", "s2"))
+    R = Span(X, A, S, SetFn(S, X, ("x0", "x0", "x1")),
+             SetFn(S, A, ("a0", "a1", "a1")))
+    # Each function first breaks one leg only, at s1, and both legs at s2.
+    right_only = SetFn(S, S, ("s0", "s0", "s0"))
+    left_only = SetFn(S, S, ("s0", "s2", "s0"))
+    for _ in range(2):
+        for fn in (right_only, left_only):
+            with pytest.raises(ValueError, match="^2-cell does not commute "
+                                                 "with the legs at s1$"):
+                SpanCell(R, R, fn)
+        assert SpanCell(R, R, SetFn.identity(S)) is B.id2(R)
 
 
 def test_cell_requires_commuting_legs():
