@@ -15,14 +15,17 @@ identical structures.
 Values are hash-consed within one unit of work (a trial, shrink attempt,
 negative control or fixture record).  One table holds every value built in
 the current unit, keyed on its class and components, so building an equal
-value again returns the stored object and skips validation; the instances
-memoise their structure operations, and :mod:`bicat.mapprod` its canonical
-product cones, in the same table through :func:`memoised`.  A raised error
-is never stored.  The harness empties the table with :func:`clear_table`
-when a unit starts, so memory stays flat over a run.  Values may outlive
-their unit (``UNIT``, parsed fixture documents), so equality falls back to
-comparing components after the identity test, and hashes are structural: a
-value rebuilt after a clear hashes as before.
+value again returns the stored object and skips validation.  Through
+:func:`memoised` it also holds the results of the pure operations a unit
+repeats: the instances' structure operations, local products and ``fn``,
+``mapprod``'s product cones, pairings and ``map_iso``, both ``homprod``
+transports, ``compose_adjunctions``, ``g_tensor`` and
+``garr_from_secondary``.  A key holds every argument, the instance included,
+and a raised error is never stored.  The harness empties the table with
+:func:`clear_table` when a unit starts, so memory stays flat over a run.
+Values may outlive their unit (``UNIT``, parsed fixture documents), so
+equality falls back to comparing components after the identity test, and
+hashes are structural: a value rebuilt after a clear hashes as before.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
 by the carrier projections; :func:`g_pair` mediates an arbitrary cone
 through it and is the workhorse every constraint cell downstream is built
-from.
+from.  Tensors and squares built from a secondary filler are memoised in the
+unit-of-work table of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import kernel
+from .fin import memoised
 from .kernel import (compose_adjunctions, mate_to_primary, mate_to_secondary,
                      right_mate_of_map_cell)
 from .homprod import transport_cell, transport_hom
@@ -71,6 +73,7 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
     return GArr(dom, cod, f, u, primary)
 
 
+@memoised
 def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
     if not f.is_map() or not u.is_map():
         raise NotAMap("square frames must be maps")
@@ -190,6 +193,7 @@ class TensorWitness:
     tgt_cone: Any       # canonical product cone of the target carriers
 
 
+@memoised
 def g_tensor(B, R, S) -> TensorWitness:
     """``R (x) S``: the local product of the two projection-transported
     factors, with its projection squares framed by the carrier projections."""

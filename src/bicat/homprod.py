@@ -7,12 +7,15 @@ constructor, provides transport along maps, and checks universal properties
 by brute force: enumerate every candidate mediating 2-cell and count the
 ones that commute.  At the carrier sizes used in tests the enumeration is
 exact, so "unique" in the reports means literally one candidate out of all
-of them.
+of them.  Both transports are memoised in the unit-of-work table of
+:mod:`bicat.fin`.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+from .fin import memoised
 
 
 class LocalProductWitness:
@@ -40,12 +43,14 @@ class LocalProductWitness:
         return self._mediate(phi, psi)
 
 
+@memoised
 def transport_hom(B, f, S, u_star):
     """The hom-functor induced by a map on each side: ``S |-> u* . S . f``
     written diagrammatically as ``comp(f, comp(S, u*))``."""
     return B.comp(f, B.comp(S, u_star))
 
 
+@memoised
 def transport_cell(B, f, alpha, u_star):
     return B.whisker_left(f, B.whisker_right(alpha, u_star))
 

@@ -6,13 +6,16 @@ mates in both directions, right adjoints of 2-cells between maps, and adjoint
 equivalence witnesses.  Each pasting is a vertical chain ``B.vc(...)`` of
 whiskerings, associators and (co)units, first to last.  Identity 1-cells
 compose strictly in both instances, so no unitors appear; rebracketing is
-always an explicit ``B.assoc`` or ``B.assoc_inv``.
+always an explicit ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions
+are memoised in the unit-of-work table of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+
+from .fin import memoised
 
 
 class AdjunctionMismatch(ValueError):
@@ -70,6 +73,7 @@ def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
     return AdjunctionCheck(not failures, tuple(failures), t1, t2)
 
 
+@memoised
 def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
     """The composite adjunction ``comp(f, g) -| comp(g*, f*)``."""
     f, fs = first.left, first.right

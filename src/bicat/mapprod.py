@@ -6,10 +6,11 @@ terminal object is the unit carrier, and pairings are built pointwise.  The
 constructions here are chosen so that on canonical graph maps everything is
 strict: pairing constraint cells, projection composites and naturality
 squares of the terminal and diagonal transformations all come out as
-identity 2-cells.  The canonical product cone of two carriers is memoised
-in the unit-of-work table of :mod:`bicat.fin`, so a unit builds each one
-once.  A checker validates arbitrary candidate cones by brute force, which is
-what gives the negative controls teeth.
+identity 2-cells.  The canonical product cone of two carriers, the pairing
+of two maps and the isomorphism between two maps are memoised in the
+unit-of-work table of :mod:`bicat.fin`, so a unit builds each one once.  A
+checker validates arbitrary candidate cones by brute force, which is what
+gives the negative controls teeth.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def maps_isomorphic(m1, m2) -> bool:
     return m1.fn() == m2.fn()
 
 
+@memoised
 def map_iso(B, m1, m2):
     """The unique invertible 2-cell between isomorphic maps.
 
@@ -80,6 +82,7 @@ def product_object(B, X: FinSet, Y: FinSet) -> ProductCone:
     return ProductCone(vertex, (p, r), (X, Y))
 
 
+@memoised
 def pairing(B, f, g):
     """``(f, g) -> <f,g>`` into the canonical product of the targets.
 

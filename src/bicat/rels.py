@@ -14,7 +14,8 @@ intersection read that set, and only the readers that need an order
 computed on each read.  Relations and their cells are hash-consed in that
 table, and :class:`RelBicat` memoises its structure operations in it
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
-``assoc``, ``invert`` and ``map_adjunction``).
+``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
+:meth:`Rel.fn` its result.
 """
 
 from __future__ import annotations
@@ -83,8 +84,12 @@ class Rel:
     def is_map(self):
         return self.is_graph()
 
+    @memoised
     def fn(self) -> SetFn:
+        """The function whose graph this relation is."""
         table = dict(self.pairset)
+        if not len(table) == len(self.pairset) == len(self.source):
+            raise ValueError("not a map relation")
         return SetFn(self.source, self.target, (table[x] for x in self.source))
 
 
@@ -210,6 +215,7 @@ class RelBicat:
         if R.pairset <= S.pairset:
             yield RelCell(R, S)
 
+    @memoised
     def local_product(self, R: Rel, S: Rel):
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel relations")

@@ -28,8 +28,9 @@ Whether a span is in graph or identity form is decided once, when it is
 built.  Spans and their cells are hash-consed in the unit-of-work table of
 :mod:`bicat.fin`, and :class:`SpanBicat` memoises its structure operations
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
-``assoc``, ``invert`` and ``map_adjunction``) in the same table, so an
-operation repeated within a unit returns the object it returned before.
+``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
+:meth:`Span.fn` its result, in the same table, so an operation repeated
+within a unit returns the object it returned before.
 """
 
 from __future__ import annotations
@@ -115,11 +116,14 @@ class Span:
         """Maps are the spans whose left leg is a bijection."""
         return self.left.is_bijective()
 
+    @memoised
     def fn(self):
         """The underlying function of a map-span (left leg inverted)."""
-        if not self.is_map():
-            raise ValueError("not a map-span")
-        return self.left.inverse().then(self.right)
+        try:
+            back = self.left.inverse()
+        except ValueError:
+            raise ValueError("not a map-span") from None
+        return back.then(self.right)
 
 
 def graph(fn: SetFn) -> Span:
@@ -368,6 +372,7 @@ class SpanBicat:
             for s in fibres.get(legs, ())
         )
 
+    @memoised
     def local_product(self, R: Span, S: Span):
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel spans")

@@ -6,7 +6,9 @@ alter reports regenerates them with ``python tests/test_golden.py`` and says
 why; any other change must leave them byte-identical.
 """
 
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -36,6 +38,23 @@ def _stripped_report(instance, seed, out):
 def test_machine_report_matches_golden(instance, seed, tmp_path):
     got = _stripped_report(instance, seed, tmp_path / "report")
     assert got == _golden_path(instance, seed).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("instance", ("span", "rel"))
+def test_report_does_not_depend_on_the_hash_seed(instance, tmp_path):
+    """A fresh interpreter under a fixed hash seed writes the golden
+    report, so no set or dict order leaks into a report."""
+    out = tmp_path / "report"
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    run = subprocess.run([sys.executable, "-m", "bicat.cli",
+                          *_argv(instance, 0, out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = render_machine(strip_wall(parse_machine(out.read_text())))
+    assert got == _golden_path(instance, 0).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":

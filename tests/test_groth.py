@@ -6,7 +6,7 @@ import random
 import pytest
 
 from bicat import groth, rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, SetFn
+from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell, one_cell, thicken
 from bicat.groth import (GArr, GPairError, dunit_iso, g_bang, g_cell,
                          g_cell_invertible, g_compose, g_diag, g_identity,
@@ -226,6 +226,9 @@ def test_diagonal_square_and_unit_comparison(monkeypatch):
     for B in INSTANCES:
         done = 0
         while done < 6:
+            # Each case is its own unit: a tensor memoised by an earlier
+            # case would build no squares to record.
+            clear_table()
             X = carrier(rng, "x", 2)
             A = carrier(rng, "a", 2)
             R = one_cell(B, rng, X, A, 2)

@@ -150,6 +150,17 @@ def test_memoised_operations_repeat_within_a_unit_only():
         assert hash(again) == hash(first), name
 
 
+def test_fn_refuses_a_relation_that_is_not_a_graph():
+    X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
+    partial = Rel(X, A, [("x0", "a0")])
+    many_valued = Rel(X, A, [("x0", "a0"), ("x0", "a1"), ("x1", "a0")])
+    for bad in (partial, many_valued) * 2:
+        with pytest.raises(ValueError, match="not a map relation"):
+            bad.fn()
+    h = SetFn(X, A, ("a1", "a0"))
+    assert rel_graph(h).fn() == h
+
+
 def test_non_composable_pair_raises_after_a_composite():
     f, g = _full_pair()
     R.comp(f, g)

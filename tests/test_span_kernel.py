@@ -365,6 +365,21 @@ def test_memoised_operations_repeat_within_a_unit_only():
         assert hash(again) == hash(first), name
 
 
+def test_fn_refuses_a_non_map_before_and_after_a_map():
+    X, A = FinSet(("x0", "x1")), FinSet(("a0",))
+    one, two = FinSet(("s0",)), FinSet(("s0", "s1"))
+    not_onto = Span(X, A, one, SetFn(one, X, ("x0",)), SetFn(one, A, ("a0",)))
+    not_injective = Span(X, A, two, SetFn(two, X, ("x0", "x0")),
+                         SetFn(two, A, ("a0", "a0")))
+    m = relabel_apex(graph(SetFn(X, A, ("a0", "a0"))),
+                     SetFn(X, two, ("s1", "s0")))
+    for _ in range(2):
+        for bad in (not_onto, not_injective):
+            with pytest.raises(ValueError, match="^not a map-span$"):
+                bad.fn()
+        assert m.fn() == SetFn(X, A, ("a0", "a0"))
+
+
 def test_non_composable_pair_raises_after_a_composite():
     R, T = _pullback_pair()
     B.comp(R, T)

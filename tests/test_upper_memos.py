@@ -1,0 +1,110 @@
+"""The constructions above the instances that are memoised per unit.
+
+Each one returns the stored object when repeated within a unit and an equal
+new one after the table is cleared; a refused call raises every time; and
+the instance is part of every key, so a proxy instance gets its own
+entries.
+"""
+
+import pytest
+
+from bicat import rel_instance, span_instance
+from bicat.fin import _TABLE, FinSet, SetFn, clear_table
+from bicat.groth import (TensorWitness, g_tensor, g_terminal,
+                         garr_from_secondary)
+from bicat.harness import _CorruptTau
+from bicat.homprod import LocalProductWitness, transport_cell, transport_hom
+from bicat.kernel import compose_adjunctions
+from bicat.mapprod import bang, map_iso, pairing
+from bicat.spans import relabel_apex
+
+INSTANCES = (span_instance(), rel_instance())
+X = FinSet(("x0", "x1"))
+A = FinSet(("a0", "a1"))
+
+
+def _cells(B):
+    """A full 1-cell ``X -> A``, two maps out of X and a scrambled copy of
+    the first map (the map itself on relations, which have one form)."""
+    full = B.local_terminal(X, A)
+    f = B.graph(SetFn(X, A, ("a0", "a1")))
+    swap = B.graph(SetFn(X, X, ("x1", "x0")))
+    scrambled = f if B.name == "rel" else relabel_apex(
+        f, SetFn(X, FinSet(("s0", "s1")), ("s1", "s0")))
+    return full, f, swap, scrambled
+
+
+def _memoised_calls(B):
+    """Every newly memoised operation, with arguments it is defined at."""
+    full, f, swap, scrambled = _cells(B)
+    f_star = B.map_adjunction(f).right
+    return [
+        ("g_tensor", g_tensor, (B, full, f)),
+        ("garr_from_secondary", garr_from_secondary,
+         (B, full, g_terminal(B), bang(B, X), bang(B, A), B.tau(full))),
+        ("pairing", pairing, (B, f, swap)),
+        ("map_iso", map_iso, (B, scrambled, f)),
+        ("transport_hom", transport_hom, (B, swap, full, f_star)),
+        ("transport_cell", transport_cell, (B, swap, B.tau(f), f_star)),
+        ("compose_adjunctions", compose_adjunctions,
+         (B, B.map_adjunction(swap), B.map_adjunction(f))),
+        ("local_product", B.local_product, (full, f)),
+        ("fn", type(f).fn, (scrambled,)),
+    ]
+
+
+def _parts(x):
+    """A result as plain data: the witnesses compare by identity, so open
+    them into their parts."""
+    if isinstance(x, TensorWitness):
+        return (x.obj, x.proj1, x.proj2, x.factor1, x.factor2,
+                _parts(x.wedge), x.src_cone, x.tgt_cone)
+    if isinstance(x, LocalProductWitness):
+        return (x.product, x.proj1, x.proj2)
+    return x
+
+
+def _stored(op, args) -> bool:
+    """Whether the table holds a result of ``op`` at ``args``: a repeat
+    would return the same object even unmemoised wherever the result is a
+    hash-consed value built from memoised steps."""
+    fn = getattr(op, "__func__", op).__wrapped__
+    bound = getattr(op, "__self__", None)
+    return ((fn, *args) if bound is None else (fn, bound, *args)) in _TABLE
+
+
+def test_upper_memoised_operations_repeat_within_a_unit_only():
+    for B in INSTANCES:
+        for name, op, args in _memoised_calls(B):
+            first = op(*args)
+            assert _stored(op, args), (B.name, name)
+            assert op(*args) is first, (B.name, name)
+            clear_table()
+            again = op(*args)
+            assert again is not first, (B.name, name)
+            assert _parts(again) == _parts(first), (B.name, name)
+            assert hash(_parts(again)) == hash(_parts(first)), (B.name, name)
+
+
+def test_refused_upper_calls_raise_on_every_call():
+    for B in INSTANCES:
+        _, f, swap, _ = _cells(B)
+        other = B.identity(FinSet(("y0",)))
+        pairing(B, f, swap)
+        map_iso(B, f, f)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="different sources"):
+                pairing(B, f, other)
+            with pytest.raises(ValueError, match="not isomorphic"):
+                map_iso(B, swap, B.identity(X))
+
+
+def test_a_proxy_instance_gets_entries_of_its_own():
+    for B in INSTANCES:
+        full, f, _, _ = _cells(B)
+        proxy = _CorruptTau(B, X, A)
+        mine = g_tensor(B, full, f)
+        theirs = g_tensor(proxy, full, f)
+        assert theirs is not mine
+        assert g_tensor(proxy, full, f) is theirs
+        assert g_tensor(B, full, f) is mine
