@@ -12,26 +12,32 @@ were given in, equality compares that order, and every derived carrier
 induced by its factors.  That convention is what makes repeated runs produce
 identical structures.
 
-Values are hash-consed within one unit of work (a trial, shrink attempt,
-negative control or fixture record).  One table holds every value built in
-the current unit, keyed on its class and components, so building an equal
-value again returns the stored object and skips validation.  Through
-:func:`memoised` it also holds the results of the pure operations a unit
-repeats: the instances' structure operations, local products and ``fn``,
-``mapprod``'s product cones, pairings and ``map_iso``, both ``homprod``
-transports, ``compose_adjunctions``, ``g_tensor`` and
-``garr_from_secondary``.  A key holds every argument, the instance included,
-and a raised error is never stored.  The harness empties the table with
-:func:`clear_table` when a unit starts, so memory stays flat over a run.
-Values may outlive their unit (``UNIT``, parsed fixture documents), so
-equality falls back to comparing components after the identity test, and
-hashes are structural: a value rebuilt after a clear hashes as before.
+Values are hash-consed for as long as they live.  Two tables hold them:
+
+* ``_VALUES`` maps each value's class and components to a weak reference
+  to the value, and the reference's callback drops the entry when the value
+  dies.  Building an equal value while one is alive returns that object and
+  skips validation, so two live equal values are always one object:
+  equality and hashing are identity, and keys made of values hash in C.
+* ``_TABLE`` is the current unit's memo (a trial, shrink attempt, negative
+  control or fixture record).  Through :func:`memoised` it holds the
+  results of the pure operations a unit repeats: the instances' structure
+  operations, local products, ``fn`` and ``Span.is_map``, ``mapprod``'s
+  product cones, pairings and ``map_iso``, both ``homprod`` transports,
+  ``compose_adjunctions``, ``g_tensor`` and ``garr_from_secondary``.  A key
+  holds every argument, the instance included, and a raised error is never
+  stored.  The harness empties it with :func:`clear_table` when a unit
+  starts, so memory stays flat over a run.
+
+A value that outlives its unit (``UNIT``, parsed fixture documents) stays
+the canonical copy, and a rebuild returns it.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import weakref
 from typing import Callable, Iterable, Iterator
 
 Label = "str | tuple"
@@ -43,17 +49,40 @@ _ATOM = re.compile(r"[A-Za-z0-9_*'+.=|!?$-]+")
 #: stay inside the interpreter's recursion limit.
 MAX_LABEL_DEPTH = 100
 
-#: The current unit's table: interned values and memoised results.
+#: Every live value, keyed on its class and components.
+_VALUES: dict = {}
+
+#: The current unit's memoised results.
 _TABLE: dict = {}
 
 
+class _Ref(weakref.ref):
+    """A weak reference to a live value that carries its key in ``_VALUES``."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref, values=_VALUES):
+    """Callback: forget a dead value, unless its key was reused meanwhile.
+    ``values`` is bound here, as module globals may be gone at exit."""
+    if values.get(ref.key) is ref:
+        del values[ref.key]
+
+
+def _intern(key, value):
+    """Make ``value`` the live value for ``key``."""
+    ref = _VALUES[key] = _Ref(value, _drop)
+    ref.key = key
+    return value
+
+
 def clear_table() -> None:
-    """Forget every interned value and memoised result; a unit starts."""
+    """Forget every memoised result; a unit starts."""
     _TABLE.clear()
 
 
 def memoised(op):
-    """Memoise a pure operation in the table, keyed on ``op`` and its
+    """Memoise a pure operation in the unit's memo, keyed on ``op`` and its
     arguments (``self`` included).  A raised error is never stored."""
 
     @functools.wraps(op)
@@ -122,12 +151,13 @@ def _parse_label_at(text: str, pos: int, depth: int):
 class FinSet:
     """An ordered finite set of distinct labels."""
 
-    __slots__ = ("elements", "_index", "_hash")
+    __slots__ = ("elements", "_index", "__weakref__")
 
     def __new__(cls, elements: Iterable):
         elems = tuple(elements)
         key = (cls, elems)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             index = dict(zip(elems, range(len(elems))))
             if len(index) != len(elems):
@@ -137,10 +167,9 @@ class FinSet:
                         raise ValueError("duplicate element %s"
                                          % render_label(e))
                     seen.add(e)
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.elements = elems
             self._index = index
-            self._hash = hash(elems)
         return self
 
     def __init__(self, elements: Iterable):
@@ -155,13 +184,6 @@ class FinSet:
 
     def __contains__(self, label) -> bool:
         return label in self._index
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, FinSet) and self.elements == other.elements)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "FinSet({%s})" % ", ".join(render_label(e) for e in self.elements)
@@ -182,23 +204,23 @@ class SetFn:
     functions are equal exactly when they agree pointwise on equal carriers.
     """
 
-    __slots__ = ("domain", "codomain", "values", "_hash")
+    __slots__ = ("domain", "codomain", "values", "__weakref__")
 
     def __new__(cls, domain: FinSet, codomain: FinSet, values: Iterable):
         vals = tuple(values)
         key = (cls, domain, codomain, vals)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             if len(vals) != len(domain):
                 raise ValueError("function values do not cover the domain")
             if not codomain._index.keys() >= set(vals):
                 bad = next(v for v in vals if v not in codomain)
                 raise ValueError("value %s not in codomain" % render_label(bad))
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.domain = domain
             self.codomain = codomain
             self.values = vals
-            self._hash = hash((domain, codomain, vals))
         return self
 
     def __init__(self, domain: FinSet, codomain: FinSet, values: Iterable):
@@ -223,17 +245,6 @@ class SetFn:
         """The values at ``labels``, in their order: one index lookup each."""
         values, index = self.values, self.domain._index
         return [values[index[x]] for x in labels]
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, SetFn)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.values == other.values
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         entries = ", ".join(

@@ -24,7 +24,7 @@ wedge of the two frame-transported factors, with projection squares framed
 by the carrier projections; :func:`g_pair` mediates an arbitrary cone
 through it and is the workhorse every constraint cell downstream is built
 from.  Tensors and squares built from a secondary filler are memoised in the
-unit-of-work table of :mod:`bicat.fin`.
+per-unit memo of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations

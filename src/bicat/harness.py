@@ -52,8 +52,8 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
     """A seeded check: ``body(B, rng, carriers) -> None | entity dict``.
 
     Every call of ``body`` (each trial and each shrink attempt) is one unit
-    of work and starts with an empty table (:func:`bicat.fin.clear_table`),
-    so it reuses only the values and results that call built.
+    of work and starts with an empty memo (:func:`bicat.fin.clear_table`),
+    so it reuses only the results that call computed.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
@@ -101,7 +101,7 @@ def negative_check(check_id, body):
 
     Passes when the corruption is detected; the detected violation travels
     in the payload so the report shows a printable counterexample.  The body
-    is one unit of work and starts with an empty table.
+    is one unit of work and starts with an empty memo.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
@@ -745,7 +745,7 @@ def _fixture_entity(B, doc: Document, name: str):
 
 def run_fixture_checks(B, doc: Document) -> tuple:
     """One result per ``check`` record; each record is one unit of work
-    and starts with an empty table."""
+    and starts with an empty memo."""
     results = []
     for i, chk in enumerate(doc.checks):
         t0 = time.monotonic()

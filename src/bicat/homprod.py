@@ -7,7 +7,7 @@ constructor, provides transport along maps, and checks universal properties
 by brute force: enumerate every candidate mediating 2-cell and count the
 ones that commute.  At the carrier sizes used in tests the enumeration is
 exact, so "unique" in the reports means literally one candidate out of all
-of them.  Both transports are memoised in the unit-of-work table of
+of them.  Both transports are memoised in the per-unit memo of
 :mod:`bicat.fin`.
 """
 

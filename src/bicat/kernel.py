@@ -7,7 +7,7 @@ equivalence witnesses.  Each pasting is a vertical chain ``B.vc(...)`` of
 whiskerings, associators and (co)units, first to last.  Identity 1-cells
 compose strictly in both instances, so no unitors appear; rebracketing is
 always an explicit ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions
-are memoised in the unit-of-work table of :mod:`bicat.fin`.
+are memoised in the per-unit memo of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ strict: pairing constraint cells, projection composites and naturality
 squares of the terminal and diagonal transformations all come out as
 identity 2-cells.  The canonical product cone of two carriers, the pairing
 of two maps and the isomorphism between two maps are memoised in the
-unit-of-work table of :mod:`bicat.fin`, so a unit builds each one once.  A
+per-unit memo of :mod:`bicat.fin`, so a unit builds each one once.  A
 checker validates arbitrary candidate cones by brute force, which is what
 gives the negative controls teeth.
 """

@@ -7,20 +7,21 @@ identity witness and equation checking degenerates to boundary equality.
 The real content sits in cell construction: building a pasting whose
 underlying containment fails raises immediately.
 
-A relation keeps its pairs once, as the ``frozenset`` that keys it in the
-unit-of-work table of :mod:`bicat.fin`; composition, containment and
-intersection read that set, and only the readers that need an order
-(printing, the generators' draws) ask for the label-sorted ``pairs`` view,
-computed on each read.  Relations and their cells are hash-consed in that
-table, and :class:`RelBicat` memoises its structure operations in it
+A relation keeps its pairs once, as a ``frozenset``; composition,
+containment and intersection read that set, and only the readers that need
+an order (printing, the generators' draws) ask for the label-sorted
+``pairs`` view, computed on each read.  Relations and their cells are
+hash-consed in the value table of :mod:`bicat.fin`, so they compare by
+identity, and :class:`RelBicat` memoises its structure operations
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
 ``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
-:meth:`Rel.fn` its result.
+:meth:`Rel.fn` its result, in the per-unit memo.
 """
 
 from __future__ import annotations
 
-from .fin import _TABLE, FinSet, SetFn, label_key, memoised, render_label
+from .fin import (_VALUES, FinSet, SetFn, _intern, label_key, memoised,
+                  render_label)
 
 
 def _pair_key(p):
@@ -30,35 +31,27 @@ def _pair_key(p):
 class Rel:
     """A binary relation between two finite carriers."""
 
-    __slots__ = ("source", "target", "pairset", "_hash")
+    __slots__ = ("source", "target", "pairset", "__weakref__")
 
     def __new__(cls, source: FinSet, target: FinSet, pairs):
         ps = frozenset(pairs)
         key = (cls, source, target, ps)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             for x, a in ps:
                 if x not in source or a not in target:
                     raise ValueError("relation pair out of bounds")
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.source = source
             self.target = target
             self.pairset = ps
-            self._hash = hash((source, target, ps))
         return self
 
     @property
     def pairs(self) -> tuple:
         """The pairs in label order, for the readers that need an order."""
         return tuple(sorted(self.pairset, key=_pair_key))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Rel) and self.source == other.source
-            and self.target == other.target and self.pairset == other.pairset)
-
-    def __hash__(self):
-        return self._hash
 
     def __contains__(self, pair):
         return pair in self.pairset
@@ -108,11 +101,12 @@ def converse(rel: Rel) -> Rel:
 class RelCell:
     """The containment witness between parallel relations, if it holds."""
 
-    __slots__ = ("dom", "cod", "_hash")
+    __slots__ = ("dom", "cod", "__weakref__")
 
     def __new__(cls, dom: Rel, cod: Rel):
         key = (cls, dom, cod)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             if dom.source != cod.source or dom.target != cod.target:
                 raise ValueError("2-cell between non-parallel relations")
@@ -121,19 +115,10 @@ class RelCell:
                 x, a = min(missing, key=_pair_key)
                 raise ValueError("containment fails at %s:%s"
                                  % (render_label(x), render_label(a)))
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.dom = dom
             self.cod = cod
-            self._hash = hash((dom, cod))
         return self
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, RelCell)
-            and self.dom == other.dom and self.cod == other.cod)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "RelCell(%r <= %r)" % (self.dom, self.cod)

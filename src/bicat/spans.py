@@ -25,19 +25,20 @@ function is read through the aligned ``values`` tuples and the apex index,
 never element by element through :meth:`SetFn.__call__`.
 
 Whether a span is in graph or identity form is decided once, when it is
-built.  Spans and their cells are hash-consed in the unit-of-work table of
-:mod:`bicat.fin`, and :class:`SpanBicat` memoises its structure operations
-(``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
-``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
-:meth:`Span.fn` its result, in the same table, so an operation repeated
-within a unit returns the object it returned before.
+built.  Spans and their cells are hash-consed in the value table of
+:mod:`bicat.fin`, so they compare by identity.  :class:`SpanBicat` memoises
+its structure operations (``comp``, ``identity``, ``id2``, ``vcomp``, the
+whiskerings, ``hcomp``, ``assoc``, ``invert``, ``map_adjunction`` and
+``local_product``), and :meth:`Span.fn` and :meth:`Span.is_map` their
+results, in the per-unit memo, so an operation repeated within a unit
+returns the object it returned before.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fin import _TABLE, FinSet, SetFn, UNIT, memoised, render_label
+from .fin import _VALUES, FinSet, SetFn, UNIT, _intern, memoised, render_label
 
 
 def _fibres(S: "Span") -> dict:
@@ -60,41 +61,28 @@ class Span:
     False
     """
 
-    __slots__ = ("source", "target", "apex", "left", "right", "_hash",
-                 "_graph", "_identity")
+    __slots__ = ("source", "target", "apex", "left", "right", "_graph",
+                 "_identity", "__weakref__")
 
     def __new__(cls, source: FinSet, target: FinSet, apex: FinSet,
                 left: SetFn, right: SetFn):
         key = (cls, source, target, apex, left, right)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             if left.domain != apex or left.codomain != source:
                 raise ValueError("left leg does not match the span boundary")
             if right.domain != apex or right.codomain != target:
                 raise ValueError("right leg does not match the span boundary")
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.source = source
             self.target = target
             self.apex = apex
             self.left = left
             self.right = right
-            self._hash = hash((source, target, apex, left, right))
             self._graph = apex == source and left.is_identity()
             self._identity = self._graph and right.is_identity()
         return self
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Span)
-            and self.source == other.source
-            and self.target == other.target
-            and self.apex == other.apex
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         entries = ", ".join(
@@ -112,6 +100,7 @@ class Span:
     def is_identity(self) -> bool:
         return self._identity
 
+    @memoised
     def is_map(self) -> bool:
         """Maps are the spans whose left leg is a bijection."""
         return self.left.is_bijective()
@@ -146,9 +135,13 @@ def relabel_apex(span: Span, names: SetFn) -> Span:
 
     Used by generators to produce maps that are not in canonical graph form.
     """
-    if names.domain != span.apex or not names.is_bijective():
-        raise ValueError("apex relabeling must be a bijection from the apex")
-    back = names.inverse()
+    refused = "apex relabeling must be a bijection from the apex"
+    if names.domain != span.apex:
+        raise ValueError(refused)
+    try:
+        back = names.inverse()
+    except ValueError:
+        raise ValueError(refused) from None
     return Span(span.source, span.target, names.codomain,
                 back.then(span.left), back.then(span.right))
 
@@ -156,11 +149,12 @@ def relabel_apex(span: Span, names: SetFn) -> Span:
 class SpanCell:
     """A 2-cell between parallel spans: an apex function commuting with legs."""
 
-    __slots__ = ("dom", "cod", "fn", "_hash")
+    __slots__ = ("dom", "cod", "fn", "__weakref__")
 
     def __new__(cls, dom: Span, cod: Span, fn: SetFn):
         key = (cls, dom, cod, fn)
-        self = _TABLE.get(key)
+        ref = _VALUES.get(key)
+        self = ref and ref()
         if self is None:
             if dom.source != cod.source or dom.target != cod.target:
                 raise ValueError("2-cell between non-parallel spans")
@@ -174,23 +168,14 @@ class SpanCell:
                 if lefts[i] != x or rights[i] != a:
                     raise ValueError("2-cell does not commute with the legs "
                                      "at %s" % render_label(s))
-            self = _TABLE[key] = object.__new__(cls)
+            self = _intern(key, object.__new__(cls))
             self.dom = dom
             self.cod = cod
             self.fn = fn
-            self._hash = hash((dom, cod, fn))
         return self
 
     def __call__(self, label):
         return self.fn(label)
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, SpanCell) and self.dom == other.dom
-            and self.cod == other.cod and self.fn == other.fn)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         entries = ", ".join(
@@ -335,9 +320,11 @@ class SpanBicat:
 
     @memoised
     def invert(self, a: SpanCell) -> SpanCell:
-        if not a.fn.is_bijective():
-            raise ValueError("2-cell is not invertible")
-        return SpanCell(a.cod, a.dom, a.fn.inverse())
+        try:
+            back = a.fn.inverse()
+        except ValueError:
+            raise ValueError("2-cell is not invertible") from None
+        return SpanCell(a.cod, a.dom, back)
 
     def hom_cells(self, R: Span, S: Span, budget: int = 1_000_000):
         """All 2-cells ``R -> S``, enumerated deterministically.

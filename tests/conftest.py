@@ -1,5 +1,5 @@
-"""Every test starts with an empty unit-of-work table, so no test sees the
-values another test interned and memory stays flat over the suite."""
+"""Every test starts with an empty per-unit memo, so no test sees the
+results another test memoised and memory stays flat over the suite."""
 
 import pytest
 

@@ -1,8 +1,10 @@
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bicat.fin import (FinSet, SetFn, UNIT, all_functions, clear_table,
-                       parse_label, render_label)
+from bicat.fin import (_TABLE, _VALUES, FinSet, SetFn, UNIT, all_functions,
+                       clear_table, memoised, parse_label, render_label)
 
 atoms = st.from_regex(r"[A-Za-z0-9_*'+.=|!?$-]{1,8}", fullmatch=True)
 labels = st.recursive(atoms, lambda inner: st.tuples(inner, inner),
@@ -96,13 +98,31 @@ def test_equal_values_are_one_object_within_a_unit():
     f = SetFn(X, UNIT, ("*", "*"))
     assert X is Y
     assert SetFn.constant(Y, UNIT, "*") is f
-    hashes = hash(X), hash(f)
+    then = memoised(SetFn.then)
+    ident = SetFn.identity(UNIT)
+    assert then(f, ident) is f
+    assert (SetFn.then, f, ident) in _TABLE
+    # A clear forgets the memo, but a value still referenced stays the
+    # one live copy: rebuilding it returns the same object.
     clear_table()
-    X2 = FinSet(("a", "b"))
-    f2 = SetFn(X2, UNIT, ("*", "*"))
-    assert X2 == X and X2 is not X
-    assert f2 == f and f2 is not f
-    assert (hash(X2), hash(f2)) == hashes
+    assert (SetFn.then, f, ident) not in _TABLE
+    assert FinSet(("a", "b")) is X
+    assert SetFn(X, UNIT, ("*", "*")) is f
+    assert then(f, ident) is f
+    assert (SetFn.then, f, ident) in _TABLE
+
+
+def test_a_value_leaves_the_value_table_when_it_dies():
+    before = len(_VALUES)
+    X = FinSet(("p0", "p1"))
+    f = SetFn(X, X, ("p1", "p0"))
+    gone = weakref.ref(f)
+    assert len(_VALUES) == before + 2
+    del X, f
+    assert gone() is None and len(_VALUES) == before
+    # An equal value built afterwards is interned afresh.
+    Z = FinSet(("p0", "p1"))
+    assert Z.elements == ("p0", "p1") and len(_VALUES) == before + 1
 
 
 def test_invalid_values_raise_on_every_call():
@@ -121,7 +141,7 @@ def test_invalid_values_raise_on_every_call():
 def test_unit_outlives_a_clear():
     clear_table()
     fresh = FinSet(("*",))
-    assert fresh == UNIT and hash(fresh) == hash(UNIT)
+    assert fresh is UNIT
     assert SetFn.constant(fresh, UNIT, "*") == SetFn.identity(UNIT)
 
 

@@ -1,14 +1,20 @@
 """End-to-end runs of the check harness and the command line entry."""
 
+import gc
 import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
-from bicat import cli
+from bicat import cli, fin
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig
-from bicat.harness import (KERNEL_CHECKS, FixtureError, instance_for,
-                           property_check, run_config, run_fixture_checks)
+from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
+                           instance_for, property_check, run_config,
+                           run_fixture_checks)
 from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
@@ -57,6 +63,38 @@ def test_runs_are_reproducible():
     b = run_config(FAST)
     assert strip_wall(a) == strip_wall(b)
     assert render_machine(strip_wall(a)) == render_machine(strip_wall(b))
+
+
+def test_value_table_returns_to_its_size_after_a_run():
+    # Values are interned weakly: once the report is all that is left of a
+    # run, every value the run built has left the table.
+    spec = next(c for c in SUITE_CHECKS["lax"]
+                if c.check_id == "tensor-assoc-constraint")
+    for name in ("span", "rel"):
+        gc.collect()
+        before = len(fin._VALUES)
+        result = spec.run(instance_for(name),
+                          replace(FAST, instance=name, trials=20))
+        assert (result.status, result.trials) == ("pass", 20)
+        assert len(fin._VALUES) > before
+        del result
+        fin.clear_table()
+        gc.collect()
+        assert len(fin._VALUES) == before, name
+
+
+def test_cli_exits_cleanly_under_dev_mode():
+    # Dev mode shows what a normal run hides, such as an error in a weak
+    # reference callback while the interpreter shuts down.
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "bicat.cli", "--instance", "span",
+         "--trials", "2", "--max-size", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "pasting-interchange" in proc.stdout
 
 
 def test_nonmap_control_asks_the_instance():

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from bicat import span_instance
-from bicat.fin import FinSet, SetFn, UNIT, clear_table
+from bicat.fin import _TABLE, FinSet, SetFn, UNIT, clear_table
 from bicat.gen import carrier, map_cell, one_cell, set_fn, span, thicken
 from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
                          reverse)
@@ -319,6 +319,12 @@ def test_shape_tags_match_their_definitions():
         assert S.is_identity() == (graph_form and S.right.is_identity())
 
 
+def _stored(op, args) -> bool:
+    """Whether the memo holds a result of the bound operation ``op`` at
+    ``args``."""
+    return (op.__func__.__wrapped__, op.__self__, *args) in _TABLE
+
+
 def _pullback_pair():
     X = FinSet(("x0", "x1"))
     top = B.local_terminal(X, X)
@@ -332,12 +338,14 @@ def test_repeated_composite_is_the_same_object():
     # Within a unit, equal values built separately are one object.
     R2, T2 = _pullback_pair()
     assert R2 is R and T2 is T
+    # A clear forgets the memo, but values still referenced stay the one
+    # live copy, so rebuilding them and their composite returns them.
     clear_table()
+    assert not _stored(B.comp, (R, T))
     R3, T3 = _pullback_pair()
-    assert R3 == R and R3 is not R and hash(R3) == hash(R)
-    again = B.comp(R3, T3)
-    assert again == first and again is not first
-    assert hash(again) == hash(first)
+    assert R3 is R and T3 is T
+    assert B.comp(R3, T3) is first
+    assert _stored(B.comp, (R, T))
 
 
 def _memoised_calls():
@@ -360,9 +368,13 @@ def test_memoised_operations_repeat_within_a_unit_only():
         first = op(*args)
         assert op(*args) is first, name
         clear_table()
+        assert not _stored(op, args), name
         again = op(*args)
-        assert again == first and again is not first, name
-        assert hash(again) == hash(first), name
+        assert _stored(op, args), name
+        # The adjunction is a witness, built again; every other result is
+        # a value ``first`` still holds, so it comes back.
+        assert again == first, name
+        assert (again is first) == (name != "map_adjunction"), name
 
 
 def test_fn_refuses_a_non_map_before_and_after_a_map():
@@ -378,6 +390,26 @@ def test_fn_refuses_a_non_map_before_and_after_a_map():
             with pytest.raises(ValueError, match="^not a map-span$"):
                 bad.fn()
         assert m.fn() == SetFn(X, A, ("a0", "a0"))
+
+
+def test_invert_refuses_a_non_invertible_cell_around_a_valid_one():
+    X, A = FinSet(("x0",)), FinSet(("a0",))
+    two = FinSet(("s0", "s1"))
+    R = Span(X, A, two, SetFn(two, X, ("x0", "x0")),
+             SetFn(two, A, ("a0", "a0")))
+    f = graph(SetFn(X, A, ("a0",)))
+    not_injective = B.tau(R)
+    not_surjective = SpanCell(f, R, SetFn(X, two, ("s1",)))
+    swap = SpanCell(R, R, SetFn(two, two, ("s1", "s0")))
+    for _ in range(2):
+        for bad in (not_injective, not_surjective):
+            with pytest.raises(ValueError, match="^2-cell is not invertible$"):
+                B.invert(bad)
+        assert B.invert(swap) is swap
+    for names in (SetFn(two, X, ("x0", "x0")), SetFn.identity(X)):
+        with pytest.raises(ValueError, match="^apex relabeling must be a "
+                                             "bijection from the apex$"):
+            relabel_apex(R, names)
 
 
 def test_non_composable_pair_raises_after_a_composite():
@@ -410,8 +442,9 @@ def test_property_check_attempts_start_with_an_empty_memo():
 
     def body(B, rng, carriers):
         R, T = _pullback_pair()
+        assert not _stored(B.comp, (R, T))
         got = B.comp(R, T)
-        assert all(got is not prev for prev in seen)
+        assert all(got is prev for prev in seen)
         seen.append(got)
         return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
 

@@ -9,11 +9,16 @@ that imports it, or as ``module.name`` through an imported module.  Methods
 are matched by attribute name, so a method that shares its name with one
 the program reads is not caught.
 
-No module of ``src/bicat`` or ``tests`` imports a name it never reads.
+No module of ``src/bicat`` or ``tests`` imports a name it never reads, and
+the interned value classes keep object identity as their equality.
 """
 
 import ast
 import pathlib
+
+from bicat.fin import FinSet, SetFn
+from bicat.rels import Rel, RelCell
+from bicat.spans import Span, SpanCell
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAM = sorted((ROOT / "src" / "bicat").glob("*.py"))
@@ -161,3 +166,12 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in PROGRAM + TESTS
               for name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not unused, "remove these imports: %s" % unused
+
+
+def test_value_classes_compare_by_identity():
+    # Two live equal values are one object, so identity is their equality.
+    # A structural ``__eq__`` next to the identity hash would break the hash
+    # contract without any error.
+    for cls in (FinSet, SetFn, Span, SpanCell, Rel, RelCell):
+        assert cls.__eq__ is object.__eq__, cls.__name__
+        assert cls.__hash__ is object.__hash__, cls.__name__
