@@ -19,15 +19,15 @@ Values are hash-consed for as long as they live.  Two tables hold them:
   dies.  Building an equal value while one is alive returns that object and
   skips validation, so two live equal values are always one object:
   equality and hashing are identity, and keys made of values hash in C.
-* ``_TABLE`` is the current unit's memo (a trial, shrink attempt, negative
-  control or fixture record).  Through :func:`memoised` it holds the
-  results of the pure operations a unit repeats: the instances' structure
-  operations, local products, ``fn`` and ``Span.is_map``, ``mapprod``'s
-  product cones, pairings and ``map_iso``, both ``homprod`` transports,
-  ``compose_adjunctions``, ``g_tensor`` and ``garr_from_secondary``.  A key
-  holds every argument, the instance included, and a raised error is never
-  stored.  The harness empties it with :func:`clear_table` when a unit
-  starts, so memory stays flat over a run.
+* ``_TABLE`` is the current unit's memo (a seeded check with its trials
+  and shrink attempts, a negative control or a fixture record).  Through
+  :func:`memoised` it holds the results of the pure operations a unit
+  repeats: the instances' structure operations, local products, ``fn`` and
+  ``Span.is_map``, ``mapprod``'s product cones, pairings and ``map_iso``,
+  both ``homprod`` transports, ``compose_adjunctions``, ``g_tensor`` and
+  ``garr_from_secondary``.  A key holds every argument, the instance
+  included, and a raised error is never stored.  :func:`clear_table`
+  empties it when a unit starts: peak memory follows the largest unit.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
 the canonical copy, and a rebuild returns it.
@@ -77,7 +77,7 @@ def _intern(key, value):
 
 
 def clear_table() -> None:
-    """Forget every memoised result; a unit starts."""
+    """Forget every memoised result; a unit (a whole check) starts."""
     _TABLE.clear()
 
 
@@ -214,10 +214,14 @@ class SetFn:
         if self is None:
             if len(vals) != len(domain):
                 raise ValueError("function values do not cover the domain")
-            if not codomain._index.keys() >= set(vals):
+            # Store the codomain's own labels, so equal labels share memory.
+            index, elems = codomain._index, codomain.elements
+            try:
+                vals = tuple([elems[index[v]] for v in vals])
+            except KeyError:
                 bad = next(v for v in vals if v not in codomain)
                 raise ValueError("value %s not in codomain" % render_label(bad))
-            self = _intern(key, object.__new__(cls))
+            self = _intern((cls, domain, codomain, vals), object.__new__(cls))
             self.domain = domain
             self.codomain = codomain
             self.values = vals

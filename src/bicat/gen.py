@@ -9,9 +9,16 @@ relations are uniform over subsets of the pair set.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
+
+try:  # a builtin digest: ``hashlib`` loads OpenSSL, megabytes of memory
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .fin import FinSet, SetFn
 from .rels import Rel
@@ -50,7 +57,7 @@ class GenConfig:
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    digest = hashlib.sha256(("%d:%s" % (seed, tag)).encode()).digest()
+    digest = sha256(("%d:%s" % (seed, tag)).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

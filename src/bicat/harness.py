@@ -51,19 +51,18 @@ def _payload(entities: dict) -> str:
 def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
     """A seeded check: ``body(B, rng, carriers) -> None | entity dict``.
 
-    Every call of ``body`` (each trial and each shrink attempt) is one unit
-    of work and starts with an empty memo (:func:`bicat.fin.clear_table`),
-    so it reuses only the results that call computed.
+    The check is one unit of work: its trials and shrink attempts share one
+    memo, which :func:`bicat.fin.clear_table` empties when the check starts.
     """
 
     def run(B, cfg: GenConfig) -> CheckResult:
         t0 = time.monotonic()
         bound = cfg.max_carrier if size_cap is None else min(cfg.max_carrier, size_cap)
         trials = cfg.trials if trial_cap is None else min(cfg.trials, trial_cap)
+        clear_table()
 
         def attempt(trial, carriers):
             rng = rng_for(cfg.seed, "%s.%s.%d.body" % (B.name, check_id, trial))
-            clear_table()
             return body(B, rng, carriers)
 
         for t in range(trials):
@@ -80,20 +79,15 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
 
 
 def _shrink(attempt, trial, carriers, cx):
-    improved = True
-    while improved:
-        improved = False
-        for i, C in enumerate(carriers):
-            for e in C:
-                smaller = FinSet(x for x in C if x != e)
-                cand = carriers[:i] + (smaller,) + carriers[i + 1:]
-                cx2 = attempt(trial, cand)
-                if cx2 is not None:
-                    carriers, cx, improved = cand, cx2, True
-                    break
-            if improved:
+    while True:
+        for cand in ((*carriers[:i], FinSet(x for x in C if x != e), *carriers[i + 1:])
+                     for i, C in enumerate(carriers) for e in C):
+            cx2 = attempt(trial, cand)
+            if cx2 is not None:
+                carriers, cx = cand, cx2
                 break
-    return carriers, cx
+        else:
+            return carriers, cx
 
 
 def negative_check(check_id, body):

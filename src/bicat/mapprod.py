@@ -16,6 +16,7 @@ gives the negative controls teeth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -180,11 +181,8 @@ def check_product_cone(B, cone: ProductCone, bound: int):
 
     for n in range(bound + 1):
         A = FinSet("a%d" % i for i in range(n))
-        reachable = {}
-        for h in all_functions(A, cone.vertex):
-            hm = B.graph(h)
-            key = tuple(B.comp(hm, leg).fn() for leg in cone.legs)
-            reachable.setdefault(key, hm)
+        reachable = {tuple(B.comp(B.graph(h), leg).fn() for leg in cone.legs)
+                     for h in all_functions(A, cone.vertex)}
         for fns in itertools.product(
                 *(tuple(all_functions(A, X)) for X in cone.factors)):
             if tuple(fns) not in reachable:
@@ -197,16 +195,12 @@ def check_product_cone(B, cone: ProductCone, bound: int):
     for n in range(min(bound, 2) + 1):
         A = FinSet("a%d" % i for i in range(n))
         maps = [B.graph(h) for h in all_functions(A, cone.vertex)]
-        for Tm in maps:
-            for Um in maps:
+        composites = [tuple(B.comp(m, leg) for leg in cone.legs) for m in maps]
+        for Tm, Tlegs in zip(maps, composites):
+            for Um, Ulegs in zip(maps, composites):
                 direct = list(B.hom_cells(Tm, Um))
-                legwise = [
-                    list(B.hom_cells(B.comp(Tm, leg), B.comp(Um, leg)))
-                    for leg in cone.legs
-                ]
-                combined = 1
-                for cells in legwise:
-                    combined *= len(cells)
+                legwise = [list(B.hom_cells(T, U)) for T, U in zip(Tlegs, Ulegs)]
+                combined = math.prod(map(len, legwise))
                 if len(direct) > 1 or combined > 1:
                     # Maps have at most one 2-cell between them here; any
                     # other count means the enumeration itself broke.

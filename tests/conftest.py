@@ -1,5 +1,5 @@
-"""Every test starts with an empty per-unit memo, so no test sees the
-results another test memoised and memory stays flat over the suite."""
+"""Every test starts with an empty memo, as every check does, so no test
+sees the results another test memoised."""
 
 import pytest
 

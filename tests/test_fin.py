@@ -60,6 +60,12 @@ def test_setfn_basics():
     assert f.then(g) == SetFn(X, Y, ("1", "0", "0"))
 
 
+def test_setfn_values_are_the_codomains_own_labels():
+    P = FinSet(("a", "b")).product(FinSet(("0",)))
+    f = SetFn(UNIT, P, [("b", "0")])
+    assert f.values[0] == ("b", "0") and f.values[0] is P.elements[1]
+
+
 def test_setfn_identity_and_constant():
     X = FinSet(("p", "q"))
     assert SetFn.identity(X)("p") == "p"

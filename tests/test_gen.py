@@ -1,6 +1,12 @@
 """Seeded generators: determinism, shape guarantees, config validation."""
 
+import hashlib
+import importlib.util
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +26,28 @@ def test_derived_seeds_are_stable_and_distinct():
     # Tag encoding keeps the seed and tag apart even with tricky strings.
     assert derive_seed(12, "3:x") != derive_seed(123, ":x")
     assert rng_for(5, "t").random() == rng_for(5, "t").random()
+
+
+def test_derived_seeds_are_sha256_prefixes():
+    for seed in (0, 1, 7, 2 ** 64 - 1):
+        for tag in ("", "a", "span.pasting-interchange.3.body", "x\u00e9",
+                    "\u03b1\u2192\u03b2", "\U0001f600"):
+            digest = hashlib.sha256(("%d:%s" % (seed, tag)).encode()).digest()
+            assert derive_seed(seed, tag) == int.from_bytes(digest[:8], "big")
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+    reason="no builtin SHA-256 module in this interpreter")
+def test_cli_import_leaves_openssl_unloaded():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bicat.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_carrier_sizes_cover_the_range_uniformly():

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from bicat import cli, fin
+from bicat import cli, fin, gen, harness
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
@@ -63,6 +63,21 @@ def test_runs_are_reproducible():
     b = run_config(FAST)
     assert strip_wall(a) == strip_wall(b)
     assert render_machine(strip_wall(a)) == render_machine(strip_wall(b))
+
+
+def test_memo_scope_does_not_change_reports(monkeypatch):
+    # Memoised operations are pure, so a check whose trials share one memo
+    # reports exactly what it reports when every attempt starts empty.
+    def fresh_rng_for(seed, tag):
+        fin.clear_table()
+        return gen.rng_for(seed, tag)
+
+    cfgs = [GenConfig(seed=seed, max_carrier=3, trials=5, instance=name,
+                      suites=SUITES)
+            for name in ("span", "rel") for seed in (0, 7)]
+    shared = [render_machine(strip_wall(run_config(c))) for c in cfgs]
+    monkeypatch.setattr(harness, "rng_for", fresh_rng_for)
+    assert [render_machine(strip_wall(run_config(c))) for c in cfgs] == shared
 
 
 def test_value_table_returns_to_its_size_after_a_run():

@@ -213,23 +213,27 @@ def test_pair_set_is_stored_and_read():
     assert Rel(X, A, [("x0", "a1"), ("x1", "a0")]) is r
 
 
-def test_property_check_attempts_start_with_an_empty_memo():
+def test_property_check_shares_one_memo_per_check():
     from bicat.gen import GenConfig
     from bicat.harness import property_check
 
-    seen = []
+    stored = []
 
     def body(B, rng, carriers):
         f, g = _full_pair()
-        assert not _stored(B.comp, (f, g))
-        got = B.comp(f, g)
-        assert all(got is prev for prev in seen)
-        seen.append(got)
+        stored.append(_stored(B.comp, (f, g)))
+        B.comp(f, g)
         return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
 
     spec = property_check("toy-memo-scope", ("x",), body)
     cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance="rel",
                     suites=("kernel",))
-    result = spec.run(R, cfg)
-    assert result.status == "fail"
-    assert len(seen) > result.trials
+    for _ in range(2):
+        stored.clear()
+        result = spec.run(R, cfg)
+        assert result.status == "fail"
+        # Only the first attempt builds the composite: later trials and
+        # the shrink attempts find it in the memo.  A second run of the
+        # check starts empty again.
+        assert len(stored) > result.trials > 1
+        assert stored == [False] + [True] * (len(stored) - 1)
