@@ -137,18 +137,14 @@ def syllepsis_data(B, X, Y):
     return sigma, phi, psi
 
 
-def syllepsis(B, X, Y):
-    return syllepsis_data(B, X, Y)[0]
-
-
 def symmetry_holds(B, X, Y):
     """The self-inverse equation for the braid cell, plus the projection
     reductions that suffice for it."""
     s, _, _ = braid(B, X, Y)
     swapped = product_object(B, Y, X)
     ps, rs = swapped.legs
-    sigma = syllepsis(B, X, Y)
-    sigma_s = syllepsis(B, Y, X)
+    sigma = syllepsis_data(B, X, Y)[0]
+    sigma_s = syllepsis_data(B, Y, X)[0]
     lhs = B.whisker_right(sigma, s)
     rhs = B.whisker_left(s, sigma_s)
     return {
@@ -191,6 +187,16 @@ def quad_assoc_routes(B, X, Y, Z, W):
     return m, n
 
 
+def _compatible_cells(B, m, n, u, v):
+    """The comparisons ``alpha : comp(m, v) -> u`` and
+    ``beta : comp(n, v) -> u`` of two routes against the mediators into a
+    flat product, and every cell ``g : m -> n`` compatible with them."""
+    alpha = map_iso(B, B.comp(m, v), u)
+    beta = map_iso(B, B.comp(n, v), u)
+    return alpha, beta, [g for g in B.hom_cells(m, n)
+                         if B.vcomp(B.whisker_right(g, v), beta) == alpha]
+
+
 def quad_assoc_filler(B, X, Y, Z, W) -> QuadFiller:
     lx, ly, lz, lw = (shape_leaf(B, c) for c in (X, Y, Z, W))
     src = shape_prod(B, shape_prod(B, shape_prod(B, lx, ly), lz), lw)
@@ -198,10 +204,7 @@ def quad_assoc_filler(B, X, Y, Z, W) -> QuadFiller:
     u = shape_mediator(B, src)
     v = shape_mediator(B, tgt)
     m, n = quad_assoc_routes(B, X, Y, Z, W)
-    alpha = map_iso(B, B.comp(m, v), u)
-    beta = map_iso(B, B.comp(n, v), u)
-    matches = [g for g in B.hom_cells(m, n)
-               if B.vcomp(B.whisker_right(g, v), beta) == alpha]
+    alpha, beta, matches = _compatible_cells(B, m, n, u, v)
     if len(matches) != 1:
         raise ValueError("rebracketing filler is not unique: %d candidates"
                          % len(matches))
@@ -251,10 +254,7 @@ def pentagon_unique(B, X, Y, Z, U, V):
     three = B.comp(B.comp(asc(XY_Z, U, V), asc(XY, Z, UV)),
                    asc(X, Y, product_object(B, Z, UV).vertex))
 
-    alpha = map_iso(B, B.comp(six, v5), u5)
-    beta = map_iso(B, B.comp(three, v5), u5)
-    matches = [g for g in B.hom_cells(six, three)
-               if B.vcomp(B.whisker_right(g, v5), beta) == alpha]
+    _, _, matches = _compatible_cells(B, six, three, u5, v5)
     return {"routes_parallel": six.source == three.source
             and six.target == three.target,
             "compatible_cells": len(matches)}

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import re
 import weakref
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 Label = "str | tuple"
 
@@ -229,10 +229,6 @@ class SetFn:
 
     def __init__(self, domain: FinSet, codomain: FinSet, values: Iterable):
         """Nothing left to do: see :meth:`FinSet.__init__`."""
-
-    @classmethod
-    def from_callable(cls, domain: FinSet, codomain: FinSet, fn: Callable) -> "SetFn":
-        return cls(domain, codomain, (fn(e) for e in domain))
 
     @classmethod
     def identity(cls, carrier: FinSet) -> "SetFn":

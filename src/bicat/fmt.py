@@ -29,8 +29,9 @@ Each distinct label text is parsed once per :func:`parse_document` call.
 to entities declared earlier in the same document.  No two records declare
 the same name, whatever their kinds.  Blank lines and lines starting with
 ``#`` are ignored.  Printing a document and parsing it back yields an equal
-document; that round trip is load-bearing because check reports embed
-counterexamples in this format.
+document: the printer refuses any name or label with no text form.  Check
+reports embed counterexamples in this format without re-parsing them; the
+tests round-trip every payload of the golden runs and shipped fixtures.
 """
 
 from __future__ import annotations

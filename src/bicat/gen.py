@@ -146,8 +146,7 @@ def thicken(B, rng: random.Random, R, extra: int):
         rng.choice(tuple(R.target)) for _ in fresh)
     bigger = Span(R.source, R.target, apex,
                   SetFn(apex, R.source, lvals), SetFn(apex, R.target, rvals))
-    inc = B.cell_from_callable(R, bigger, lambda s: s)
-    return bigger, inc
+    return bigger, B.cell(R, bigger, SetFn(R.apex, apex, R.apex.elements))
 
 
 def thin(B, rng: random.Random, R):
@@ -162,5 +161,5 @@ def thin(B, rng: random.Random, R):
     smaller = Span(R.source, R.target, apex,
                    SetFn(apex, R.source, (R.left(s) for s in keep)),
                    SetFn(apex, R.target, (R.right(s) for s in keep)))
-    return smaller, B.cell_from_callable(smaller, R, lambda s: s)
+    return smaller, B.cell(smaller, R, SetFn(apex, R.apex, keep))
 

@@ -41,8 +41,6 @@ class Adjunction:
 class AdjunctionCheck:
     ok: bool
     failures: tuple
-    left_triangle: Any
-    right_triangle: Any
 
 
 def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
@@ -70,7 +68,7 @@ def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
         failures.append("left triangle")
     if t2 != B.id2(fs):
         failures.append("right triangle")
-    return AdjunctionCheck(not failures, tuple(failures), t1, t2)
+    return AdjunctionCheck(not failures, tuple(failures))
 
 
 @memoised
@@ -150,12 +148,15 @@ def find_equivalence(B, R):
     """Return the adjoint-equivalence :class:`Adjunction` of the 1-cell, if
     one exists.
 
-    Delegates the instance-specific criterion (for spans: both legs
-    bijective) and then insists the witness really is an adjoint equivalence:
+    The equivalences are the maps whose right adjoint is a map too (spans
+    with two bijective legs, graphs of bijections), witnessed by the map
+    adjunction.  The witness must really be an adjoint equivalence:
     invertible unit and counit, and both triangle identities.
     """
-    adj = B.equivalence_witness(R)
-    if adj is None:
+    if not R.is_map():
+        return None
+    adj = B.map_adjunction(R)
+    if not adj.right.is_map():
         return None
     if not (B.is_invertible(adj.unit) and B.is_invertible(adj.counit)):
         raise ValueError("equivalence witness has non-invertible unit or counit")

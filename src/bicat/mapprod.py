@@ -68,9 +68,7 @@ def map_iso(B, m1, m2):
     """
     if not maps_isomorphic(m1, m2):
         raise ValueError("maps are not isomorphic")
-    if B.name == "rel":
-        return B.cell(m1, m2)
-    return B.cell(m1, m2, m1.left.then(m2.left.inverse()))
+    return next(B.hom_cells(m1, m2))
 
 
 # --- canonical cones --------------------------------------------------------
@@ -167,20 +165,20 @@ def fill2(B, T, U, alpha, beta, cone: ProductCone):
     return gamma
 
 
-def check_product_cone(B, cone: ProductCone, bound: int):
+def check_product_cone(B, cone: ProductCone):
     """Validate a candidate product cone by exhaustive finite search.
 
-    Essential surjectivity of the comparison uses test carriers of size up
-    to ``bound``; fullness and faithfulness use size up to ``min(bound, 2)``
-    to keep the pair enumeration exact but small.  Returns ``None`` when the
-    cone is a product, else a violation record.
+    Essential surjectivity, fullness and faithfulness of the comparison are
+    tested against every carrier of size at most 2, which keeps the pair
+    enumeration exact but small.  Returns ``None`` when the cone is a
+    product, else a violation record.
     """
     for leg in cone.legs:
         if not leg.is_map():
             return {"kind": "leg-not-a-map", "leg": leg}
 
-    for n in range(bound + 1):
-        A = FinSet("a%d" % i for i in range(n))
+    probes = [FinSet("a%d" % i for i in range(n)) for n in range(3)]
+    for A in probes:
         reachable = {tuple(B.comp(B.graph(h), leg).fn() for leg in cone.legs)
                      for h in all_functions(A, cone.vertex)}
         for fns in itertools.product(
@@ -192,8 +190,7 @@ def check_product_cone(B, cone: ProductCone, bound: int):
                     "cone_maps": tuple(fns),
                 }
 
-    for n in range(min(bound, 2) + 1):
-        A = FinSet("a%d" % i for i in range(n))
+    for A in probes:
         maps = [B.graph(h) for h in all_functions(A, cone.vertex)]
         composites = [tuple(B.comp(m, leg) for leg in cone.legs) for m in maps]
         for Tm, Tlegs in zip(maps, composites):

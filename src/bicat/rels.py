@@ -65,7 +65,7 @@ class Rel:
         return (self.source == self.target
                 and self.pairset == {(x, x) for x in self.source})
 
-    def is_graph(self):
+    def is_map(self):
         """True when the relation is the graph of a total function."""
         seen = {}
         for x, a in self.pairset:
@@ -73,9 +73,6 @@ class Rel:
                 return False
             seen[x] = a
         return len(seen) == len(self.source)
-
-    def is_map(self):
-        return self.is_graph()
 
     @memoised
     def fn(self) -> SetFn:
@@ -197,7 +194,9 @@ class RelBicat:
         return RelCell(a.cod, a.dom)
 
     def hom_cells(self, R: Rel, S: Rel, budget: int = 0):
-        if R.pairset <= S.pairset:
+        """The containment ``R -> S`` when R and S are parallel and it holds."""
+        if (R.source == S.source and R.target == S.target
+                and R.pairset <= S.pairset):
             yield RelCell(R, S)
 
     @memoised
@@ -240,12 +239,6 @@ class RelBicat:
         unit = RelCell(self.identity(R.source), self.comp(R, rstar))
         counit = RelCell(self.comp(rstar, R), self.identity(R.target))
         return Adjunction(R, rstar, unit, counit)
-
-    def equivalence_witness(self, R: Rel):
-        """Equivalences of relations are the graphs of bijections."""
-        if not (R.is_graph() and R.fn().is_bijective()):
-            return None
-        return self.map_adjunction(R)
 
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int = 0):
         """Every relation ``source -> target``.  The bound is ignored: the

@@ -174,9 +174,6 @@ class SpanCell:
             self.fn = fn
         return self
 
-    def __call__(self, label):
-        return self.fn(label)
-
     def __repr__(self):
         entries = ", ".join(
             "%s:%s" % (render_label(s), render_label(self.fn(s)))
@@ -254,9 +251,6 @@ class SpanBicat:
     def cell(self, dom: Span, cod: Span, fn: SetFn) -> SpanCell:
         return SpanCell(dom, cod, fn)
 
-    def cell_from_callable(self, dom: Span, cod: Span, fn) -> SpanCell:
-        return SpanCell(dom, cod, SetFn.from_callable(dom.apex, cod.apex, fn))
-
     @memoised
     def id2(self, R: Span) -> SpanCell:
         return SpanCell(R, R, SetFn.identity(R.apex))
@@ -327,11 +321,14 @@ class SpanBicat:
         return SpanCell(a.cod, a.dom, back)
 
     def hom_cells(self, R: Span, S: Span, budget: int = 1_000_000):
-        """All 2-cells ``R -> S``, enumerated deterministically.
+        """All 2-cells ``R -> S``, enumerated deterministically; none when
+        the spans are not parallel.
 
         The count is the product over R's apex of the matching fibre sizes
         in S; ``budget`` guards against accidental blow-ups in tests.
         """
+        if R.source != S.source or R.target != S.target:
+            return
         fibres = _fibres(S)
         slots = []
         for legs in zip(R.left.values, R.right.values):
@@ -456,13 +453,6 @@ class SpanBicat:
         counit = self._cell(counit_dom, self.identity(R.target),
                             R.right.values_at(ts))
         return Adjunction(R, rstar, unit, counit)
-
-    def equivalence_witness(self, R: Span):
-        """Equivalences of spans are exactly the spans with two bijective
-        legs; the witness is the adjunction against the reversed span."""
-        if not (R.left.is_bijective() and R.right.is_bijective()):
-            return None
-        return self.map_adjunction(R)
 
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int):
         """Every span ``source -> target`` with apex a canonical carrier of

@@ -78,17 +78,17 @@ def test_criterion_2_local_products_and_terminals(capsys):
         for B in INSTANCES:
             # Canonical cones: nullary, binary at all size pairs, ternary.
             nullary = mp.ProductCone(UNIT, (), ())
-            assert mp.check_product_cone(B, nullary, 2) is None
+            assert mp.check_product_cone(B, nullary) is None
             for nx, ny in itertools.product(range(4), repeat=2):
                 cone = mp.product_object(B, *_carriers(nx, ny))
-                assert mp.check_product_cone(B, cone, 2) is None
+                assert mp.check_product_cone(B, cone) is None
             for sizes in ((2, 2, 2), (2, 1, 2), (1, 1, 1), (0, 2, 1)):
                 X, Y, Z = _carriers(*sizes)
                 lx, ly, lz = (C.shape_leaf(B, V) for V in (X, Y, Z))
                 for shape in (C.shape_prod(B, C.shape_prod(B, lx, ly), lz),
                               C.shape_prod(B, lx, C.shape_prod(B, ly, lz))):
                     tern = mp.ProductCone(shape.carrier, shape.legs, (X, Y, Z))
-                    assert mp.check_product_cone(B, tern, 2) is None
+                    assert mp.check_product_cone(B, tern) is None
             for sizes in ((2, 3, 2), (1, 0, 2)):
                 a = C.assoc_map(B, *_carriers(*sizes))[0]
                 assert kernel.find_equivalence(B, a) is not None

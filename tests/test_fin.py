@@ -92,13 +92,6 @@ def test_all_functions_count_and_determinism():
     assert list(all_functions(X, FinSet(()))) == []
 
 
-def test_from_callable():
-    X = FinSet(("a", "bb", "ccc"))
-    Y = FinSet(("1", "2", "3"))
-    f = SetFn.from_callable(X, Y, lambda s: str(len(s)))
-    assert f.values == ("1", "2", "3")
-
-
 def test_equal_values_are_one_object_within_a_unit():
     X, Y = FinSet(("a", "b")), FinSet(["a", "b"])
     f = SetFn(X, UNIT, ("*", "*"))

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from bicat import cli, fin, gen, harness
-from bicat.fmt import parse_document
+from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
                            instance_for, property_check, run_config,
@@ -19,6 +19,13 @@ from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
                  suites=SUITES)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: A ``check cell`` between 1-cells with the same source but not target.
+NON_PARALLEL_CELL = {
+    instance: "set X = x0\nset Y = a0\nset Z = a0 a1\n"
+              "%s A : X -> Y = %s\n%s B : X -> Z = %s\n"
+              "check cell A -> B\n" % (instance, entry, instance, entry)
+    for instance, entry in (("span", "s0:x0:a0"), ("rel", "x0:a0"))}
 
 
 def test_full_run_passes_on_both_instances():
@@ -251,6 +258,44 @@ def test_cli_cell_check_on_large_span_apex_needs_no_enumeration(tmp_path,
         assert "Traceback" not in out + err
         (row,) = parse_machine(out).suites[-1].checks
         assert (row.check_id, row.status) == ("fixture-0-cell", status)
+
+
+@pytest.mark.parametrize("instance", ("span", "rel"))
+def test_cell_check_between_non_parallel_cells_fails_with_its_boundary(
+        instance):
+    doc = parse_document(NON_PARALLEL_CELL[instance])
+    (row,) = run_fixture_checks(instance_for(instance), doc)
+    assert row.status == "fail"
+    shown = parse_document(row.counterexample)
+    assert shown.lookup("dom") == doc.lookup("A")
+    assert shown.lookup("cod") == doc.lookup("B")
+
+
+def test_every_reported_payload_round_trips(capsys):
+    """Reports print payloads without parsing them back, so the printer
+    must never write text that parses to something else.  The payloads
+    come from the golden reports (which ``test_golden`` pins to the runs
+    that print them), the shipped fixtures and the non-parallel cell
+    fixtures."""
+    reports = [p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "tests" / "golden").glob("*.report"))]
+    for name, rc_want in (("span-basic", 0), ("rel-basic", 0),
+                          ("rel-broken", 1)):
+        rc = cli.main(["--instance", name.split("-")[0], "--max-size", "2",
+                       "--trials", "2", "--suite", "kernel", "--report",
+                       "machine", "--fixtures",
+                       str(ROOT / "fixtures" / (name + ".bicat"))])
+        assert rc == rc_want, name
+        reports.append(capsys.readouterr().out)
+    payloads = [c.counterexample for text in reports
+                for s in parse_machine(text).suites for c in s.checks
+                if c.counterexample]
+    payloads += [r.counterexample for name, text in NON_PARALLEL_CELL.items()
+                 for r in run_fixture_checks(instance_for(name),
+                                             parse_document(text))]
+    assert len(payloads) > len(reports)
+    for p in payloads:
+        assert print_document(parse_document(p)) == p
 
 
 def test_cli_usage_errors_exit_two(tmp_path, capsys):

@@ -23,8 +23,8 @@ def test_canonical_cones_verify():
             for ny in range(3):
                 X = FinSet("x%d" % i for i in range(nx))
                 Y = FinSet("y%d" % i for i in range(ny))
-                assert check_product_cone(B, product_object(B, X, Y), 2) is None
-        assert check_product_cone(B, ProductCone(UNIT, (), ()), 2) is None
+                assert check_product_cone(B, product_object(B, X, Y)) is None
+        assert check_product_cone(B, ProductCone(UNIT, (), ())) is None
 
 
 def test_canonical_cone_is_built_once_per_unit():
@@ -51,7 +51,7 @@ def test_ternary_product_flattens():
     shape = shape_prod(B, shape_prod(B, shape_leaf(B, X), shape_leaf(B, Y)),
                        shape_leaf(B, Z))
     cone = ProductCone(shape.carrier, shape.legs, (X, Y, Z))
-    assert check_product_cone(B, cone, 2) is None
+    assert check_product_cone(B, cone) is None
     assert len(cone.legs) == 3
     assert len(cone.vertex) == 4
     for leg, factor in zip(cone.legs, cone.factors):
@@ -229,10 +229,10 @@ def test_collapsed_cone_is_rejected():
     X = FinSet(("x0", "x1"))
     Y = FinSet(("y0",))
     squashed = ProductCone(Y, (B.identity(Y), B.identity(Y)), (Y, Y))
-    verdict = check_product_cone(B, squashed, 2)
+    verdict = check_product_cone(B, squashed)
     assert verdict is None  # Y x Y really is Y when Y is a point.
     crooked = ProductCone(X, (B.graph(SetFn.constant(X, X, "x0")),
                               B.identity(X)), (X, X))
-    verdict = check_product_cone(B, crooked, 2)
+    verdict = check_product_cone(B, crooked)
     assert verdict is not None
     assert verdict["kind"] == "not-essentially-surjective"

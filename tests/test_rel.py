@@ -5,9 +5,10 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import _TABLE, FinSet, SetFn, clear_table
+from bicat.fin import FinSet, SetFn, clear_table
 from bicat.gen import carrier, one_cell
 from bicat.rels import Rel, RelCell, converse, identity_rel, rel_graph, span_image
+import memo_laws as laws
 
 R = rel_instance()
 S = span_instance()
@@ -104,64 +105,6 @@ def test_one_cells_enumerates_the_whole_poset():
     assert len(set(rels)) == 4
 
 
-def _stored(op, args) -> bool:
-    """Whether the memo holds a result of the bound operation ``op`` at
-    ``args``."""
-    return (op.__func__.__wrapped__, op.__self__, *args) in _TABLE
-
-
-def _full_pair():
-    X = FinSet(("x0", "x1"))
-    A = FinSet(("a0", "a1"))
-    full = R.local_terminal(X, A)
-    return full, converse(full)
-
-
-def test_repeated_composite_is_the_same_object():
-    f, g = _full_pair()
-    first = R.comp(f, g)
-    assert R.comp(f, g) is first
-    # Within a unit, equal values built separately are one object.
-    f2, g2 = _full_pair()
-    assert f2 is f and g2 is g
-    # A clear forgets the memo, but values still referenced stay the one
-    # live copy, so rebuilding them and their composite returns them.
-    clear_table()
-    assert not _stored(R.comp, (f, g))
-    f3, g3 = _full_pair()
-    assert f3 is f and g3 is g
-    assert R.comp(f3, g3) is first
-    assert _stored(R.comp, (f, g))
-
-
-def _memoised_calls():
-    """Every memoised operation, with arguments it is defined at."""
-    f, g = _full_pair()
-    X = f.source
-    h = rel_graph(SetFn(X, f.target, ("a0", "a0")))
-    a = R.tau(h)
-    return [("comp", (f, g)), ("identity", (X,)), ("id2", (f,)),
-            ("vcomp", (R.id2(h), a)), ("whisker_left", (g, a)),
-            ("whisker_right", (a, g)), ("hcomp", (a, R.id2(g))),
-            ("assoc", (f, g, f)), ("invert", (R.assoc(f, g, f),)),
-            ("map_adjunction", (h,))]
-
-
-def test_memoised_operations_repeat_within_a_unit_only():
-    for name, args in _memoised_calls():
-        op = getattr(R, name)
-        first = op(*args)
-        assert op(*args) is first, name
-        clear_table()
-        assert not _stored(op, args), name
-        again = op(*args)
-        assert _stored(op, args), name
-        # The adjunction is a witness, built again; every other result is
-        # a value ``first`` still holds, so it comes back.
-        assert again == first, name
-        assert (again is first) == (name != "map_adjunction"), name
-
-
 def test_fn_refuses_a_relation_that_is_not_a_graph():
     X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
     partial = Rel(X, A, [("x0", "a0")])
@@ -173,16 +116,8 @@ def test_fn_refuses_a_relation_that_is_not_a_graph():
     assert rel_graph(h).fn() == h
 
 
-def test_non_composable_pair_raises_after_a_composite():
-    f, g = _full_pair()
-    R.comp(f, g)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="non-composable"):
-            R.comp(f, f)
-
-
 def test_invalid_values_raise_after_a_valid_one():
-    f, g = _full_pair()
+    f, g = laws.full_pair(R, converse)
     X, A = f.source, f.target
     small = Rel(X, A, (("x0", "a0"),))
     for _ in range(2):
@@ -195,7 +130,7 @@ def test_invalid_values_raise_after_a_valid_one():
 
 
 def test_pair_set_is_stored_and_read():
-    f, _ = _full_pair()
+    f, _ = laws.full_pair(R, converse)
     X, A = f.source, f.target
     r = Rel(X, A, [("x1", "a0"), ("x0", "a1")])
     assert r.pairset == frozenset(r.pairs)
@@ -213,27 +148,16 @@ def test_pair_set_is_stored_and_read():
     assert Rel(X, A, [("x0", "a1"), ("x1", "a0")]) is r
 
 
-def test_property_check_shares_one_memo_per_check():
-    from bicat.gen import GenConfig
-    from bicat.harness import property_check
+@pytest.fixture
+def instance():
+    return R, converse
 
-    stored = []
 
-    def body(B, rng, carriers):
-        f, g = _full_pair()
-        stored.append(_stored(B.comp, (f, g)))
-        B.comp(f, g)
-        return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
-
-    spec = property_check("toy-memo-scope", ("x",), body)
-    cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance="rel",
-                    suites=("kernel",))
-    for _ in range(2):
-        stored.clear()
-        result = spec.run(R, cfg)
-        assert result.status == "fail"
-        # Only the first attempt builds the composite: later trials and
-        # the shrink attempts find it in the memo.  A second run of the
-        # check starts empty again.
-        assert len(stored) > result.trials > 1
-        assert stored == [False] + [True] * (len(stored) - 1)
+test_repeated_composite_is_the_same_object = \
+    laws.test_repeated_composite_is_the_same_object
+test_memoised_operations_repeat_within_a_unit_only = \
+    laws.test_memoised_operations_repeat_within_a_unit_only
+test_non_composable_pair_raises_after_a_composite = \
+    laws.test_non_composable_pair_raises_after_a_composite
+test_property_check_shares_one_memo_per_check = \
+    laws.test_property_check_shares_one_memo_per_check

@@ -13,11 +13,12 @@ import random
 import pytest
 
 from bicat import span_instance
-from bicat.fin import _TABLE, FinSet, SetFn, UNIT, clear_table
+from bicat.fin import FinSet, SetFn, UNIT
 from bicat.gen import carrier, map_cell, one_cell, set_fn, span, thicken
 from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
                          reverse)
 from bicat import kernel
+import memo_laws as laws
 
 B = span_instance()
 
@@ -171,8 +172,8 @@ def test_cell_requires_commuting_legs():
     R = graph(SetFn(X, X, ("x0", "x1")))
     S = graph(SetFn(X, X, ("x1", "x0")))
     with pytest.raises(ValueError):
-        B.cell_from_callable(R, S, lambda s: s)
-    assert B.cell_from_callable(R, R, lambda s: s) == B.id2(R)
+        B.cell(R, S, SetFn.identity(X))
+    assert B.cell(R, R, SetFn.identity(X)) == B.id2(R)
 
 
 def test_vcomp_and_whiskering_boundaries():
@@ -319,64 +320,6 @@ def test_shape_tags_match_their_definitions():
         assert S.is_identity() == (graph_form and S.right.is_identity())
 
 
-def _stored(op, args) -> bool:
-    """Whether the memo holds a result of the bound operation ``op`` at
-    ``args``."""
-    return (op.__func__.__wrapped__, op.__self__, *args) in _TABLE
-
-
-def _pullback_pair():
-    X = FinSet(("x0", "x1"))
-    top = B.local_terminal(X, X)
-    return top, reverse(top)
-
-
-def test_repeated_composite_is_the_same_object():
-    R, T = _pullback_pair()
-    first = B.comp(R, T)
-    assert B.comp(R, T) is first
-    # Within a unit, equal values built separately are one object.
-    R2, T2 = _pullback_pair()
-    assert R2 is R and T2 is T
-    # A clear forgets the memo, but values still referenced stay the one
-    # live copy, so rebuilding them and their composite returns them.
-    clear_table()
-    assert not _stored(B.comp, (R, T))
-    R3, T3 = _pullback_pair()
-    assert R3 is R and T3 is T
-    assert B.comp(R3, T3) is first
-    assert _stored(B.comp, (R, T))
-
-
-def _memoised_calls():
-    """Every memoised operation, with arguments it is defined at."""
-    X, A = FinSet(("x0", "x1")), FinSet(("a0", "a1"))
-    R = B.local_terminal(X, A)
-    T = reverse(R)
-    f = graph(SetFn(X, A, ("a0", "a0")))
-    a = B.tau(f)
-    return [("comp", (R, T)), ("identity", (X,)), ("id2", (R,)),
-            ("vcomp", (B.id2(f), a)), ("whisker_left", (T, a)),
-            ("whisker_right", (a, T)), ("hcomp", (a, B.id2(T))),
-            ("assoc", (R, T, R)), ("invert", (B.assoc(R, T, R),)),
-            ("map_adjunction", (f,))]
-
-
-def test_memoised_operations_repeat_within_a_unit_only():
-    for name, args in _memoised_calls():
-        op = getattr(B, name)
-        first = op(*args)
-        assert op(*args) is first, name
-        clear_table()
-        assert not _stored(op, args), name
-        again = op(*args)
-        assert _stored(op, args), name
-        # The adjunction is a witness, built again; every other result is
-        # a value ``first`` still holds, so it comes back.
-        assert again == first, name
-        assert (again is first) == (name != "map_adjunction"), name
-
-
 def test_fn_refuses_a_non_map_before_and_after_a_map():
     X, A = FinSet(("x0", "x1")), FinSet(("a0",))
     one, two = FinSet(("s0",)), FinSet(("s0", "s1"))
@@ -412,15 +355,6 @@ def test_invert_refuses_a_non_invertible_cell_around_a_valid_one():
             relabel_apex(R, names)
 
 
-def test_non_composable_pair_raises_after_a_composite():
-    R, T = _pullback_pair()
-    B.comp(R, T)
-    bad = identity_span(FinSet(("y0",)))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="non-composable"):
-            B.comp(R, bad)
-
-
 def test_invalid_cells_raise_after_a_valid_one():
     X = FinSet(("x0", "x1"))
     R = graph(SetFn(X, X, ("x0", "x1")))
@@ -434,27 +368,16 @@ def test_invalid_cells_raise_after_a_valid_one():
             B.vcomp(B.id2(R), B.id2(S))
 
 
-def test_property_check_shares_one_memo_per_check():
-    from bicat.gen import GenConfig
-    from bicat.harness import property_check
+@pytest.fixture
+def instance():
+    return B, reverse
 
-    stored = []
 
-    def body(B, rng, carriers):
-        f, g = _pullback_pair()
-        stored.append(_stored(B.comp, (f, g)))
-        B.comp(f, g)
-        return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
-
-    spec = property_check("toy-memo-scope", ("x",), body)
-    cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance="span",
-                    suites=("kernel",))
-    for _ in range(2):
-        stored.clear()
-        result = spec.run(B, cfg)
-        assert result.status == "fail"
-        # Only the first attempt builds the composite: later trials and
-        # the shrink attempts find it in the memo.  A second run of the
-        # check starts empty again.
-        assert len(stored) > result.trials > 1
-        assert stored == [False] + [True] * (len(stored) - 1)
+test_repeated_composite_is_the_same_object = \
+    laws.test_repeated_composite_is_the_same_object
+test_memoised_operations_repeat_within_a_unit_only = \
+    laws.test_memoised_operations_repeat_within_a_unit_only
+test_non_composable_pair_raises_after_a_composite = \
+    laws.test_non_composable_pair_raises_after_a_composite
+test_property_check_shares_one_memo_per_check = \
+    laws.test_property_check_shares_one_memo_per_check

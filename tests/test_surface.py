@@ -9,8 +9,9 @@ that imports it, or as ``module.name`` through an imported module.  Methods
 are matched by attribute name, so a method that shares its name with one
 the program reads is not caught.
 
-No module of ``src/bicat`` or ``tests`` imports a name it never reads, and
-the interned value classes keep object identity as their equality.
+No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
+paper layer asks which instance it runs on, and the interned value classes
+keep object identity as their equality.
 """
 
 import ast
@@ -23,6 +24,10 @@ from bicat.spans import Span, SpanCell
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAM = sorted((ROOT / "src" / "bicat").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+#: The modules that state the paper's constructions, once for any instance.
+PAPER_LAYERS = ("kernel", "homprod", "mapprod", "groth", "cartesian",
+                "coherence")
 
 ALLOWED = {
     # Independent oracles the tests check the library against, and the
@@ -166,6 +171,16 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in PROGRAM + TESTS
               for name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not unused, "remove these imports: %s" % unused
+
+
+def test_paper_layers_do_not_branch_on_the_instance():
+    # Reading an instance's ``name`` picks per-instance code: a second
+    # answer to a question the instance's own operations answer.
+    reads = ["%s:%d" % (path.name, node.lineno) for path in PROGRAM
+             if path.stem in PAPER_LAYERS
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "name"]
+    assert not reads, "paper layers read an instance's name: %s" % reads
 
 
 def test_value_classes_compare_by_identity():

@@ -8,7 +8,7 @@ instance is part of every key, so a proxy instance gets its own entries.
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import _TABLE, FinSet, SetFn, clear_table
+from bicat.fin import FinSet, SetFn, clear_table
 from bicat.groth import (TensorWitness, g_tensor, g_terminal,
                          garr_from_secondary)
 from bicat.harness import _CorruptTau
@@ -17,6 +17,7 @@ from bicat.kernel import compose_adjunctions
 from bicat.mapprod import bang, map_iso, pairing
 from bicat.rels import Rel, RelCell
 from bicat.spans import Span, SpanCell, relabel_apex
+from memo_laws import stored
 
 INSTANCES = (span_instance(), rel_instance())
 X = FinSet(("x0", "x1"))
@@ -66,25 +67,16 @@ def _parts(x):
     return x
 
 
-def _stored(op, args) -> bool:
-    """Whether the table holds a result of ``op`` at ``args``: a repeat
-    would return the same object even unmemoised wherever the result is a
-    hash-consed value built from memoised steps."""
-    fn = getattr(op, "__func__", op).__wrapped__
-    bound = getattr(op, "__self__", None)
-    return ((fn, *args) if bound is None else (fn, bound, *args)) in _TABLE
-
-
 def test_upper_memoised_operations_repeat_within_a_unit_only():
     for B in INSTANCES:
         for name, op, args in _memoised_calls(B):
             first = op(*args)
-            assert _stored(op, args), (B.name, name)
+            assert stored(op, args), (B.name, name)
             assert op(*args) is first, (B.name, name)
             clear_table()
-            assert not _stored(op, args), (B.name, name)
+            assert not stored(op, args), (B.name, name)
             again = op(*args)
-            assert _stored(op, args), (B.name, name)
+            assert stored(op, args), (B.name, name)
             # A witness is built again; a value ``first`` still holds comes
             # back as the same object.
             assert (again is first) == isinstance(first, VALUES), (B.name, name)
