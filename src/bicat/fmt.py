@@ -23,26 +23,34 @@ alphabet, pairs written ``(a,b)`` and nesting at most
 
 ``:`` never occurs inside a label (the atom alphabet has none), so an
 entry splits on ``:`` exactly, into as many labels as the record expects.
-Each distinct label text is parsed once per :func:`parse_document` call.
+Each distinct label text is parsed once per :func:`parse_document` call,
+and each distinct label is rendered once per :func:`print_document` call.
 
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
-to entities declared earlier in the same document.  No two records declare
-the same name, whatever their kinds.  Blank lines and lines starting with
-``#`` are ignored.  Printing a document and parsing it back yields an equal
-document: the printer refuses any name or label with no text form.  Check
-reports embed counterexamples in this format without re-parsing them; the
-tests round-trip every payload of the golden runs and shipped fixtures.
+to entities declared earlier in the same document.  Blank lines and lines
+starting with ``#`` are ignored.
+
+A :class:`Document` is one table from name to entity in declaration order,
+so no two records share a name, whatever their kinds.  An entity's kind is
+its type: ``FinSet``, ``SetFn``, ``Span``, ``Rel`` or :class:`CellRec`.  The
+printer sorts the table stably in that order and names each boundary by the
+first name its (interned) value was given.  ``_CHECK_FORMS`` states the
+tokens of each ``check`` kind for both parsing and printing.
+
+Printing a document and parsing it back yields an equal document: the
+printer refuses any name or label with no text form.  Check reports embed
+counterexamples in this format without re-parsing them; the tests
+round-trip every payload of the golden runs and shipped fixtures.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .fin import FinSet, SetFn, is_atom, parse_label, render_label, _ATOM
+from .fin import FinSet, SetFn, parse_label, render_label, _ATOM
 from .rels import Rel, RelCell
 from .spans import Span, SpanCell
-
-_NAME = _ATOM  # entity names share the atom alphabet
 
 
 class FmtError(ValueError):
@@ -66,96 +74,100 @@ class Check:
     args: tuple
 
 
+#: Record keyword of each entity type, in printing order.
+_KEYWORDS = {FinSet: "set", SetFn: "fn", Span: "span", Rel: "rel",
+             CellRec: "cell"}
+_RANK = {kind: rank for rank, kind in enumerate(_KEYWORDS)}
+
+#: The tokens after ``check KIND``: ``None`` stands for an entity name, any
+#: other token is written as it stands.
+_CHECK_FORMS = {
+    "compose": (None, None, "=", None),
+    "equal": (None, None),
+    "map": (None,),
+    "cell": (None, "->", None),
+}
+
+
 @dataclass
 class Document:
-    sets: dict = field(default_factory=dict)
-    fns: dict = field(default_factory=dict)
-    spans: dict = field(default_factory=dict)
-    rels: dict = field(default_factory=dict)
-    cells: dict = field(default_factory=dict)
+    """The named entities in declaration order, and the check records."""
+    entities: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
-    def tables(self):
-        return (self.sets, self.fns, self.spans, self.rels, self.cells)
-
     def lookup(self, name):
-        for table in self.tables():
-            if name in table:
-                return table[name]
-        raise FmtError("unknown entity %r" % name)
+        value = self.entities.get(name)
+        if value is None:
+            raise FmtError("unknown entity %r" % name)
+        return value
 
-    def declare(self, table: dict, name: str, value):
+    def declare(self, name: str, value):
         """Add an entity; names are unique across all record kinds."""
-        if any(name in t for t in self.tables()):
+        if name in self.entities:
             raise FmtError("entity name %r is already declared" % name)
-        table[name] = value
-
-
-def _check_label(label):
-    if is_atom(label):
-        if not _ATOM.fullmatch(label):
-            raise FmtError("label %r has no text form" % (label,))
-        return
-    a, b = label
-    _check_label(a)
-    _check_label(b)
-
-
-def _check_name(name: str):
-    if not _NAME.fullmatch(name):
-        raise FmtError("entity name %r has no text form" % (name,))
+        self.entities[name] = value
 
 
 # --- printing -----------------------------------------------------------
 
-def _entries(pairs) -> str:
-    return " ".join("%s:%s" % (render_label(a), render_label(b))
-                    for a, b in pairs)
+class _Texts(dict):
+    """Label to text as :func:`bicat.fin.render_label` writes it, each label
+    rendered once per printed document.  A label with no text form raises."""
+
+    def __missing__(self, label):
+        if isinstance(label, tuple):
+            got = self[label] = "(%s,%s)" % (self[label[0]], self[label[1]])
+        elif _ATOM.fullmatch(label):
+            got = self[label] = label
+        else:
+            raise FmtError("label %r has no text form" % (label,))
+        return got
 
 
 def print_document(doc: Document) -> str:
+    first = {}
+    for name, value in doc.entities.items():
+        first.setdefault(value, name)
+
+    def ends(value, what, *roles):
+        for role in roles:
+            end = first.get(getattr(value, role))
+            if end is None:
+                raise FmtError("%s of %s is not a declared entity"
+                               % (role, what))
+            yield end
+
+    text = _Texts().__getitem__
     lines = []
-    for name, fs in doc.sets.items():
-        _check_name(name)
-        for e in fs:
-            _check_label(e)
-        lines.append(("set %s = " % name
-                      + " ".join(render_label(e) for e in fs)).rstrip())
-    for name, fn in doc.fns.items():
-        _check_name(name)
-        dom = _find(doc.sets, fn.domain, "domain of fn %s" % name)
-        cod = _find(doc.sets, fn.codomain, "codomain of fn %s" % name)
-        body = _entries(zip(fn.domain, fn.values))
-        lines.append(("fn %s : %s -> %s = %s" % (name, dom, cod, body)).rstrip())
-    for name, sp in doc.spans.items():
-        _check_name(name)
-        src = _find(doc.sets, sp.source, "source of span %s" % name)
-        tgt = _find(doc.sets, sp.target, "target of span %s" % name)
-        body = " ".join(
-            "%s:%s:%s" % (render_label(s), render_label(x), render_label(a))
-            for s, x, a in zip(sp.apex, sp.left.values, sp.right.values))
-        lines.append(("span %s : %s -> %s = %s" % (name, src, tgt, body)).rstrip())
-    for name, rel in doc.rels.items():
-        _check_name(name)
-        src = _find(doc.sets, rel.source, "source of rel %s" % name)
-        tgt = _find(doc.sets, rel.target, "target of rel %s" % name)
-        lines.append(("rel %s : %s -> %s = %s"
-                      % (name, src, tgt, _entries(rel.pairs))).rstrip())
-    for name, rec in doc.cells.items():
-        _check_name(name)
-        lines.append(("cell %s : %s -> %s = %s"
-                      % (name, rec.dom, rec.cod, _entries(rec.entries))).rstrip())
-    for chk in doc.checks:
-        if chk.kind == "compose":
-            lines.append("check compose %s %s = %s" % chk.args)
-        elif chk.kind == "equal":
-            lines.append("check equal %s %s" % chk.args)
-        elif chk.kind == "map":
-            lines.append("check map %s" % chk.args)
-        elif chk.kind == "cell":
-            lines.append("check cell %s -> %s" % chk.args)
+    for name, value in sorted(doc.entities.items(),
+                              key=lambda item: _RANK[type(item[1])]):
+        if not _ATOM.fullmatch(name):
+            raise FmtError("entity name %r has no text form" % (name,))
+        what = "%s %s" % (_KEYWORDS[type(value)], name)
+        if isinstance(value, FinSet):
+            body = " ".join(map(text, value))
+            lines.append(("%s = %s" % (what, body)).rstrip())
+            continue
+        if isinstance(value, SetFn):
+            dom, cod = ends(value, what, "domain", "codomain")
+            entries = zip(value.domain, value.values)
+        elif isinstance(value, Span):
+            dom, cod = ends(value, what, "source", "target")
+            entries = zip(value.apex, value.left.values, value.right.values)
+        elif isinstance(value, Rel):
+            dom, cod = ends(value, what, "source", "target")
+            entries = value.pairs
         else:
+            dom, cod, entries = value.dom, value.cod, value.entries
+        body = " ".join(":".join(map(text, entry)) for entry in entries)
+        lines.append(("%s : %s -> %s = %s" % (what, dom, cod, body)).rstrip())
+    for chk in doc.checks:
+        form = _CHECK_FORMS.get(chk.kind)
+        if form is None:
             raise FmtError("unknown check kind %r" % chk.kind)
+        args = iter(chk.args)
+        tokens = [next(args) if t is None else t for t in form]
+        lines.append(" ".join(["check", chk.kind, *tokens]))
     return "\n".join(lines) + "\n"
 
 
@@ -179,8 +191,6 @@ def parse_document(text: str) -> Document:
             continue
         try:
             _parse_line(doc, line, label)
-        except FmtError as exc:
-            raise FmtError("line %d: %s" % (lineno, exc)) from exc
         except ValueError as exc:
             raise FmtError("line %d: %s" % (lineno, exc)) from exc
     return doc
@@ -201,10 +211,10 @@ def _header(tokens, keyword):
 
 
 def _named_set(doc: Document, name: str) -> FinSet:
-    try:
-        return doc.sets[name]
-    except KeyError:
-        raise FmtError("unknown set %r" % name) from None
+    value = doc.entities.get(name)
+    if not isinstance(value, FinSet):
+        raise FmtError("unknown set %r" % name)
+    return value
 
 
 def _parse_line(doc: Document, line: str, label):
@@ -214,14 +224,14 @@ def _parse_line(doc: Document, line: str, label):
         if len(rest) < 2 or rest[1] != "=":
             raise FmtError("malformed set record")
         name = rest[0]
-        doc.declare(doc.sets, name, FinSet(map(label, rest[2:])))
+        doc.declare(name, FinSet(map(label, rest[2:])))
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
         table = dict(_split_entry(t, 2, label) for t in body)
         if set(table) != set(A.elements):
             raise FmtError("fn %s entries do not cover the domain" % name)
-        doc.declare(doc.fns, name, SetFn(A, C, (table[d] for d in A)))
+        doc.declare(name, SetFn(A, C, (table[d] for d in A)))
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
@@ -229,34 +239,31 @@ def _parse_line(doc: Document, line: str, label):
         apex = FinSet(t[0] for t in triples)
         left = SetFn(apex, X, (t[1] for t in triples))
         right = SetFn(apex, A, (t[2] for t in triples))
-        doc.declare(doc.spans, name, Span(X, A, apex, left, right))
+        doc.declare(name, Span(X, A, apex, left, right))
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
         rel = Rel(_named_set(doc, src), _named_set(doc, tgt),
                   (_split_entry(t, 2, label) for t in body))
-        doc.declare(doc.rels, name, rel)
+        doc.declare(name, rel)
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
         entries = tuple(_split_entry(t, 2, label) for t in body)
         _check_cell_entries(doc, dom, cod, entries)
-        doc.declare(doc.cells, name, CellRec(dom, cod, entries))
+        doc.declare(name, CellRec(dom, cod, entries))
     elif kind == "check":
         doc.checks.append(_parse_check(rest))
     else:
         raise FmtError("unknown record kind %r" % kind)
 
 
-def _cell_boundary(doc: Document, name: str):
-    for table in (doc.spans, doc.rels):
-        if name in table:
-            return table[name]
-    raise FmtError("cell boundary %r is not a declared span or rel" % name)
-
-
 def _check_cell_entries(doc: Document, dom_name: str, cod_name: str,
                         entries: tuple):
-    dom = _cell_boundary(doc, dom_name)
-    cod = _cell_boundary(doc, cod_name)
+    dom = doc.entities.get(dom_name)
+    cod = doc.entities.get(cod_name)
+    for end, end_name in ((dom, dom_name), (cod, cod_name)):
+        if not isinstance(end, (Span, Rel)):
+            raise FmtError("cell boundary %r is not a declared span or rel"
+                           % end_name)
     if type(dom) is not type(cod):
         raise FmtError("cell boundaries %s and %s are not both spans or "
                        "both rels" % (dom_name, cod_name))
@@ -277,92 +284,52 @@ def _check_cell_entries(doc: Document, dom_name: str, cod_name: str,
 def _parse_check(rest) -> Check:
     if not rest:
         raise FmtError("empty check record")
-    op = rest[0]
-    if op == "compose" and len(rest) == 5 and rest[3] == "=":
-        return Check("compose", (rest[1], rest[2], rest[4]))
-    if op == "equal" and len(rest) == 3:
-        return Check("equal", (rest[1], rest[2]))
-    if op == "map" and len(rest) == 2:
-        return Check("map", (rest[1],))
-    if op == "cell" and len(rest) == 4 and rest[2] == "->":
-        return Check("cell", (rest[1], rest[3]))
-    raise FmtError("malformed check record %r" % " ".join(rest))
+    kind, given = rest[0], rest[1:]
+    form = _CHECK_FORMS.get(kind)
+    if (form is None or len(given) != len(form)
+            or any(t is not None and t != g for t, g in zip(form, given))):
+        raise FmtError("malformed check record %r" % " ".join(rest))
+    return Check(kind, tuple(g for t, g in zip(form, given) if t is None))
 
 
 # --- building documents from live values ---------------------------------
 
 def describe(entities: dict) -> Document:
     """A document containing the given named values plus whatever carriers
-    and boundary entities they depend on, auto-named deterministically.
+    and boundary entities they depend on.  A dependency is named by the
+    first name its value was given, or else by the next free ``S<n>``.
 
     The helper the harness uses to turn a counterexample into report text.
     """
     doc = Document()
-    counters = {"S": 0}
+    first = {}
+    fresh = ("S%d" % i for i in itertools.count())
 
-    def intern_set(fs: FinSet) -> str:
-        name = _find(doc.sets, fs)
+    def name_of(value) -> str:
+        name = first.get(value)
         if name is None:
-            name = _fresh(doc, counters)
-            doc.sets[name] = fs
+            name = next(n for n in fresh if n not in doc.entities)
+            add(name, value)
         return name
 
     def add(name, value):
-        if isinstance(value, FinSet):
-            if _find(doc.sets, value) is None:
-                doc.sets[name] = value
-        elif isinstance(value, SetFn):
-            intern_set(value.domain)
-            intern_set(value.codomain)
-            doc.fns[name] = value
-        elif isinstance(value, Span):
-            intern_set(value.source)
-            intern_set(value.target)
-            doc.spans[name] = value
-        elif isinstance(value, Rel):
-            intern_set(value.source)
-            intern_set(value.target)
-            doc.rels[name] = value
+        if isinstance(value, SetFn):
+            name_of(value.domain)
+            name_of(value.codomain)
+        elif isinstance(value, (Span, Rel)):
+            name_of(value.source)
+            name_of(value.target)
         elif isinstance(value, SpanCell):
-            dn = _add_anon(doc, counters, value.dom, add)
-            cn = _add_anon(doc, counters, value.cod, add)
-            doc.cells[name] = CellRec(dn, cn, tuple(
+            value = CellRec(name_of(value.dom), name_of(value.cod), tuple(
                 (s, value.fn(s)) for s in value.dom.apex))
         elif isinstance(value, RelCell):
-            dn = _add_anon(doc, counters, value.dom, add)
-            cn = _add_anon(doc, counters, value.cod, add)
-            doc.cells[name] = CellRec(dn, cn, ())
-        else:
+            value = CellRec(name_of(value.dom), name_of(value.cod), ())
+        elif not isinstance(value, FinSet):
             raise FmtError("cannot describe a %s" % type(value).__name__)
+        first.setdefault(value, name)
+        doc.declare(name, value)
 
     for name, value in entities.items():
-        add(name, value)
+        if not (isinstance(value, FinSet) and value in first):
+            add(name, value)
     return doc
-
-
-def _find(table: dict, value, what: str = ""):
-    """The name ``value`` has in ``table``.  When it has none: None, or a
-    :class:`FmtError` naming ``what`` if that is given."""
-    for name, candidate in table.items():
-        if candidate == value:
-            return name
-    if what:
-        raise FmtError("%s is not a declared entity" % what)
-    return None
-
-
-def _fresh(doc: Document, counters) -> str:
-    while True:
-        name = "S%d" % counters["S"]
-        counters["S"] += 1
-        if not any(name in table for table in doc.tables()):
-            return name
-
-
-def _add_anon(doc: Document, counters, value, add) -> str:
-    table = doc.spans if isinstance(value, Span) else doc.rels
-    name = _find(table, value)
-    if name is None:
-        name = _fresh(doc, counters)
-        add(name, value)
-    return name

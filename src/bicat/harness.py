@@ -646,20 +646,17 @@ def _chk_braid_syllepsis(B, rng, carriers):
 
 def _chk_symmetry(B, rng, carriers):
     X, Y = carriers
-    rep = coherence.symmetry_holds(B, X, Y)
-    return None if all(rep.values()) else {"X": X, "Y": Y}
+    return None if coherence.symmetry_holds(B, X, Y) else {"X": X, "Y": Y}
 
 
 def _chk_rebracket(B, rng, carriers):
     X, Y, Z, W = carriers
-    rep = coherence.check_quad_assoc(B, X, Y, Z, W)
-    ok = rep == {"equation": True, "invertible": True}
+    ok = coherence.check_quad_assoc(B, X, Y, Z, W)
     return None if ok else {"X": X, "Y": Y, "Z": Z, "W": W}
 
 
 def _chk_pentagon(B, rng, carriers):
-    rep = coherence.pentagon_unique(B, *carriers)
-    ok = rep == {"routes_parallel": True, "compatible_cells": 1}
+    ok = coherence.pentagon_unique(B, *carriers) == 1
     return None if ok else dict(zip("XYZUV", carriers))
 
 

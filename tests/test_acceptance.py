@@ -301,17 +301,13 @@ def test_criterion_7_symmetry_and_pentagon(capsys):
                 assert B.whisker_right(sigma, r) == psi
             for nx, ny in itertools.product(range(5), repeat=2):
                 clear_table()
-                rep = C.symmetry_holds(B, *_carriers(nx, ny))
-                assert all(rep.values()), (nx, ny, rep)
+                assert C.symmetry_holds(B, *_carriers(nx, ny)), (nx, ny)
             for sizes in itertools.product(range(3), repeat=4):
                 clear_table()
-                rep = C.check_quad_assoc(B, *_carriers(*sizes))
-                assert rep == {"equation": True, "invertible": True}
+                assert C.check_quad_assoc(B, *_carriers(*sizes)), sizes
             for sizes in itertools.product(range(3), repeat=5):
                 clear_table()
-                rep = C.pentagon_unique(B, *_carriers(*sizes))
-                assert rep == {"routes_parallel": True,
-                               "compatible_cells": 1}, sizes
+                assert C.pentagon_unique(B, *_carriers(*sizes)) == 1, sizes
             rng = random.Random(3)
             for _ in range(5):
                 clear_table()

@@ -33,18 +33,19 @@ def test_parse_then_print_is_stable():
     text = print_document(doc)
     again = parse_document(text)
     assert print_document(again) == text
-    assert doc.sets["X"] == FinSet(("x0", "x1"))
-    assert doc.fns["f"] == SetFn(doc.sets["X"], doc.sets["A"], ("a0", "a0"))
-    assert doc.spans["F"].apex == FinSet(("s0", "s1"))
-    assert doc.rels["R"] == Rel(doc.sets["X"], doc.sets["A"], (("x0", "a0"),))
-    assert doc.cells["c"].entries == (("s0", "s0"), ("s1", "s1"))
+    X, A = doc.entities["X"], doc.entities["A"]
+    assert X == FinSet(("x0", "x1"))
+    assert doc.entities["f"] == SetFn(X, A, ("a0", "a0"))
+    assert doc.entities["F"].apex == FinSet(("s0", "s1"))
+    assert doc.entities["R"] == Rel(X, A, (("x0", "a0"),))
+    assert doc.entities["c"].entries == (("s0", "s0"), ("s1", "s1"))
     assert [c.kind for c in doc.checks] == ["map", "compose", "equal", "cell"]
     assert doc.checks[1] == Check("compose", ("F", "F", "F"))
 
 
 def test_lookup_and_unknown_entity():
     doc = parse_document(SAMPLE)
-    assert doc.lookup("F") is doc.spans["F"]
+    assert doc.lookup("F") is doc.entities["F"]
     with pytest.raises(FmtError):
         doc.lookup("nope")
 
@@ -56,15 +57,16 @@ def test_paired_labels_round_trip():
         "rel R : P -> A = (x0,y1):a0\n"
     )
     doc = parse_document(text)
-    assert ("x0", "y1") in doc.sets["P"]
-    assert doc.rels["R"].pairs == ((("x0", "y1"), "a0"),)
-    assert parse_document(print_document(doc)).rels["R"] == doc.rels["R"]
+    assert ("x0", "y1") in doc.entities["P"]
+    assert doc.entities["R"].pairs == ((("x0", "y1"), "a0"),)
+    again = parse_document(print_document(doc))
+    assert again.entities["R"] == doc.entities["R"]
 
 
 def test_nested_pairs_survive():
     text = "set T = ((x0,y0),z0) ((x0,y1),z1)\n"
     doc = parse_document(text)
-    assert (("x0", "y1"), "z1") in doc.sets["T"]
+    assert (("x0", "y1"), "z1") in doc.entities["T"]
     assert print_document(parse_document(print_document(doc))) \
         == print_document(doc)
 
@@ -89,7 +91,7 @@ def test_describe_interns_carriers_once():
     R = Rel(X, A, (("x0", "a0"),))
     doc = describe({"R": R, "again": X})
     # Both the relation's source and the named value share one set record.
-    assert sum(1 for fs in doc.sets.values() if fs == X) == 1
+    assert sum(1 for v in doc.entities.values() if v == X) == 1
     text = print_document(doc)
     assert text.count("set") == 2
 
@@ -101,7 +103,7 @@ def test_describe_handles_cells():
     cell = B.id2(R)
     doc = describe({"c": cell})
     parsed = parse_document(print_document(doc))
-    rec = parsed.cells["c"]
+    rec = parsed.entities["c"]
     assert parsed.lookup(rec.dom) == R
     assert rec.entries == (("x0", "x0"),)
 
@@ -115,10 +117,32 @@ def test_malformed_documents_are_refused():
         "check compose A B C",            # missing equals sign
         "check cell A B",                 # missing arrow
         "set X = x0\nfn f : X -> X =",    # entries do not cover the domain
+        "check",                          # no check kind
+        "check frob A",                   # unknown check kind
+        "check map A B",                  # too many names
+        "check equal A",                  # too few names
+        "check cell A -> B C",            # trailing token
+        "check compose A B = C D",        # trailing token
     ]
     for text in bad:
         with pytest.raises(FmtError):
             parse_document(text)
+
+
+def test_describe_reuses_the_names_the_caller_gave():
+    X = FinSet(("x0", "x1"))
+    A = FinSet(("a0",))
+    B = span_instance()
+    R = B.identity(X)
+    assert print_document(describe({"R": R, "c": B.id2(R)})) == (
+        "set S0 = x0 x1\n"
+        "span R : S0 -> S0 = x0:x0:x0 x1:x1:x1\n"
+        "cell c : R -> R = x0:x0 x1:x1\n")
+    f = SetFn(X, A, ("a0", "a0"))
+    assert print_document(describe({"X": X, "f": f})) == (
+        "set X = x0 x1\n"
+        "set S0 = a0\n"
+        "fn f : X -> S0 = x0:a0 x1:a0\n")
 
 
 def _nested(depth):
@@ -127,7 +151,7 @@ def _nested(depth):
 
 def test_label_nesting_is_bounded():
     doc = parse_document("set X = %s\n" % _nested(MAX_LABEL_DEPTH))
-    assert len(doc.sets["X"]) == 1
+    assert len(doc.entities["X"]) == 1
     for depth in (MAX_LABEL_DEPTH + 1, 2000):
         with pytest.raises(FmtError, match="line 1: label nests pairs"):
             parse_document("set X = %s\n" % _nested(depth))
@@ -148,6 +172,33 @@ def test_names_are_unique_across_record_kinds(record):
         parse_document(text)
 
 
+SPAN_G = "set X = a\nspan G : X -> X = s0:a:a\n"
+CELL_G = "set X = a\nspan F : X -> X = s0:a:a\ncell G : F -> F = s0:s0\n"
+
+
+@pytest.mark.parametrize("head", [SPAN_G, CELL_G], ids=["span", "cell"])
+@pytest.mark.parametrize("record", [
+    "fn f : G -> X = a:a",
+    "span S : G -> X = s0:a:a",
+    "rel R : X -> G = a:a",
+])
+def test_only_a_set_is_a_carrier(head, record):
+    line = head.count("\n") + 1
+    with pytest.raises(FmtError, match="^line %d: unknown set 'G'$" % line):
+        parse_document(head + record + "\n")
+
+
+def test_cli_refuses_a_span_as_a_carrier(tmp_path, capsys):
+    fix = tmp_path / "carrier.bicat"
+    fix.write_text(SPAN_G + "fn f : G -> X = a:a\ncheck equal G G\n")
+    rc = cli.main(["--instance", "span", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--fixtures", str(fix)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "bicat-check: malformed fixtures: line 3: unknown set 'G'" in err
+    assert "Traceback" not in out + err
+
+
 def test_parse_errors_carry_line_numbers():
     text = "set X = x0\nwobble\n"
     with pytest.raises(FmtError) as info:
@@ -159,12 +210,18 @@ def test_unprintable_labels_are_refused():
     X = FinSet(("ok", "not ok"))
     with pytest.raises(FmtError):
         print_document(describe({"X": X}))
+    # An apex is no set record: its labels are printed in the span entries.
+    Y = FinSet(("y0",))
+    apex = FinSet(("not ok",))
+    leg = SetFn(apex, Y, ("y0",))
+    with pytest.raises(FmtError, match="label 'not ok' has no text form"):
+        print_document(describe({"R": Span(Y, Y, apex, leg, leg)}))
 
 
 def test_comments_and_blank_lines_ignored():
     text = "\n# leading comment\n\nset X = x0\n   # indented comment\n"
     doc = parse_document(text)
-    assert list(doc.sets) == ["X"]
+    assert list(doc.entities) == ["X"]
 
 
 def test_empty_set_and_empty_span():
@@ -175,10 +232,11 @@ def test_empty_set_and_empty_span():
         "rel N : E -> A =\n"
     )
     doc = parse_document(text)
-    assert len(doc.sets["E"]) == 0
-    assert len(doc.spans["Z"].apex) == 0
-    assert doc.rels["N"].pairs == ()
-    assert parse_document(print_document(doc)).spans["Z"] == doc.spans["Z"]
+    assert len(doc.entities["E"]) == 0
+    assert len(doc.entities["Z"].apex) == 0
+    assert doc.entities["N"].pairs == ()
+    again = parse_document(print_document(doc))
+    assert again.entities["Z"] == doc.entities["Z"]
 
 
 CELL_HEAD = """\
@@ -193,9 +251,9 @@ rel R : X -> A = x0:a0
 def test_well_formed_cell_records_are_accepted():
     doc = parse_document(CELL_HEAD + "cell c : F -> G = s0:t0 s1:t1\n"
                          "cell r : R -> R =\n")
-    assert doc.cells["c"].entries == (("s0", "t0"), ("s1", "t1"))
-    assert doc.cells["r"].entries == ()
-    assert parse_document(print_document(doc)).cells == doc.cells
+    assert doc.entities["c"].entries == (("s0", "t0"), ("s1", "t1"))
+    assert doc.entities["r"].entries == ()
+    assert parse_document(print_document(doc)).entities == doc.entities
 
 
 @pytest.mark.parametrize("record,why", [

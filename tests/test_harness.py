@@ -150,7 +150,8 @@ def test_counterexamples_shrink_to_local_minimum():
     result = spec.run(instance_for("rel"), cfg)
     assert result.status == "fail"
     doc = parse_document(result.counterexample)
-    carrier_sizes = sorted(len(fs) for fs in doc.sets.values())
+    carrier_sizes = sorted(len(v) for v in doc.entities.values()
+                           if isinstance(v, fin.FinSet))
     assert carrier_sizes[-1] == 2
 
 
