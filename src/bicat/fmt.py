@@ -21,10 +21,10 @@ alphabet, pairs written ``(a,b)`` and nesting at most
     check map A
     check cell A -> B
 
-``:`` never occurs inside a label (the atom alphabet has none), so an
-entry splits on ``:`` exactly, into as many labels as the record expects.
-Each distinct label text is parsed once per :func:`parse_document` call,
-and each distinct label is rendered once per :func:`print_document` call.
+``:`` never occurs inside a label (the atom alphabet has none), so one
+colon count checks a record's entries and one split yields their labels.
+Each distinct label text is parsed once per :func:`parse_document` call (a
+pair ``(a,R)`` from its halves) and rendered once per ``print_document``.
 
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
 to entities declared earlier in the same document.  Blank lines and lines
@@ -48,7 +48,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .fin import FinSet, SetFn, parse_label, render_label, _ATOM
+from .fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label, render_label,
+                  _ATOM)
 from .rels import Rel, RelCell
 from .spans import Span, SpanCell
 
@@ -174,12 +175,29 @@ def print_document(doc: Document) -> str:
 # --- parsing ------------------------------------------------------------
 
 class _Labels(dict):
-    """Label text to label, each text parsed once: one per parsed document,
-    so nothing outlives it.  A text that fails to parse is not stored."""
+    """Whitespace-free label text to label, each text parsed once per parsed
+    document (so nothing outlives it); a failing text is not stored.  A pair
+    ``(a,R)`` with an atom on the left shares the labels of its halves; any
+    other text goes to :func:`bicat.fin.parse_label`, the one source of
+    errors."""
 
     def __missing__(self, text: str):
-        got = self[text] = parse_label(text)
+        if text.startswith("("):
+            got = self._pair(text)
+        else:
+            got = text if _ATOM.fullmatch(text) else parse_label(text)
+        self[text] = got
         return got
+
+    def _pair(self, text: str):
+        comma = text.find(",")  # the top-level one when the left is an atom
+        if (comma > 0 and not text.startswith("((") and text.endswith(")")
+                and text.count("(") <= MAX_LABEL_DEPTH):
+            try:
+                return self[text[1:comma]], self[text[comma + 1:-1]]
+            except ValueError:
+                pass
+        return parse_label(text)
 
 
 def parse_document(text: str) -> Document:
@@ -196,11 +214,14 @@ def parse_document(text: str) -> Document:
     return doc
 
 
-def _split_entry(token: str, parts: int, label):
-    bits = token.split(":")
-    if len(bits) != parts:
-        raise FmtError("expected %d-part entry, got %r" % (parts, token))
-    return tuple(map(label, bits))
+def _entries(body: list, parts: int, label) -> list:
+    """A record's labels, ``parts`` per entry; its first bad entry raises."""
+    counts = list(map(str.count, body, itertools.repeat(":")))
+    if counts.count(parts - 1) != len(body):
+        bad = next(i for i, n in enumerate(counts) if n != parts - 1)
+        _entries(body[:bad], parts, label)  # a bad label there comes first
+        raise FmtError("expected %d-part entry, got %r" % (parts, body[bad]))
+    return list(map(label, ":".join(body).split(":"))) if body else []
 
 
 def _header(tokens, keyword):
@@ -228,26 +249,29 @@ def _parse_line(doc: Document, line: str, label):
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
-        table = dict(_split_entry(t, 2, label) for t in body)
+        flat = _entries(body, 2, label)
+        table = dict(zip(flat[0::2], flat[1::2]))
+        if len(table) != len(body):
+            raise FmtError("fn %s lists a domain element twice" % name)
         if set(table) != set(A.elements):
             raise FmtError("fn %s entries do not cover the domain" % name)
         doc.declare(name, SetFn(A, C, (table[d] for d in A)))
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        triples = [_split_entry(t, 3, label) for t in body]
-        apex = FinSet(t[0] for t in triples)
-        left = SetFn(apex, X, (t[1] for t in triples))
-        right = SetFn(apex, A, (t[2] for t in triples))
+        flat = _entries(body, 3, label)
+        apex = FinSet(flat[0::3])
+        left, right = SetFn(apex, X, flat[1::3]), SetFn(apex, A, flat[2::3])
         doc.declare(name, Span(X, A, apex, left, right))
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
-        rel = Rel(_named_set(doc, src), _named_set(doc, tgt),
-                  (_split_entry(t, 2, label) for t in body))
-        doc.declare(name, rel)
+        X, A = _named_set(doc, src), _named_set(doc, tgt)
+        flat = _entries(body, 2, label)
+        doc.declare(name, Rel(X, A, zip(flat[0::2], flat[1::2])))
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
-        entries = tuple(_split_entry(t, 2, label) for t in body)
+        flat = _entries(body, 2, label)
+        entries = tuple(zip(flat[0::2], flat[1::2]))
         _check_cell_entries(doc, dom, cod, entries)
         doc.declare(name, CellRec(dom, cod, entries))
     elif kind == "check":

@@ -23,7 +23,7 @@ from typing import Callable
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
 from .fin import FinSet, SetFn, UNIT, clear_table
-from .fmt import Document, FmtError, describe, print_document
+from .fmt import _KEYWORDS, Document, FmtError, describe, print_document
 from .gen import (GenConfig, SUITES, carrier, map_cell, one_cell, rng_for,
                   thicken, thin)
 from .homprod import transport_cell, transport_hom
@@ -718,11 +718,10 @@ def _fixture_entity(B, doc: Document, name: str):
         value = doc.lookup(name)
     except FmtError as exc:
         raise FixtureError(str(exc)) from exc
-    want = "rel" if B.name == "rel" else "span"
-    kind = type(value).__name__.lower()
-    if kind != want:
+    kind = _KEYWORDS[type(value)]
+    if kind != B.name:
         raise FixtureError("entity %r is a %s, not a %s 1-cell"
-                           % (name, kind, want))
+                           % (name, kind, B.name))
     return value
 
 

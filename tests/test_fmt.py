@@ -1,17 +1,24 @@
 """The plain-text interchange format: printing, parsing, describing."""
 
+import pathlib
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicat import cli, rel_instance, span_instance
-from bicat.fin import MAX_LABEL_DEPTH, FinSet, SetFn
-from bicat.fmt import (Check, FmtError, describe, parse_document,
+from bicat.fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label,
+                       render_label)
+from bicat.fmt import (Check, FmtError, _Labels, describe, parse_document,
                        print_document)
 from bicat.gen import one_cell
 from bicat.rels import Rel
 from bicat.spans import Span
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+import fixturegen  # noqa: E402
 
 SAMPLE = """\
 # two carriers and a span between them
@@ -305,6 +312,14 @@ MALFORMED_ENTRIES = [
     ("rel R : X -> X = x:", "expected a label atom at ''"),
     ("span S : X -> X = %s:x:x" % _nested(MAX_LABEL_DEPTH + 1),
      "label nests pairs more than"),
+    ("fn f : X -> X = x:x x:x", "fn f lists a domain element twice"),
+    # Two faults: the first malformed entry decides the message.
+    ("span S : X -> X = (a:x:x s1:x:x s2:x",
+     "expected ',' in pair label near ''"),
+    ("span S : X -> X = s0:x s1:x:x (a:x:x",
+     "expected 3-part entry, got 's0:x'"),
+    ("rel R : X -> X = x:(x, x:x:x", "expected a label atom at ''"),
+    ("span S : X -> X = s0:x:x s1:x:(x,x s2:x", "unclosed pair label near ''"),
 ]
 
 
@@ -324,3 +339,78 @@ def test_cli_malformed_entries_exit_two(tmp_path, capsys, record, why):
     assert rc == 2
     assert "bicat-check: malformed fixtures: line 2: " + why in err
     assert "Traceback" not in out + err
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_label_texts(draw):
+    chars = list(render_label(draw(nested_labels)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(chars)))
+        edit, c = draw(st.sampled_from("idr")), draw(st.sampled_from("(),:a"))
+        if edit == "i":
+            chars.insert(i, c)
+        elif i < len(chars):
+            chars[i:i + 1] = "" if edit == "d" else c
+    return "".join(chars)
+
+
+label_texts = st.one_of(nested_labels.map(render_label),
+                        st.text("(),:a", max_size=12), mutated_label_texts())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(label_texts, max_size=8))
+def test_label_table_agrees_with_parse_label(texts):
+    # One table for all texts, so later texts meet halves parsed earlier.
+    table = _Labels()
+    for text in texts:
+        assert _outcome(table.__getitem__, text) == _outcome(parse_label, text)
+
+
+def test_label_table_bounds_depth_without_recursion_error():
+    table = _Labels()
+    for depth in (MAX_LABEL_DEPTH + 1, 2000):
+        for text in (_nested(depth), "(a,%s)" % _nested(depth - 1)):
+            with pytest.raises(ValueError, match="^label nests pairs more"):
+                table[text]
+    deepest = _nested(MAX_LABEL_DEPTH)
+    assert table[deepest] == parse_label(deepest)
+    # More than MAX_LABEL_DEPTH parens, but shallow: a complete tree.
+    wide = "a"
+    for _ in range(7):
+        wide = "(%s,%s)" % (wide, wide)
+    assert table[wide] == parse_label(wide)
+
+
+@pytest.mark.parametrize("text", ["((" + "," * 200_000 + ")",
+                                  "(a," + "," * 200_000 + ")"],
+                         ids=["pair-left", "atom-left"])
+def test_label_table_refuses_a_long_comma_run_at_once(text):
+    with pytest.raises(ValueError) as parsed:
+        parse_label(text)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as tabled:
+        _Labels()[text]
+    assert time.perf_counter() - start < 1.0
+    assert str(tabled.value) == str(parsed.value)
+
+
+def test_pair_labels_share_their_parsed_halves():
+    doc = parse_document(fixturegen.generate(3, 300)[0])
+    shared = 0
+    for chk in doc.checks:
+        if chk.kind != "compose":
+            continue
+        R, T, H = map(doc.lookup, chk.args)
+        left, right = ({x: x for x in S.apex} for S in (R, T))
+        for r, t in (h for h in H.apex if isinstance(h, tuple)):
+            assert r is left[r] and t is right[t]
+            shared += 1
+    assert shared > 1000

@@ -197,6 +197,23 @@ def test_fixture_wrong_instance_is_an_error_not_a_failure():
         run_fixture_checks(instance_for("rel"), missing)
 
 
+@pytest.mark.parametrize("instance,records,said", [
+    ("span", "span F : X -> X = s0:x0:x0\ncell c : F -> F = s0:s0\n"
+     "check equal c c", "entity 'c' is a cell, not a span 1-cell"),
+    ("rel", "check equal X X", "entity 'X' is a set, not a rel 1-cell"),
+], ids=["cell", "set"])
+def test_cli_fixture_type_error_names_the_record_keyword(
+        tmp_path, capsys, instance, records, said):
+    fix = tmp_path / "kind.bicat"
+    fix.write_text("set X = x0\n%s\n" % records)
+    rc = cli.main(["--instance", instance, "--max-size", "1", "--trials",
+                   "1", "--suite", "kernel", "--fixtures", str(fix)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err == "bicat-check: fixture cannot be interpreted: %s\n" % said
+    assert "Traceback" not in out
+
+
 def test_fixture_results_appended_as_own_suite():
     doc = parse_document("set X = x0\nrel R : X -> X = x0:x0\ncheck map R\n")
     cfg = GenConfig(seed=0, max_carrier=2, trials=2, instance="rel",
