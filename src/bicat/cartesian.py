@@ -11,12 +11,12 @@ composites with map frames, and the degenerate tensor through the unit.
 
 Everything returns plain 2-cells or small report dicts; invertibility is
 always decided by the instance (bijective apex function, or boundary
-equality for relations), never by search.
+equality for relations), never by search.  The unit constraint is memoised.
 """
 
 from __future__ import annotations
 
-from .fin import UNIT
+from .fin import UNIT, memoised
 from .homprod import transport_cell
 from .kernel import compose_adjunctions
 from .mapprod import map_iso, times_on_arrows
@@ -43,6 +43,7 @@ def tensor_2cells(B, alpha, beta):
                             B.vcomp(t_dom.wedge.proj2, pb))
 
 
+@memoised
 def tensor_unit_cell(B, X, Y):
     """The nullary constraint ``1_{XxY} -> 1_X (x) 1_Y`` of the tensor."""
     tens = g_tensor(B, B.identity(X), B.identity(Y))

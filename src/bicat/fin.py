@@ -12,22 +12,25 @@ were given in, equality compares that order, and every derived carrier
 induced by its factors.  That convention is what makes repeated runs produce
 identical structures.
 
-Values are hash-consed for as long as they live.  Two tables hold them:
+Values are hash-consed for as long as they live.  Two stores hold them:
 
 * ``_VALUES`` maps each value's class and components to a weak reference
   to the value, and the reference's callback drops the entry when the value
   dies.  Building an equal value while one is alive returns that object and
   skips validation, so two live equal values are always one object:
   equality and hashing are identity, and keys made of values hash in C.
-* ``_TABLE`` is the current unit's memo (a seeded check with its trials
-  and shrink attempts, a negative control or a fixture record).  Through
-  :func:`memoised` it holds the results of the pure operations a unit
-  repeats: the instances' structure operations, local products, ``fn`` and
-  ``Span.is_map``, ``mapprod``'s product cones, pairings and ``map_iso``,
-  both ``homprod`` transports, ``compose_adjunctions``, ``g_tensor`` and
-  ``garr_from_secondary``.  A key holds every argument, the instance
-  included, and a raised error is never stored.  :func:`clear_table`
-  empties it when a unit starts: peak memory follows the largest unit.
+* ``_TABLES`` is the current unit's memo (a seeded check with its trials
+  and shrink attempts, a negative control or a fixture record): one table
+  per :func:`memoised` operation, keyed on its arguments, the instance
+  included.  It holds the pure operations a unit repeats: the instances'
+  structure operations, local products, ``fn``, ``Span.is_map`` and the
+  span fibre index; ``mapprod``'s cones, pairings, ``map_iso`` and cone
+  checks; both ``homprod`` transports; ``compose_adjunctions`` and
+  ``right_mate_of_map_cell``; ``g_tensor``, ``g_pair``, ``g_compose``,
+  ``secondary``, ``garr_from_secondary`` and ``tensor_unit_cell``.  A
+  ``None`` result is stored; a raised error never is.  :func:`clear_table`
+  empties every table when a unit starts: peak memory follows the largest
+  unit.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
 the canonical copy, and a rebuild returns it.
@@ -52,8 +55,10 @@ MAX_LABEL_DEPTH = 100
 #: Every live value, keyed on its class and components.
 _VALUES: dict = {}
 
-#: The current unit's memoised results.
-_TABLE: dict = {}
+#: The current unit's memoised results, one table per memoised operation.
+_TABLES: list = []
+#: A table's answer for a call it has not seen; ``None`` is a result.
+_MISSING = object()
 
 
 class _Ref(weakref.ref):
@@ -78,21 +83,24 @@ def _intern(key, value):
 
 def clear_table() -> None:
     """Forget every memoised result; a unit (a whole check) starts."""
-    _TABLE.clear()
+    for table in _TABLES:
+        table.clear()
 
 
 def memoised(op):
-    """Memoise a pure operation in the unit's memo, keyed on ``op`` and its
-    arguments (``self`` included).  A raised error is never stored."""
+    """Memoise a pure operation in a table of its own, ``run.table``, keyed
+    on its arguments (``self`` included).  A raised error is never stored."""
+    table = {}
+    _TABLES.append(table)
 
     @functools.wraps(op)
     def run(*args):
-        key = (op, *args)
-        got = _TABLE.get(key)
-        if got is None:
-            got = _TABLE[key] = op(*args)
+        got = table.get(args, _MISSING)
+        if got is _MISSING:
+            got = table[args] = op(*args)
         return got
 
+    run.table = table
     return run
 
 

@@ -10,7 +10,7 @@ alphabet, pairs written ``(a,b)`` and nesting at most
                                                  in domain order)
     span NAME : SRC -> TGT = s:x:a s:x:a ...    (apex element, left image,
                                                  right image; apex order)
-    rel NAME : SRC -> TGT = x:a x:a ...         (related pairs)
+    rel NAME : SRC -> TGT = x:a x:a ...         (related pairs, each once)
     cell NAME : DOM -> COD = s:t s:t ...        (apex mapping for span cells,
                                                  one entry per DOM apex
                                                  element, each landing in
@@ -267,7 +267,10 @@ def _parse_line(doc: Document, line: str, label):
         name, src, tgt, body = _header(rest, "rel")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
         flat = _entries(body, 2, label)
-        doc.declare(name, Rel(X, A, zip(flat[0::2], flat[1::2])))
+        pairs = set(zip(flat[0::2], flat[1::2]))
+        if len(pairs) != len(body):
+            raise FmtError("rel %s lists a pair twice" % name)
+        doc.declare(name, Rel(X, A, pairs))
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
         flat = _entries(body, 2, label)

@@ -23,8 +23,8 @@ The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
 by the carrier projections; :func:`g_pair` mediates an arbitrary cone
 through it and is the workhorse every constraint cell downstream is built
-from.  Tensors and squares built from a secondary filler are memoised in the
-per-unit memo of :mod:`bicat.fin`.
+from.  Tensors, mediating squares, composites along the frames and both
+filler forms are memoised in the per-unit memo of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
     return GArr(dom, cod, f, u, primary)
 
 
+@memoised
 def secondary(B, a: GArr):
     """The filler's secondary form ``dom -> comp(f, comp(cod, u*))``: the
     mate of the primary one across ``u -| u*``."""
@@ -106,6 +107,7 @@ def g_map_arrow(B, f) -> GArr:
     return garr_from_primary(B, one_s, one_t, f, f, B.id2(f))
 
 
+@memoised
 def g_compose(B, a1: GArr, a2: GArr) -> GArr:
     """Compose squares along the frames: ``R => S => T`` becomes ``R => T``
     over ``comp(f1, f2)`` and ``comp(u1, u2)``."""
@@ -212,6 +214,7 @@ def g_tensor(B, R, S) -> TensorWitness:
     return TensorWitness(obj, proj1, proj2, R, S, wedge, src, tgt)
 
 
+@memoised
 def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     """Mediate a cone through the tensor.
 

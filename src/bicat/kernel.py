@@ -7,7 +7,7 @@ equivalence witnesses.  Each pasting is a vertical chain ``B.vc(...)`` of
 whiskerings, associators and (co)units, first to last.  Identity 1-cells
 compose strictly in both instances, so no unitors appear; rebracketing is
 always an explicit ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions
-are memoised in the per-unit memo of :mod:`bicat.fin`.
+and right mates of map cells are memoised in the per-unit memo of ``fin``.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ def mate_to_primary(B, beta, R, S, f, adj: Adjunction):
     )
 
 
+@memoised
 def right_mate_of_map_cell(B, psi, adj_m: Adjunction, adj_m2: Adjunction):
     """The right adjoint of a 2-cell between maps.
 

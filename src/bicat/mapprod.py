@@ -7,10 +7,10 @@ constructions here are chosen so that on canonical graph maps everything is
 strict: pairing constraint cells, projection composites and naturality
 squares of the terminal and diagonal transformations all come out as
 identity 2-cells.  The canonical product cone of two carriers, the pairing
-of two maps and the isomorphism between two maps are memoised in the
-per-unit memo of :mod:`bicat.fin`, so a unit builds each one once.  A
-checker validates arbitrary candidate cones by brute force, which is what
-gives the negative controls teeth.
+of two maps, the isomorphism between two maps and a cone's verdict are
+memoised in the per-unit memo of :mod:`bicat.fin`, so a unit builds each
+one once.  A checker validates arbitrary candidate cones by brute force,
+which is what gives the negative controls teeth.
 """
 
 from __future__ import annotations
@@ -165,6 +165,7 @@ def fill2(B, T, U, alpha, beta, cone: ProductCone):
     return gamma
 
 
+@memoised
 def check_product_cone(B, cone: ProductCone):
     """Validate a candidate product cone by exhaustive finite search.
 

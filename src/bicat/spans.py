@@ -29,9 +29,9 @@ built.  Spans and their cells are hash-consed in the value table of
 :mod:`bicat.fin`, so they compare by identity.  :class:`SpanBicat` memoises
 its structure operations (``comp``, ``identity``, ``id2``, ``vcomp``, the
 whiskerings, ``hcomp``, ``assoc``, ``invert``, ``map_adjunction`` and
-``local_product``), and :meth:`Span.fn` and :meth:`Span.is_map` their
-results, in the per-unit memo, so an operation repeated within a unit
-returns the object it returned before.
+``local_product``), and :meth:`Span.fn`, :meth:`Span.is_map` and
+``_fibres`` their results, in the per-unit memo, so an operation repeated
+within a unit returns the object it returned before.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ import itertools
 from .fin import _VALUES, FinSet, SetFn, UNIT, _intern, memoised, render_label
 
 
+@memoised
 def _fibres(S: "Span") -> dict:
     """S's apex elements keyed by their pair of leg values, each list in
-    apex order: the build side of the hash joins over two parallel spans."""
+    apex order: the build side of the hash joins over two parallel spans,
+    shared within a unit, so callers only read it."""
     fibres = {}
     for s, legs in zip(S.apex.elements, zip(S.left.values, S.right.values)):
         fibres.setdefault(legs, []).append(s)

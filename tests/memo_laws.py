@@ -7,17 +7,17 @@ with its reversal of 1-cells (``spans.reverse``, ``rels.converse``).
 
 import pytest
 
-from bicat.fin import _TABLE, FinSet, SetFn, clear_table
+from bicat.fin import FinSet, SetFn, clear_table
 from bicat.gen import GenConfig
 from bicat.harness import property_check
 
 
 def stored(op, args) -> bool:
     """Whether the memo holds a result of the memoised function or bound
-    method ``op`` at ``args``."""
-    fn = getattr(op, "__func__", op).__wrapped__
+    method ``op`` at ``args``: a key of ``op``'s own table."""
+    table = getattr(op, "__func__", op).table
     bound = getattr(op, "__self__", None)
-    return ((fn, *args) if bound is None else (fn, bound, *args)) in _TABLE
+    return (args if bound is None else (bound, *args)) in table
 
 
 def full_pair(B, rev):

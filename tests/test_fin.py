@@ -1,9 +1,10 @@
+import importlib
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bicat.fin import (_TABLE, _VALUES, FinSet, SetFn, UNIT, all_functions,
+from bicat.fin import (_TABLES, _VALUES, FinSet, SetFn, UNIT, all_functions,
                        clear_table, memoised, parse_label, render_label)
 
 atoms = st.from_regex(r"[A-Za-z0-9_*'+.=|!?$-]{1,8}", fullmatch=True)
@@ -100,15 +101,26 @@ def test_equal_values_are_one_object_within_a_unit():
     then = memoised(SetFn.then)
     ident = SetFn.identity(UNIT)
     assert then(f, ident) is f
-    assert (SetFn.then, f, ident) in _TABLE
+    assert (f, ident) in then.table
     # A clear forgets the memo, but a value still referenced stays the
     # one live copy: rebuilding it returns the same object.
     clear_table()
-    assert (SetFn.then, f, ident) not in _TABLE
+    assert (f, ident) not in then.table
     assert FinSet(("a", "b")) is X
     assert SetFn(X, UNIT, ("*", "*")) is f
     assert then(f, ident) is f
-    assert (SetFn.then, f, ident) in _TABLE
+    assert (f, ident) in then.table
+
+
+def test_a_clear_empties_every_table():
+    # Every memoised operation registers its table, whichever module
+    # defines it, and a clear reaches them all.
+    importlib.import_module("bicat.cli")
+    assert len(_TABLES) > 1
+    for table in _TABLES:
+        table[("not cleared",)] = None
+    clear_table()
+    assert not any(_TABLES)
 
 
 def test_a_value_leaves_the_value_table_when_it_dies():

@@ -313,6 +313,7 @@ MALFORMED_ENTRIES = [
     ("span S : X -> X = %s:x:x" % _nested(MAX_LABEL_DEPTH + 1),
      "label nests pairs more than"),
     ("fn f : X -> X = x:x x:x", "fn f lists a domain element twice"),
+    ("rel R : X -> X = x:x x:x", "rel R lists a pair twice"),
     # Two faults: the first malformed entry decides the message.
     ("span S : X -> X = (a:x:x s1:x:x s2:x",
      "expected ',' in pair label near ''"),

@@ -6,7 +6,7 @@ import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.coherence import shape_leaf, shape_prod
-from bicat.fin import _TABLE, UNIT, FinSet, SetFn, clear_table
+from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell
 from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
                            check_product_cone, diag, diag_nat, fill2, map_iso,
@@ -34,13 +34,13 @@ def test_canonical_cone_is_built_once_per_unit():
         assert product_object(B, X, Y) is cone
         assert product_object(B, Y, X) != cone
         clear_table()
-        assert (product_object.__wrapped__, B, X, Y) not in _TABLE
+        assert (B, X, Y) not in product_object.table
         # The cone is no interned value, so it is built again; its legs
         # are still referenced through ``cone``, so they come back.
         again = product_object(B, X, Y)
         assert again == cone and again is not cone
         assert again.legs[0] is cone.legs[0]
-        assert (product_object.__wrapped__, B, X, Y) in _TABLE
+        assert (B, X, Y) in product_object.table
 
 
 def test_ternary_product_flattens():

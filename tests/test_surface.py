@@ -10,16 +10,20 @@ are matched by attribute name, so a method that shares its name with one
 the program reads is not caught.
 
 No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
-paper layer asks which instance it runs on, and the interned value classes
-keep object identity as their equality.
+paper layer asks which instance it runs on, the interned value classes
+keep object identity as their equality, and every memoised operation is
+exercised by the memo laws.
 """
 
 import ast
 import pathlib
 
+import memo_laws
+import test_upper_memos
+from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
-from bicat.rels import Rel, RelCell
-from bicat.spans import Span, SpanCell
+from bicat.rels import Rel, RelCell, converse
+from bicat.spans import Span, SpanCell, reverse
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAM = sorted((ROOT / "src" / "bicat").glob("*.py"))
@@ -190,3 +194,19 @@ def test_value_classes_compare_by_identity():
     for cls in (FinSet, SetFn, Span, SpanCell, Rel, RelCell):
         assert cls.__eq__ is object.__eq__, cls.__name__
         assert cls.__hash__ is object.__hash__, cls.__name__
+
+
+def test_every_memoised_operation_is_in_a_memo_law_list():
+    # A memo that no law exercises could keep a stale or wrongly keyed
+    # result unseen: each ``@memoised`` definition must be on a call list.
+    memoised = {node.name for path in PROGRAM
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef)
+                and any(isinstance(d, ast.Name) and d.id == "memoised"
+                        for d in node.decorator_list)}
+    listed = set()
+    for B, rev in ((span_instance(), reverse), (rel_instance(), converse)):
+        listed |= {name for name, _ in memo_laws._memoised_calls(B, rev)}
+        listed |= {name for name, _, _ in test_upper_memos._memoised_calls(B)}
+    missing = sorted(memoised - listed)
+    assert not missing, "add these to a memo-law call list: %s" % missing

@@ -1,22 +1,25 @@
 """The constructions above the instances that are memoised per unit.
 
 Each one returns the stored object when repeated within a unit, and a
-cleared table no longer holds it; a refused call raises every time; and the
-instance is part of every key, so a proxy instance gets its own entries.
+cleared table no longer holds it; a ``None`` result is stored too; a
+refused call raises every time; and the instance is part of every key, so a
+proxy instance gets its own entries.
 """
 
 import pytest
 
-from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn, clear_table
-from bicat.groth import (TensorWitness, g_tensor, g_terminal,
-                         garr_from_secondary)
+from bicat import mapprod, rel_instance, span_instance
+from bicat.cartesian import tensor_unit_cell
+from bicat.fin import UNIT, FinSet, SetFn, clear_table
+from bicat.groth import (TensorWitness, g_compose, g_identity, g_pair,
+                         g_tensor, g_terminal, garr_from_secondary, secondary)
 from bicat.harness import _CorruptTau
 from bicat.homprod import LocalProductWitness, transport_cell, transport_hom
-from bicat.kernel import compose_adjunctions
-from bicat.mapprod import bang, map_iso, pairing
+from bicat.kernel import compose_adjunctions, right_mate_of_map_cell
+from bicat.mapprod import (bang, check_product_cone, map_iso, pairing,
+                           product_object)
 from bicat.rels import Rel, RelCell
-from bicat.spans import Span, SpanCell, relabel_apex
+from bicat.spans import Span, SpanCell, _fibres, relabel_apex
 from memo_laws import stored
 
 INSTANCES = (span_instance(), rel_instance())
@@ -38,10 +41,13 @@ def _cells(B):
 
 
 def _memoised_calls(B):
-    """Every newly memoised operation, with arguments it is defined at."""
+    """Every memoised operation above the instances' structure operations,
+    with arguments it is defined at."""
     full, f, swap, scrambled = _cells(B)
     f_star = B.map_adjunction(f).right
-    return [
+    one = g_identity(B, full)
+    adj_f = B.map_adjunction(f)
+    calls = [
         ("g_tensor", g_tensor, (B, full, f)),
         ("garr_from_secondary", garr_from_secondary,
          (B, full, g_terminal(B), bang(B, X), bang(B, A), B.tau(full))),
@@ -53,7 +59,21 @@ def _memoised_calls(B):
          (B, B.map_adjunction(swap), B.map_adjunction(f))),
         ("local_product", B.local_product, (full, f)),
         ("fn", type(f).fn, (scrambled,)),
+        ("product_object", product_object, (B, X, A)),
+        ("check_product_cone", check_product_cone,
+         (B, product_object(B, X, UNIT))),
+        ("g_pair", g_pair, (B, g_tensor(B, full, full), one, one)),
+        ("secondary", secondary, (B, one)),
+        ("g_compose", g_compose, (B, one, one)),
+        ("right_mate_of_map_cell", right_mate_of_map_cell,
+         (B, B.id2(f), adj_f, adj_f)),
+        ("tensor_unit_cell", tensor_unit_cell, (B, X, A)),
     ]
+    if B.name == "span":
+        # Only spans have a fibre index and a memoised ``is_map``.
+        calls += [("_fibres", _fibres, (full,)),
+                  ("is_map", Span.is_map, (scrambled,))]
+    return calls
 
 
 def _parts(x):
@@ -77,10 +97,32 @@ def test_upper_memoised_operations_repeat_within_a_unit_only():
             assert not stored(op, args), (B.name, name)
             again = op(*args)
             assert stored(op, args), (B.name, name)
-            # A witness is built again; a value ``first`` still holds comes
-            # back as the same object.
-            assert (again is first) == isinstance(first, VALUES), (B.name, name)
+            # A witness is built again; a value ``first`` still holds, and
+            # ``None`` or a truth value, comes back as the same object.
+            same = first is None or isinstance(first, VALUES + (bool,))
+            assert (again is first) == same, (B.name, name)
             assert _parts(again) == _parts(first), (B.name, name)
+
+
+def test_a_none_result_is_stored_and_not_recomputed(monkeypatch):
+    # ``check_product_cone`` returns ``None`` on a product cone; the repeat
+    # must find it in the memo, not search the probe carriers again.
+    searched = []
+    all_functions = mapprod.all_functions
+
+    def counted(*args):
+        searched.append(args)
+        return all_functions(*args)
+
+    monkeypatch.setattr(mapprod, "all_functions", counted)
+    for B in INSTANCES:
+        cone = product_object(B, X, UNIT)
+        assert check_product_cone(B, cone) is None
+        assert stored(check_product_cone, (B, cone)), B.name
+        before = len(searched)
+        assert before > 0
+        assert check_product_cone(B, cone) is None
+        assert len(searched) == before, B.name
 
 
 def test_refused_upper_calls_raise_on_every_call():
