@@ -198,18 +198,13 @@ def precartesian_violation(B, pairs):
     return None
 
 
-def is_cartesian(B, object_pairs, arrow_quads, parallel_pairs):
+def is_cartesian(B, object_pairs, arrow_quads):
     """Decide cartesianness on the sampled data by explicit inverse search.
 
     ``object_pairs``: carrier pairs for the nullary constraint;
-    ``arrow_quads``: (R, S, T, U) tuples for the binary constraint;
-    ``parallel_pairs``: parallel 1-cell pairs for the preconditions.
-    Precondition failures are reported distinctly from invertibility
-    failures.
+    ``arrow_quads``: (R, S, T, U) tuples for the binary constraint.
+    The precartesian preconditions are :func:`precartesian_violation`'s.
     """
-    pre = precartesian_violation(B, parallel_pairs)
-    if pre is not None:
-        return {"ok": False, "violation": pre}
     for X, Y in object_pairs:
         cell = tensor_unit_cell(B, X, Y)
         if not B.is_invertible(cell):

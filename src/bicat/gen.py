@@ -65,9 +65,14 @@ def rng_for(seed: int, tag: str) -> random.Random:
     return random.Random(derive_seed(seed, tag))
 
 
-def carrier(rng: random.Random, prefix: str, max_size: int) -> FinSet:
-    size = rng.randint(0, max_size)
+def canonical_carrier(prefix: str, size: int) -> FinSet:
+    """The carrier ``prefix0 .. prefix{size-1}``: the laws are invariant
+    under relabelling, so one carrier per size stands for all of them."""
     return FinSet("%s%d" % (prefix, i) for i in range(size))
+
+
+def carrier(rng: random.Random, prefix: str, max_size: int) -> FinSet:
+    return canonical_carrier(prefix, rng.randint(0, max_size))
 
 
 def set_fn(rng: random.Random, A: FinSet, C: FinSet):
@@ -113,7 +118,7 @@ def map_cell(B, rng: random.Random, X: FinSet, A: FinSet, scramble=True):
         return None
     m = B.graph(fn)
     if B.name == "span" and scramble and len(X) > 0 and rng.random() < 0.5:
-        names = FinSet("q%d" % i for i in range(len(X)))
+        names = canonical_carrier("q", len(X))
         values = list(names)
         rng.shuffle(values)
         m = relabel_apex(m, SetFn(m.apex, names, values))

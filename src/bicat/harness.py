@@ -1,13 +1,15 @@
-"""Suite orchestration: seeded property checks over both instances.
+"""Suite orchestration: checks of two kinds over both instances.
 
-Each check draws its own carriers and structure from a seed derived from
-``(config seed, instance, check id, trial index)``, so single trials replay
-in isolation.  On failure the carriers are shrunk greedily: remove one
-element, regenerate the dependent structure from the same per-trial seed,
-re-test, repeat until no single removal still fails.  The final
-counterexample is rendered through the interchange format, whose printer
-refuses any name or label without a text form, so every reported payload
-parses back to the entities it names.
+A sampled check (:func:`property_check`) draws its carriers and structure
+from a seed derived from ``(config seed, instance, check id, trial index)``,
+so single trials replay in isolation.  On failure the carriers are shrunk
+greedily: remove one element, regenerate the dependent structure from the
+same per-trial seed, re-test, repeat until no single removal still fails.
+An exhaustive check (:func:`exhaustive_check`) runs every tuple of
+canonical carriers up to a size bound, and its first failure needs no
+shrinking.  Either way the counterexample is rendered through the
+interchange format, whose printer refuses any name or label without a text
+form, so every reported payload parses back to the entities it names.
 
 Negative controls run a deliberately corrupted instance through the same
 machinery and pass exactly when the corruption is caught; the caught
@@ -17,6 +19,7 @@ failure looks like.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -24,8 +27,8 @@ from typing import Callable
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
 from .fin import FinSet, SetFn, UNIT, clear_table
 from .fmt import _KEYWORDS, Document, FmtError, describe, print_document
-from .gen import (GenConfig, SUITES, carrier, map_cell, one_cell, rng_for,
-                  thicken, thin)
+from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
+                  one_cell, rng_for, thicken, thin)
 from .homprod import transport_cell, transport_hom
 from .mapprod import (ProductCone, bang_nat, check_product_cone, diag_nat,
                       fill2, maps_isomorphic, pairing, product_object)
@@ -86,6 +89,31 @@ def _shrink(attempt, trial, carriers, cx):
                 break
         else:
             return carriers, cx
+
+
+def exhaustive_check(check_id, prefixes, body, size_cap):
+    """An exhaustive check: ``body(B, None, carriers) -> None | entity dict``
+    on every tuple of canonical carriers, one per size since the laws are
+    invariant under relabelling, with sizes up to ``min(cfg.max_carrier,
+    size_cap)``; the tuples share one memo.  ``trials`` counts the tuples
+    checked, and ``--trials`` and the seed do not apply.  Tuples run in
+    :func:`itertools.product` order, so every tuple elementwise below the
+    first failing one has passed: that tuple is minimal as it stands.
+    """
+
+    def run(B, cfg: GenConfig) -> CheckResult:
+        t0 = time.monotonic()
+        sizes = range(min(cfg.max_carrier, size_cap) + 1)
+        clear_table()
+        shapes = itertools.product(sizes, repeat=len(prefixes))
+        for n, shape in enumerate(shapes, 1):
+            carriers = tuple(map(canonical_carrier, prefixes, shape))
+            cx = body(B, None, carriers)
+            if cx is not None:
+                return CheckResult(check_id, "fail", n, _payload(cx), _ms(t0))
+        return CheckResult(check_id, "pass", n, None, _ms(t0))
+
+    return CheckSpec(check_id, run)
 
 
 def negative_check(check_id, body):
@@ -532,7 +560,7 @@ def _chk_global_constraints(B, rng, carriers):
     S = one_cell(B, rng, Y, C, 2)
     T = one_cell(B, rng, A, X, 2)
     U = one_cell(B, rng, C, Y, 2)
-    rep = cartesian.is_cartesian(B, [(X, Y)], [(R, S, T, U)], [])
+    rep = cartesian.is_cartesian(B, [(X, Y)], [(R, S, T, U)])
     return None if rep["ok"] else {"R": R, "S": S, "T": T, "U": U}
 
 
@@ -637,8 +665,12 @@ CARTESIAN_CHECKS = (
 def _chk_braid_syllepsis(B, rng, carriers):
     X, Y = carriers
     p, r = product_object(B, X, Y).legs
+    ps, rs = product_object(B, Y, X).legs
+    s, bmu, bnu = coherence.braid(B, X, Y)
     sigma, phi, psi = coherence.syllepsis_data(B, X, Y)
-    ok = (B.whisker_right(sigma, p) == phi
+    ok = (bmu.dom == B.comp(s, rs) and bmu.cod == p
+          and bnu.dom == B.comp(s, ps) and bnu.cod == r
+          and B.whisker_right(sigma, p) == phi
           and B.whisker_right(sigma, r) == psi
           and B.is_invertible(sigma))
     return None if ok else {"X": X, "Y": Y}
@@ -681,9 +713,9 @@ def _neg_identity_braid(B, cfg):
 
 
 MONOIDAL_CHECKS = (
-    property_check("braid-syllepsis-equations", ("x", "y"),
-                   _chk_braid_syllepsis, size_cap=3),
-    property_check("swap-involution", ("x", "y"), _chk_symmetry, size_cap=4),
+    exhaustive_check("braid-syllepsis-equations", ("x", "y"),
+                     _chk_braid_syllepsis, size_cap=3),
+    exhaustive_check("swap-involution", ("x", "y"), _chk_symmetry, size_cap=4),
     property_check("rebracket-filler", ("x", "y", "z", "w"),
                    _chk_rebracket, size_cap=3, trial_cap=40),
     property_check("pentagon-route-uniqueness", ("x", "y", "z", "u", "v"),

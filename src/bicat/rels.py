@@ -61,10 +61,6 @@ class Rel:
                          for x, a in self.pairs)
         return "Rel{%s}" % body
 
-    def is_identity(self):
-        return (self.source == self.target
-                and self.pairset == {(x, x) for x in self.source})
-
     def is_map(self):
         """True when the relation is the graph of a total function."""
         seen = {}

@@ -9,7 +9,7 @@ import pytest
 
 from bicat.fin import FinSet, SetFn, clear_table
 from bicat.gen import GenConfig
-from bicat.harness import property_check
+from bicat.harness import exhaustive_check, property_check
 
 
 def stored(op, args) -> bool:
@@ -91,15 +91,17 @@ def test_property_check_shares_one_memo_per_check(instance):
         B.comp(f, g)
         return {"X": carriers[0]} if len(carriers[0]) >= 2 else None
 
-    spec = property_check("toy-memo-scope", ("x",), body)
     cfg = GenConfig(seed=1, max_carrier=4, trials=20, instance=B.name,
                     suites=("kernel",))
-    for _ in range(2):
-        seen.clear()
-        result = spec.run(B, cfg)
-        assert result.status == "fail"
-        # Only the first attempt builds the composite: later trials and
-        # the shrink attempts find it in the memo.  A second run of the
-        # check starts empty again.
-        assert len(seen) > result.trials > 1
-        assert seen == [False] + [True] * (len(seen) - 1)
+    # Only the first attempt builds the composite: later trials, a sampled
+    # check's shrink attempts and an exhaustive check's later tuples find
+    # it in the memo.  A second run of the check starts empty again.
+    for spec, shrinks in ((property_check("toy-memo-scope", ("x",), body), 1),
+                          (exhaustive_check("toy-memo-scope", ("x",), body, 4),
+                           0)):
+        for _ in range(2):
+            seen.clear()
+            result = spec.run(B, cfg)
+            assert result.status == "fail"
+            assert len(seen) - shrinks >= result.trials > 1
+            assert seen == [False] + [True] * (len(seen) - 1)

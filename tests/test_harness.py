@@ -1,6 +1,7 @@
 """End-to-end runs of the check harness and the command line entry."""
 
 import gc
+import itertools
 import os
 import pathlib
 import subprocess
@@ -9,12 +10,12 @@ from dataclasses import replace
 
 import pytest
 
-from bicat import cli, fin, gen, harness
+from bicat import cli, coherence, fin, gen, harness
 from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
-                           instance_for, property_check, run_config,
-                           run_fixture_checks)
+                           exhaustive_check, instance_for, property_check,
+                           run_config, run_fixture_checks)
 from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
@@ -74,16 +75,21 @@ def test_runs_are_reproducible():
 
 def test_memo_scope_does_not_change_reports(monkeypatch):
     # Memoised operations are pure, so a check whose trials share one memo
-    # reports exactly what it reports when every attempt starts empty.
-    def fresh_rng_for(seed, tag):
-        fin.clear_table()
-        return gen.rng_for(seed, tag)
+    # reports exactly what it reports when every attempt starts empty.  A
+    # sampled attempt starts by seeding, an exhaustive one by its carriers.
+    def fresh(make):
+        def made(*args):
+            fin.clear_table()
+            return make(*args)
+        return made
 
     cfgs = [GenConfig(seed=seed, max_carrier=3, trials=5, instance=name,
                       suites=SUITES)
             for name in ("span", "rel") for seed in (0, 7)]
     shared = [render_machine(strip_wall(run_config(c))) for c in cfgs]
-    monkeypatch.setattr(harness, "rng_for", fresh_rng_for)
+    monkeypatch.setattr(harness, "rng_for", fresh(gen.rng_for))
+    monkeypatch.setattr(harness, "canonical_carrier",
+                        fresh(gen.canonical_carrier))
     assert [render_machine(strip_wall(run_config(c))) for c in cfgs] == shared
 
 
@@ -138,30 +144,57 @@ def test_nonmap_control_asks_the_instance():
 
 
 def test_counterexamples_shrink_to_local_minimum():
+    # A sampled check shrinks to a local minimum; an exhaustive one stops
+    # at the first failing tuple in product order, which is minimal.
     def body(B, rng, carriers):
-        (X,) = carriers
-        if len(X) >= 2:
-            return {"R": B.identity(X)}
+        X, Y = carriers
+        if len(X) >= 2 and len(Y) >= 1:
+            return {"R": B.identity(X), "Y": Y}
         return None
 
-    spec = property_check("toy-needs-two-points", ("x",), body)
     cfg = GenConfig(seed=1, max_carrier=4, trials=30, instance="rel",
                     suites=("kernel",))
-    result = spec.run(instance_for("rel"), cfg)
-    assert result.status == "fail"
-    doc = parse_document(result.counterexample)
-    carrier_sizes = sorted(len(v) for v in doc.entities.values()
-                           if isinstance(v, fin.FinSet))
-    assert carrier_sizes[-1] == 2
+    specs = (property_check("toy-needs-points", ("x", "y"), body),
+             exhaustive_check("toy-needs-points", ("x", "y"), body, 4))
+    results = [spec.run(instance_for("rel"), cfg) for spec in specs]
+    for result in results:
+        assert result.status == "fail"
+        doc = parse_document(result.counterexample)
+        assert (len(doc.lookup("R").source), len(doc.lookup("Y"))) == (2, 1)
+    order = list(itertools.product(range(5), repeat=2))
+    assert results[1].trials == order.index((2, 1)) + 1
 
 
 def test_property_check_passes_when_body_never_fires():
-    spec = property_check("toy-always-fine", ("x", "a"),
-                          lambda B, rng, carriers: None)
+    body = lambda B, rng, carriers: None
+    spec = property_check("toy-always-fine", ("x", "a"), body)
     result = spec.run(instance_for("span"), FAST)
     assert result.status == "pass"
     assert result.trials == FAST.trials
     assert result.counterexample is None
+    # An exhaustive check counts its tuples, whatever the trials and seed.
+    spec = exhaustive_check("toy-always-fine", ("x", "a"), body, 3)
+    for cfg in (FAST, replace(FAST, trials=1, seed=99)):
+        result = spec.run(instance_for("span"), cfg)
+        assert (result.status, result.trials) == ("pass", (2 + 1) ** 2)
+        assert result.counterexample is None
+
+
+def test_exhaustive_row_finds_what_sampling_misses(monkeypatch):
+    # A swap that fails only at sizes (3, 3): ten sampled trials at these
+    # seeds never draw that pair, the exhaustive row always reaches it.
+    honest = coherence.symmetry_holds
+    monkeypatch.setattr(coherence, "symmetry_holds", lambda B, X, Y: (
+        (len(X), len(Y)) != (3, 3) and honest(B, X, Y)))
+    spec = next(c for c in SUITE_CHECKS["monoidal"]
+                if c.check_id == "swap-involution")
+    for seed in (0, 7, 13):
+        cfg = GenConfig(seed=seed, max_carrier=3, trials=10, instance="span",
+                        suites=("monoidal",))
+        result = spec.run(instance_for("span"), cfg)
+        assert (result.status, result.trials) == ("fail", 16)
+        doc = parse_document(result.counterexample)
+        assert (len(doc.lookup("X")), len(doc.lookup("Y"))) == (3, 3)
 
 
 def test_fixture_checks_pass_and_fail():

@@ -17,16 +17,6 @@ from bicat.rels import Rel
 INSTANCES = (span_instance(), rel_instance())
 
 
-def test_canonical_cones_verify():
-    for B in INSTANCES:
-        for nx in range(3):
-            for ny in range(3):
-                X = FinSet("x%d" % i for i in range(nx))
-                Y = FinSet("y%d" % i for i in range(ny))
-                assert check_product_cone(B, product_object(B, X, Y)) is None
-        assert check_product_cone(B, ProductCone(UNIT, (), ())) is None
-
-
 def test_canonical_cone_is_built_once_per_unit():
     X, Y = FinSet(("x0", "x1")), FinSet(("y0",))
     for B in INSTANCES:

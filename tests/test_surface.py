@@ -210,3 +210,13 @@ def test_every_memoised_operation_is_in_a_memo_law_list():
         listed |= {name for name, _, _ in test_upper_memos._memoised_calls(B)}
     missing = sorted(memoised - listed)
     assert not missing, "add these to a memo-law call list: %s" % missing
+
+
+def test_acceptance_gate_keeps_no_unit_of_work_of_its_own():
+    # A hand-cleared memo is the sign of a loop that does a check's job:
+    # the gate's sweeps are report rows or check specs, each its own unit.
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py")
+                     .read_text(encoding="utf-8"))
+    names = {getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name")}
+    assert "clear_table" not in names
