@@ -9,9 +9,10 @@ the invertibility results that make the structure cartesian rather than
 merely lax: projection fillers on identity factors, Beck-style conjugates,
 composites with map frames, and the degenerate tensor through the unit.
 
-Everything returns plain 2-cells or small report dicts; invertibility is
-always decided by the instance (bijective apex function, or boundary
-equality for relations), never by search.  The unit constraint is memoised.
+Constructions return plain 2-cells; the law checkers return verdicts as
+set out in :mod:`bicat.kernel`.  Invertibility is always decided by the
+instance (bijective apex function, or boundary equality for relations),
+never by search.  The unit constraint is memoised.
 """
 
 from __future__ import annotations
@@ -161,65 +162,54 @@ def check_m(B, f, g, u, v):
     Nullary: ``m'`` of two identities is the unit constraint.  Binary:
     pasting two m' cells horizontally and then the composition constraint
     equals the m' of the composites (the product-of-maps side needs no
-    constraint cell because maps compose strictly).
+    constraint cell because maps compose strictly).  Returns ``None`` or
+    ``{"kind": "nullary" | "binary"}``.
     """
     X, Y = f.source, g.source
-    nullary = m_cell(B, B.identity(X), B.identity(Y)) == tensor_unit_cell(B, X, Y)
+    if m_cell(B, B.identity(X), B.identity(Y)) != tensor_unit_cell(B, X, Y):
+        return {"kind": "nullary"}
     lhs = B.vcomp(B.hcomp(m_cell(B, f, g), m_cell(B, u, v)),
                   tensor_comp_cell(B, f, g, u, v))
-    rhs = m_cell(B, B.comp(f, u), B.comp(g, v))
-    binary = lhs == rhs
-    return {"nullary": nullary, "binary": binary}
+    if lhs != m_cell(B, B.comp(f, u), B.comp(g, v)):
+        return {"kind": "binary"}
+    return None
 
 
 # --- cartesianness -----------------------------------------------------------
 
-def precartesian_violation(B, pairs):
-    """Probe the precartesian preconditions on sampled parallel pairs:
-    local products and terminal cells must exist and their pairing must be
-    unique on the projections.  Returns ``None`` or a violation record."""
-    for R, S in pairs:
-        try:
-            w = B.local_product(R, S)
-        except (ValueError, AttributeError) as exc:
-            return {"kind": "precartesian", "what": "local-product",
-                    "pair": (R, S), "error": str(exc)}
-        if w.pair(w.proj1, w.proj2) != B.id2(w.product):
-            return {"kind": "precartesian", "what": "pairing-not-unique",
-                    "pair": (R, S)}
-        try:
-            cell = B.tau(R)
-        except (ValueError, AttributeError) as exc:
-            return {"kind": "precartesian", "what": "local-terminal",
-                    "cell": R, "error": str(exc)}
-        if cell.dom != R:
-            return {"kind": "precartesian", "what": "terminal-cell-boundary",
-                    "cell": R}
+def precartesian_violation(B, R, S):
+    """Probe the precartesian preconditions on a parallel pair: the local
+    product and the terminal cell must exist, and the pairing must be
+    unique on the projections.  Returns ``None`` or a violation."""
+    try:
+        w = B.local_product(R, S)
+    except ValueError as exc:
+        return {"kind": "local-product", "pair": (R, S), "error": str(exc)}
+    if w.pair(w.proj1, w.proj2) != B.id2(w.product):
+        return {"kind": "pairing-not-unique", "pair": (R, S)}
+    try:
+        cell = B.tau(R)
+    except ValueError as exc:
+        return {"kind": "local-terminal", "cell": R, "error": str(exc)}
+    if cell.dom != R:
+        return {"kind": "terminal-cell-boundary", "cell": R}
     return None
 
 
-def is_cartesian(B, object_pairs, arrow_quads):
-    """Decide cartesianness on the sampled data by explicit inverse search.
-
-    ``object_pairs``: carrier pairs for the nullary constraint;
-    ``arrow_quads``: (R, S, T, U) tuples for the binary constraint.
+def is_cartesian(B, objects, arrows):
+    """Decide cartesianness at carriers ``objects = (X, Y)`` and 1-cells
+    ``arrows = (R, S, T, U)``: the nullary, binary and unit-structure
+    constraint cells must be invertible, as ``B.is_invertible`` decides.
     The precartesian preconditions are :func:`precartesian_violation`'s.
     """
-    for X, Y in object_pairs:
-        cell = tensor_unit_cell(B, X, Y)
-        if not B.is_invertible(cell):
-            return {"ok": False,
-                    "violation": {"kind": "unit-constraint", "objects": (X, Y)}}
-    for R, S, T, U in arrow_quads:
-        cell = tensor_comp_cell(B, R, S, T, U)
-        if not B.is_invertible(cell):
-            return {"ok": False,
-                    "violation": {"kind": "comp-constraint",
-                                  "cells": (R, S, T, U)}}
+    if not B.is_invertible(tensor_unit_cell(B, *objects)):
+        return {"kind": "unit-constraint", "objects": objects}
+    if not B.is_invertible(tensor_comp_cell(B, *arrows)):
+        return {"kind": "comp-constraint", "cells": arrows}
     unit_cell, comp_cell = unit_functor_cells(B)
     if not (B.is_invertible(unit_cell) and B.is_invertible(comp_cell)):
-        return {"ok": False, "violation": {"kind": "unit-functor"}}
-    return {"ok": True, "violation": None}
+        return {"kind": "unit-functor"}
+    return None
 
 
 # --- special invertible cells ------------------------------------------------
@@ -345,7 +335,8 @@ def strange_pair(B, R, S):
     """For ``R : X -> I`` and ``S : I -> A``, the composite ``comp(R, S)``
     carries two canonical projection squares (pad with the terminal square
     on the other side); pairing them through the tensor is an equivalence.
-    Returns ``(arrow, equivalence_report)``."""
+    Returns ``(arrow, verdict)`` with :func:`~bicat.groth.g_is_equivalence`'s
+    verdict on the arrow."""
     if R.target != UNIT or S.source != UNIT:
         raise ValueError("factors must meet in the unit carrier")
     tens = g_tensor(B, R, S)

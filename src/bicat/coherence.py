@@ -15,7 +15,8 @@ Arrow level: the same cells lifted to squares.  Associativity, unitors and
 the braiding become squares built by pairing projection cones through the
 tensor, so their carrier frames are exactly the maps above; the pair of
 quadruple fillers at sources and targets is then checked to be a genuine
-2-cell between the two pasted square routes.
+2-cell between the two pasted square routes.  The checkers answer with the
+verdicts set out in :mod:`bicat.kernel`.
 """
 
 from __future__ import annotations
@@ -313,13 +314,18 @@ def g_assoc_arrow(B, R, S, T) -> groth.GArr:
 
 
 def g_constraints_invertible(B, R, S, T):
-    """Equivalence reports for all four constraint squares at (R, S, T)."""
-    return {
-        "assoc": groth.g_is_equivalence(B, g_assoc_arrow(B, R, S, T)),
-        "braid": groth.g_is_equivalence(B, g_braid_arrow(B, R, S)),
-        "left_unit": groth.g_is_equivalence(B, g_left_unit_arrow(B, R)),
-        "right_unit": groth.g_is_equivalence(B, g_right_unit_arrow(B, R)),
-    }
+    """All four constraint squares at (R, S, T) are equivalences: ``None``,
+    or the first failing square's :func:`~bicat.groth.g_is_equivalence`
+    verdict with ``"constraint"`` naming the square."""
+    squares = (("assoc", g_assoc_arrow(B, R, S, T)),
+               ("braid", g_braid_arrow(B, R, S)),
+               ("left_unit", g_left_unit_arrow(B, R)),
+               ("right_unit", g_right_unit_arrow(B, R)))
+    for name, arrow in squares:
+        verdict = groth.g_is_equivalence(B, arrow)
+        if verdict is not None:
+            return dict(verdict, constraint=name)
+    return None
 
 
 def g_braid_natural(B, a1: groth.GArr, a2: groth.GArr) -> bool:
@@ -334,7 +340,8 @@ def g_braid_natural(B, a1: groth.GArr, a2: groth.GArr) -> bool:
 def modification_pair_check(B, R, S, T, U):
     """The two pasted square routes through four tensor factors differ by
     the pair of carrier fillers: that pair must satisfy the square 2-cell
-    equation, giving an invertible 2-cell between the routes."""
+    equation, giving an invertible 2-cell between the routes.  Returns
+    ``None`` or a violation naming the first condition that fails."""
     tST = g_tensor(B, S, T)
     tTU = g_tensor(B, T, U)
     tRS = g_tensor(B, R, S)
@@ -347,13 +354,12 @@ def modification_pair_check(B, R, S, T, U):
                   g_assoc_arrow(B, R, S, tTU.obj))
     src = quad_assoc_filler(B, R.source, S.source, T.source, U.source)
     tgt = quad_assoc_filler(B, R.target, S.target, T.target, U.target)
-    report = {"frames_match": (M.f == src.m and N.f == src.n
-                               and M.u == tgt.m and N.u == tgt.n)}
+    if not (M.f == src.m and N.f == src.n and M.u == tgt.m and N.u == tgt.n):
+        return {"kind": "frames-mismatch"}
     try:
         cell = groth.g_cell(B, M, N, src.cell, tgt.cell)
     except ValueError as exc:
-        report.update(cell_ok=False, invertible=False, error=str(exc))
-        return report
-    report.update(cell_ok=True,
-                  invertible=groth.g_cell_invertible(B, cell))
-    return report
+        return {"kind": "not-a-cell", "error": str(exc)}
+    if not groth.g_cell_invertible(B, cell):
+        return {"kind": "not-invertible"}
+    return None

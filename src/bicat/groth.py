@@ -172,12 +172,15 @@ def g_cell_invertible(B, c: GCell) -> bool:
 
 def g_is_equivalence(B, a: GArr):
     """A square is an equivalence precisely when both frames are
-    equivalences and its filler is invertible.  Returns a report dict."""
-    return {
-        "f": kernel.find_equivalence(B, a.f) is not None,
-        "u": kernel.find_equivalence(B, a.u) is not None,
-        "cell": B.is_invertible(a.primary),
-    }
+    equivalences and its filler is invertible.  Returns ``None``, or the
+    kind ``frame-not-equivalence`` (with ``"frame"``) or
+    ``filler-not-invertible`` (verdicts as in :mod:`bicat.kernel`)."""
+    for frame in ("f", "u"):
+        if kernel.find_equivalence(B, getattr(a, frame)) is None:
+            return {"kind": "frame-not-equivalence", "frame": frame}
+    if not B.is_invertible(a.primary):
+        return {"kind": "filler-not-invertible"}
+    return None
 
 
 # --- tensor ----------------------------------------------------------------
@@ -188,8 +191,6 @@ class TensorWitness:
     obj: Any
     proj1: GArr
     proj2: GArr
-    factor1: Any
-    factor2: Any
     wedge: Any          # LocalProductWitness for the two transported factors
     src_cone: Any       # canonical product cone of the source carriers
     tgt_cone: Any       # canonical product cone of the target carriers
@@ -211,7 +212,7 @@ def g_tensor(B, R, S) -> TensorWitness:
     obj = wedge.product
     proj1 = garr_from_secondary(B, obj, R, p_s, p_t, wedge.proj1)
     proj2 = garr_from_secondary(B, obj, S, r_s, r_t, wedge.proj2)
-    return TensorWitness(obj, proj1, proj2, R, S, wedge, src, tgt)
+    return TensorWitness(obj, proj1, proj2, wedge, src, tgt)
 
 
 @memoised
@@ -231,7 +232,7 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     """
     if aR.dom != aS.dom:
         raise ValueError("cone legs have different domain objects")
-    if aR.cod != tens.factor1 or aS.cod != tens.factor2:
+    if aR.cod != tens.proj1.cod or aS.cod != tens.proj2.cod:
         raise ValueError("cone legs do not land in the tensor factors")
     T0 = aR.dom
     p_s, r_s = tens.src_cone.legs
@@ -246,8 +247,8 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     adj_w = B.map_adjunction(w)
     ws = adj_w.right
 
-    c1 = _transport_cone_leg(B, aR, h, w, adj_w, mu0, mu1, p_s, p_t, tens.factor1)
-    c2 = _transport_cone_leg(B, aS, h, w, adj_w, nu0, nu1, r_s, r_t, tens.factor2)
+    c1 = _transport_cone_leg(B, aR, h, w, adj_w, mu0, mu1, p_s, p_t, aR.cod)
+    c2 = _transport_cone_leg(B, aS, h, w, adj_w, nu0, nu1, r_s, r_t, aS.cod)
 
     # The transported tensor must still be a wedge of the transported
     # factors; the comparison into the canonical wedge witnesses that.

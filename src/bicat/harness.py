@@ -11,10 +11,11 @@ shrinking.  Either way the counterexample is rendered through the
 interchange format, whose printer refuses any name or label without a text
 form, so every reported payload parses back to the entities it names.
 
-Negative controls run a deliberately corrupted instance through the same
-machinery and pass exactly when the corruption is caught; the caught
-violation is attached as the check's payload so reports show what the
-failure looks like.
+A row body reads a law checker's verdict (see :mod:`bicat.kernel`) only
+through ``is None`` or its ``"kind"``.  Negative controls run a
+deliberately corrupted instance through the same machinery and pass
+exactly when the corruption is caught; the caught violation is attached
+as the check's payload so reports show what the failure looks like.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def _chk_triangles(B, rng, carriers):
     m = map_cell(B, rng, X, A)
     if m is None:
         return None
-    chk = kernel.check_adjunction(B, B.map_adjunction(m))
-    return None if chk.ok else {"X": X, "A": A, "m": m}
+    ok = kernel.check_adjunction(B, B.map_adjunction(m)) is None
+    return None if ok else {"X": X, "A": A, "m": m}
 
 
 def _chk_mate_round_trip(B, rng, carriers):
@@ -560,8 +561,8 @@ def _chk_global_constraints(B, rng, carriers):
     S = one_cell(B, rng, Y, C, 2)
     T = one_cell(B, rng, A, X, 2)
     U = one_cell(B, rng, C, Y, 2)
-    rep = cartesian.is_cartesian(B, [(X, Y)], [(R, S, T, U)])
-    return None if rep["ok"] else {"R": R, "S": S, "T": T, "U": U}
+    ok = cartesian.is_cartesian(B, (X, Y), (R, S, T, U)) is None
+    return None if ok else {"R": R, "S": S, "T": T, "U": U}
 
 
 def _chk_map_comparison(B, rng, carriers):
@@ -572,8 +573,7 @@ def _chk_map_comparison(B, rng, carriers):
     v = map_cell(B, rng, Y1, Y2, scramble=False)
     if None in (f, u, g, v):
         return None
-    rep = cartesian.check_m(B, f, g, u, v)
-    ok = (rep == {"nullary": True, "binary": True}
+    ok = (cartesian.check_m(B, f, g, u, v) is None
           and B.is_invertible(cartesian.m_cell(B, f, g)))
     return None if ok else {"f": f, "g": g, "u": u, "v": v}
 
@@ -607,8 +607,7 @@ def _chk_unit_factor_pairing(B, rng, carriers):
     X, A = carriers
     R = one_cell(B, rng, X, UNIT, 2)
     S = one_cell(B, rng, UNIT, A, 2)
-    _, rep = cartesian.strange_pair(B, R, S)
-    ok = rep == {"f": True, "u": True, "cell": True}
+    ok = cartesian.strange_pair(B, R, S)[1] is None
     return None if ok else {"R": R, "S": S}
 
 
@@ -639,9 +638,9 @@ def _neg_corrupt_cartesian(B, cfg):
     else:
         R = B.graph(SetFn.constant(X, A, "a0"))
     proxy = _CorruptTau(B, X, A)
-    violation = cartesian.precartesian_violation(proxy, [(R, R)])
+    violation = cartesian.precartesian_violation(proxy, R, R)
     caught = (violation is not None
-              and violation["what"] == "terminal-cell-boundary")
+              and violation["kind"] == "terminal-cell-boundary")
     return caught, {"R": R, "claimed-cell": proxy.tau(R)}
 
 
@@ -698,8 +697,7 @@ def _chk_modification_pair(B, rng, carriers):
     S = one_cell(B, rng, Y, C, 2)
     T = one_cell(B, rng, Z, D, 2)
     U = one_cell(B, rng, W, E, 2)
-    rep = coherence.modification_pair_check(B, R, S, T, U)
-    ok = rep.get("frames_match") and rep.get("cell_ok") and rep.get("invertible")
+    ok = coherence.modification_pair_check(B, R, S, T, U) is None
     return None if ok else {"R": R, "S": S, "T": T, "U": U}
 
 

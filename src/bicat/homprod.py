@@ -55,26 +55,25 @@ def transport_cell(B, f, alpha, u_star):
     return B.whisker_left(f, B.whisker_right(alpha, u_star))
 
 
-def is_product_diagram(B, W, proj1, proj2, R, S, tests, budget: int = 200_000):
+def is_product_diagram(B, W, proj1, proj2, R, S, tests):
     """Check the universal property of a candidate product diagram exactly.
 
     For every test 1-cell T and every cone ``(phi : T -> R, psi : T -> S)``,
     enumerate all 2-cells ``T -> W`` and count those whose composites with
     the projections recover the cone.  Returns ``None`` on success, or a
-    violation record naming the first failing cone.
+    violation naming the first failing cone, of kind ``no-mediator`` or
+    ``many-mediators`` (verdicts as in :mod:`bicat.kernel`).
     """
     for T in tests:
-        for phi in B.hom_cells(T, R, budget):
-            for psi in B.hom_cells(T, S, budget):
+        for phi in B.hom_cells(T, R):
+            for psi in B.hom_cells(T, S):
                 mediating = [
-                    g for g in B.hom_cells(T, W, budget)
+                    g for g in B.hom_cells(T, W)
                     if B.vcomp(g, proj1) == phi and B.vcomp(g, proj2) == psi
                 ]
                 if len(mediating) != 1:
-                    return {
-                        "test": T,
-                        "cone": (phi, psi),
-                        "count": len(mediating),
-                    }
+                    kind = "many-mediators" if mediating else "no-mediator"
+                    return {"kind": kind, "test": T, "cone": (phi, psi),
+                            "count": len(mediating)}
     return None
 

@@ -8,6 +8,11 @@ whiskerings, associators and (co)units, first to last.  Identity 1-cells
 compose strictly in both instances, so no unitors appear; rebracketing is
 always an explicit ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions
 and right mates of map cells are memoised in the per-unit memo of ``fin``.
+
+Verdicts, for every law checker of the package: one equation gives a
+``bool``; several give ``None`` when the law holds, else one dict whose
+``"kind"`` names the first condition that failed, next to the entities
+that show it.
 """
 
 from __future__ import annotations
@@ -37,14 +42,10 @@ class Adjunction:
     counit: Any
 
 
-@dataclass(frozen=True)
-class AdjunctionCheck:
-    ok: bool
-    failures: tuple
-
-
-def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
-    """Verify both triangle identities by pasting them."""
+def check_adjunction(B, adj: Adjunction):
+    """Verify both triangle identities by pasting them: ``None``, or
+    ``{"kind": "left-triangle" | "right-triangle"}`` for the first that
+    fails."""
     f, fs = adj.left, adj.right
     one_src = B.identity(f.source)
     one_tgt = B.identity(f.target)
@@ -58,17 +59,16 @@ def check_adjunction(B, adj: Adjunction) -> AdjunctionCheck:
         B.assoc(f, fs, f),
         B.whisker_left(f, adj.counit),
     )
+    if t1 != B.id2(f):
+        return {"kind": "left-triangle"}
     t2 = B.vc(
         B.whisker_left(fs, adj.unit),
         B.assoc_inv(fs, f, fs),
         B.whisker_right(adj.counit, fs),
     )
-    failures = []
-    if t1 != B.id2(f):
-        failures.append("left triangle")
     if t2 != B.id2(fs):
-        failures.append("right triangle")
-    return AdjunctionCheck(not failures, tuple(failures))
+        return {"kind": "right-triangle"}
+    return None
 
 
 @memoised
@@ -161,7 +161,7 @@ def find_equivalence(B, R):
         return None
     if not (B.is_invertible(adj.unit) and B.is_invertible(adj.counit)):
         raise ValueError("equivalence witness has non-invertible unit or counit")
-    if not check_adjunction(B, adj).ok:
+    if check_adjunction(B, adj) is not None:
         raise ValueError("equivalence witness fails the triangle identities")
     return adj
 

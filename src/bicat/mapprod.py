@@ -172,7 +172,7 @@ def check_product_cone(B, cone: ProductCone):
     Essential surjectivity, fullness and faithfulness of the comparison are
     tested against every carrier of size at most 2, which keeps the pair
     enumeration exact but small.  Returns ``None`` when the cone is a
-    product, else a violation record.
+    product, else a violation (verdicts as in :mod:`bicat.kernel`).
     """
     for leg in cone.legs:
         if not leg.is_map():

@@ -284,8 +284,7 @@ def test_criterion_6_projection_and_unit_isos(capsys):
             X, A = carriers
             for R, S in itertools.product(B.one_cells(X, UNIT, 2),
                                           B.one_cells(UNIT, A, 2)):
-                _, rep = ct.strange_pair(B, R, S)
-                if rep != {"f": True, "u": True, "cell": True}:
+                if ct.strange_pair(B, R, S)[1] is not None:
                     return {"R": R, "S": S}
                 strange += 1
             return None

@@ -10,6 +10,7 @@ from bicat.gen import carrier, map_cell, one_cell, thin
 from bicat.kernel import (Adjunction, AdjunctionMismatch, check_adjunction,
                           compose_adjunctions, mate_to_primary,
                           mate_to_secondary, right_mate_of_map_cell)
+from bicat.spans import Span, reverse
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -24,8 +25,7 @@ def test_map_adjunction_triangles():
             m = map_cell(B, rng, X, A)
             if m is None:
                 continue
-            chk = check_adjunction(B, B.map_adjunction(m))
-            assert chk.ok, chk.failures
+            assert check_adjunction(B, B.map_adjunction(m)) is None
             checked += 1
         assert checked > 20
 
@@ -39,6 +39,26 @@ def test_check_adjunction_rejects_bad_boundaries():
     wrong = Adjunction(adj.left, adj.right, adj.counit, adj.unit)
     with pytest.raises(AdjunctionMismatch):
         check_adjunction(B, wrong)
+
+
+def test_non_map_span_fails_the_left_triangle():
+    # On rel every 2-cell equation holds, because relations are locally
+    # posetal: parallel 2-cells are equal.  The triangle kinds can therefore
+    # be reached only on spans.  R has a two-point apex over one point on
+    # each side, so its left leg is not injective and R is not a map.
+    B = span_instance()
+    X, A = FinSet(("x0",)), FinSet(("a0",))
+    apex = FinSet(("s0", "s1"))
+    R = Span(X, A, apex, SetFn.constant(apex, X, "x0"),
+             SetFn.constant(apex, A, "a0"))
+    Rs = reverse(R)
+    assert not R.is_map()
+    units = list(B.hom_cells(B.identity(X), B.comp(R, Rs)))
+    counits = list(B.hom_cells(B.comp(Rs, R), B.identity(A)))
+    assert (len(units), len(counits)) == (4, 1)
+    for unit in units:
+        adj = Adjunction(R, Rs, unit, counits[0])
+        assert check_adjunction(B, adj)["kind"] == "left-triangle"
 
 
 def test_composed_adjunctions_still_satisfy_triangles():
@@ -56,7 +76,7 @@ def test_composed_adjunctions_still_satisfy_triangles():
             both = compose_adjunctions(B, B.map_adjunction(f),
                                        B.map_adjunction(g))
             assert both.left == B.comp(f, g)
-            assert check_adjunction(B, both).ok
+            assert check_adjunction(B, both) is None
             done += 1
 
 

@@ -2,11 +2,14 @@
 
 import random
 
+import pytest
+
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet
 from bicat.gen import carrier, map_cell, one_cell
 from bicat.groth import g_tensor
+from bicat.harness import _CorruptTau
 from bicat.mapprod import product_object
 
 INSTANCES = (span_instance(), rel_instance())
@@ -111,19 +114,35 @@ def test_cartesian_recognition_report():
         S = one_cell(B, rng, Y, C, 2)
         T = one_cell(B, rng, A, X, 2)
         U = one_cell(B, rng, C, Y, 2)
-        rep = ct.is_cartesian(B, [(X, Y), (A, C)], [(R, S, T, U)])
-        assert rep["ok"], rep
-        pair = (R, one_cell(B, rng, X, A, 2))
-        assert ct.precartesian_violation(B, [pair]) is None
+        assert ct.is_cartesian(B, (X, Y), (R, S, T, U)) is None
+        assert ct.is_cartesian(B, (A, C), (R, S, T, U)) is None
+        S2 = one_cell(B, rng, X, A, 2)
+        assert ct.precartesian_violation(B, R, S2) is None
 
 
 def test_precartesian_violation_on_honest_instance_is_none():
     rng = random.Random(65)
     for B in INSTANCES:
         X, A = carrier(rng, "x", 3), carrier(rng, "a", 3)
-        pairs = [(one_cell(B, rng, X, A, 3), one_cell(B, rng, X, A, 3))
-                 for _ in range(5)]
-        assert ct.precartesian_violation(B, pairs) is None
+        for _ in range(5):
+            R, S = one_cell(B, rng, X, A, 3), one_cell(B, rng, X, A, 3)
+            assert ct.precartesian_violation(B, R, S) is None
+
+
+class _BuggyTau(_CorruptTau):
+    """Instance proxy whose ``tau`` has a programming error."""
+
+    def tau(self, R):
+        return self._inner.tau_of(R)
+
+
+def test_precartesian_violation_lets_programming_errors_through():
+    # A bug inside ``tau`` is not a violation of the local-terminal law.
+    for B in INSTANCES:
+        R = B.identity(FinSet(("x0", "x1")))
+        proxy = _BuggyTau(B, R.source, R.target)
+        with pytest.raises(AttributeError):
+            ct.precartesian_violation(proxy, R, R)
 
 
 def test_unit_factor_pairing_is_an_equivalence():
@@ -134,8 +153,8 @@ def test_unit_factor_pairing_is_an_equivalence():
             A = carrier(rng, "a", 3)
             R = one_cell(B, rng, X, UNIT, 3)
             S = one_cell(B, rng, UNIT, A, 3)
-            arrow, rep = ct.strange_pair(B, R, S)
-            assert rep == {"f": True, "u": True, "cell": True}
+            arrow, verdict = ct.strange_pair(B, R, S)
+            assert verdict is None
             assert arrow.dom.source == X and arrow.dom.target == A
 
 

@@ -100,8 +100,7 @@ def test_square_level_constraints_are_equivalences():
         R = one_cell(B, rng, X, A, 2)
         S = one_cell(B, rng, Y, A2, 2)
         T = one_cell(B, rng, Z, A3, 2)
-        for label, rep in C.g_constraints_invertible(B, R, S, T).items():
-            assert rep == {"f": True, "u": True, "cell": True}, (label, rep)
+        assert C.g_constraints_invertible(B, R, S, T) is None
 
 
 def test_braid_square_naturality():
@@ -131,10 +130,7 @@ def test_square_rebracket_modification():
         S = one_cell(B, rng, Y, A2, 2)
         T = one_cell(B, rng, Z, A3, 2)
         U = one_cell(B, rng, W, A4, 2)
-        rep = C.modification_pair_check(B, R, S, T, U)
-        assert rep.get("frames_match")
-        assert rep.get("cell_ok")
-        assert rep.get("invertible")
+        assert C.modification_pair_check(B, R, S, T, U) is None
 
 
 def test_terminal_frames_reproduce_the_chosen_terminal():

@@ -145,11 +145,10 @@ def test_equivalence_report():
     B = span_instance()
     X = FinSet(("x0", "x1"))
     R = B.identity(X)
-    report = g_is_equivalence(B, g_identity(B, R))
-    assert report == {"f": True, "u": True, "cell": True}
+    assert g_is_equivalence(B, g_identity(B, R)) is None
     report = g_is_equivalence(B, g_bang(B, R))
-    assert report["cell"] is True
-    assert report["f"] is False and report["u"] is False
+    assert report["kind"] == "frame-not-equivalence"
+    assert report["frame"] == "f"
 
 
 def test_tensor_projection_squares():

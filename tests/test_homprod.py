@@ -118,6 +118,15 @@ def test_product_diagram_check_spots_a_fake():
     # A cone whose two legs pick different apex points then has no mediator.
     fake = is_product_diagram(B, R, B.id2(R), B.id2(R), R, R,
                               list(B.one_cells(X, A, 2)))
-    assert fake is not None and "test" in fake
+    assert fake["kind"] == "no-mediator" and "test" in fake
+    # Claim R is the wedge of a one-point S with itself, projecting both
+    # apex points onto S's: the diagonal cone then has two mediators.
+    one = FinSet(("p",))
+    S = Span(X, A, one, SetFn.constant(one, X, "x0"),
+             SetFn.constant(one, A, "a0"))
+    collapse = next(iter(B.hom_cells(R, S)))
+    many = is_product_diagram(B, R, collapse, collapse, S, S,
+                              list(B.one_cells(X, A, 2)))
+    assert many["kind"] == "many-mediators" and many["count"] == 2
     assert is_product_diagram(B, w.product, w.proj1, w.proj2, R, R,
                               list(B.one_cells(X, A, 2))) is None

@@ -11,8 +11,9 @@ the program reads is not caught.
 
 No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
 paper layer asks which instance it runs on, the interned value classes
-keep object identity as their equality, and every memoised operation is
-exercised by the memo laws.
+keep object identity as their equality, every memoised operation is
+exercised by the memo laws, and no law verdict is compared with a dict
+display.
 """
 
 import ast
@@ -210,6 +211,19 @@ def test_every_memoised_operation_is_in_a_memo_law_list():
         listed |= {name for name, _, _ in test_upper_memos._memoised_calls(B)}
     missing = sorted(memoised - listed)
     assert not missing, "add these to a memo-law call list: %s" % missing
+
+
+def test_no_verdict_is_compared_with_a_dict_display():
+    # A law checker answers ``None`` or a dict naming its ``"kind"``
+    # (``bicat.kernel``), and a reader tests ``is None`` or the kind.
+    # Comparing a whole report with a dict display is the sign of a second
+    # verdict shape.
+    compares = ["%s:%d" % (path.name, node.lineno) for path in PROGRAM + TESTS
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Compare)
+                and any(isinstance(x, ast.Dict)
+                        for x in (node.left, *node.comparators))]
+    assert not compares, "compare the kind instead: %s" % compares
 
 
 def test_acceptance_gate_keeps_no_unit_of_work_of_its_own():

@@ -80,8 +80,8 @@ def _parts(x):
     """A result as plain data: the witnesses compare by identity, so open
     them into their parts."""
     if isinstance(x, TensorWitness):
-        return (x.obj, x.proj1, x.proj2, x.factor1, x.factor2,
-                _parts(x.wedge), x.src_cone, x.tgt_cone)
+        return (x.obj, x.proj1, x.proj2, _parts(x.wedge), x.src_cone,
+                x.tgt_cone)
     if isinstance(x, LocalProductWitness):
         return (x.product, x.proj1, x.proj2)
     return x
