@@ -177,30 +177,12 @@ def check_m(B, f, g, u, v):
 
 # --- cartesianness -----------------------------------------------------------
 
-def precartesian_violation(B, R, S):
-    """Probe the precartesian preconditions on a parallel pair: the local
-    product and the terminal cell must exist, and the pairing must be
-    unique on the projections.  Returns ``None`` or a violation."""
-    try:
-        w = B.local_product(R, S)
-    except ValueError as exc:
-        return {"kind": "local-product", "pair": (R, S), "error": str(exc)}
-    if w.pair(w.proj1, w.proj2) != B.id2(w.product):
-        return {"kind": "pairing-not-unique", "pair": (R, S)}
-    try:
-        cell = B.tau(R)
-    except ValueError as exc:
-        return {"kind": "local-terminal", "cell": R, "error": str(exc)}
-    if cell.dom != R:
-        return {"kind": "terminal-cell-boundary", "cell": R}
-    return None
-
-
 def is_cartesian(B, objects, arrows):
     """Decide cartesianness at carriers ``objects = (X, Y)`` and 1-cells
     ``arrows = (R, S, T, U)``: the nullary, binary and unit-structure
     constraint cells must be invertible, as ``B.is_invertible`` decides.
-    The precartesian preconditions are :func:`precartesian_violation`'s.
+    The precartesian preconditions (local products, local terminals) are
+    the ``homprod`` suite's rows.
     """
     if not B.is_invertible(tensor_unit_cell(B, *objects)):
         return {"kind": "unit-constraint", "objects": objects}

@@ -23,7 +23,7 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   and shrink attempts, a negative control or a fixture record): one table
   per :func:`memoised` operation, keyed on its arguments, the instance
   included.  It holds the pure operations a unit repeats: the instances'
-  structure operations, local products, ``fn``, ``Span.is_map`` and the
+  structure operations, local products, ``fn``, ``is_map`` and the
   span fibre index; ``mapprod``'s cones, pairings, ``map_iso`` and cone
   checks; both ``homprod`` transports; ``compose_adjunctions`` and
   ``right_mate_of_map_cell``; ``g_tensor``, ``g_pair``, ``g_compose``,

@@ -241,12 +241,15 @@ def _chk_wedge_universal(B, rng, carriers):
     return None if ok else {"R": R, "S": S, "T": T}
 
 
+def _tau_is_the_only_cell(B, R, top):
+    return list(B.hom_cells(R, top)) == [B.tau(R)]
+
+
 def _chk_terminal_unique(B, rng, carriers):
     X, A = carriers
     R = one_cell(B, rng, X, A, len(X) + len(A))
     top = B.local_terminal(X, A)
-    cells = list(B.hom_cells(R, top))
-    ok = cells == [B.tau(R)]
+    ok = _tau_is_the_only_cell(B, R, top)
     return None if ok else {"X": X, "A": A, "R": R, "top": top}
 
 
@@ -638,9 +641,7 @@ def _neg_corrupt_cartesian(B, cfg):
     else:
         R = B.graph(SetFn.constant(X, A, "a0"))
     proxy = _CorruptTau(B, X, A)
-    violation = cartesian.precartesian_violation(proxy, R, R)
-    caught = (violation is not None
-              and violation["kind"] == "terminal-cell-boundary")
+    caught = not _tau_is_the_only_cell(proxy, R, B.local_terminal(X, A))
     return caught, {"R": R, "claimed-cell": proxy.tau(R)}
 
 

@@ -15,7 +15,7 @@ hash-consed in the value table of :mod:`bicat.fin`, so they compare by
 identity, and :class:`RelBicat` memoises its structure operations
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
 ``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
-:meth:`Rel.fn` its result, in the per-unit memo.
+:meth:`Rel.fn` and :meth:`Rel.is_map` their results, in the per-unit memo.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class Rel:
                          for x, a in self.pairs)
         return "Rel{%s}" % body
 
+    @memoised
     def is_map(self):
         """True when the relation is the graph of a total function."""
         seen = {}

@@ -3,28 +3,30 @@
 A 1-cell ``X -> A`` is a span: an apex carrier with a left leg into ``X`` and
 a right leg into ``A``.  A 2-cell is a function between apexes commuting with
 both legs.  Composition is written diagrammatically throughout: ``comp(R, T)``
-is "R then T", defined on the canonical pullback apex whose elements are the
-pairs ``(r, t)`` with ``R.right(r) == T.left(t)``, listed row-major.
+is "R then T", a pullback of R's right leg against T's left leg, chosen up to
+isomorphism.  A pullback along an identity leg is the other span, so two
+rules, checked in this order, keep that span's apex:
 
-Two special cases keep composition strict where strictness is both sound and
-load-bearing for everything built on top:
+* T is a graph (left leg the identity): R's apex, with legs ``R.left`` and
+  ``R.right.then(T.right)``;
+* R is a cograph (right leg the identity: identities and reversed graphs):
+  T's apex, with legs ``T.left.then(R.left)`` and ``T.right``.
 
-* composing with an identity span returns the other span unchanged, and
-* composing two canonical graph spans returns the graph of the composed
-  function.
+Otherwise the apex is the pairs ``(r, t)`` with ``R.right(r) == T.left(t)``,
+listed row-major.  As spans are hash-consed, composing with an identity
+returns the other span, and two graphs compose to the graph of the composite.
 
-Both choices are pullbacks, just not the pair-set one.  Two helpers,
-:meth:`SpanBicat._split` and :meth:`SpanBicat._pair`, translate between
-factor elements and composite elements uniformly across all three
-representations.  They pick the representation once per composite and then
-walk aligned element tuples: a list of composite elements against the two
-lists of factor elements it splits into.  Every whiskering, horizontal
-composite, associativity cell, adjunction unit and counit and cone fill is
-defined through them, so the special cases never leak, and a cell's apex
+Two helpers, :meth:`SpanBicat._split` and :meth:`SpanBicat._pair`, translate
+between factor elements and composite elements by the same two rules.  They
+pick the representation once per composite and then walk aligned element
+tuples: a list of composite elements against the two lists of factor
+elements it splits into.  Every whiskering, horizontal composite,
+associativity cell, adjunction unit and counit and cone fill is defined
+through them, so no other code knows a composite's apex, and a cell's apex
 function is read through the aligned ``values`` tuples and the apex index,
 never element by element through :meth:`SetFn.__call__`.
 
-Whether a span is in graph or identity form is decided once, when it is
+Whether a span is in graph or cograph form is decided once, when it is
 built.  Spans and their cells are hash-consed in the value table of
 :mod:`bicat.fin`, so they compare by identity.  :class:`SpanBicat` memoises
 its structure operations (``comp``, ``identity``, ``id2``, ``vcomp``, the
@@ -59,12 +61,12 @@ class Span:
     >>> X = FinSet("xy"); A = FinSet("ab")
     >>> S = FinSet(["s0", "s1", "s2"])
     >>> R = Span(X, A, S, SetFn(S, X, "xxy"), SetFn(S, A, "aba"))
-    >>> R.is_graph()
+    >>> R.is_map()
     False
     """
 
     __slots__ = ("source", "target", "apex", "left", "right", "_graph",
-                 "_identity", "__weakref__")
+                 "_cograph", "__weakref__")
 
     def __new__(cls, source: FinSet, target: FinSet, apex: FinSet,
                 left: SetFn, right: SetFn):
@@ -83,7 +85,7 @@ class Span:
             self.left = left
             self.right = right
             self._graph = apex == source and left.is_identity()
-            self._identity = self._graph and right.is_identity()
+            self._cograph = apex == target and right.is_identity()
         return self
 
     def __repr__(self):
@@ -94,13 +96,8 @@ class Span:
         )
         return "Span[%s]" % entries
 
-    def is_graph(self) -> bool:
-        """True for the canonical graph form: apex is the source, left leg
-        the identity."""
-        return self._graph
-
     def is_identity(self) -> bool:
-        return self._identity
+        return self._graph and self._cograph
 
     @memoised
     def is_map(self) -> bool:
@@ -197,15 +194,16 @@ class SpanBicat:
 
     @memoised
     def comp(self, R: Span, T: Span) -> Span:
-        """Diagrammatic composite ``R then T`` on the canonical pullback."""
+        """Diagrammatic composite ``R then T``: along an identity leg, the
+        other factor's apex, else the canonical pullback."""
         if R.target != T.source:
             raise ValueError("composite of non-composable spans")
-        if R.is_identity():
-            return T
-        if T.is_identity():
-            return R
-        if R.is_graph() and T.is_graph():
-            return graph(R.right.then(T.right))
+        if T._graph:
+            return Span(R.source, T.target, R.apex, R.left,
+                        R.right.then(T.right))
+        if R._cograph:
+            return Span(R.source, T.target, T.apex, T.left.then(R.left),
+                        T.right)
         # Hash join on the middle carrier: each fibre of T's left leg keeps
         # T's apex order, so the pairs come out row-major.
         fibres = {}
@@ -225,10 +223,10 @@ class SpanBicat:
     def _pair(R: Span, T: Span, rs, ts):
         """The elements of ``comp(R, T)`` determined by composable factor
         elements: ``rs`` of R's apex aligned with ``ts`` of T's apex."""
-        if R.is_identity():
-            return ts
-        if T.is_identity() or (R.is_graph() and T.is_graph()):
+        if T._graph:
             return rs
+        if R._cograph:
+            return ts
         return list(zip(rs, ts))
 
     @staticmethod
@@ -236,10 +234,10 @@ class SpanBicat:
         """Inverse direction of :meth:`_pair`: the factor elements of R's
         apex and of T's apex, each aligned with the elements ``cs`` of
         ``comp(R, T)``."""
-        if R.is_identity():
-            return T.left.values_at(cs), cs
-        if T.is_identity() or (R.is_graph() and T.is_graph()):
+        if T._graph:
             return cs, R.right.values_at(cs)
+        if R._cograph:
+            return T.left.values_at(cs), cs
         return [r for r, _ in cs], [t for _, t in cs]
 
     @staticmethod
@@ -298,8 +296,8 @@ class SpanBicat:
     def assoc(self, A: Span, B: Span, C: Span) -> SpanCell:
         """The canonical rebracketing ``comp(comp(A,B),C) -> comp(A,comp(B,C))``.
 
-        Degenerates to an identity cell whenever the special-cased composites
-        make both sides literally equal.
+        Degenerates to an identity cell whenever the identity-leg rules make
+        both sides literally equal.
         """
         AB, BC = self.comp(A, B), self.comp(B, C)
         dom = self.comp(AB, C)

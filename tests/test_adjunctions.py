@@ -1,12 +1,14 @@
 """Adjunctions, composite adjunctions and mates."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
-from bicat.gen import carrier, map_cell, one_cell, thin
+from bicat.gen import canonical_carrier, carrier, map_cell, one_cell, thin
 from bicat.kernel import (Adjunction, AdjunctionMismatch, check_adjunction,
                           compose_adjunctions, mate_to_primary,
                           mate_to_secondary, right_mate_of_map_cell)
@@ -28,6 +30,27 @@ def test_map_adjunction_triangles():
             assert check_adjunction(B, B.map_adjunction(m)) is None
             checked += 1
         assert checked > 20
+
+
+def test_is_map_agrees_with_its_definition_on_every_small_one_cell():
+    # A map relation relates each source element to exactly one target
+    # element; a map span's left leg hits each source element exactly once.
+    fibre = {"rel": lambda R, x: [a for a in R.target if (x, a) in R],
+             "span": lambda R, x: [s for s in R.apex if R.left(s) == x]}
+    # Maps X -> A: the functions, and on spans each with every bijective
+    # naming of its apex.
+    maps = {"rel": lambda n, m: m ** n,
+            "span": lambda n, m: math.factorial(n) * m ** n}
+    for B in INSTANCES:
+        found = expected = 0
+        for n, m in itertools.product(range(3), repeat=2):
+            X, A = canonical_carrier("x", n), canonical_carrier("a", m)
+            for R in B.one_cells(X, A, 3):
+                is_map = all(len(fibre[B.name](R, x)) == 1 for x in X)
+                assert R.is_map() == is_map, (B.name, R)
+                found += is_map
+            expected += maps[B.name](n, m)
+        assert found == expected, B.name
 
 
 def test_check_adjunction_rejects_bad_boundaries():

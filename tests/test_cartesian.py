@@ -9,7 +9,8 @@ from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet
 from bicat.gen import carrier, map_cell, one_cell
 from bicat.groth import g_tensor
-from bicat.harness import _CorruptTau
+from bicat.harness import (_CorruptTau, _neg_corrupt_cartesian,
+                           _tau_is_the_only_cell)
 from bicat.mapprod import product_object
 
 INSTANCES = (span_instance(), rel_instance())
@@ -116,17 +117,22 @@ def test_cartesian_recognition_report():
         U = one_cell(B, rng, C, Y, 2)
         assert ct.is_cartesian(B, (X, Y), (R, S, T, U)) is None
         assert ct.is_cartesian(B, (A, C), (R, S, T, U)) is None
-        S2 = one_cell(B, rng, X, A, 2)
-        assert ct.precartesian_violation(B, R, S2) is None
 
 
-def test_precartesian_violation_on_honest_instance_is_none():
+def test_corrupt_terminal_control_catches_only_the_corruption():
+    # The control's comparison holds on the honest instance, at the
+    # control's own 1-cell and at drawn ones; only the proxy fails it.
     rng = random.Random(65)
     for B in INSTANCES:
+        caught, entities = _neg_corrupt_cartesian(B, None)
+        R = entities["R"]
+        assert caught
+        assert _tau_is_the_only_cell(B, R, B.local_terminal(R.source,
+                                                            R.target))
         X, A = carrier(rng, "x", 3), carrier(rng, "a", 3)
         for _ in range(5):
-            R, S = one_cell(B, rng, X, A, 3), one_cell(B, rng, X, A, 3)
-            assert ct.precartesian_violation(B, R, S) is None
+            R = one_cell(B, rng, X, A, 3)
+            assert _tau_is_the_only_cell(B, R, B.local_terminal(X, A))
 
 
 class _BuggyTau(_CorruptTau):
@@ -136,13 +142,14 @@ class _BuggyTau(_CorruptTau):
         return self._inner.tau_of(R)
 
 
-def test_precartesian_violation_lets_programming_errors_through():
+def test_terminal_comparison_lets_programming_errors_through():
     # A bug inside ``tau`` is not a violation of the local-terminal law.
     for B in INSTANCES:
         R = B.identity(FinSet(("x0", "x1")))
         proxy = _BuggyTau(B, R.source, R.target)
         with pytest.raises(AttributeError):
-            ct.precartesian_violation(proxy, R, R)
+            _tau_is_the_only_cell(proxy, R, B.local_terminal(R.source,
+                                                             R.target))
 
 
 def test_unit_factor_pairing_is_an_equivalence():

@@ -59,6 +59,7 @@ def _memoised_calls(B):
          (B, B.map_adjunction(swap), B.map_adjunction(f))),
         ("local_product", B.local_product, (full, f)),
         ("fn", type(f).fn, (scrambled,)),
+        ("is_map", type(f).is_map, (scrambled,)),
         ("product_object", product_object, (B, X, A)),
         ("check_product_cone", check_product_cone,
          (B, product_object(B, X, UNIT))),
@@ -70,9 +71,8 @@ def _memoised_calls(B):
         ("tensor_unit_cell", tensor_unit_cell, (B, X, A)),
     ]
     if B.name == "span":
-        # Only spans have a fibre index and a memoised ``is_map``.
-        calls += [("_fibres", _fibres, (full,)),
-                  ("is_map", Span.is_map, (scrambled,))]
+        # Only spans have a fibre index.
+        calls.append(("_fibres", _fibres, (full,)))
     return calls
 
 
