@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .fin import UNIT
-from .mapprod import bang, fill2, map_iso, pairing, product_object, times_on_arrows
+from .mapprod import (bang, fill2, map_iso, pairing, pinned_cells,
+                      product_object, times_on_arrows)
 from . import groth
 from .groth import g_compose, g_identity, g_pair, g_tensor, g_terminal
 
@@ -178,11 +179,11 @@ def quad_assoc_routes(B, X, Y, Z, W):
 def _compatible_cells(B, m, n, u, v):
     """Every cell ``g : m -> n`` compatible with the comparisons
     ``alpha : comp(m, v) -> u`` and ``beta : comp(n, v) -> u`` of two
-    routes against the mediators into a flat product."""
+    routes against the mediators into a flat product: ``g`` whiskered
+    with ``v`` is ``alpha`` followed by the inverse of ``beta``."""
     alpha = map_iso(B, B.comp(m, v), u)
     beta = map_iso(B, B.comp(n, v), u)
-    return [g for g in B.hom_cells(m, n)
-            if B.vcomp(B.whisker_right(g, v), beta) == alpha]
+    return list(pinned_cells(B, m, n, ((v, B.vcomp(alpha, B.invert(beta))),)))
 
 
 def quad_assoc_filler(B, X, Y, Z, W) -> QuadFiller:

@@ -21,8 +21,8 @@ except ImportError:
         from hashlib import sha256
 
 from .fin import FinSet, SetFn
-from .rels import Rel
-from .spans import relabel_apex
+from .rels import Rel, RelCell
+from .spans import Span, SpanCell, relabel_apex
 
 SUITES = ("kernel", "homprod", "mapprod", "groth", "lax", "cartesian", "monoidal")
 INSTANCES = ("span", "rel")
@@ -91,7 +91,6 @@ def span(rng: random.Random, X: FinSet, A: FinSet, max_apex: int):
         apex = FinSet(())
     left = set_fn(rng, apex, X)
     right = set_fn(rng, apex, A)
-    from .spans import Span
     return Span(X, A, apex, left, right)
 
 
@@ -134,8 +133,7 @@ def thicken(B, rng: random.Random, R, extra: int):
         bigger = Rel(R.source, R.target,
                      R.pairset.union((x, a) for x in R.source for a in R.target
                                      if rng.random() < 0.3))
-        return bigger, B.cell(R, bigger)
-    from .spans import Span
+        return bigger, RelCell(R, bigger)
     fresh, i = [], 0
     while len(fresh) < extra:
         cand = "e%d" % i
@@ -151,7 +149,7 @@ def thicken(B, rng: random.Random, R, extra: int):
         rng.choice(tuple(R.target)) for _ in fresh)
     bigger = Span(R.source, R.target, apex,
                   SetFn(apex, R.source, lvals), SetFn(apex, R.target, rvals))
-    return bigger, B.cell(R, bigger, SetFn(R.apex, apex, R.apex.elements))
+    return bigger, SpanCell(R, bigger, SetFn(R.apex, apex, R.apex.elements))
 
 
 def thin(B, rng: random.Random, R):
@@ -159,12 +157,11 @@ def thin(B, rng: random.Random, R):
     if B.name == "rel":
         smaller = Rel(R.source, R.target,
                       (p for p in R.pairs if rng.random() < 0.7))
-        return smaller, B.cell(smaller, R)
-    from .spans import Span
+        return smaller, RelCell(smaller, R)
     keep = tuple(s for s in R.apex if rng.random() < 0.7)
     apex = FinSet(keep)
     smaller = Span(R.source, R.target, apex,
                    SetFn(apex, R.source, (R.left(s) for s in keep)),
                    SetFn(apex, R.target, (R.right(s) for s in keep)))
-    return smaller, B.cell(smaller, R, SetFn(apex, R.apex, keep))
+    return smaller, SpanCell(smaller, R, SetFn(apex, R.apex, keep))
 

@@ -11,6 +11,9 @@ of two maps, the isomorphism between two maps and a cone's verdict are
 memoised in the per-unit memo of :mod:`bicat.fin`, so a unit builds each
 one once.  A checker validates arbitrary candidate cones by brute force,
 which is what gives the negative controls teeth.
+
+A cell fixed by its whiskerings, as by a universal property, is found for
+any instance by filtering ``hom_cells`` (:func:`pinned_cells`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any
 
 from .fin import FinSet, SetFn, UNIT, all_functions, memoised
 
@@ -38,15 +40,6 @@ class ProductCone:
     vertex: FinSet
     legs: tuple
     factors: tuple
-
-
-@dataclass(frozen=True)
-class PseudoNatCell:
-    """One naturality square of a transformation whose components are maps."""
-    arrow: Any
-    dom: Any
-    cod: Any
-    cell: Any
 
 
 def _require_map(B, m):
@@ -117,12 +110,11 @@ def bang(B, X: FinSet):
     return B.graph(SetFn.constant(X, UNIT, "*"))
 
 
-def bang_nat(B, f) -> PseudoNatCell:
-    """Naturality square of the terminal transformation at a map."""
+def bang_nat(B, f):
+    """Naturality square of the terminal transformation at a map: the cell
+    ``comp(f, bang(A)) -> bang(X)``."""
     _require_map(B, f)
-    dom = B.comp(f, bang(B, f.target))
-    cod = bang(B, f.source)
-    return PseudoNatCell(f, dom, cod, map_iso(B, dom, cod))
+    return map_iso(B, B.comp(f, bang(B, f.target)), bang(B, f.source))
 
 
 def diag(B, X: FinSet):
@@ -132,25 +124,32 @@ def diag(B, X: FinSet):
     return h
 
 
-def diag_nat(B, f) -> PseudoNatCell:
-    """Naturality square of the diagonal at a map: ``d . f`` against
-    ``(f x f) . d``."""
+def diag_nat(B, f):
+    """Naturality square of the diagonal at a map: the cell from ``d . f``
+    to ``(f x f) . d``."""
     _require_map(B, f)
-    dom = B.comp(f, diag(B, f.target))
-    cod = B.comp(diag(B, f.source), times_on_arrows(B, f, f))
-    return PseudoNatCell(f, dom, cod, map_iso(B, dom, cod))
+    return map_iso(B, B.comp(f, diag(B, f.target)),
+                   B.comp(diag(B, f.source), times_on_arrows(B, f, f)))
 
 
-# --- fills against the canonical binary cone --------------------------------
+# --- cells fixed by their whiskerings ---------------------------------------
+
+def pinned_cells(B, T, U, pins):
+    """The cells ``T -> U`` whose whiskering with each leg of ``pins``, a
+    sequence of ``(leg, cell)``, is that cell; in ``hom_cells`` order."""
+    for gamma in B.hom_cells(T, U):
+        if all(B.whisker_right(gamma, leg) == cell for leg, cell in pins):
+            yield gamma
+
 
 def fill2(B, T, U, alpha, beta, cone: ProductCone):
     """The unique ``gamma : T -> U`` with ``gamma . p = alpha`` and
-    ``gamma . r = beta`` (whiskering with the projections), for arbitrary
-    parallel 1-cells into a canonical binary product.
+    ``gamma . r = beta`` (whiskering with the two cone legs), for parallel
+    1-cells into the cone's vertex.
 
-    The projections pin the fill pointwise, so failure is always
-    ``no-solution``; ``non-unique`` is reserved for degenerate cones that
-    cannot arise from :func:`product_object`.
+    Raises :class:`FillError` ``no-solution`` when no cell restricts to both
+    cone cells and ``non-unique`` when several do, which needs legs that
+    forget part of the vertex: whiskering with a map leg is faithful.
     """
     p, r = cone.legs
     if T.source != U.source or T.target != U.target or T.target != cone.vertex:
@@ -159,9 +158,12 @@ def fill2(B, T, U, alpha, beta, cone: ProductCone):
         raise ValueError("first cone cell has the wrong boundary")
     if beta.dom != B.comp(T, r) or beta.cod != B.comp(U, r):
         raise ValueError("second cone cell has the wrong boundary")
-    gamma = B.fill_pair_cone(T, U, alpha, beta, p, r)
-    if B.whisker_right(gamma, p) != alpha or B.whisker_right(gamma, r) != beta:
-        raise FillError("no-solution", "candidate fill fails the cone equations")
+    found = pinned_cells(B, T, U, ((p, alpha), (r, beta)))
+    gamma = next(found, None)
+    if gamma is None:
+        raise FillError("no-solution", "no cell restricts to both cone cells")
+    if next(found, None) is not None:
+        raise FillError("non-unique", "two cells restrict to both cone cells")
     return gamma
 
 

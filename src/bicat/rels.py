@@ -141,9 +141,6 @@ class RelBicat:
                 out.add((x, z))
         return Rel(R.source, T.target, out)
 
-    def cell(self, dom: Rel, cod: Rel) -> RelCell:
-        return RelCell(dom, cod)
-
     @memoised
     def id2(self, R: Rel) -> RelCell:
         return RelCell(R, R)
@@ -190,7 +187,7 @@ class RelBicat:
             raise ValueError("2-cell is not invertible")
         return RelCell(a.cod, a.dom)
 
-    def hom_cells(self, R: Rel, S: Rel, budget: int = 0):
+    def hom_cells(self, R: Rel, S: Rel):
         """The containment ``R -> S`` when R and S are parallel and it holds."""
         if (R.source == S.source and R.target == S.target
                 and R.pairset <= S.pairset):
@@ -214,15 +211,6 @@ class RelBicat:
     def tau(self, R: Rel) -> RelCell:
         return RelCell(R, self.local_terminal(R.source, R.target))
 
-    def fill_pair_cone(self, T: Rel, U: Rel, alpha, beta, p, r) -> RelCell:
-        """Containment is the only candidate fill; the cone cells already
-        witness that it restricts along both projections."""
-        from .mapprod import FillError
-        try:
-            return RelCell(T, U)
-        except ValueError as exc:
-            raise FillError("no-solution", str(exc)) from None
-
     def graph(self, fn: SetFn) -> Rel:
         return rel_graph(fn)
 
@@ -237,7 +225,7 @@ class RelBicat:
         counit = RelCell(self.comp(rstar, R), self.identity(R.target))
         return Adjunction(R, rstar, unit, counit)
 
-    def one_cells(self, source: FinSet, target: FinSet, max_apex: int = 0):
+    def one_cells(self, source: FinSet, target: FinSet, max_apex: int):
         """Every relation ``source -> target``.  The bound is ignored: the
         poset of relations is already finite."""
         import itertools

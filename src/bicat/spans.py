@@ -21,10 +21,10 @@ between factor elements and composite elements by the same two rules.  They
 pick the representation once per composite and then walk aligned element
 tuples: a list of composite elements against the two lists of factor
 elements it splits into.  Every whiskering, horizontal composite,
-associativity cell, adjunction unit and counit and cone fill is defined
-through them, so no other code knows a composite's apex, and a cell's apex
-function is read through the aligned ``values`` tuples and the apex index,
-never element by element through :meth:`SetFn.__call__`.
+associativity cell and adjunction unit and counit is defined through them,
+so no other code knows a composite's apex, and a cell's apex function is
+read through the aligned ``values`` tuples and the apex index, never
+element by element through :meth:`SetFn.__call__`.
 
 Whether a span is in graph or cograph form is decided once, when it is
 built.  Spans and their cells are hash-consed in the value table of
@@ -41,6 +41,10 @@ from __future__ import annotations
 import itertools
 
 from .fin import _VALUES, FinSet, SetFn, UNIT, _intern, memoised, render_label
+
+#: Guards against a blow-up: one :meth:`SpanBicat.hom_cells` enumeration
+#: raises past this many cells, so an existence query never trips it.
+HOM_CELLS_LIMIT = 1_000_000
 
 
 @memoised
@@ -248,9 +252,6 @@ class SpanBicat:
 
     # -- 2-cell structure ------------------------------------------------
 
-    def cell(self, dom: Span, cod: Span, fn: SetFn) -> SpanCell:
-        return SpanCell(dom, cod, fn)
-
     @memoised
     def id2(self, R: Span) -> SpanCell:
         return SpanCell(R, R, SetFn.identity(R.apex))
@@ -320,12 +321,12 @@ class SpanBicat:
             raise ValueError("2-cell is not invertible") from None
         return SpanCell(a.cod, a.dom, back)
 
-    def hom_cells(self, R: Span, S: Span, budget: int = 1_000_000):
+    def hom_cells(self, R: Span, S: Span):
         """All 2-cells ``R -> S``, enumerated deterministically; none when
         the spans are not parallel.
 
         The count is the product over R's apex of the matching fibre sizes
-        in S; ``budget`` guards against accidental blow-ups in tests.
+        in S; at most :data:`HOM_CELLS_LIMIT` are yielded.
         """
         if R.source != S.source or R.target != S.target:
             return
@@ -336,17 +337,15 @@ class SpanBicat:
             if matches is None:
                 return
             slots.append(matches)
-        total = 1
-        for m in slots:
-            total *= len(m)
-            if total > budget:
-                raise RuntimeError("2-cell enumeration exceeds budget")
-        for values in itertools.product(*slots):
+        for n, values in enumerate(itertools.product(*slots)):
+            if n == HOM_CELLS_LIMIT:
+                raise RuntimeError("2-cell enumeration exceeds %d cells"
+                                   % HOM_CELLS_LIMIT)
             yield SpanCell(R, S, SetFn(R.apex, S.apex, values))
 
     # -- local (hom-category) products ------------------------------------
 
-    def wedge_apex(self, R: Span, S: Span) -> FinSet:
+    def _wedge_apex(self, R: Span, S: Span) -> FinSet:
         """The pairs of R's and S's apex elements with equal legs, row-major."""
         fibres = _fibres(S)
         return FinSet(
@@ -360,7 +359,7 @@ class SpanBicat:
     def local_product(self, R: Span, S: Span):
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel spans")
-        apex = self.wedge_apex(R, S)
+        apex = self._wedge_apex(R, S)
         firsts = [r for r, _ in apex]
         W = Span(R.source, R.target, apex,
                  SetFn(apex, R.source, R.left.values_at(firsts)),
@@ -401,32 +400,6 @@ class SpanBicat:
         if R.source == UNIT:
             return self._cell(R, top, R.right.values)
         return self._cell(R, top, zip(R.left.values, R.right.values))
-
-    def fill_pair_cone(self, T: Span, U: Span, alpha: SpanCell,
-                       beta: SpanCell, p: Span, r: Span) -> SpanCell:
-        """The candidate fill ``T -> U`` for a cone over two projection legs.
-
-        Whiskering with either leg pins each apex element's image, so the
-        fill is computed pointwise; the two pins must agree and assemble
-        into a leg-respecting function, otherwise no fill exists.
-        """
-        from .mapprod import FillError
-        ts = T.apex.elements
-
-        def pins(leg: Span, cell: SpanCell):
-            vs = leg.left.inverse().values_at(T.right.values)
-            return self._split(U, leg, cell.fn.values_at(
-                self._pair(T, leg, ts, vs)))[0]
-
-        values = pins(p, alpha)
-        for t, u1, u2 in zip(ts, values, pins(r, beta)):
-            if u1 != u2:
-                raise FillError("no-solution",
-                                "projection pins disagree at %r" % (t,))
-        try:
-            return SpanCell(T, U, SetFn(T.apex, U.apex, values))
-        except ValueError as exc:
-            raise FillError("no-solution", str(exc)) from None
 
     # -- maps, adjunctions, equivalences -----------------------------------
 

@@ -7,7 +7,7 @@ with its reversal of 1-cells (``spans.reverse``, ``rels.converse``).
 
 import pytest
 
-from bicat.fin import FinSet, SetFn, clear_table
+from bicat.fin import FinSet, clear_table
 from bicat.gen import GenConfig
 from bicat.harness import exhaustive_check, property_check
 
@@ -42,34 +42,6 @@ def test_repeated_composite_is_the_same_object(instance):
     assert f3 is f and g3 is g
     assert B.comp(f3, g3) is first
     assert stored(B.comp, (f, g))
-
-
-def _memoised_calls(B, rev):
-    """Every memoised operation, with arguments it is defined at."""
-    f, g = full_pair(B, rev)
-    h = B.graph(SetFn(f.source, f.target, ("a0", "a0")))
-    a = B.tau(h)
-    return [("comp", (f, g)), ("identity", (f.source,)), ("id2", (f,)),
-            ("vcomp", (B.id2(h), a)), ("whisker_left", (g, a)),
-            ("whisker_right", (a, g)), ("hcomp", (a, B.id2(g))),
-            ("assoc", (f, g, f)), ("invert", (B.assoc(f, g, f),)),
-            ("map_adjunction", (h,))]
-
-
-def test_memoised_operations_repeat_within_a_unit_only(instance):
-    B, rev = instance
-    for name, args in _memoised_calls(B, rev):
-        op = getattr(B, name)
-        first = op(*args)
-        assert op(*args) is first, name
-        clear_table()
-        assert not stored(op, args), name
-        again = op(*args)
-        assert stored(op, args), name
-        # The adjunction is a witness, built again; every other result is
-        # a value ``first`` still holds, so it comes back.
-        assert again == first, name
-        assert (again is first) == (name != "map_adjunction"), name
 
 
 def test_non_composable_pair_raises_after_a_composite(instance):

@@ -7,11 +7,11 @@ import pytest
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet
-from bicat.gen import carrier, map_cell, one_cell
+from bicat.gen import carrier, map_cell, one_cell, thicken
 from bicat.groth import g_tensor
 from bicat.harness import (_CorruptTau, _neg_corrupt_cartesian,
                            _tau_is_the_only_cell)
-from bicat.mapprod import product_object
+from bicat.mapprod import FillError, fill2, product_object
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -166,30 +166,32 @@ def test_unit_factor_pairing_is_an_equivalence():
 
 
 def test_fill_cross_check_against_enumeration():
-    # Every pair of projected cells either pins down exactly one fill or
-    # admits none; fill2 must agree with brute enumeration either way.
-    import bicat.mapprod as mp
+    # fill2 recovers every cell from its two whiskerings, and a pair of
+    # projected cells that no cell restricts to has no fill.
     rng = random.Random(105)
     for B in INSTANCES:
-        X, Y = FinSet(("x0", "x1")), FinSet(("y0",))
+        X, Y = FinSet(("x0", "x1")), FinSet(("y0", "y1"))
         A = FinSet(("a0", "a1"))
         cone = product_object(B, X, Y)
-        solved = 0
-        for _ in range(25):
+        p, r = cone.legs
+        recovered = refused = 0
+        for trial in range(60):
             T = one_cell(B, rng, A, cone.vertex, 2)
-            U = one_cell(B, rng, A, cone.vertex, 2)
-            Tp, Up = B.comp(T, cone.legs[0]), B.comp(U, cone.legs[0])
-            Tr, Ur = B.comp(T, cone.legs[1]), B.comp(U, cone.legs[1])
-            for alpha in B.hom_cells(Tp, Up):
-                for beta in B.hom_cells(Tr, Ur):
-                    expected = [c for c in B.hom_cells(T, U)
-                                if B.whisker_right(c, cone.legs[0]) == alpha
-                                and B.whisker_right(c, cone.legs[1]) == beta]
-                    try:
-                        got = mp.fill2(B, T, U, alpha, beta, cone)
-                    except mp.FillError:
-                        assert not expected
-                    else:
-                        assert expected == [got]
-                        solved += 1
-        assert solved > 0
+            U = (thicken(B, rng, T, 2)[0] if trial % 2
+                 else one_cell(B, rng, A, cone.vertex, 3))
+            restricted = set()
+            for gamma in B.hom_cells(T, U):
+                alpha = B.whisker_right(gamma, p)
+                beta = B.whisker_right(gamma, r)
+                restricted.add((alpha, beta))
+                assert fill2(B, T, U, alpha, beta, cone) == gamma
+                recovered += 1
+            for alpha in B.hom_cells(B.comp(T, p), B.comp(U, p)):
+                for beta in B.hom_cells(B.comp(T, r), B.comp(U, r)):
+                    if (alpha, beta) in restricted:
+                        continue
+                    with pytest.raises(FillError) as info:
+                        fill2(B, T, U, alpha, beta, cone)
+                    assert info.value.kind == "no-solution"
+                    refused += 1
+        assert recovered > 0 and refused > 0, (B.name, recovered, refused)

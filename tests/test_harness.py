@@ -311,6 +311,42 @@ def test_cli_cell_check_on_large_span_apex_needs_no_enumeration(tmp_path,
         assert (row.check_id, row.status) == ("fixture-0-cell", status)
 
 
+IDENTITY_LEG = """\
+set X = x0 x1
+set A = a0 a1
+span R : X -> A = r0:x0:a0 r1:x0:a1 r2:x1:a1
+span G : A -> X = a0:a0:x1 a1:a1:x0
+span RG : X -> X = r0:x0:x1 r1:x0:x0 r2:x1:x0
+span RG_PAIRS : X -> X = (r0,a0):x0:x1 (r1,a1):x0:x0 (r2,a1):x1:x0
+span GR : X -> A = a0:x1:a0 a1:x0:a1
+span T : A -> X = t0:a0:x0 t1:a1:x1 t2:a1:x0
+span GRT : X -> X = t0:x1:x0 t1:x0:x1 t2:x0:x0
+span GRT_PAIRS : X -> X = (a0,t0):x1:x0 (a1,t1):x0:x1 (a1,t2):x0:x0
+check compose R G = RG
+check compose R G = RG_PAIRS
+check compose GR T = GRT
+check compose GR T = GRT_PAIRS
+"""
+
+
+def test_cli_compose_along_an_identity_leg_keeps_the_other_apex(tmp_path,
+                                                                 capsys):
+    # G is a graph and GR the reversed graph of G's function: a composite
+    # with G on the right keeps R's apex labels, one with GR on the left
+    # keeps T's, and the pair-labelled pullback is a different span.
+    fix = tmp_path / "identity-leg.bicat"
+    fix.write_text(IDENTITY_LEG)
+    rc = cli.main(["--instance", "span", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--report", "machine",
+                   "--fixtures", str(fix)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    rows = parse_machine(out).suites[-1].checks
+    assert [(row.check_id, row.status) for row in rows] == [
+        ("fixture-0-compose", "pass"), ("fixture-1-compose", "fail"),
+        ("fixture-2-compose", "pass"), ("fixture-3-compose", "fail")]
+
+
 @pytest.mark.parametrize("instance", ("span", "rel"))
 def test_cell_check_between_non_parallel_cells_fails_with_its_boundary(
         instance):

@@ -13,6 +13,7 @@ from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
                            maps_isomorphic, pairing, product_object,
                            times_on_arrows)
 from bicat.rels import Rel
+from bicat.spans import Span
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -156,11 +157,12 @@ def test_bang_and_diag_squares():
             f = map_cell(B, rng, X, A)
             if f is None:
                 continue
-            for square in (bang_nat(B, f), diag_nat(B, f)):
-                assert square.arrow == f
-                assert B.is_invertible(square.cell)
-                assert square.cell.dom == square.dom
-                assert square.cell.cod == square.cod
+            nb, nd = bang_nat(B, f), diag_nat(B, f)
+            assert nb.dom == B.comp(f, bang(B, A))
+            assert nb.cod == bang(B, X)
+            assert nd.dom == B.comp(f, diag(B, A))
+            assert nd.cod == B.comp(diag(B, X), times_on_arrows(B, f, f))
+            assert B.is_invertible(nb) and B.is_invertible(nd)
             done += 1
         assert bang(B, UNIT) == B.identity(UNIT)
         d = diag(B, FinSet(("x0", "x1")))
@@ -212,6 +214,26 @@ def test_fill_boundary_and_no_solution_errors():
         fill2(B, T, U, beta, alpha, cone)
     with pytest.raises(ValueError):
         fill2(B, B.comp(T, p), U, alpha, beta, cone)
+
+
+def test_fill_against_a_forgetful_cone_is_non_unique():
+    # Whiskering with a map leg is faithful, so a canonical cone pins at
+    # most one fill.  A leg with an empty apex forgets every cell: both
+    # cells from the identity into a doubled copy of it restrict to the
+    # same pair of cone cells.
+    B = span_instance()
+    X, none, two = FinSet(("x0",)), FinSet(()), FinSet(("u0", "u1"))
+    V = product_object(B, X, FinSet(("y0",))).vertex
+    blind = Span(V, X, none, SetFn(none, V, ()), SetFn(none, X, ()))
+    cone = ProductCone(V, (blind, blind), (X, X))
+    T = B.identity(V)
+    U = Span(V, V, two, SetFn.constant(two, V, ("x0", "y0")),
+             SetFn.constant(two, V, ("x0", "y0")))
+    assert len(list(B.hom_cells(T, U))) == 2
+    alpha = B.id2(B.comp(T, blind))
+    with pytest.raises(FillError) as info:
+        fill2(B, T, U, alpha, alpha, cone)
+    assert info.value.kind == "non-unique"
 
 
 def test_collapsed_cone_is_rejected():

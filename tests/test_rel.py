@@ -61,9 +61,9 @@ def test_cells_are_containments():
     X = FinSet(("x0", "x1"))
     small = Rel(X, X, (("x0", "x0"),))
     big = Rel(X, X, (("x0", "x0"), ("x1", "x0")))
-    assert R.cell(small, big).dom == small
+    assert RelCell(small, big).dom == small
     with pytest.raises(ValueError):
-        R.cell(big, small)
+        RelCell(big, small)
     assert list(R.hom_cells(small, big)) == [RelCell(small, big)]
     assert list(R.hom_cells(big, small)) == []
 
@@ -88,14 +88,14 @@ def test_local_terminal_is_full_relation():
 def test_span_image_is_a_quotient_functor():
     # Composition first or image first, same relation.  A third of the
     # trials take a graph on the right and a third a reversed graph on the
-    # left, on non-empty carriers: those composites keep the other factor's
-    # apex, and enough of them relate two or more pairs.
+    # left: those composites keep the other factor's apex, the rest are
+    # pair pullbacks.  Carriers are non-empty, so enough composites of each
+    # shape relate two or more pairs.
     rng = random.Random(29)
     related = [0, 0, 0]
     for trial in range(90):
         shape = trial % 3
-        X, A, L = (canonical_carrier(p, rng.randint(min(shape, 1), 3))
-                   for p in "xal")
+        X, A, L = (canonical_carrier(p, rng.randint(1, 3)) for p in "xal")
         u = one_cell(S, rng, X, A, 4)
         v = one_cell(S, rng, A, L, 4)
         if shape == 1:
@@ -106,13 +106,13 @@ def test_span_image_is_a_quotient_functor():
         assert image == R.comp(span_image(u), span_image(v))
         assert span_image(S.identity(X)) == R.identity(X)
         related[shape] += len(image.pairset) >= 2
-    assert min(related[1:]) >= 5, related
+    assert min(related) >= 5, related
 
 
 def test_one_cells_enumerates_the_whole_poset():
     X = FinSet(("x0", "x1"))
     A = FinSet(("a0",))
-    rels = list(R.one_cells(X, A))
+    rels = list(R.one_cells(X, A, 0))
     assert len(rels) == 4
     assert len(set(rels)) == 4
 
@@ -167,8 +167,6 @@ def instance():
 
 test_repeated_composite_is_the_same_object = \
     laws.test_repeated_composite_is_the_same_object
-test_memoised_operations_repeat_within_a_unit_only = \
-    laws.test_memoised_operations_repeat_within_a_unit_only
 test_non_composable_pair_raises_after_a_composite = \
     laws.test_non_composable_pair_raises_after_a_composite
 test_property_check_shares_one_memo_per_check = \

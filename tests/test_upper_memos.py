@@ -1,4 +1,5 @@
-"""The constructions above the instances that are memoised per unit.
+"""The operations that are memoised per unit: the instances' structure
+operations and the constructions above them.
 
 Each one returns the stored object when repeated within a unit, and a
 cleared table no longer holds it; a ``None`` result is stored too; a
@@ -41,13 +42,23 @@ def _cells(B):
 
 
 def _memoised_calls(B):
-    """Every memoised operation above the instances' structure operations,
-    with arguments it is defined at."""
+    """Every memoised operation, with arguments it is defined at."""
     full, f, swap, scrambled = _cells(B)
     f_star = B.map_adjunction(f).right
     one = g_identity(B, full)
     adj_f = B.map_adjunction(f)
+    top = B.tau(f)
     calls = [
+        ("comp", B.comp, (full, f_star)),
+        ("identity", B.identity, (X,)),
+        ("id2", B.id2, (full,)),
+        ("vcomp", B.vcomp, (B.id2(f), top)),
+        ("whisker_left", B.whisker_left, (f_star, top)),
+        ("whisker_right", B.whisker_right, (top, f_star)),
+        ("hcomp", B.hcomp, (top, B.id2(f_star))),
+        ("assoc", B.assoc, (full, f_star, full)),
+        ("invert", B.invert, (B.assoc(full, f_star, full),)),
+        ("map_adjunction", B.map_adjunction, (f,)),
         ("g_tensor", g_tensor, (B, full, f)),
         ("garr_from_secondary", garr_from_secondary,
          (B, full, g_terminal(B), bang(B, X), bang(B, A), B.tau(full))),
@@ -97,8 +108,9 @@ def test_upper_memoised_operations_repeat_within_a_unit_only():
             assert not stored(op, args), (B.name, name)
             again = op(*args)
             assert stored(op, args), (B.name, name)
-            # A witness is built again; a value ``first`` still holds, and
-            # ``None`` or a truth value, comes back as the same object.
+            # A witness (an adjunction, a cone) is built again, equal but
+            # not identical; a value ``first`` still holds, and ``None`` or a
+            # truth value, comes back as the same object.
             same = first is None or isinstance(first, VALUES + (bool,))
             assert (again is first) == same, (B.name, name)
             assert _parts(again) == _parts(first), (B.name, name)
