@@ -1,15 +1,17 @@
 """Symmetric-monoidal constraint data, built componentwise and verified.
 
-Carrier level: the canonical rebracketing, unit, and swap maps between
-product carriers are all mediated through product cones (never written
-down as raw label surgery), each coming with the comparison cells its
-universal property provides.  The syllepsis is the unique fill of the two
-braid-triangle pastings against the binary cone; the quadruple
-rebracketing filler is the unique cell compatible with the two mediators
-into the flattened 4-ary product.  The pentagon check enumerates every
-cone-compatible candidate between the six-step and three-step rebracketing
-routes and confirms there is exactly one, which is the mechanism that
-forces the two classical pastings to agree.
+Carrier level: a nested product is a bracketing tree, a carrier (a leaf)
+or a pair of trees.  :func:`bracket_cone` is its product cone, one leg per
+leaf, and :func:`mediate_into` sends a flat cone into any tree, so every
+rebracketing, unit and swap map is mediated through product cones, never
+written down as raw label surgery.  A route is a list of bracketings, each
+one associator from the next; :func:`route` composes those associators.
+The syllepsis is the unique fill of the two braid-triangle pastings
+against the binary cone.  The quadruple rebracketing filler is the unique
+cell between two routes that is compatible with the mediators into the
+left-nested flat product of the leaves; the pentagon check counts those
+cells between the six-step and three-step routes through five factors and
+confirms there is exactly one, which forces the two pastings to agree.
 
 Arrow level: the same cells lifted to squares.  Associativity, unitors and
 the braiding become squares built by pairing projection cones through the
@@ -21,79 +23,90 @@ verdicts set out in :mod:`bicat.kernel`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
-from .fin import UNIT
-from .mapprod import (bang, fill2, map_iso, pairing, pinned_cells,
-                      product_object, times_on_arrows)
+from .fin import UNIT, FinSet
+from .mapprod import (FillError, ProductCone, bang, fill2, map_iso, pairing,
+                      pinned_cells, product_object, times_on_arrows)
 from . import groth
 from .groth import g_compose, g_identity, g_pair, g_tensor, g_terminal
 
 
-# --- mediating maps between product shapes -----------------------------------
+# --- bracketing trees --------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Shape:
-    """A nested binary product of carriers with its flattened legs."""
-    carrier: Any
-    legs: tuple
-    left: Any = None
-    right: Any = None
+def _leaves(tree) -> tuple:
+    if isinstance(tree, FinSet):
+        return (tree,)
+    return _leaves(tree[0]) + _leaves(tree[1])
 
 
-def shape_leaf(B, X) -> _Shape:
-    return _Shape(X, (B.identity(X),))
+def _carrier(tree) -> FinSet:
+    if isinstance(tree, FinSet):
+        return tree
+    return _carrier(tree[0]).product(_carrier(tree[1]))
 
 
-def shape_prod(B, a: _Shape, b: _Shape) -> _Shape:
-    cone = product_object(B, a.carrier, b.carrier)
+def bracket_cone(B, tree) -> ProductCone:
+    """The nested product ``tree`` as a cone with one leg per leaf."""
+    if isinstance(tree, FinSet):
+        return ProductCone(tree, (B.identity(tree),), (tree,))
+    left, right = (bracket_cone(B, t) for t in tree)
+    cone = product_object(B, left.vertex, right.vertex)
     p, r = cone.legs
-    legs = tuple(B.comp(p, leg) for leg in a.legs)
-    legs += tuple(B.comp(r, leg) for leg in b.legs)
-    return _Shape(cone.vertex, legs, a, b)
+    legs = (tuple(B.comp(p, leg) for leg in left.legs)
+            + tuple(B.comp(r, leg) for leg in right.legs))
+    return ProductCone(cone.vertex, legs, left.factors + right.factors)
 
 
-def shape_mediator(B, shape: _Shape):
-    """The equivalence from a shape into the chosen flat (left-nested)
-    product of its leaves, folded out of binary pairings."""
-    m = shape.legs[0]
-    for leg in shape.legs[1:]:
-        m, _, _ = pairing(B, m, leg)
-    return m
-
-
-def mediate_into(B, legs, shape: _Shape):
+def mediate_into(B, legs, tree):
     """The map classified by a flattened cone: sends the legs' common
-    source into ``shape`` so that the shape's own legs recover them."""
+    source into ``tree`` so that its cone's legs recover them."""
     legs = tuple(legs)
-    if len(legs) != len(shape.legs):
-        raise ValueError("cone arity does not match the shape")
-    if shape.left is None:
+    if len(legs) != len(_leaves(tree)):
+        raise ValueError("cone arity does not match the bracketing")
+    if isinstance(tree, FinSet):
         return legs[0]
-    split = len(shape.left.legs)
-    lm = mediate_into(B, legs[:split], shape.left)
-    rm = mediate_into(B, legs[split:], shape.right)
-    h, _, _ = pairing(B, lm, rm)
+    split = len(_leaves(tree[0]))
+    h, _, _ = pairing(B, mediate_into(B, legs[:split], tree[0]),
+                      mediate_into(B, legs[split:], tree[1]))
     return h
+
+
+def rebracket(B, src, tgt):
+    """The equivalence between two bracketings of the same leaves."""
+    return mediate_into(B, bracket_cone(B, src).legs, tgt)
 
 
 # --- associativity and units --------------------------------------------------
 
 def assoc_map(B, X, Y, Z):
-    """The rebracketing equivalence ``(X x Y) x Z -> X x (Y x Z)`` with its
-    comparison against the two mediators into the flat ternary product.
+    """The rebracketing equivalence ``(X x Y) x Z -> X x (Y x Z)``."""
+    return rebracket(B, ((X, Y), Z), (X, (Y, Z)))
 
-    Returns ``(a, mu, h, k)`` with ``mu : comp(a, k) -> h`` invertible.
-    """
-    lx, ly, lz = shape_leaf(B, X), shape_leaf(B, Y), shape_leaf(B, Z)
-    t_l = shape_prod(B, shape_prod(B, lx, ly), lz)
-    t_r = shape_prod(B, lx, shape_prod(B, ly, lz))
-    h = shape_mediator(B, t_l)
-    k = shape_mediator(B, t_r)
-    a = mediate_into(B, t_l.legs, t_r)
-    mu = map_iso(B, B.comp(a, k), h)
-    return a, mu, h, k
+
+def _step(B, t1, t2):
+    """The one associator from ``t1`` to ``t2``, tensored with identities on
+    the subtrees it leaves alone; ``ValueError`` unless ``t2`` is ``t1``
+    with one subtree ``((a, b), c)`` rebracketed to ``(a, (b, c))``."""
+    if isinstance(t1, tuple) and isinstance(t2, tuple):
+        if isinstance(t1[0], tuple) and t2 == (t1[0][0], (t1[0][1], t1[1])):
+            a, (b, c) = t2
+            return assoc_map(B, _carrier(a), _carrier(b), _carrier(c))
+        if t1[0] == t2[0]:
+            return times_on_arrows(B, B.identity(_carrier(t1[0])),
+                                   _step(B, t1[1], t2[1]))
+        if t1[1] == t2[1]:
+            return times_on_arrows(B, _step(B, t1[0], t2[0]),
+                                   B.identity(_carrier(t1[1])))
+    raise ValueError("bracketings are not one associator apart")
+
+
+def route(B, *trees):
+    """The composite of the associators along a route of bracketings."""
+    return functools.reduce(B.comp, (_step(B, t1, t2)
+                                     for t1, t2 in zip(trees, trees[1:])))
 
 
 def left_unit_map(B, X):
@@ -158,46 +171,34 @@ class QuadFiller:
     cell: Any
 
 
-def quad_assoc_routes(B, X, Y, Z, W):
-    """The three-step and two-step rebracketing composites
-    ``((X x Y) x Z) x W -> X x (Y x (Z x W))``."""
-    aXYZ, _, _, _ = assoc_map(B, X, Y, Z)
-    YZ = product_object(B, Y, Z).vertex
-    aXYZW_mid, _, _, _ = assoc_map(B, X, YZ, W)
-    aYZW, _, _, _ = assoc_map(B, Y, Z, W)
-    m = B.comp(B.comp(times_on_arrows(B, aXYZ, B.identity(W)), aXYZW_mid),
-               times_on_arrows(B, B.identity(X), aYZW))
-
-    XY = product_object(B, X, Y).vertex
-    ZW = product_object(B, Z, W).vertex
-    aXY_ZW_1, _, _, _ = assoc_map(B, XY, Z, W)
-    aX_Y_ZW, _, _, _ = assoc_map(B, X, Y, ZW)
-    n = B.comp(aXY_ZW_1, aX_Y_ZW)
-    return m, n
-
-
-def _compatible_cells(B, m, n, u, v):
-    """Every cell ``g : m -> n`` compatible with the comparisons
-    ``alpha : comp(m, v) -> u`` and ``beta : comp(n, v) -> u`` of two
-    routes against the mediators into a flat product: ``g`` whiskered
-    with ``v`` is ``alpha`` followed by the inverse of ``beta``."""
+def _route_cells(B, m_trees, n_trees):
+    """Two routes ``m``, ``n`` with the same ends, and every ``g : m -> n``
+    whose whiskering with ``v`` is ``alpha`` followed by the inverse of
+    ``beta``, for ``alpha : comp(m, v) -> u`` and ``beta : comp(n, v) -> u``
+    where ``u``, ``v`` mediate from the ends into the flat product."""
+    m, n = route(B, *m_trees), route(B, *n_trees)
+    src, tgt = bracket_cone(B, m_trees[0]), bracket_cone(B, m_trees[-1])
+    flat = functools.reduce(lambda t, leaf: (t, leaf), src.factors)
+    u = mediate_into(B, src.legs, flat)
+    v = mediate_into(B, tgt.legs, flat)
     alpha = map_iso(B, B.comp(m, v), u)
     beta = map_iso(B, B.comp(n, v), u)
-    return list(pinned_cells(B, m, n, ((v, B.vcomp(alpha, B.invert(beta))),)))
+    pin = (v, B.vcomp(alpha, B.invert(beta)))
+    return m, n, list(pinned_cells(B, m, n, (pin,)))
 
 
 def quad_assoc_filler(B, X, Y, Z, W) -> QuadFiller:
-    lx, ly, lz, lw = (shape_leaf(B, c) for c in (X, Y, Z, W))
-    src = shape_prod(B, shape_prod(B, shape_prod(B, lx, ly), lz), lw)
-    tgt = shape_prod(B, lx, shape_prod(B, ly, shape_prod(B, lz, lw)))
-    u = shape_mediator(B, src)
-    v = shape_mediator(B, tgt)
-    m, n = quad_assoc_routes(B, X, Y, Z, W)
-    matches = _compatible_cells(B, m, n, u, v)
-    if len(matches) != 1:
-        raise ValueError("rebracketing filler is not unique: %d candidates"
-                         % len(matches))
-    return QuadFiller(m, n, matches[0])
+    """The unique compatible cell between the three-step and two-step
+    routes ``((X x Y) x Z) x W -> X x (Y x (Z x W))``; raises
+    :class:`~bicat.mapprod.FillError` when there is none or several."""
+    m, n, cells = _route_cells(
+        B, ((((X, Y), Z), W), ((X, (Y, Z)), W), (X, ((Y, Z), W)),
+            (X, (Y, (Z, W)))),
+        ((((X, Y), Z), W), ((X, Y), (Z, W)), (X, (Y, (Z, W)))))
+    if len(cells) != 1:
+        raise FillError("non-unique" if cells else "no-solution",
+                        "%d rebracketing fillers" % len(cells))
+    return QuadFiller(m, n, cells[0])
 
 
 def check_quad_assoc(B, X, Y, Z, W) -> bool:
@@ -206,44 +207,17 @@ def check_quad_assoc(B, X, Y, Z, W) -> bool:
 
 
 def pentagon_unique(B, X, Y, Z, U, V):
-    """The five-factor coherence route comparison.
-
-    Both classical pastings between the six-step and three-step
-    rebracketing composites are cells compatible with the mediators into
-    the flat 5-ary product; compatibility pins the cell uniquely, so
-    verifying the count is one settles their equality.  Returns the count;
-    ``hom_cells`` yields nothing between non-parallel routes, so a count of
-    one also says the routes are parallel.
-    """
-    leaves = tuple(shape_leaf(B, c) for c in (X, Y, Z, U, V))
-    lx, ly, lz, lu, lv = leaves
-    src = shape_prod(B, shape_prod(B, shape_prod(B, shape_prod(B, lx, ly), lz), lu), lv)
-    tgt = shape_prod(B, lx, shape_prod(B, ly, shape_prod(B, lz, shape_prod(B, lu, lv))))
-    u5 = shape_mediator(B, src)
-    v5 = shape_mediator(B, tgt)
-
-    one = B.identity
-    YZ = product_object(B, Y, Z).vertex
-    ZU = product_object(B, Z, U).vertex
-    UV = product_object(B, U, V).vertex
-    XY = product_object(B, X, Y).vertex
-    Y_ZU = product_object(B, Y, ZU).vertex
-    XY_Z = product_object(B, XY, Z).vertex
-
-    def asc(A1, A2, A3):
-        return assoc_map(B, A1, A2, A3)[0]
-
-    six = B.comp(B.comp(B.comp(B.comp(B.comp(
-        times_on_arrows(B, times_on_arrows(B, asc(X, Y, Z), one(U)), one(V)),
-        times_on_arrows(B, asc(X, YZ, U), one(V))),
-        times_on_arrows(B, times_on_arrows(B, one(X), asc(Y, Z, U)), one(V))),
-        asc(X, Y_ZU, V)),
-        times_on_arrows(B, one(X), asc(Y, ZU, V))),
-        times_on_arrows(B, one(X), times_on_arrows(B, one(Y), asc(Z, U, V))))
-    three = B.comp(B.comp(asc(XY_Z, U, V), asc(XY, Z, UV)),
-                   asc(X, Y, product_object(B, Z, UV).vertex))
-
-    return len(_compatible_cells(B, six, three, u5, v5))
+    """The count of cells between the six-step and three-step routes
+    through five factors that are compatible with the mediators into the
+    flat product.  Both classical pastings are such cells, so a count of
+    one settles their equality; ``hom_cells`` yields nothing between
+    non-parallel routes, so it also says the routes are parallel."""
+    start, end = ((((X, Y), Z), U), V), (X, (Y, (Z, (U, V))))
+    six = (start, (((X, (Y, Z)), U), V), ((X, ((Y, Z), U)), V),
+           ((X, (Y, (Z, U))), V), (X, ((Y, (Z, U)), V)),
+           (X, (Y, ((Z, U), V))), end)
+    three = (start, (((X, Y), Z), (U, V)), ((X, Y), (Z, (U, V))), end)
+    return len(_route_cells(B, six, three)[2])
 
 
 # --- carrier-level naturality (sampled) ---------------------------------------
@@ -256,8 +230,8 @@ def braid_map_natural(B, f, g) -> bool:
 
 
 def assoc_map_natural(B, f, g, h) -> bool:
-    a_src = assoc_map(B, f.source, g.source, h.source)[0]
-    a_tgt = assoc_map(B, f.target, g.target, h.target)[0]
+    a_src = assoc_map(B, f.source, g.source, h.source)
+    a_tgt = assoc_map(B, f.target, g.target, h.target)
     lhs = B.comp(times_on_arrows(B, times_on_arrows(B, f, g), h), a_tgt)
     rhs = B.comp(a_src, times_on_arrows(B, f, times_on_arrows(B, g, h)))
     return lhs == rhs

@@ -39,6 +39,7 @@ the canonical copy, and a rebuild returns it.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import weakref
 from typing import Iterable, Iterator
@@ -293,7 +294,5 @@ def all_functions(domain: FinSet, codomain: FinSet) -> Iterator[SetFn]:
         return
     if len(codomain) == 0:
         return
-    import itertools
-
     for values in itertools.product(codomain.elements, repeat=len(domain)):
         yield SetFn(domain, codomain, values)

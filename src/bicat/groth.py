@@ -33,17 +33,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import kernel
-from .fin import memoised
+from .fin import UNIT, memoised
 from .kernel import (compose_adjunctions, mate_to_primary, mate_to_secondary,
                      right_mate_of_map_cell)
 from .homprod import transport_cell, transport_hom
-from .mapprod import NotAMap, pairing, product_object
-
-
-class GPairError(ValueError):
-    def __init__(self, kind: str, detail: str = ""):
-        super().__init__("%s%s" % (kind, ": " + detail if detail else ""))
-        self.kind = kind
+from .mapprod import FillError, NotAMap, bang, diag, pairing, product_object
 
 
 @dataclass(frozen=True)
@@ -226,9 +220,11 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     canonical graph frames).  Returns ``(arrow, cell_R, cell_S)`` where the
     cells exhibit the two projection composites as the given cone legs.
 
-    Failure of existence or of invertibility of the transported-wedge
-    comparison is an instance invariant violation and raises
-    :class:`GPairError`.
+    A failed construction raises :class:`~bicat.mapprod.FillError`, the
+    one error of a failed cell search: ``no-solution`` when the
+    transported-wedge comparison is ill-typed or the mediating square
+    fails the projection equations, and ``instance-invariant-violation``
+    when that comparison is not invertible.
     """
     if aR.dom != aS.dom:
         raise ValueError("cone legs have different domain objects")
@@ -254,9 +250,9 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     # factors; the comparison into the canonical wedge witnesses that.
     W0, e = transported_wedge(B, tens, h, w)
     if e.dom != transport_hom(B, h, tens.obj, ws):
-        raise GPairError("no-solution", "transported wedge comparison is ill-typed")
+        raise FillError("no-solution", "transported wedge comparison is ill-typed")
     if not B.is_invertible(e):
-        raise GPairError(
+        raise FillError(
             "instance-invariant-violation",
             "frame transport does not preserve the local product")
 
@@ -267,7 +263,7 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
         cell_R = g_cell(B, g_compose(B, arrow, tens.proj1), aR, mu0, mu1)
         cell_S = g_cell(B, g_compose(B, arrow, tens.proj2), aS, nu0, nu1)
     except ValueError as exc:
-        raise GPairError("no-solution",
+        raise FillError("no-solution",
                          "mediating square fails the projection equations"
                          " (%s)" % exc) from None
     return arrow, cell_R, cell_S
@@ -312,7 +308,6 @@ def _transport_cone_leg(B, a: GArr, h, w, adj_w, iso0, iso1, p_src, p_tgt, facto
 def g_terminal(B):
     """The chosen terminal object: the identity on the unit carrier, which
     is also the chosen local terminal there."""
-    from .fin import UNIT
     return B.identity(UNIT)
 
 
@@ -323,7 +318,6 @@ def g_bang(B, R) -> GArr:
     composite of the two terminal frames around the unit identity is the
     chosen local terminal on the nose.
     """
-    from .mapprod import bang
     t_src = bang(B, R.source)
     t_tgt = bang(B, R.target)
     return garr_from_secondary(B, R, g_terminal(B), t_src, t_tgt, B.tau(R))
@@ -343,7 +337,6 @@ def dunit_iso(B, R, S):
     diagonal-conjugated tensor: ``d_A* . (R (x) S) . d_X  ~  R /\\ S``."""
     if R.source != S.source or R.target != S.target:
         raise ValueError("comparison requires parallel 1-cells")
-    from .mapprod import diag
     tens = g_tensor(B, R, S)
     d_src = diag(B, R.source)
     d_tgt = diag(B, R.target)

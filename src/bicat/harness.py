@@ -33,7 +33,9 @@ from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
 from .homprod import transport_cell, transport_hom
 from .mapprod import (ProductCone, bang_nat, check_product_cone, diag_nat,
                       fill2, maps_isomorphic, pairing, product_object)
+from .rels import Rel
 from .report import CheckResult, RunReport, SuiteReport
+from .spans import Span
 
 
 @dataclass(frozen=True)
@@ -200,10 +202,8 @@ def _neg_nonmap(B, cfg):
     X = FinSet(("x0",))
     A = FinSet(("a0", "a1"))
     if B.name == "rel":
-        from .rels import Rel
         bad = Rel(X, A, (("x0", "a0"), ("x0", "a1")))
     else:
-        from .spans import Span
         S = FinSet(("s0", "s1"))
         bad = Span(X, A, S, SetFn(S, X, ("x0", "x0")), SetFn(S, A, ("a0", "a1")))
     try:
@@ -276,7 +276,6 @@ def _neg_corrupt_terminal(B, cfg):
     A = FinSet(("a0",))
     top = B.local_terminal(X, A)
     if B.name == "rel":
-        from .rels import Rel
         fake = Rel(X, A, top.pairs[1:])
         probe = top
     else:
@@ -633,7 +632,6 @@ def _neg_corrupt_cartesian(B, cfg):
     X = FinSet(("x0", "x1"))
     A = FinSet(("a0",))
     if B.name == "rel":
-        from .rels import Rel
         R = Rel(X, A, (("x0", "a0"),))
     else:
         R = B.graph(SetFn.constant(X, A, "a0"))

@@ -20,8 +20,12 @@ identity, and :class:`RelBicat` memoises its structure operations
 
 from __future__ import annotations
 
+import itertools
+
 from .fin import (_VALUES, FinSet, SetFn, _intern, label_key, memoised,
                   render_label)
+from .homprod import LocalProductWitness
+from .kernel import Adjunction
 
 
 def _pair_key(p):
@@ -198,7 +202,6 @@ class RelBicat:
         if R.source != S.source or R.target != S.target:
             raise ValueError("local product of non-parallel relations")
         W = Rel(R.source, R.target, R.pairset & S.pairset)
-        from .homprod import LocalProductWitness
         return LocalProductWitness(W, RelCell(W, R), RelCell(W, S),
                                    lambda phi, psi: RelCell(phi.dom, W))
 
@@ -219,7 +222,6 @@ class RelBicat:
         """``R -| converse(R)`` when R is the graph of a function."""
         if not R.is_map():
             raise ValueError("adjunction requested for a non-map relation")
-        from .kernel import Adjunction
         rstar = converse(R)
         unit = RelCell(self.identity(R.source), self.comp(R, rstar))
         counit = RelCell(self.comp(rstar, R), self.identity(R.target))
@@ -228,7 +230,6 @@ class RelBicat:
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int):
         """Every relation ``source -> target``.  The bound is ignored: the
         poset of relations is already finite."""
-        import itertools
         universe = [(x, a) for x in source for a in target]
         for n in range(len(universe) + 1):
             for chosen in itertools.combinations(universe, n):

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import itertools
 
-from .fin import _VALUES, FinSet, SetFn, UNIT, _intern, memoised, render_label
+from .fin import (_VALUES, FinSet, SetFn, UNIT, _intern, all_functions,
+                  memoised, render_label)
+from .homprod import LocalProductWitness
+from .kernel import Adjunction
 
 #: Guards against a blow-up: one :meth:`SpanBicat.hom_cells` enumeration
 #: raises past this many cells, so an existence query never trips it.
@@ -370,7 +373,6 @@ class SpanBicat:
         def mediate(phi: SpanCell, psi: SpanCell) -> SpanCell:
             return self._cell(phi.dom, W, zip(phi.fn.values, psi.fn.values))
 
-        from .homprod import LocalProductWitness
         return LocalProductWitness(W, proj1, proj2, mediate)
 
     def local_terminal(self, source: FinSet, target: FinSet) -> Span:
@@ -416,7 +418,6 @@ class SpanBicat:
         """
         if not R.is_map():
             raise ValueError("adjunction requested for a non-map span")
-        from .kernel import Adjunction
         rstar = reverse(R)
         diagonal = R.left.inverse().values
         unit = self._cell(self.identity(R.source), self.comp(R, rstar),
@@ -430,7 +431,6 @@ class SpanBicat:
     def one_cells(self, source: FinSet, target: FinSet, max_apex: int):
         """Every span ``source -> target`` with apex a canonical carrier of
         size at most ``max_apex``.  Exhaustive-test helper."""
-        from .fin import all_functions
         for n in range(max_apex + 1):
             apex = FinSet("s%d" % i for i in range(n))
             for left in all_functions(apex, source):

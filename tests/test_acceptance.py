@@ -104,15 +104,12 @@ def test_criterion_2_local_products_and_terminals(capsys):
 
         @_law
         def ternary_cones(B, X, Y, Z):
-            lx, ly, lz = (C.shape_leaf(B, V) for V in (X, Y, Z))
-            shapes = (C.shape_prod(B, C.shape_prod(B, lx, ly), lz),
-                      C.shape_prod(B, lx, C.shape_prod(B, ly, lz)))
-            return all(mp.check_product_cone(B, mp.ProductCone(
-                s.carrier, s.legs, (X, Y, Z))) is None for s in shapes)
+            return all(mp.check_product_cone(B, C.bracket_cone(B, t)) is None
+                       for t in (((X, Y), Z), (X, (Y, Z))))
 
         @_law
         def rebracketings(B, X, Y, Z):
-            a = C.assoc_map(B, X, Y, Z)[0]
+            a = C.assoc_map(B, X, Y, Z)
             return kernel.find_equivalence(B, a) is not None
 
         def all_wedges(B, rng, carriers):

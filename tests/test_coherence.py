@@ -1,13 +1,17 @@
 """Rebracketing, unit, and swap maps with their coherence fillers."""
 
+import functools
 import random
+
+import pytest
 
 from bicat import coherence as C
 from bicat import groth, kernel
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import canonical_carrier, one_cell
-from bicat.mapprod import product_object
+from bicat.mapprod import (FillError, maps_isomorphic, product_object,
+                           times_on_arrows)
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -20,12 +24,19 @@ def _rand_fn(rng, A, Bset):
 
 
 def test_rebracketing_map_and_comparison():
+    # The rebracketing is the mediator of the left cone into the right one:
+    # followed by each leg of the right cone, it is the matching left leg.
     for B in INSTANCES:
         X, Y, Z = map(canonical_carrier, "abc", (2, 3, 2))
-        a, mu, h, k = C.assoc_map(B, X, Y, Z)
-        assert a.is_map() and B.is_invertible(mu)
-        assert B.comp(a, k) == mu.dom and mu.cod == h
-        assert C.assoc_map(B, X, FinSet(()), Z)[0].is_map()
+        for Ya in (Y, FinSet(())):
+            a = C.assoc_map(B, X, Ya, Z)
+            left = C.bracket_cone(B, ((X, Ya), Z))
+            right = C.bracket_cone(B, (X, (Ya, Z)))
+            assert a.is_map() and a.source == left.vertex
+            assert a.target == right.vertex
+            assert left.factors == right.factors == (X, Ya, Z)
+            for leg, expected in zip(right.legs, left.legs, strict=True):
+                assert maps_isomorphic(B.comp(a, leg), expected)
 
 
 def test_unit_maps_are_equivalences():
@@ -76,6 +87,80 @@ def test_quadruple_rebracket_filler():
         assert data.m.is_map() and data.n.is_map()
         degenerate = C.quad_assoc_filler(B, UNIT, UNIT, UNIT, UNIT)
         assert B.is_invertible(degenerate.cell)
+
+
+def test_routes_match_their_written_out_composites():
+    # The oracle: each route as the associators and tensors it stands for.
+    for B in INSTANCES:
+        X, Y, Z, U, V = map(canonical_carrier, "abcde", (2, 1, 2, 1, 2))
+        one = B.identity
+        a = functools.partial(C.assoc_map, B)
+        t = functools.partial(times_on_arrows, B)
+
+        def vx(P, Q):
+            return product_object(B, P, Q).vertex
+
+        data = C.quad_assoc_filler(B, X, Y, Z, U)
+        assert data.m == B.comp(B.comp(t(a(X, Y, Z), one(U)),
+                                       a(X, vx(Y, Z), U)),
+                                t(one(X), a(Y, Z, U)))
+        assert data.n == B.comp(a(vx(X, Y), Z, U), a(X, Y, vx(Z, U)))
+        six = B.comp(B.comp(B.comp(B.comp(B.comp(
+            t(t(a(X, Y, Z), one(U)), one(V)),
+            t(a(X, vx(Y, Z), U), one(V))),
+            t(t(one(X), a(Y, Z, U)), one(V))),
+            a(X, vx(Y, vx(Z, U)), V)),
+            t(one(X), a(Y, vx(Z, U), V))),
+            t(one(X), t(one(Y), a(Z, U, V))))
+        assert six == C.route(
+            B, ((((X, Y), Z), U), V), (((X, (Y, Z)), U), V),
+            ((X, ((Y, Z), U)), V), ((X, (Y, (Z, U))), V),
+            (X, ((Y, (Z, U)), V)), (X, (Y, ((Z, U), V))),
+            (X, (Y, (Z, (U, V)))))
+
+
+def test_step_refuses_all_but_one_forward_associator():
+    # Every carrier has two elements, so a leaf unpacks like a pair of
+    # subtrees: only the tree structure may tell the two apart.
+    for B in INSTANCES:
+        X, Y, Z, W = map(canonical_carrier, "abcd", (2, 2, 2, 2))
+        P = canonical_carrier("p", 2)
+        assert C._step(B, ((X, Y), Z), (X, (Y, Z))) == C.assoc_map(B, X, Y, Z)
+        for t1, t2 in (((X, (Y, Z)), ((X, Y), Z)),
+                       ((((X, Y), Z), W), (X, (Y, (Z, W)))),
+                       (((X, Y), (Z, W)), (((X, Y), Z), W)),
+                       (((X, Y), Z), ((X, Y), Z)),
+                       ((P, Z), (X, (Y, Z))),
+                       (((X, Y), Z), (P, Z)),
+                       (X, Y)):
+            with pytest.raises(ValueError):
+                C._step(B, t1, t2)
+
+
+class _TwiceOver:
+    """Instance proxy whose ``hom_cells`` yields every cell twice, as if
+    the enumeration visited each candidate from two directions."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def hom_cells(self, R, S):
+        for cell in self._inner.hom_cells(R, S):
+            yield cell
+            yield cell
+
+
+def test_a_doubled_enumeration_makes_the_route_fillers_non_unique():
+    for B in INSTANCES:
+        proxy = _TwiceOver(B)
+        X, Y, Z, U, V = map(canonical_carrier, "abcde", (2, 1, 2, 1, 1))
+        with pytest.raises(FillError) as info:
+            C.quad_assoc_filler(proxy, X, Y, Z, U)
+        assert info.value.kind == "non-unique"
+        assert C.pentagon_unique(proxy, X, Y, Z, U, V) == 2
 
 
 def test_structure_maps_natural_in_the_carriers():

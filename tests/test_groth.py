@@ -8,12 +8,12 @@ import pytest
 from bicat import groth, rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell, one_cell, thicken
-from bicat.groth import (GArr, GPairError, dunit_iso, g_bang, g_cell,
+from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
                          g_cell_invertible, g_compose, g_diag, g_identity,
                          g_is_equivalence, g_map_arrow, g_pair, g_tensor,
                          g_terminal, garr_from_primary,
                          garr_from_secondary, paste_vertical, secondary)
-from bicat.mapprod import NotAMap
+from bicat.mapprod import FillError, NotAMap
 from bicat.rels import Rel
 
 INSTANCES = (span_instance(), rel_instance())
@@ -197,7 +197,7 @@ def test_pair_rejects_malformed_cones():
     other = g_identity(B, B.identity(X))
     with pytest.raises(ValueError):
         g_pair(B, tens, tens.proj1, other)
-    assert issubclass(GPairError, ValueError)
+    assert issubclass(FillError, ValueError)
 
 
 def test_terminal_and_bang():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.coherence import shape_leaf, shape_prod
+from bicat.coherence import bracket_cone
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell
 from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
@@ -39,9 +39,8 @@ def test_ternary_product_flattens():
     X = FinSet(("x0", "x1"))
     Y = FinSet(("y0",))
     Z = FinSet(("z0", "z1"))
-    shape = shape_prod(B, shape_prod(B, shape_leaf(B, X), shape_leaf(B, Y)),
-                       shape_leaf(B, Z))
-    cone = ProductCone(shape.carrier, shape.legs, (X, Y, Z))
+    cone = bracket_cone(B, ((X, Y), Z))
+    assert cone.factors == (X, Y, Z)
     assert check_product_cone(B, cone) is None
     assert len(cone.legs) == 3
     assert len(cone.vertex) == 4

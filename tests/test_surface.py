@@ -13,8 +13,8 @@ No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
 paper layer asks which instance it runs on, the interned value classes
 keep object identity as their equality, every memoised operation is
 exercised by the memo laws, no law verdict is compared with a dict
-display, and both instances expose the same operations with the same
-parameters.
+display, both instances expose the same operations with the same
+parameters, and no function of ``src/bicat`` imports inside its body.
 """
 
 import ast
@@ -177,6 +177,17 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in PROGRAM + TESTS
               for name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not unused, "remove these imports: %s" % unused
+
+
+def test_no_function_imports_inside_its_body():
+    # A module's dependencies are the imports at its top; no module of the
+    # program needs a function-local import to break a cycle.
+    local = ["%s:%d" % (path.name, node.lineno) for path in PROGRAM
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, "move these imports to the module top: %s" % local
 
 
 def test_paper_layers_do_not_branch_on_the_instance():
