@@ -34,6 +34,11 @@ whiskerings, ``hcomp``, ``assoc``, ``invert``, ``map_adjunction`` and
 ``local_product``), and :meth:`Span.fn`, :meth:`Span.is_map` and
 ``_fibres`` their results, in the per-unit memo, so an operation repeated
 within a unit returns the object it returned before.
+
+Identity 2-cells are recognised once, when they are built, and the structure
+operations return them without building a cell: a composite with, or a
+whiskering or an inverse of, an identity, and the associator in the three
+cases :meth:`SpanBicat.assoc` lists.
 """
 
 from __future__ import annotations
@@ -155,7 +160,7 @@ def relabel_apex(span: Span, names: SetFn) -> Span:
 class SpanCell:
     """A 2-cell between parallel spans: an apex function commuting with legs."""
 
-    __slots__ = ("dom", "cod", "fn", "__weakref__")
+    __slots__ = ("dom", "cod", "fn", "_identity", "__weakref__")
 
     def __new__(cls, dom: Span, cod: Span, fn: SetFn):
         key = (cls, dom, cod, fn)
@@ -178,6 +183,7 @@ class SpanCell:
             self.dom = dom
             self.cod = cod
             self.fn = fn
+            self._identity = dom is cod and fn.values == dom.apex.elements
         return self
 
     def __repr__(self):
@@ -263,6 +269,8 @@ class SpanBicat:
     def vcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
         if a.cod != b.dom:
             raise ValueError("vertical composite of non-composable 2-cells")
+        if a._identity or b._identity:
+            return b if a._identity else a
         return SpanCell(a.dom, b.cod, a.fn.then(b.fn))
 
     def vc(self, *cells: SpanCell) -> SpanCell:
@@ -275,6 +283,8 @@ class SpanBicat:
     def whisker_left(self, T: Span, a: SpanCell) -> SpanCell:
         """``comp(T, dom a) -> comp(T, cod a)``: act on the second factor."""
         dom = self.comp(T, a.dom)
+        if a._identity:
+            return self.id2(dom)
         ts, ds = self._split(T, a.dom, dom.apex.elements)
         return self._cell(dom, self.comp(T, a.cod),
                           self._pair(T, a.cod, ts, a.fn.values_at(ds)))
@@ -283,6 +293,8 @@ class SpanBicat:
     def whisker_right(self, a: SpanCell, T: Span) -> SpanCell:
         """``comp(dom a, T) -> comp(cod a, T)``: act on the first factor."""
         dom = self.comp(a.dom, T)
+        if a._identity:
+            return self.id2(dom)
         ds, ts = self._split(a.dom, T, dom.apex.elements)
         return self._cell(dom, self.comp(a.cod, T),
                           self._pair(a.cod, T, a.fn.values_at(ds), ts))
@@ -291,6 +303,8 @@ class SpanBicat:
     def hcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
         """Horizontal composite ``comp(dom a, dom b) -> comp(cod a, cod b)``."""
         dom = self.comp(a.dom, b.dom)
+        if a._identity and b._identity:
+            return self.id2(dom)
         rs, ts = self._split(a.dom, b.dom, dom.apex.elements)
         return self._cell(dom, self.comp(a.cod, b.cod),
                           self._pair(a.cod, b.cod, a.fn.values_at(rs),
@@ -300,11 +314,20 @@ class SpanBicat:
     def assoc(self, A: Span, B: Span, C: Span) -> SpanCell:
         """The canonical rebracketing ``comp(comp(A,B),C) -> comp(A,comp(B,C))``.
 
-        Degenerates to an identity cell whenever the identity-leg rules make
-        both sides literally equal.
+        It is the identity where the identity-leg rules build both
+        bracketings the same way:
+
+        * C is a graph: ``comp(comp(A, B), C)`` keeps the apex of
+          ``comp(A, B)`` and ``comp(B, C)`` keeps B's, so
+          ``comp(A, comp(B, C))`` is built by the rule that built
+          ``comp(A, B)``;
+        * A is a cograph: the mirror image;
+        * B is an identity: both sides are ``comp(A, C)``.
         """
         AB, BC = self.comp(A, B), self.comp(B, C)
         dom = self.comp(AB, C)
+        if C._graph or A._cograph or B.is_identity():
+            return self.id2(dom)
         abs_, cs = self._split(AB, C, dom.apex.elements)
         as_, bs = self._split(A, B, abs_)
         return self._cell(dom, self.comp(A, BC),
@@ -318,6 +341,8 @@ class SpanBicat:
 
     @memoised
     def invert(self, a: SpanCell) -> SpanCell:
+        if a._identity:
+            return a
         try:
             back = a.fn.inverse()
         except ValueError:

@@ -7,13 +7,14 @@ invariant under the choice of pullback, so it validates both the canonical
 pair apex and the kept apex along an identity leg.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from bicat import span_instance
-from bicat.fin import FinSet, SetFn, UNIT
+from bicat.fin import FinSet, SetFn, UNIT, all_functions, clear_table
 from bicat.gen import carrier, map_cell, one_cell, set_fn, span, thicken
 from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
                          reverse)
@@ -98,9 +99,10 @@ def cograph_form(S):
 
 def reference_pullback(R, T):
     """The composite "R then T" by nested loops over both apexes: its apex,
-    left-leg values and right-leg values.  Along an identity leg the apex is
-    the other factor's, in its order (R's when T is a graph, else T's when R
-    is a cograph); otherwise it is the pairs, row-major."""
+    left-leg values, right-leg values and, aligned with the apex, the pairs
+    of factor elements.  Along an identity leg the apex is the other
+    factor's, in its order (R's when T is a graph, else T's when R is a
+    cograph); otherwise it is the pairs, row-major."""
     pairs = [(r, t) for r in R.apex for t in T.apex if R.right(r) == T.left(t)]
     if graph_form(T):
         apex = [r for r, _ in pairs]
@@ -110,7 +112,8 @@ def reference_pullback(R, T):
         apex = [t for _, t in pairs]
     else:
         apex = pairs
-    return apex, [R.left(r) for r, _ in pairs], [T.right(t) for _, t in pairs]
+    return (apex, [R.left(r) for r, _ in pairs],
+            [T.right(t) for _, t in pairs], pairs)
 
 
 def test_composite_matches_nested_loop_pullback():
@@ -132,7 +135,7 @@ def test_composite_matches_nested_loop_pullback():
         seen["graph second"] += graph_form(T)
         seen["cograph first"] += cograph_form(R) and not graph_form(T)
         C = B.comp(R, T)
-        apex, left, right = reference_pullback(R, T)
+        apex, left, right, _ = reference_pullback(R, T)
         assert (C.source, C.target) == (R.source, T.target)
         assert list(C.apex) == apex
         assert list(C.left.values) == left
@@ -251,6 +254,129 @@ def test_associator_is_two_sided_inverse_and_natural():
         rhs = B.vcomp(B.assoc(R, T, U),
                       B.whisker_right(al, B.comp(T, U)))
         assert lhs == rhs
+
+
+#: The carriers of the exhaustive sweeps: ``x0 x1 -> a0 a1 -> l0 l1 -> m0 m1``.
+CHAIN = tuple(FinSet((p + "0", p + "1")) for p in "xalm")
+
+
+def chain_one_cells():
+    """The 1-cells of the sweeps, keyed by the positions in CHAIN of their
+    source and target: between neighbours, every span with apex at most 2
+    (none of them in graph form) and every graph and reversed graph; on each
+    carrier, its identity."""
+    cells = {(i, i): [B.identity(P)] for i, P in enumerate(CHAIN)}
+    for i, (P, Q) in enumerate(zip(CHAIN, CHAIN[1:])):
+        cells[i, i + 1] = (list(B.one_cells(P, Q, 2))
+                           + [graph(f) for f in all_functions(P, Q)]
+                           + [reverse(graph(f)) for f in all_functions(Q, P)])
+    return cells
+
+
+def reference_composite(R, T):
+    """``comp(R, T)`` built from :func:`reference_pullback`, and the pair of
+    factor elements of each of its apex elements."""
+    apex, left, right, pairs = reference_pullback(R, T)
+    S = FinSet(apex)
+    return (Span(R.source, T.target, S, SetFn(S, R.source, left),
+                 SetFn(S, T.target, right)), dict(zip(apex, pairs)))
+
+
+def reference_assoc(R, T, U, composite):
+    """The associator by nested loops: each element of the left bracketing
+    goes to the element of the right one over the same path ``(r, t, u)``.
+    ``composite`` is :func:`reference_composite`, perhaps cached."""
+    RT, rt_of = composite(R, T)
+    TU, tu_of = composite(T, U)
+    dom, dom_of = composite(RT, U)
+    cod, cod_of = composite(R, TU)
+    over = {}
+    for e in cod.apex:
+        r, tu = cod_of[e]
+        over[(r, *tu_of[tu])] = e
+    values = []
+    for e in dom.apex:
+        rt, u = dom_of[e]
+        values.append(over[(*rt_of[rt], u)])
+    return SpanCell(dom, cod, SetFn(dom.apex, cod.apex, values))
+
+
+def reference_hcomp(a, b):
+    """The horizontal composite by nested loops: each element over ``(r, t)``
+    goes to the element over ``(a(r), b(t))``."""
+    dom, dom_of = reference_composite(a.dom, b.dom)
+    cod, cod_of = reference_composite(a.cod, b.cod)
+    over = {pair: e for e, pair in cod_of.items()}
+    return SpanCell(dom, cod, SetFn(dom.apex, cod.apex, [
+        over[a.fn(r), b.fn(t)] for r, t in map(dom_of.get, dom.apex)]))
+
+
+def test_associator_matches_nested_loop_reference_on_every_triple():
+    # Every composable triple of chain 1-cells: identities in each position,
+    # graphs and reversed graphs on either side of spans in pair form.
+    cells = chain_one_cells()
+    # A sweep meets each inner composite of a triple many times.
+    composite = functools.lru_cache(maxsize=4096)(reference_composite)
+    seen = {"triples": 0, "identities": 0, "C graph": 0, "A cograph": 0,
+            "B identity": 0, "B graph, not identity": 0}
+    for (i, j), firsts in cells.items():
+        for R in firsts:
+            clear_table()
+            for k in (j, j + 1):
+                for l in (k, k + 1):
+                    for T, U in itertools.product(cells.get((j, k), ()),
+                                                  cells.get((k, l), ())):
+                        got = B.assoc(R, T, U)
+                        want = reference_assoc(R, T, U, composite)
+                        assert got is want, (R, T, U)
+                        seen["triples"] += 1
+                        seen["identities"] += got._identity
+                        seen["C graph"] += U._graph
+                        seen["A cograph"] += R._cograph
+                        seen["B identity"] += T.is_identity()
+                        seen["B graph, not identity"] += (
+                            T._graph and not T.is_identity()
+                            and not (U._graph or R._cograph))
+    assert seen["triples"] > 25_000 and min(seen.values()) >= 100, seen
+
+
+def test_identity_tag_and_shortcuts_agree_with_the_general_formulas():
+    # Every cell out of a chain 1-cell: the tag is the definition, and the
+    # operations that return identities without building them agree with
+    # the formulas on identities and on the other endo-cells alike.
+    cells = chain_one_cells()
+    for (i, j), here in cells.items():
+        clear_table()
+        for R in here:
+            ident = B.id2(R)
+            outgoing = [c for S in here for c in B.hom_cells(R, S)]
+            incoming = [c for S in here for c in B.hom_cells(S, R)]
+            assert ident in outgoing
+            for c in outgoing:
+                assert c._identity == (c.dom is c.cod and c.fn.is_identity())
+                assert B.vcomp(ident, c) is SpanCell(R, c.cod,
+                                                     ident.fn.then(c.fn))
+            for c in incoming:
+                assert B.vcomp(c, ident) is SpanCell(c.dom, R,
+                                                     c.fn.then(ident.fn))
+            for c in B.hom_cells(R, R):
+                if B.is_invertible(c):
+                    assert B.invert(c) is SpanCell(R, R, c.fn.inverse())
+                for T in cells.get((j, j + 1), ()):
+                    want = reference_hcomp(c, B.id2(T))
+                    assert B.whisker_right(c, T) is want
+                    assert B.hcomp(c, B.id2(T)) is want
+                for T in cells.get((i - 1, i), ()):
+                    assert B.whisker_left(T, c) is reference_hcomp(B.id2(T), c)
+    # Every invertible endo-cell above is an involution; a three-cycle tells
+    # an inverse from the cell itself.
+    X, A = CHAIN[:2]
+    three = FinSet(("s0", "s1", "s2"))
+    R = Span(X, A, three, SetFn.constant(three, X, "x0"),
+             SetFn.constant(three, A, "a0"))
+    cycle = SpanCell(R, R, SetFn(three, three, ("s1", "s2", "s0")))
+    assert B.invert(cycle) is SpanCell(R, R, cycle.fn.inverse())
+    assert B.invert(cycle) is not cycle
 
 
 def test_hom_cells_count_oracle():

@@ -10,11 +10,12 @@ are matched by attribute name, so a method that shares its name with one
 the program reads is not caught.
 
 No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
-paper layer asks which instance it runs on, the interned value classes
-keep object identity as their equality, every memoised operation is
-exercised by the memo laws, no law verdict is compared with a dict
-display, both instances expose the same operations with the same
-parameters, and no function of ``src/bicat`` imports inside its body.
+paper layer asks which instance it runs on, only ``spans`` reads the shape
+tags of its spans and cells, the interned value classes keep object
+identity as their equality, every memoised operation is exercised by the
+memo laws, no law verdict is compared with a dict display, both instances
+expose the same operations with the same parameters, and no function of
+``src/bicat`` imports inside its body.
 """
 
 import ast
@@ -198,6 +199,17 @@ def test_paper_layers_do_not_branch_on_the_instance():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "name"]
     assert not reads, "paper layers read an instance's name: %s" % reads
+
+
+def test_only_spans_reads_the_span_shape_tags():
+    # The identity-leg rules and the identity shortcuts belong to the span
+    # instance; another module reading the tags would second-guess them.
+    tags = {"_graph", "_cograph", "_identity"}
+    reads = ["%s:%d" % (path.name, node.lineno) for path in PROGRAM
+             if path.stem != "spans"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in tags]
+    assert not reads, "shape tags read outside spans.py: %s" % reads
 
 
 def _protocol(cls):
