@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .fin import UNIT, memoised
 from .homprod import transport_cell
-from .kernel import compose_adjunctions
+from .kernel import compose_adjunctions, transpose
 from .mapprod import map_iso, times_on_arrows
 from . import groth
 from .groth import (g_identity, g_map_arrow, g_pair, g_tensor,
@@ -200,15 +200,8 @@ def conjugate_cell(B, arr: groth.GArr):
     """The Beck-style conjugate of a square: transpose the secondary form
     across the source frame's adjunction, giving
     ``comp(f*, dom) -> comp(cod, u*)``."""
-    adj_f = B.map_adjunction(arr.f)
-    adj_u = B.map_adjunction(arr.u)
-    fs = adj_f.right
-    tail = B.comp(arr.cod, adj_u.right)
-    return B.vc(
-        B.whisker_left(fs, groth.secondary(B, arr)),
-        B.assoc_inv(fs, arr.f, tail),
-        B.whisker_right(adj_f.counit, tail),
-    )
+    tail = B.comp(arr.cod, B.map_adjunction(arr.u).right)
+    return transpose(B, B.map_adjunction(arr.f), groth.secondary(B, arr), tail)
 
 
 def projection_fillers(B, R, Y):
@@ -230,12 +223,7 @@ def adjoint_switch_iso(B, adj1, adj2):
     isomorphic rights: ``adj1.right -> adj2.right``."""
     if adj1.left != adj2.left:
         raise ValueError("adjunctions do not share the left 1-cell")
-    R1, R2, L = adj1.right, adj2.right, adj1.left
-    return B.vc(
-        B.whisker_left(R1, adj2.unit),
-        B.assoc_inv(R1, L, R2),
-        B.whisker_right(adj1.counit, R2),
-    )
+    return transpose(B, adj1, adj2.unit, adj2.right)
 
 
 def precompose_iso(B, f, g, R, S):

@@ -661,7 +661,7 @@ def _chk_braid_syllepsis(B, rng, carriers):
     X, Y = carriers
     p, r = product_object(B, X, Y).legs
     ps, rs = product_object(B, Y, X).legs
-    s, bmu, bnu = coherence.braid(B, X, Y)
+    s, bmu, bnu = coherence.braid(coherence.maps(B), X, Y)
     sigma, phi, psi = coherence.syllepsis_data(B, X, Y)
     ok = (bmu.dom == B.comp(s, rs) and bmu.cod == p
           and bnu.dom == B.comp(s, ps) and bnu.cod == r

@@ -2,12 +2,13 @@
 
 The constructions here only need composition, whiskering and associativity
 to state: adjunctions and their triangle equations, composite adjunctions,
-mates in both directions, right adjoints of 2-cells between maps, and adjoint
-equivalence witnesses.  Each pasting is a vertical chain ``B.vc(...)`` of
-whiskerings, associators and (co)units, first to last.  Identity 1-cells
-compose strictly in both instances, so no unitors appear; rebracketing is
-always an explicit ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions
-and right mates of map cells are memoised in the per-unit memo of ``fin``.
+transposes across an adjunction, mates in both directions, right adjoints
+of 2-cells between maps, and adjoint equivalence witnesses.  Each pasting
+is a vertical chain ``B.vc(...)`` of whiskerings, associators and
+(co)units, first to last.  Identity 1-cells compose strictly in both
+instances, so no unitors appear; rebracketing is always an explicit
+``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions and right mates of
+map cells are memoised in the per-unit memo of ``fin``.
 
 Verdicts, for every law checker of the package: one equation gives a
 ``bool``; several give ``None`` when the law holds, else one dict whose
@@ -61,12 +62,7 @@ def check_adjunction(B, adj: Adjunction):
     )
     if t1 != B.id2(f):
         return {"kind": "left-triangle"}
-    t2 = B.vc(
-        B.whisker_left(fs, adj.unit),
-        B.assoc_inv(fs, f, fs),
-        B.whisker_right(adj.counit, fs),
-    )
-    if t2 != B.id2(fs):
+    if transpose(B, adj, adj.unit, fs) != B.id2(fs):
         return {"kind": "right-triangle"}
     return None
 
@@ -96,6 +92,16 @@ def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
 
 
 # --- mates ---------------------------------------------------------------
+
+def transpose(B, adj: Adjunction, x, C):
+    """Transpose ``x : A -> comp(left, C)`` across ``left -| right`` into
+    ``comp(right, A) -> C``."""
+    return B.vc(
+        B.whisker_left(adj.right, x),
+        B.assoc_inv(adj.right, adj.left, C),
+        B.whisker_right(adj.counit, C),
+    )
+
 
 def mate_to_secondary(B, alpha, R, S, f, adj: Adjunction):
     """Transpose ``alpha : comp(R, u) -> comp(f, S)`` across ``u -| u*``

@@ -104,12 +104,13 @@ def test_criterion_2_local_products_and_terminals(capsys):
 
         @_law
         def ternary_cones(B, X, Y, Z):
-            return all(mp.check_product_cone(B, C.bracket_cone(B, t)) is None
+            L = C.maps(B)
+            return all(mp.check_product_cone(B, C.bracket_cone(L, t)) is None
                        for t in (((X, Y), Z), (X, (Y, Z))))
 
         @_law
         def rebracketings(B, X, Y, Z):
-            a = C.assoc_map(B, X, Y, Z)
+            a = C.assoc_map(C.maps(B), X, Y, Z)
             return kernel.find_equivalence(B, a) is not None
 
         def all_wedges(B, rng, carriers):

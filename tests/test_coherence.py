@@ -27,11 +27,12 @@ def test_rebracketing_map_and_comparison():
     # The rebracketing is the mediator of the left cone into the right one:
     # followed by each leg of the right cone, it is the matching left leg.
     for B in INSTANCES:
+        L = C.maps(B)
         X, Y, Z = map(canonical_carrier, "abc", (2, 3, 2))
         for Ya in (Y, FinSet(())):
-            a = C.assoc_map(B, X, Ya, Z)
-            left = C.bracket_cone(B, ((X, Ya), Z))
-            right = C.bracket_cone(B, (X, (Ya, Z)))
+            a = C.assoc_map(L, X, Ya, Z)
+            left = C.bracket_cone(L, ((X, Ya), Z))
+            right = C.bracket_cone(L, (X, (Ya, Z)))
             assert a.is_map() and a.source == left.vertex
             assert a.target == right.vertex
             assert left.factors == right.factors == (X, Ya, Z)
@@ -41,15 +42,16 @@ def test_rebracketing_map_and_comparison():
 
 def test_unit_maps_are_equivalences():
     for B in INSTANCES:
+        L = C.maps(B)
         for X in (canonical_carrier("a", 2), UNIT, FinSet(())):
-            assert kernel.find_equivalence(B, C.left_unit_map(B, X)) is not None
-            assert kernel.find_equivalence(B, C.right_unit_map(B, X)) is not None
+            assert kernel.find_equivalence(B, C.left_unit_map(L, X)) is not None
+            assert kernel.find_equivalence(B, C.right_unit_map(L, X)) is not None
 
 
 def test_braid_cone_comparisons():
     for B in INSTANCES:
         X, Y = map(canonical_carrier, "ab", (2, 3))
-        s, bmu, bnu = C.braid(B, X, Y)
+        s, bmu, bnu = C.braid(C.maps(B), X, Y)
         p, r = product_object(B, X, Y).legs
         ps, rs = product_object(B, Y, X).legs
         assert bmu.dom == B.comp(s, rs) and bmu.cod == p
@@ -60,8 +62,8 @@ def test_braid_cone_comparisons():
 def test_syllepsis_equations():
     for B in INSTANCES:
         X, Y = map(canonical_carrier, "ab", (2, 3))
-        s = C.braid(B, X, Y)[0]
-        ss = C.braid(B, Y, X)[0]
+        s = C.braid(C.maps(B), X, Y)[0]
+        ss = C.braid(C.maps(B), Y, X)[0]
         sigma, phi, psi = C.syllepsis_data(B, X, Y)
         p, r = product_object(B, X, Y).legs
         assert B.whisker_right(sigma, p) == phi
@@ -92,9 +94,10 @@ def test_quadruple_rebracket_filler():
 def test_routes_match_their_written_out_composites():
     # The oracle: each route as the associators and tensors it stands for.
     for B in INSTANCES:
+        L = C.maps(B)
         X, Y, Z, U, V = map(canonical_carrier, "abcde", (2, 1, 2, 1, 2))
         one = B.identity
-        a = functools.partial(C.assoc_map, B)
+        a = functools.partial(C.assoc_map, L)
         t = functools.partial(times_on_arrows, B)
 
         def vx(P, Q):
@@ -113,7 +116,7 @@ def test_routes_match_their_written_out_composites():
             t(one(X), a(Y, vx(Z, U), V))),
             t(one(X), t(one(Y), a(Z, U, V))))
         assert six == C.route(
-            B, ((((X, Y), Z), U), V), (((X, (Y, Z)), U), V),
+            L, ((((X, Y), Z), U), V), (((X, (Y, Z)), U), V),
             ((X, ((Y, Z), U)), V), ((X, (Y, (Z, U))), V),
             (X, ((Y, (Z, U)), V)), (X, (Y, ((Z, U), V))),
             (X, (Y, (Z, (U, V)))))
@@ -123,9 +126,10 @@ def test_step_refuses_all_but_one_forward_associator():
     # Every carrier has two elements, so a leaf unpacks like a pair of
     # subtrees: only the tree structure may tell the two apart.
     for B in INSTANCES:
+        L = C.maps(B)
         X, Y, Z, W = map(canonical_carrier, "abcd", (2, 2, 2, 2))
         P = canonical_carrier("p", 2)
-        assert C._step(B, ((X, Y), Z), (X, (Y, Z))) == C.assoc_map(B, X, Y, Z)
+        assert C._step(L, ((X, Y), Z), (X, (Y, Z))) == C.assoc_map(L, X, Y, Z)
         for t1, t2 in (((X, (Y, Z)), ((X, Y), Z)),
                        ((((X, Y), Z), W), (X, (Y, (Z, W)))),
                        (((X, Y), (Z, W)), (((X, Y), Z), W)),
@@ -134,7 +138,7 @@ def test_step_refuses_all_but_one_forward_associator():
                        (((X, Y), Z), (P, Z)),
                        (X, Y)):
             with pytest.raises(ValueError):
-                C._step(B, t1, t2)
+                C._step(L, t1, t2)
 
 
 class _TwiceOver:
@@ -163,20 +167,6 @@ def test_a_doubled_enumeration_makes_the_route_fillers_non_unique():
         assert C.pentagon_unique(proxy, X, Y, Z, U, V) == 2
 
 
-def test_structure_maps_natural_in_the_carriers():
-    rng = random.Random(20260815)
-    for B in INSTANCES:
-        for _ in range(5):
-            sizes = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)
-            A1, A2, A3 = map(canonical_carrier, "abc", sizes)
-            f = B.graph(_rand_fn(rng, A1, A2))
-            g = B.graph(_rand_fn(rng, A2, A3))
-            h = B.graph(_rand_fn(rng, A3, A2))
-            assert C.braid_map_natural(B, f, g)
-            assert C.assoc_map_natural(B, f, g, h)
-            assert C.unit_map_natural(B, f)
-
-
 def test_square_level_constraints_are_equivalences():
     rng = random.Random(31)
     for B in INSTANCES:
@@ -188,22 +178,95 @@ def test_square_level_constraints_are_equivalences():
         assert C.g_constraints_invertible(B, R, S, T) is None
 
 
+def _map_triples(B, rng):
+    """Random maps between carriers of up to three elements."""
+    for _ in range(5):
+        sizes = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)
+        A1, A2, A3 = map(canonical_carrier, "abc", sizes)
+        yield (B.graph(_rand_fn(rng, A1, A2)), B.graph(_rand_fn(rng, A2, A3)),
+               B.graph(_rand_fn(rng, A3, A2)))
+
+
+def _square_triples(B, rng):
+    """Identity, terminal and map squares on random 1-cells."""
+    ends = tuple(zip(map(canonical_carrier, "xyz", (2, 3, 1)),
+                     map(canonical_carrier, "abc", (2, 2, 1))))
+    for _ in range(3):
+        cells = [one_cell(B, rng, X, A, 2) for X, A in ends]
+        yield [groth.g_identity(B, R) for R in cells]
+        yield [groth.g_bang(B, R) for R in cells]
+        yield [groth.g_map_arrow(B, B.graph(_rand_fn(rng, X, A)))
+               for X, A in ends]
+
+
+def _assert_natural(L, triples):
+    # Each naturality law is stated once, for any level.
+    for f, g, h in triples:
+        assert C.braid_natural(L, f, g)
+        assert C.assoc_natural(L, f, g, h)
+        assert C.unit_natural(L, f)
+
+
+def test_structure_maps_natural_in_the_carriers():
+    rng = random.Random(20260815)
+    for B in INSTANCES:
+        _assert_natural(C.maps(B), _map_triples(B, rng))
+
+
 def test_braid_square_naturality():
+    # The same laws on squares between 1-cells: the braid, and also the
+    # associator and the unitors.
     rng = random.Random(41)
     for B in INSTANCES:
-        X, Y = map(canonical_carrier, "ab", (2, 3))
-        A, A2 = map(canonical_carrier, "ab", (2, 2))
-        for _ in range(3):
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, A2, 2)
-            assert C.g_braid_natural(B, groth.g_identity(B, R),
-                                     groth.g_identity(B, S))
-            assert C.g_braid_natural(B, groth.g_bang(B, R),
-                                     groth.g_bang(B, S))
-            f = B.graph(_rand_fn(rng, X, A))
-            g = B.graph(_rand_fn(rng, Y, A2))
-            assert C.g_braid_natural(B, groth.g_map_arrow(B, f),
-                                     groth.g_map_arrow(B, g))
+        _assert_natural(C.squares(B), _square_triples(B, rng))
+
+
+def test_square_constructions_match_their_written_out_pairings():
+    # The oracle: each square-level constraint as the tensor projections
+    # and pairings it stands for, and the two routes of the modification
+    # check as the composites of those.
+    rng = random.Random(61)
+    for B in INSTANCES:
+        L = C.squares(B)
+        ends = zip(map(canonical_carrier, "abcd", (2, 1, 2, 1)),
+                   map(canonical_carrier, "abcd", (1, 2, 1, 1)))
+        R, S, T, U = (one_cell(B, rng, X, A, 2) for X, A in ends)
+        tensor = functools.partial(groth.g_tensor, B)
+        compose = functools.partial(groth.g_compose, B)
+
+        def pair(tens, a1, a2):
+            return groth.g_pair(B, tens, a1, a2)[0]
+
+        def times(a1, a2):
+            t_dom, t_cod = tensor(a1.dom, a2.dom), tensor(a1.cod, a2.cod)
+            return pair(t_cod, compose(t_dom.proj1, a1),
+                        compose(t_dom.proj2, a2))
+
+        def assoc(P, Q, V):
+            tPQ = tensor(P, Q)
+            W = tensor(tPQ.obj, V)
+            tQV = tensor(Q, V)
+            inner = pair(tQV, compose(W.proj1, tPQ.proj2), W.proj2)
+            return pair(tensor(P, tQV.obj), compose(W.proj1, tPQ.proj1),
+                        inner)
+
+        tRS, one = tensor(R, S), groth.g_terminal(B)
+        assert C.assoc_map(L, R, S, T) == assoc(R, S, T)
+        # A projection onto a leaf is its leg as it stands: no composite
+        # with the leaf's identity square is built.
+        assert (C.bracket_cone(L, ((R, S), T)).legs[2]
+                is tensor(tRS.obj, T).proj2)
+        assert C.braid(L, R, S)[0] == pair(tensor(S, R), tRS.proj2, tRS.proj1)
+        assert C.left_unit_map(L, R) == tensor(one, R).proj2
+        assert C.right_unit_map(L, R) == pair(
+            tensor(R, one), groth.g_identity(B, R), groth.g_bang(B, R))
+        m_trees, n_trees = C._quad_routes(R, S, T, U)
+        assert C.route(L, *m_trees) == compose(
+            compose(times(assoc(R, S, T), groth.g_identity(B, U)),
+                    assoc(R, tensor(S, T).obj, U)),
+            times(groth.g_identity(B, R), assoc(S, T, U)))
+        assert C.route(L, *n_trees) == compose(
+            assoc(tRS.obj, T, U), assoc(R, S, tensor(T, U).obj))
 
 
 def test_square_rebracket_modification():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.coherence import bracket_cone
+from bicat.coherence import bracket_cone, maps
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell
 from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
@@ -39,7 +39,7 @@ def test_ternary_product_flattens():
     X = FinSet(("x0", "x1"))
     Y = FinSet(("y0",))
     Z = FinSet(("z0", "z1"))
-    cone = bracket_cone(B, ((X, Y), Z))
+    cone = bracket_cone(maps(B), ((X, Y), Z))
     assert cone.factors == (X, Y, Z)
     assert check_product_cone(B, cone) is None
     assert len(cone.legs) == 3

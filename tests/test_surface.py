@@ -11,10 +11,11 @@ the program reads is not caught.
 
 No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
 paper layer asks which instance it runs on, only ``spans`` reads the shape
-tags of its spans and cells, the interned value classes keep object
-identity as their equality, every memoised operation is exercised by the
-memo laws, no law verdict is compared with a dict display, both instances
-expose the same operations with the same parameters, and no function of
+tags of its spans and cells, only the two levels of ``coherence`` name the
+product operations, the interned value classes keep object identity as
+their equality, every memoised operation is exercised by the memo laws, no
+law verdict is compared with a dict display, both instances expose the
+same operations with the same parameters, and no function of
 ``src/bicat`` imports inside its body.
 """
 
@@ -42,8 +43,8 @@ ALLOWED = {
     "is_product_diagram", "span_image", "parse_machine", "one_cells",
     "strip_wall",
     # Paper content with no report row yet.
-    "g_constraints_invertible", "g_braid_natural", "braid_map_natural",
-    "assoc_map_natural", "unit_map_natural",
+    "g_constraints_invertible", "braid_natural", "assoc_natural",
+    "unit_natural",
 }
 
 
@@ -210,6 +211,33 @@ def test_only_spans_reads_the_span_shape_tags():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in tags]
     assert not reads, "shape tags read outside spans.py: %s" % reads
+
+
+def test_only_the_levels_name_the_product_operations():
+    # The bracketing trees reach products only through a level, so a second
+    # per-level construction of a constraint cannot creep back in.
+    ops = {"product_object", "pairing", "times_on_arrows", "bang", "g_tensor",
+           "g_pair", "g_compose", "g_identity", "g_terminal", "g_bang", "UNIT"}
+    tree = ast.parse((ROOT / "src" / "bicat" / "coherence.py")
+                     .read_text(encoding="utf-8"))
+    modules = {a.asname or a.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module is None
+               for a in node.names}
+
+    def read(node):
+        """The bare name, or the sibling module's attribute, ``node`` reads."""
+        if isinstance(node, ast.Name):
+            return node.id
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return node.attr
+        return None
+
+    reads = ["%s:%d" % (fn.name, node.lineno) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef)
+             and fn.name not in ("maps", "squares")
+             for node in ast.walk(fn) if read(node) in ops]
+    assert not reads, "read these through a level: %s" % reads
 
 
 def _protocol(cls):
