@@ -4,7 +4,8 @@ The associator, braid and unitors come from finite products at two levels,
 each a :class:`Level` of the operations it supplies: :func:`maps`
 (carriers and maps) and :func:`squares` (1-cells and squares, with
 :func:`~bicat.groth.g_tensor` as product).  A nested product is a
-bracketing tree, a leaf (anything but a tuple) or a pair of trees.
+bracketing tree, a leaf (anything but a tuple: a carrier or a 1-cell,
+never a record such as a cone, which is a named tuple) or a pair of trees.
 :func:`bracket_cone` is its product cone, one leg per leaf, and
 :func:`mediate_into` sends a flat cone into any tree, so every
 rebracketing, unit and swap arrow is mediated through product cones, never
@@ -25,8 +26,7 @@ an invertible 2-cell between them.  Verdicts are as in :mod:`bicat.kernel`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections import namedtuple
 
 from .fin import UNIT
 from .mapprod import (FillError, ProductCone, bang, fill2, map_iso, pairing,
@@ -37,21 +37,14 @@ from .groth import g_compose, g_identity, g_pair, g_tensor, g_terminal
 
 # --- levels ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Level:
+class Level(namedtuple("Level",
+                       "cone pair comp identity times unit bang ends")):
     """The operations the bracketing trees need from one level: a chosen
     product ``cone(X, Y) -> (vertex, (p, r))``, ``pair(f, g) -> (h, c1,
     c2)`` into the product of the targets with its comparisons, the product
     ``times(f, g)`` of two arrows, the terminal object ``unit`` with
     ``bang(X)`` into it, and ``ends(f) -> (source, target)``."""
-    cone: Callable
-    pair: Callable
-    comp: Callable
-    identity: Callable
-    times: Callable
-    unit: Any
-    bang: Callable
-    ends: Callable
+    __slots__ = ()
 
 
 def maps(B) -> Level:
@@ -216,13 +209,10 @@ def symmetry_holds(B, X, Y) -> bool:
 
 # --- the quadruple rebracketing filler ----------------------------------------
 
-@dataclass(frozen=True)
-class QuadFiller:
+class QuadFiller(namedtuple("QuadFiller", "m n cell")):
     """The two rebracketing routes through four factors with the unique
     compatible cell between them."""
-    m: Any
-    n: Any
-    cell: Any
+    __slots__ = ()
 
 
 def _quad_routes(X, Y, Z, W):

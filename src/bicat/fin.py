@@ -24,13 +24,13 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   per :func:`memoised` operation, keyed on its arguments, the instance
   included.  It holds the pure operations a unit repeats: the instances'
   structure operations, local products, ``fn``, ``is_map`` and the
-  span fibre index; ``mapprod``'s cones, pairings, ``map_iso`` and cone
-  checks; both ``homprod`` transports; ``compose_adjunctions`` and
-  ``right_mate_of_map_cell``; ``g_tensor``, ``g_pair``, ``g_compose``,
-  ``secondary``, ``garr_from_secondary`` and ``tensor_unit_cell``.  A
-  ``None`` result is stored; a raised error never is.  :func:`clear_table`
-  empties every table when a unit starts: peak memory follows the largest
-  unit.
+  span fibre index; ``gen``'s canonical carriers; ``mapprod``'s cones,
+  pairings, ``map_iso`` and cone checks; both ``homprod`` transports;
+  ``compose_adjunctions`` and ``right_mate_of_map_cell``; ``g_tensor``,
+  ``g_pair``, ``g_compose``, ``secondary``, ``garr_from_secondary`` and
+  ``tensor_unit_cell``.  A ``None`` result is stored; a raised error never
+  is.  :func:`clear_table` empties every table when a unit starts: peak
+  memory follows the largest unit.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
 the canonical copy, and a rebuild returns it.

@@ -46,7 +46,7 @@ round-trip every payload of the golden runs and shipped fixtures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label, render_label,
                   _ATOM)
@@ -58,21 +58,17 @@ class FmtError(ValueError):
     """Malformed interchange text, or a value it cannot express."""
 
 
-@dataclass(frozen=True)
-class CellRec:
+class CellRec(namedtuple("CellRec", "dom cod entries")):
     """A 2-cell record by reference: boundary names plus the apex entries.
 
     Relation cells have no entries; their existence is the content.
     """
-    dom: str
-    cod: str
-    entries: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Check:
-    kind: str
-    args: tuple
+class Check(namedtuple("Check", "kind args")):
+    """A ``check`` record: its kind and the entity names it refers to."""
+    __slots__ = ()
 
 
 #: Record keyword of each entity type, in printing order.
@@ -90,11 +86,16 @@ _CHECK_FORMS = {
 }
 
 
-@dataclass
 class Document:
     """The named entities in declaration order, and the check records."""
-    entities: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+
+    def __init__(self):
+        self.entities = {}
+        self.checks = []
+
+    def __eq__(self, other):
+        return (type(other) is Document and self.entities == other.entities
+                and self.checks == other.checks)
 
     def lookup(self, name):
         value = self.entities.get(name)

@@ -10,7 +10,7 @@ relations are uniform over subsets of the pair set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 try:  # a builtin digest: ``hashlib`` loads OpenSSL, megabytes of memory
     from _sha2 import sha256  # Python 3.12 on
@@ -20,7 +20,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .fin import FinSet, SetFn
+from .fin import FinSet, SetFn, memoised
 from .rels import Rel, RelCell
 from .spans import Span, SpanCell, relabel_apex
 
@@ -32,28 +32,32 @@ class InvalidConfig(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int
-    max_carrier: int
-    trials: int
-    instance: str
-    suites: tuple
+class GenConfig(namedtuple("GenConfig",
+                           "seed max_carrier trials instance suites")):
+    """A run's settings, checked when built."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
+    def __new__(cls, seed, max_carrier, trials, instance, suites):
+        if not 0 <= seed < 2 ** 64:
             raise InvalidConfig("seed must fit in 64 bits")
-        if self.max_carrier < 0:
+        if max_carrier < 0:
             raise InvalidConfig("max-carrier must be nonnegative")
-        if self.trials <= 0:
+        if trials <= 0:
             raise InvalidConfig("trials must be positive")
-        if self.instance not in INSTANCES:
-            raise InvalidConfig("unknown instance %r" % (self.instance,))
-        if not self.suites:
+        if instance not in INSTANCES:
+            raise InvalidConfig("unknown instance %r" % (instance,))
+        if not suites:
             raise InvalidConfig("empty suite selection")
-        for s in self.suites:
+        for s in suites:
             if s not in SUITES:
                 raise InvalidConfig("unknown suite %r" % (s,))
+        return super().__new__(cls, seed, max_carrier, trials, instance,
+                               suites)
+
+    @classmethod
+    def _make(cls, fields):
+        """Through :meth:`__new__`, so ``_replace`` validates too."""
+        return cls(*fields)
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -65,6 +69,7 @@ def rng_for(seed: int, tag: str) -> random.Random:
     return random.Random(derive_seed(seed, tag))
 
 
+@memoised
 def canonical_carrier(prefix: str, size: int) -> FinSet:
     """The carrier ``prefix0 .. prefix{size-1}``: the laws are invariant
     under relabelling, so one carrier per size stands for all of them."""

@@ -17,7 +17,10 @@ Squares compose two ways.  :func:`g_compose` composes along the frames
 (source objects stay 1-cells, frames compose as maps); :func:`paste_vertical`
 composes along the objects (frames in the middle must agree, the objects
 compose in the base).  2-cells between parallel squares are frame-cell pairs
-subject to one pasting equation, checked at construction.
+subject to one pasting equation, checked at construction.  Squares and
+their 2-cells are named tuples, compared and hashed by their parts, so a
+square built twice finds its twin's memo entries; a tensor witness
+compares by identity.
 
 The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
@@ -29,8 +32,7 @@ filler forms are memoised in the per-unit memo of :mod:`bicat.fin`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
 from . import kernel
 from .fin import UNIT, memoised
@@ -40,23 +42,18 @@ from .homprod import transport_cell, transport_hom
 from .mapprod import FillError, NotAMap, bang, diag, pairing, product_object
 
 
-@dataclass(frozen=True)
-class GArr:
+class GArr(namedtuple("GArr", "dom cod f u primary")):
     """A square between 1-cells ``dom`` and ``cod`` of the base instance."""
-    dom: Any
-    cod: Any
-    f: Any
-    u: Any
-    primary: Any
+    __slots__ = ()
+
+    def __init__(self, dom, cod, f, u, primary):
+        """Nothing to do once the tuple is built; kept so that wrapping
+        ``__init__`` sees every construction."""
 
 
-@dataclass(frozen=True)
-class GCell:
+class GCell(namedtuple("GCell", "dom cod phi psi")):
     """A 2-cell between parallel squares: a pair of frame cells."""
-    dom: GArr
-    cod: GArr
-    phi: Any
-    psi: Any
+    __slots__ = ()
 
 
 def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
@@ -179,15 +176,19 @@ def g_is_equivalence(B, a: GArr):
 
 # --- tensor ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class TensorWitness:
-    """The chosen tensor of two objects with its projection squares."""
-    obj: Any
-    proj1: GArr
-    proj2: GArr
-    wedge: Any          # LocalProductWitness for the two transported factors
-    src_cone: Any       # canonical product cone of the source carriers
-    tgt_cone: Any       # canonical product cone of the target carriers
+    """The chosen tensor of two objects with its projection squares; it
+    compares by identity."""
+
+    __slots__ = ("obj", "proj1", "proj2", "wedge", "src_cone", "tgt_cone")
+
+    def __init__(self, obj, proj1, proj2, wedge, src_cone, tgt_cone):
+        self.obj = obj
+        self.proj1 = proj1
+        self.proj2 = proj2
+        self.wedge = wedge          # LocalProductWitness of the factors
+        self.src_cone = src_cone    # product cone of the source carriers
+        self.tgt_cone = tgt_cone    # product cone of the target carriers
 
 
 @memoised

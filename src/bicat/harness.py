@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
 from .fin import FinSet, SetFn, UNIT, clear_table
@@ -38,10 +36,14 @@ from .report import CheckResult, RunReport, SuiteReport
 from .spans import Span
 
 
-@dataclass(frozen=True)
 class CheckSpec:
-    check_id: str
-    run: Callable
+    """A report row's id and ``run(B, cfg) -> CheckResult``."""
+
+    __slots__ = ("check_id", "run")
+
+    def __init__(self, check_id, run):
+        self.check_id = check_id
+        self.run = run
 
 
 def _ms(t0: float) -> int:

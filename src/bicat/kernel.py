@@ -18,8 +18,7 @@ that show it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
 from .fin import memoised
 
@@ -30,17 +29,15 @@ class AdjunctionMismatch(ValueError):
 
 # --- adjunctions ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Adjunction:
+class Adjunction(namedtuple("Adjunction", "left right unit counit")):
     """``left -| right`` with chosen unit and counit.
 
     unit   : 1_X -> comp(left, right)
     counit : comp(right, left) -> 1_A
+
+    Adjunctions compare and hash by these four parts.
     """
-    left: Any
-    right: Any
-    unit: Any
-    counit: Any
+    __slots__ = ()
 
 
 def check_adjunction(B, adj: Adjunction):

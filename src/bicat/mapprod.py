@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fin import FinSet, SetFn, UNIT, all_functions, memoised
 
@@ -38,11 +38,9 @@ class FillError(ValueError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class ProductCone:
-    vertex: FinSet
-    legs: tuple
-    factors: tuple
+class ProductCone(namedtuple("ProductCone", "vertex legs factors")):
+    """A cone over ``factors``: a ``vertex`` with one leg into each."""
+    __slots__ = ()
 
 
 def _require_map(B, m):

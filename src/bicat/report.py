@@ -16,35 +16,36 @@ counterexample in the interchange format.  Everything except the trailing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .gen import GenConfig
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    status: str  # pass | fail | skipped
-    trials: int
-    counterexample: str | None
-    wall_ms: int
+class CheckResult(namedtuple("CheckResult", "check_id status trials "
+                                             "counterexample wall_ms")):
+    """One report row; ``status`` is ``pass``, ``fail`` or ``skipped``."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checks: tuple
+class SuiteReport(namedtuple("SuiteReport", "suite checks")):
+    """The rows of one suite, no two with the same check id."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        ids = [c.check_id for c in self.checks]
+    def __new__(cls, suite, checks):
+        ids = [c.check_id for c in checks]
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate check id in suite %s" % self.suite)
+            raise ValueError("duplicate check id in suite %s" % suite)
+        return super().__new__(cls, suite, checks)
+
+    @classmethod
+    def _make(cls, fields):
+        """Through :meth:`__new__`, so ``_replace`` validates too."""
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    config: GenConfig
-    suites: tuple
+class RunReport(namedtuple("RunReport", "config suites")):
+    """A run's config and its suite reports."""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -54,9 +55,9 @@ class RunReport:
 
 def strip_wall(run: RunReport) -> RunReport:
     suites = tuple(
-        replace(s, checks=tuple(replace(c, wall_ms=0) for c in s.checks))
+        s._replace(checks=tuple(c._replace(wall_ms=0) for c in s.checks))
         for s in run.suites)
-    return replace(run, suites=suites)
+    return run._replace(suites=suites)
 
 
 def render_machine(run: RunReport) -> str:
@@ -91,8 +92,8 @@ def parse_machine(text: str) -> RunReport:
 
     def flush_check():
         if checks and cx:
-            checks[-1] = replace(checks[-1],
-                                 counterexample="\n".join(cx) + "\n")
+            checks[-1] = checks[-1]._replace(
+                counterexample="\n".join(cx) + "\n")
             cx.clear()
 
     def flush_suite():

@@ -40,6 +40,9 @@ def test_parse_then_print_is_stable():
     text = print_document(doc)
     again = parse_document(text)
     assert print_document(again) == text
+    # Documents compare by their entities and checks, in order.
+    assert again == doc
+    assert again != parse_document(SAMPLE.replace("check map F\n", ""))
     X, A = doc.entities["X"], doc.entities["A"]
     assert X == FinSet(("x0", "x1"))
     assert doc.entities["f"] == SetFn(X, A, ("a0", "a0"))

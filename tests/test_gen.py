@@ -155,3 +155,6 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(InvalidConfig):
             GenConfig(**kwargs)
+        # Each differs from ``ok`` in one field: replacing it validates too.
+        with pytest.raises(InvalidConfig):
+            ok._replace(**kwargs)

@@ -1,6 +1,5 @@
 """Squares over the base instance: the arrow-layer bicategory and its tensor."""
 
-import dataclasses
 import random
 
 import pytest
@@ -31,11 +30,52 @@ def test_square_keeps_only_its_primary_filler():
     X = FinSet(("x0", "x1"))
     R = B.identity(X)
     a = g_identity(B, R)
-    assert [f.name for f in dataclasses.fields(GArr)] == [
-        "dom", "cod", "f", "u", "primary"]
+    assert GArr._fields == ("dom", "cod", "f", "u", "primary")
     rebuilt = GArr(a.dom, a.cod, a.f, a.u, a.primary)
     assert a == rebuilt
     assert hash(a) == hash(rebuilt)
+
+
+def test_equal_squares_share_one_memo_entry():
+    # Squares compare by value, so a separately built equal square finds the
+    # composite its twin stored.
+    for B in INSTANCES:
+        a = g_identity(B, B.identity(FinSet(("x0", "x1"))))
+        rebuilt = GArr(*a)
+        assert rebuilt is not a and rebuilt == a
+        first = g_compose(B, a, a)
+        assert g_compose(B, rebuilt, rebuilt) is first
+        assert len(g_compose.table) == 1
+        clear_table()
+
+
+def test_tensor_witnesses_compare_by_identity():
+    B = span_instance()
+    R = B.identity(FinSet(("x0", "x1")))
+    first = g_tensor(B, R, R)
+    clear_table()
+    again = g_tensor(B, R, R)
+    assert again is not first and again != first
+    assert (again.obj, again.proj1, again.proj2) == (
+        first.obj, first.proj1, first.proj2)
+    assert len({first, again}) == 2
+
+
+def test_wrapping_init_sees_every_construction(monkeypatch):
+    # An operation count can wrap ``__init__`` of the values and squares, as
+    # ``bench/tracer.py`` does: the wrapper passes the constructor's
+    # arguments on and runs once per object built.
+    built = {cls: [] for cls in (FinSet, SetFn, GArr)}
+    for cls, seen in built.items():
+        def counted(self, *args, orig=cls.__init__, seen=seen, **kwargs):
+            seen.append(self)
+            orig(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    B = span_instance()
+    R = B.identity(FinSet(("x0", "x1")))
+    tens = g_tensor(B, R, R)
+    assert [id(a) for a in built[GArr]] == [id(tens.proj1), id(tens.proj2)]
+    assert built[FinSet] and built[SetFn]
 
 
 def test_primary_and_secondary_views_agree():

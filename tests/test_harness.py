@@ -6,7 +6,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -102,7 +101,7 @@ def test_value_table_returns_to_its_size_after_a_run():
         gc.collect()
         before = len(fin._VALUES)
         result = spec.run(instance_for(name),
-                          replace(FAST, instance=name, trials=20))
+                          FAST._replace(instance=name, trials=20))
         assert (result.status, result.trials) == ("pass", 20)
         assert len(fin._VALUES) > before
         del result
@@ -174,7 +173,7 @@ def test_property_check_passes_when_body_never_fires():
     assert result.counterexample is None
     # An exhaustive check counts its tuples, whatever the trials and seed.
     spec = exhaustive_check("toy-always-fine", ("x", "a"), body, 3)
-    for cfg in (FAST, replace(FAST, trials=1, seed=99)):
+    for cfg in (FAST, FAST._replace(trials=1, seed=99)):
         result = spec.run(instance_for("span"), cfg)
         assert (result.status, result.trials) == ("pass", (2 + 1) ** 2)
         assert result.counterexample is None

@@ -39,6 +39,9 @@ def test_duplicate_check_ids_rejected():
     c = CheckResult("x", "pass", 1, None, 0)
     with pytest.raises(ValueError):
         SuiteReport("kernel", (c, c))
+    # Replacing the rows, as ``strip_wall`` does, checks them again.
+    with pytest.raises(ValueError):
+        SuiteReport("kernel", (c,))._replace(checks=(c, c._replace(wall_ms=0)))
 
 
 def test_machine_round_trip_modulo_wall():

@@ -15,13 +15,17 @@ tags of its spans and cells, only the two levels of ``coherence`` name the
 product operations, the interned value classes keep object identity as
 their equality, every memoised operation is exercised by the memo laws, no
 law verdict is compared with a dict display, both instances expose the
-same operations with the same parameters, and no function of
-``src/bicat`` imports inside its body.
+same operations with the same parameters, no function of ``src/bicat``
+imports inside its body, and importing the command line loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import test_upper_memos
 from bicat import rel_instance, span_instance
@@ -256,6 +260,20 @@ def test_both_instances_expose_one_protocol():
     assert span.keys() == rel.keys(), sorted(span.keys() ^ rel.keys())
     differ = sorted(name for name in span if span[name] != rel[name])
     assert not differ, "parameters differ: %s" % differ
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every run pays for what the program imports: ``dataclasses`` pulls in
+    # ``inspect`` and builds each record class at start-up, and the records
+    # are named tuples or slotted classes instead.
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    code = ("import sys, bicat.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_value_classes_compare_by_identity():

@@ -3,8 +3,8 @@ operations and the constructions above them.
 
 Each one returns the stored object when repeated within a unit, and a
 cleared table no longer holds it; a ``None`` result is stored too; a
-refused call raises every time; and the instance is part of every key, so a
-proxy instance gets its own entries.
+refused call raises every time; and the instance is part of the key of
+every operation that takes one, so a proxy instance gets its own entries.
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from bicat import mapprod, rel_instance, span_instance
 from bicat.cartesian import tensor_unit_cell
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
+from bicat.gen import canonical_carrier
 from bicat.groth import (TensorWitness, g_compose, g_identity, g_pair,
                          g_tensor, g_terminal, garr_from_secondary, secondary)
 from bicat.harness import _CorruptTau
@@ -80,6 +81,7 @@ def _memoised_calls(B):
         ("right_mate_of_map_cell", right_mate_of_map_cell,
          (B, B.id2(f), adj_f, adj_f)),
         ("tensor_unit_cell", tensor_unit_cell, (B, X, A)),
+        ("canonical_carrier", canonical_carrier, ("x", 2)),
     ]
     if B.name == "span":
         # Only spans have a fibre index.
