@@ -1,9 +1,10 @@
 """The ``bicat-check`` command.
 
 Exit status: 0 when every executed check passes, 1 when any check fails,
-2 for configuration or I/O problems (unreadable fixture file, malformed
-fixture, bad flag values).  Check failures and I/O failures are kept on
-separate exit codes so CI can tell a broken property from a broken setup.
+3 when any check raised (an ``error`` row; 3 wins over 1), and 2 for
+setup or I/O problems (bad flags, a fixture that is unreadable, malformed
+or names no entity of the instance, a report that cannot be written).  So
+CI can tell a broken law from a crashing check and from a broken setup.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(rendered)
-    return 0 if report.ok else 1
+    return 3 if "error" in report.statuses else 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ import functools
 import itertools
 import re
 import weakref
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 Label = "str | tuple"
 

@@ -1,5 +1,10 @@
 """Suite orchestration: checks of two kinds over both instances.
 
+Every report row, fixture claims included, comes from :func:`run_check`: one
+unit of work on an empty memo, and the one handler around a row.  A check
+that raises becomes an ``error`` row with the exception as its payload, and
+the run goes on.
+
 A sampled check (:func:`property_check`) draws its carriers and structure
 from a seed derived from ``(config seed, instance, check id, trial index)``,
 so single trials replay in isolation.  On failure the carriers are shrunk
@@ -37,7 +42,8 @@ from .spans import Span
 
 
 class CheckSpec:
-    """A report row's id and ``run(B, cfg) -> CheckResult``."""
+    """A report row's id and ``run(B, cfg) -> (status, trials, entities)``,
+    where ``entities`` is ``None`` or the dict the payload prints."""
 
     __slots__ = ("check_id", "run")
 
@@ -46,26 +52,33 @@ class CheckSpec:
         self.run = run
 
 
-def _ms(t0: float) -> int:
-    return int((time.monotonic() - t0) * 1000)
-
-
 def _payload(entities: dict) -> str:
     return print_document(describe(entities))
 
 
+def run_check(B, cfg: GenConfig, spec: CheckSpec) -> CheckResult:
+    """One report row, timed, on an empty memo; ``error`` with no trials
+    and the exception as a comment if the check raises."""
+    t0 = time.monotonic()
+    clear_table()
+    try:
+        status, trials, entities = spec.run(B, cfg)
+        payload = None if entities is None else _payload(entities)
+    except Exception as exc:
+        status, trials = "error", 0
+        payload = "".join("# %s\n" % line for line in
+                          ("%s: %s" % (type(exc).__name__, exc)).splitlines())
+    return CheckResult(spec.check_id, status, trials, payload,
+                       int((time.monotonic() - t0) * 1000))
+
+
 def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
-    """A seeded check: ``body(B, rng, carriers) -> None | entity dict``.
+    """A seeded check: ``body(B, rng, carriers) -> None | entity dict``;
+    its trials and shrink attempts share the row's memo."""
 
-    The check is one unit of work: its trials and shrink attempts share one
-    memo, which :func:`bicat.fin.clear_table` empties when the check starts.
-    """
-
-    def run(B, cfg: GenConfig) -> CheckResult:
-        t0 = time.monotonic()
+    def run(B, cfg: GenConfig):
         bound = cfg.max_carrier if size_cap is None else min(cfg.max_carrier, size_cap)
         trials = cfg.trials if trial_cap is None else min(cfg.trials, trial_cap)
-        clear_table()
 
         def attempt(trial, carriers):
             rng = rng_for(cfg.seed, "%s.%s.%d.body" % (B.name, check_id, trial))
@@ -75,11 +88,9 @@ def property_check(check_id, prefixes, body, size_cap=None, trial_cap=None):
             rng = rng_for(cfg.seed, "%s.%s.%d.carriers" % (B.name, check_id, t))
             carriers = tuple(carrier(rng, p, bound) for p in prefixes)
             cx = attempt(t, carriers)
-            if cx is None:
-                continue
-            carriers, cx = _shrink(attempt, t, carriers, cx)
-            return CheckResult(check_id, "fail", t + 1, _payload(cx), _ms(t0))
-        return CheckResult(check_id, "pass", trials, None, _ms(t0))
+            if cx is not None:
+                return "fail", t + 1, _shrink(attempt, t, carriers, cx)
+        return "pass", trials, None
 
     return CheckSpec(check_id, run)
 
@@ -93,57 +104,43 @@ def _shrink(attempt, trial, carriers, cx):
                 carriers, cx = cand, cx2
                 break
         else:
-            return carriers, cx
+            return cx
 
 
 def exhaustive_check(check_id, prefixes, body, size_cap):
     """An exhaustive check: ``body(B, None, carriers) -> None | entity dict``
     on every tuple of canonical carriers, one per size since the laws are
     invariant under relabelling, with sizes up to ``min(cfg.max_carrier,
-    size_cap)``; the tuples share one memo.  ``trials`` counts the tuples
-    checked, and ``--trials`` and the seed do not apply.  Tuples run in
-    :func:`itertools.product` order, so every tuple elementwise below the
+    size_cap)``; the tuples share the row's memo.  ``trials`` counts the
+    tuples checked, and ``--trials`` and the seed do not apply.  Tuples run
+    in :func:`itertools.product` order, so every tuple elementwise below the
     first failing one has passed: that tuple is minimal as it stands.
     """
 
-    def run(B, cfg: GenConfig) -> CheckResult:
-        t0 = time.monotonic()
+    def run(B, cfg: GenConfig):
         sizes = range(min(cfg.max_carrier, size_cap) + 1)
-        clear_table()
         shapes = itertools.product(sizes, repeat=len(prefixes))
         for n, shape in enumerate(shapes, 1):
-            carriers = tuple(map(canonical_carrier, prefixes, shape))
-            cx = body(B, None, carriers)
+            cx = body(B, None, tuple(map(canonical_carrier, prefixes, shape)))
             if cx is not None:
-                return CheckResult(check_id, "fail", n, _payload(cx), _ms(t0))
-        return CheckResult(check_id, "pass", n, None, _ms(t0))
+                return "fail", n, cx
+        return "pass", n, None
 
     return CheckSpec(check_id, run)
 
 
 def negative_check(check_id, body):
-    """A corrupted-fixture check: ``body(B, cfg) -> (caught, entities)``.
+    """A corrupted-fixture check: ``body(B, cfg) -> (caught, entities)``."""
 
-    Passes when the corruption is detected; the detected violation travels
-    in the payload so the report shows a printable counterexample.  The body
-    is one unit of work and starts with an empty memo.
-    """
-
-    def run(B, cfg: GenConfig) -> CheckResult:
-        t0 = time.monotonic()
-        clear_table()
+    def run(B, cfg: GenConfig):
         caught, entities = body(B, cfg)
-        status = "pass" if caught else "fail"
-        return CheckResult(check_id, status, 1, _payload(entities), _ms(t0))
+        return "pass" if caught else "fail", 1, entities
 
     return CheckSpec(check_id, run)
 
 
 def skipped_check(check_id):
-    def run(B, cfg: GenConfig) -> CheckResult:
-        return CheckResult(check_id, "skipped", 0, None, 0)
-
-    return CheckSpec(check_id, run)
+    return CheckSpec(check_id, lambda B, cfg: ("skipped", 0, None))
 
 
 # --- kernel suite -------------------------------------------------------
@@ -753,44 +750,36 @@ def _fixture_entity(B, doc: Document, name: str):
     return value
 
 
-def run_fixture_checks(B, doc: Document) -> tuple:
-    """One result per ``check`` record; each record is one unit of work
-    and starts with an empty memo."""
-    results = []
-    for i, chk in enumerate(doc.checks):
-        t0 = time.monotonic()
-        clear_table()
-        cid = "fixture-%d-%s" % (i, chk.kind)
-        try:
-            ok, entities = _eval_check(B, doc, chk)
-        except FixtureError:
-            raise
-        except ValueError as exc:
-            results.append(CheckResult(cid, "fail", 1,
-                                       "# %s\n" % exc, _ms(t0)))
-            continue
-        payload = None if ok else _payload(entities)
-        results.append(CheckResult(cid, "pass" if ok else "fail", 1,
-                                   payload, _ms(t0)))
-    return tuple(results)
+def _compose(B, a, b, c):
+    got = B.comp(a, b)
+    return got == c, {"left": a, "right": b, "expected": c, "got": got}
 
 
-def _eval_check(B, doc, chk):
-    if chk.kind == "compose":
-        a, b, c = (_fixture_entity(B, doc, n) for n in chk.args)
-        got = B.comp(a, b)
-        return got == c, {"left": a, "right": b, "expected": c, "got": got}
-    if chk.kind == "equal":
-        a, b = (_fixture_entity(B, doc, n) for n in chk.args)
-        return a == b, {"first": a, "second": b}
-    if chk.kind == "map":
-        a = _fixture_entity(B, doc, chk.args[0])
-        return a.is_map(), {"claimed-map": a}
-    if chk.kind == "cell":
-        a, b = (_fixture_entity(B, doc, n) for n in chk.args)
-        exists = next(B.hom_cells(a, b), None) is not None
-        return exists, {"dom": a, "cod": b}
-    raise FixtureError("unknown check kind %r" % chk.kind)
+#: Each ``check`` kind's claim: ``claim(B, *entities) -> (holds, shown)``.
+_CLAIMS = {
+    "compose": _compose,
+    "equal": lambda B, a, b: (a == b, {"first": a, "second": b}),
+    "map": lambda B, a: (a.is_map(), {"claimed-map": a}),
+    "cell": lambda B, a, b: (next(B.hom_cells(a, b), None) is not None,
+                             {"dom": a, "cod": b}),
+}
+
+
+def _claim_check(check_id, claim, entities):
+    def run(B, cfg: GenConfig):
+        holds, shown = claim(B, *entities)
+        return ("pass", 1, None) if holds else ("fail", 1, shown)
+
+    return CheckSpec(check_id, run)
+
+
+def fixture_checks(B, doc: Document) -> tuple:
+    """One check per ``check`` record, its entities bound before any row
+    runs: one missing or not a ``B`` 1-cell raises :class:`FixtureError`."""
+    return tuple(_claim_check("fixture-%d-%s" % (i, chk.kind),
+                              _CLAIMS[chk.kind],
+                              [_fixture_entity(B, doc, n) for n in chk.args])
+                 for i, chk in enumerate(doc.checks))
 
 
 # --- orchestration -----------------------------------------------------------
@@ -800,16 +789,16 @@ def instance_for(name: str):
 
 
 def run_suite(B, cfg: GenConfig, suite: str) -> SuiteReport:
-    checks = tuple(spec.run(B, cfg) for spec in SUITE_CHECKS[suite])
-    return SuiteReport(suite, checks)
+    return SuiteReport(suite, tuple(run_check(B, cfg, spec)
+                                    for spec in SUITE_CHECKS[suite]))
 
 
 def run_config(cfg: GenConfig, fixture_docs=()) -> RunReport:
     B = instance_for(cfg.instance)
+    fixtures = [spec for doc in fixture_docs
+                for spec in fixture_checks(B, doc)]
     suites = [run_suite(B, cfg, s) for s in SUITES if s in cfg.suites]
-    fixture_results = []
-    for doc in fixture_docs:
-        fixture_results.extend(run_fixture_checks(B, doc))
-    if fixture_results:
-        suites.append(SuiteReport("fixtures", tuple(fixture_results)))
+    if fixtures:
+        suites.append(SuiteReport("fixtures", tuple(
+            run_check(B, cfg, spec) for spec in fixtures)))
     return RunReport(cfg, tuple(suites))

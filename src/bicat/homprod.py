@@ -13,7 +13,7 @@ of them.  Both transports are memoised in the per-unit memo of
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .fin import memoised
 

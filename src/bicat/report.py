@@ -2,28 +2,35 @@
 
 The machine format is line-delimited so CI can diff it:
 
-    bicat-report 1
+    bicat-report 2
     config seed=<n> max-size=<n> trials=<n> instance=<name> suites=<a,b>
     suite <name>
-    check <id> <pass|fail|skipped> trials=<n> wall_ms=<n>
+    check <id> <pass|fail|error|skipped> trials=<n> wall_ms=<n>
     | <counterexample line>
 
 A check line is followed by zero or more ``| `` lines holding its
-counterexample in the interchange format.  Everything except the trailing
-``wall_ms`` field is a pure function of the config (and fixture files), and
+counterexample in the interchange format.  An ``error`` row is a check that
+raised: it has ``trials=0``, and its payload is the exception as a comment,
+``# <Type>: <message>``.  Everything except the trailing ``wall_ms`` field
+is a pure function of the config (and fixture files), and
 :func:`strip_wall` is what the determinism guarantee is stated through.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import re
+from collections import Counter, namedtuple
 
 from .gen import GenConfig
+
+_CHECK = re.compile(r"check (\S+) (pass|fail|error|skipped) "
+                    r"trials=(\d+) wall_ms=(\d+)")
 
 
 class CheckResult(namedtuple("CheckResult", "check_id status trials "
                                              "counterexample wall_ms")):
-    """One report row; ``status`` is ``pass``, ``fail`` or ``skipped``."""
+    """One report row; ``status`` is ``pass``, ``fail``, ``error`` (the
+    check raised) or ``skipped``."""
     __slots__ = ()
 
 
@@ -48,9 +55,12 @@ class RunReport(namedtuple("RunReport", "config suites")):
     __slots__ = ()
 
     @property
+    def statuses(self) -> frozenset:
+        return frozenset(c.status for s in self.suites for c in s.checks)
+
+    @property
     def ok(self) -> bool:
-        return all(c.status != "fail"
-                   for s in self.suites for c in s.checks)
+        return not self.statuses & {"fail", "error"}
 
 
 def strip_wall(run: RunReport) -> RunReport:
@@ -62,7 +72,7 @@ def strip_wall(run: RunReport) -> RunReport:
 
 def render_machine(run: RunReport) -> str:
     cfg = run.config
-    lines = ["bicat-report 1",
+    lines = ["bicat-report 2",
              "config seed=%d max-size=%d trials=%d instance=%s suites=%s"
              % (cfg.seed, cfg.max_carrier, cfg.trials, cfg.instance,
                 ",".join(cfg.suites))]
@@ -79,7 +89,7 @@ def render_machine(run: RunReport) -> str:
 
 def parse_machine(text: str) -> RunReport:
     lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "bicat-report 1":
+    if not lines or lines[0] != "bicat-report 2":
         raise ValueError("not a bicat machine report")
     fields = dict(kv.split("=", 1) for kv in lines[1].split()[1:])
     config = GenConfig(seed=int(fields["seed"]),
@@ -109,15 +119,12 @@ def parse_machine(text: str) -> RunReport:
             suite_name = line.split(None, 1)[1]
         elif line.startswith("check "):
             flush_check()
-            _, cid, status, tfield, wfield = line.split()
-            checks.append(CheckResult(cid, status,
-                                      int(tfield.split("=", 1)[1]),
-                                      None,
-                                      int(wfield.split("=", 1)[1])))
-        elif line.startswith("| "):
+            m = _CHECK.fullmatch(line)
+            if m is None:
+                raise ValueError("unrecognized check line %r" % line)
+            checks.append(CheckResult(m[1], m[2], int(m[3]), None, int(m[4])))
+        elif line == "|" or line.startswith("| "):
             cx.append(line[2:])
-        elif line == "|":
-            cx.append("")
         else:
             raise ValueError("unrecognized report line %r" % line)
     flush_suite()
@@ -129,13 +136,12 @@ def render_text(run: RunReport) -> str:
     out = ["bicat-check: instance=%s seed=%d max-size=%d trials=%d"
            % (cfg.instance, cfg.seed, cfg.max_carrier, cfg.trials)]
     for suite in run.suites:
-        counts = {"pass": 0, "fail": 0, "skipped": 0}
-        for c in suite.checks:
-            counts[c.status] += 1
+        counts = Counter(c.status for c in suite.checks)
+        errored = ", %d errored" % counts["error"] if counts["error"] else ""
         out.append("")
-        out.append("suite %s: %d passed, %d failed, %d skipped"
+        out.append("suite %s: %d passed, %d failed, %d skipped%s"
                    % (suite.suite, counts["pass"], counts["fail"],
-                      counts["skipped"]))
+                      counts["skipped"], errored))
         for c in suite.checks:
             out.append("  [%s] %s (trials=%d, %d ms)"
                        % (c.status.upper().ljust(7), c.check_id,
@@ -146,5 +152,6 @@ def render_text(run: RunReport) -> str:
                     out.append("      " + cx)
     out.append("")
     out.append("result: %s" % ("all checks passed" if run.ok
+                               else "ERRORS PRESENT" if "error" in run.statuses
                                else "FAILURES PRESENT"))
     return "\n".join(out) + "\n"

@@ -9,7 +9,7 @@ import pytest
 
 from bicat.fin import FinSet, clear_table
 from bicat.gen import GenConfig
-from bicat.harness import exhaustive_check, property_check
+from bicat.harness import exhaustive_check, property_check, run_check
 
 
 def stored(op, args) -> bool:
@@ -73,7 +73,7 @@ def test_property_check_shares_one_memo_per_check(instance):
                            0)):
         for _ in range(2):
             seen.clear()
-            result = spec.run(B, cfg)
+            result = run_check(B, cfg, spec)
             assert result.status == "fail"
             assert len(seen) - shrinks >= result.trials > 1
             assert seen == [False] + [True] * (len(seen) - 1)

@@ -22,7 +22,7 @@ from bicat.gen import SUITES, GenConfig, canonical_carrier, map_cell, one_cell
 from bicat.harness import (_chk_braid_syllepsis, _chk_modification_pair,
                            _chk_pentagon, _chk_product_cone, _chk_rebracket,
                            _chk_symmetry, exhaustive_check, property_check,
-                           run_config)
+                           run_check, run_config)
 from bicat.homprod import is_product_diagram
 
 MODULE_T0 = time.monotonic()
@@ -37,7 +37,7 @@ def _passes(B, prefixes, body, max_carrier, trials=None):
             if trials is None else property_check(body.__name__, prefixes, body))
     cfg = GenConfig(seed=0, max_carrier=max_carrier, trials=trials or 1,
                     instance=B.name, suites=SUITES)
-    result = spec.run(B, cfg)
+    result = run_check(B, cfg, spec)
     assert result.status == "pass", result
     return result.trials
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,8 +14,10 @@ from bicat import cli, coherence, fin, gen, harness
 from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
-                           exhaustive_check, instance_for, property_check,
-                           run_config, run_fixture_checks)
+                           exhaustive_check, fixture_checks, instance_for,
+                           property_check, run_check, run_config)
+from bicat.homprod import LocalProductWitness
+from bicat.rels import Rel, RelBicat, RelCell
 from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
@@ -26,6 +29,10 @@ NON_PARALLEL_CELL = {
               "%s A : X -> Y = %s\n%s B : X -> Z = %s\n"
               "check cell A -> B\n" % (instance, entry, instance, entry)
     for instance, entry in (("span", "s0:x0:a0"), ("rel", "x0:a0"))}
+
+
+def _fixture_rows(B, doc):
+    return [run_check(B, FAST, spec) for spec in fixture_checks(B, doc)]
 
 
 def test_full_run_passes_on_both_instances():
@@ -100,8 +107,8 @@ def test_value_table_returns_to_its_size_after_a_run():
     for name in ("span", "rel"):
         gc.collect()
         before = len(fin._VALUES)
-        result = spec.run(instance_for(name),
-                          FAST._replace(instance=name, trials=20))
+        result = run_check(instance_for(name),
+                           FAST._replace(instance=name, trials=20), spec)
         assert (result.status, result.trials) == ("pass", 20)
         assert len(fin._VALUES) > before
         del result
@@ -136,7 +143,8 @@ def test_nonmap_control_asks_the_instance():
             def map_adjunction(self, R):
                 return None
 
-        honest, lax = spec.run(B, FAST), spec.run(Accepting(), FAST)
+        honest = run_check(B, FAST, spec)
+        lax = run_check(Accepting(), FAST, spec)
         assert (honest.status, lax.status) == ("pass", "fail")
         assert lax.counterexample == honest.counterexample
         assert "claimed-map" in honest.counterexample
@@ -155,7 +163,7 @@ def test_counterexamples_shrink_to_local_minimum():
                     suites=("kernel",))
     specs = (property_check("toy-needs-points", ("x", "y"), body),
              exhaustive_check("toy-needs-points", ("x", "y"), body, 4))
-    results = [spec.run(instance_for("rel"), cfg) for spec in specs]
+    results = [run_check(instance_for("rel"), cfg, spec) for spec in specs]
     for result in results:
         assert result.status == "fail"
         doc = parse_document(result.counterexample)
@@ -167,14 +175,14 @@ def test_counterexamples_shrink_to_local_minimum():
 def test_property_check_passes_when_body_never_fires():
     body = lambda B, rng, carriers: None
     spec = property_check("toy-always-fine", ("x", "a"), body)
-    result = spec.run(instance_for("span"), FAST)
+    result = run_check(instance_for("span"), FAST, spec)
     assert result.status == "pass"
     assert result.trials == FAST.trials
     assert result.counterexample is None
     # An exhaustive check counts its tuples, whatever the trials and seed.
     spec = exhaustive_check("toy-always-fine", ("x", "a"), body, 3)
     for cfg in (FAST, FAST._replace(trials=1, seed=99)):
-        result = spec.run(instance_for("span"), cfg)
+        result = run_check(instance_for("span"), cfg, spec)
         assert (result.status, result.trials) == ("pass", (2 + 1) ** 2)
         assert result.counterexample is None
 
@@ -190,7 +198,7 @@ def test_exhaustive_row_finds_what_sampling_misses(monkeypatch):
     for seed in (0, 7, 13):
         cfg = GenConfig(seed=seed, max_carrier=3, trials=10, instance="span",
                         suites=("monoidal",))
-        result = spec.run(instance_for("span"), cfg)
+        result = run_check(instance_for("span"), cfg, spec)
         assert (result.status, result.trials) == ("fail", 16)
         doc = parse_document(result.counterexample)
         assert (len(doc.lookup("X")), len(doc.lookup("Y"))) == (3, 3)
@@ -204,14 +212,14 @@ def test_fixture_checks_pass_and_fail():
         "check map R\n"
         "check compose R R = R\n"
     )
-    results = run_fixture_checks(B, good)
+    results = _fixture_rows(B, good)
     assert [r.status for r in results] == ["pass", "pass"]
     bad = parse_document(
         "set X = x0 x1\n"
         "rel R : X -> X = x0:x0\n"
         "check map R\n"
     )
-    results = run_fixture_checks(B, bad)
+    results = _fixture_rows(B, bad)
     assert [r.status for r in results] == ["fail"]
     assert results[0].counterexample
 
@@ -223,10 +231,10 @@ def test_fixture_wrong_instance_is_an_error_not_a_failure():
         "check map F\n"
     )
     with pytest.raises(FixtureError):
-        run_fixture_checks(instance_for("rel"), span_doc)
+        fixture_checks(instance_for("rel"), span_doc)
     missing = parse_document("check map NOWHERE\n")
     with pytest.raises(FixtureError):
-        run_fixture_checks(instance_for("rel"), missing)
+        fixture_checks(instance_for("rel"), missing)
 
 
 @pytest.mark.parametrize("instance,records,said", [
@@ -350,7 +358,7 @@ def test_cli_compose_along_an_identity_leg_keeps_the_other_apex(tmp_path,
 def test_cell_check_between_non_parallel_cells_fails_with_its_boundary(
         instance):
     doc = parse_document(NON_PARALLEL_CELL[instance])
-    (row,) = run_fixture_checks(instance_for(instance), doc)
+    (row,) = _fixture_rows(instance_for(instance), doc)
     assert row.status == "fail"
     shown = parse_document(row.counterexample)
     assert shown.lookup("dom") == doc.lookup("A")
@@ -377,8 +385,8 @@ def test_every_reported_payload_round_trips(capsys):
                 for s in parse_machine(text).suites for c in s.checks
                 if c.counterexample]
     payloads += [r.counterexample for name, text in NON_PARALLEL_CELL.items()
-                 for r in run_fixture_checks(instance_for(name),
-                                             parse_document(text))]
+                 for r in _fixture_rows(instance_for(name),
+                                        parse_document(text))]
     assert len(payloads) > len(reports)
     for p in payloads:
         assert print_document(parse_document(p)) == p
@@ -451,3 +459,71 @@ def test_cli_does_not_read_jobs_env(monkeypatch, capsys):
     capsys.readouterr()
     assert rc == 0
     assert "BICAT_CHECK_JOBS" not in read
+
+
+def _drop_first_pair(comp):
+    def dropped(self, R, T):
+        got = comp(self, R, T)
+        return Rel(got.source, got.target, got.pairs[1:])
+    return dropped
+
+
+def _union(self, R, S):
+    W = Rel(R.source, R.target, R.pairset | S.pairset)
+    return LocalProductWitness(W, RelCell(W, R), RelCell(W, S),
+                               lambda phi, psi: RelCell(phi.dom, W))
+
+
+#: Relation primitives broken without changing their types.
+REL_MUTANTS = {
+    "comp-drops-first-pair": ("comp", _drop_first_pair(RelBicat.comp)),
+    "local-product-is-union": ("local_product", _union),
+    "local-terminal-is-empty": ("local_terminal",
+                                lambda self, source, target:
+                                Rel(source, target, ())),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(REL_MUTANTS))
+def test_check_that_raises_is_an_error_row_and_the_run_goes_on(
+        tmp_path, capsys, monkeypatch, mutant):
+    # Each mutant makes some checks raise inside the instance.  Those rows
+    # read ``error`` with the exception as their payload, every suite is
+    # still reported, and the exit code is 3: neither a law failure's 1
+    # nor a setup problem's 2.
+    monkeypatch.setattr(RelBicat, *REL_MUTANTS[mutant])
+    out = tmp_path / "report"
+    rc = cli.main(["--instance", "rel", "--max-size", "2", "--trials", "3",
+                   "--report", "machine", "--out", str(out)])
+    printed = capsys.readouterr()
+    assert rc == 3
+    assert "Traceback" not in printed.out + printed.err
+    run = parse_machine(out.read_text())
+    assert [s.suite for s in run.suites] == list(SUITES)
+    errors = [c for s in run.suites for c in s.checks if c.status == "error"]
+    assert errors
+    for c in errors:
+        assert c.trials == 0
+        assert re.fullmatch(r"# \w+: .+\n", c.counterexample), c
+
+
+@pytest.mark.parametrize("instance,entry", [("span", "s0:x0:a0"),
+                                            ("rel", "x0:a0")])
+def test_fixture_claim_that_raises_is_an_error_row(tmp_path, capsys,
+                                                   instance, entry):
+    # Binding a record's entities is setup (exit 2); deciding its claim is
+    # a check, so a composite that raises is an ``error`` row.
+    fix = tmp_path / "raises.bicat"
+    fix.write_text("set X = x0\nset A = a0\n%s R : X -> A = %s\n"
+                   "check compose R R = R\ncheck map R\n" % (instance, entry))
+    rc = cli.main(["--instance", instance, "--max-size", "1", "--trials",
+                   "1", "--suite", "kernel", "--report", "machine",
+                   "--fixtures", str(fix)])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (3, "")
+    rows = parse_machine(out).suites[-1].checks
+    assert [(r.check_id, r.status, r.trials) for r in rows] == [
+        ("fixture-0-compose", "error", 0), ("fixture-1-map", "pass", 1)]
+    assert rows[0].counterexample == (
+        "# ValueError: composite of non-composable %ss\n"
+        % {"span": "span", "rel": "relation"}[instance])

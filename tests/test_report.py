@@ -47,7 +47,7 @@ def test_duplicate_check_ids_rejected():
 def test_machine_round_trip_modulo_wall():
     run = _sample_run()
     text = render_machine(run)
-    assert text.startswith("bicat-report 1\n")
+    assert text.startswith("bicat-report 2\n")
     parsed = parse_machine(text)
     assert strip_wall(parsed) == strip_wall(run)
     # wall times survive the round trip too; only the guarantee is weaker.
@@ -65,8 +65,15 @@ def test_parse_rejects_foreign_text():
     with pytest.raises(ValueError):
         parse_machine("hello\n")
     with pytest.raises(ValueError):
-        parse_machine("bicat-report 1\nconfig seed=0 max-size=1 trials=1 "
+        parse_machine("bicat-report 2\nconfig seed=0 max-size=1 trials=1 "
                       "instance=rel suites=kernel\nsurprise\n")
+    # A version 1 report is a different format, and a status is one of four.
+    with pytest.raises(ValueError):
+        parse_machine(render_machine(_sample_run()).replace(
+            "bicat-report 2", "bicat-report 1"))
+    with pytest.raises(ValueError):
+        parse_machine(render_machine(_sample_run()).replace(" fail ",
+                                                            " broken "))
 
 
 def test_text_rendering_mentions_every_check():
@@ -91,3 +98,32 @@ def test_strip_wall_zeroes_only_wall():
             assert c.wall_ms == 0
     assert [c.check_id for s in stripped.suites for c in s.checks] \
         == [c.check_id for s in run.suites for c in s.checks]
+
+
+def _errored_run():
+    return RunReport(CFG, (SuiteReport("kernel", (
+        CheckResult("pasting-interchange", "error", 0,
+                    "# ValueError: containment fails at x0:a0\n", 5),
+        CheckResult("map-adjunction-triangles", "fail", 3,
+                    "set X = x0\n", 2),
+    )),))
+
+
+def test_error_row_round_trips_with_its_payload():
+    run = _errored_run()
+    text = render_machine(run)
+    assert ("check pasting-interchange error trials=0 wall_ms=5\n"
+            "| # ValueError: containment fails at x0:a0\n") in text
+    assert parse_machine(text) == run
+
+
+def test_error_rows_are_counted_and_win_over_failures():
+    run = _errored_run()
+    assert not run.ok
+    assert run.statuses == {"error", "fail"}
+    text = render_text(run)
+    assert "suite kernel: 0 passed, 1 failed, 0 skipped, 1 errored" in text
+    assert "[ERROR  ] pasting-interchange (trials=0, 5 ms)" in text
+    assert "result: ERRORS PRESENT" in text
+    # Without an error row the summary line keeps its three counts.
+    assert "1 skipped\n" in render_text(_sample_run())

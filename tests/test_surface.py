@@ -16,8 +16,9 @@ product operations, the interned value classes keep object identity as
 their equality, every memoised operation is exercised by the memo laws, no
 law verdict is compared with a dict display, both instances expose the
 same operations with the same parameters, no function of ``src/bicat``
-imports inside its body, and importing the command line loads neither
-``dataclasses`` nor ``inspect``.
+imports inside its body, importing the command line loads neither
+``dataclasses`` nor ``inspect`` (nor, without ``site``, ``typing``), and
+one function of the harness runs every report row.
 """
 
 import ast
@@ -265,15 +266,20 @@ def test_both_instances_expose_one_protocol():
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # Every run pays for what the program imports: ``dataclasses`` pulls in
     # ``inspect`` and builds each record class at start-up, and the records
-    # are named tuples or slotted classes instead.
+    # are named tuples or slotted classes instead.  Annotation types come
+    # from ``collections.abc``, not ``typing``; only ``-S`` shows that, as
+    # ``site`` may import ``typing`` itself.
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    code = ("import sys, bicat.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    for flags, unwanted in (((), "'dataclasses', 'inspect'"),
+                            (("-S",), "'dataclasses', 'inspect', 'typing'")):
+        code = ("import sys, bicat.cli\n"
+                "print(sorted({%s} & set(sys.modules)))" % unwanted)
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_value_classes_compare_by_identity():
@@ -320,3 +326,21 @@ def test_acceptance_gate_keeps_no_unit_of_work_of_its_own():
     names = {getattr(node, field, None) for node in ast.walk(tree)
              for field in ("id", "attr", "name")}
     assert "clear_table" not in names
+
+
+def test_harness_has_one_row_driver():
+    # Timing a row, emptying the memo and building its result belong to
+    # ``run_check`` alone, so a second unit-of-work path, with an exception
+    # rule of its own, cannot come back.
+    tree = ast.parse((ROOT / "src" / "bicat" / "harness.py")
+                     .read_text(encoding="utf-8"))
+    (driver,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "run_check"]
+    inside = {id(node) for node in ast.walk(driver)}
+    jobs = {"clear_table", "monotonic", "CheckResult"}
+    reads = ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+             if id(node) not in inside
+             for name in (getattr(node, "id", None),
+                          getattr(node, "attr", None))
+             if name in jobs]
+    assert not reads, "only run_check may do these: %s" % reads
