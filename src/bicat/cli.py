@@ -56,11 +56,11 @@ def main(argv=None) -> int:
         print("bicat-check: %s" % exc, file=sys.stderr)
         return 2
 
-    fixture_docs = ()
+    fixture_doc = None
     if args.fixtures:
         try:
             with open(args.fixtures, "r", encoding="utf-8") as fh:
-                fixture_docs = (parse_document(fh.read()),)
+                fixture_doc = parse_document(fh.read())
         except OSError as exc:
             print("bicat-check: cannot read fixtures: %s" % exc,
                   file=sys.stderr)
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
             return 2
 
     try:
-        report = run_config(cfg, fixture_docs)
+        report = run_config(cfg, fixture_doc)
     except FixtureError as exc:
         print("bicat-check: fixture cannot be interpreted: %s" % exc,
               file=sys.stderr)

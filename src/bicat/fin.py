@@ -32,6 +32,12 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   is.  :func:`clear_table` empties every table when a unit starts: peak
   memory follows the largest unit.
 
+No value graph holds a reference cycle, so reference counting frees a
+unit's values as soon as the memo empties, and no collector pass is
+needed; :func:`bicat.harness.run_config` therefore pauses the cyclic
+collector for a run.  ``tests/test_harness.py::
+test_a_run_makes_no_reference_cycles`` enforces this.
+
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
 the canonical copy, and a rebuild returns it.
 """

@@ -328,36 +328,44 @@ def describe(entities: dict) -> Document:
     first name its value was given, or else by the next free ``S<n>``.
 
     The helper the harness uses to turn a counterexample into report text.
+    Its state is passed to module-level helpers rather than held by nested
+    closures, so describing builds no reference cycle.
     """
     doc = Document()
     first = {}
-    fresh = ("S%d" % i for i in itertools.count())
-
-    def name_of(value) -> str:
-        name = first.get(value)
-        if name is None:
-            name = next(n for n in fresh if n not in doc.entities)
-            add(name, value)
-        return name
-
-    def add(name, value):
-        if isinstance(value, SetFn):
-            name_of(value.domain)
-            name_of(value.codomain)
-        elif isinstance(value, (Span, Rel)):
-            name_of(value.source)
-            name_of(value.target)
-        elif isinstance(value, SpanCell):
-            value = CellRec(name_of(value.dom), name_of(value.cod), tuple(
-                (s, value.fn(s)) for s in value.dom.apex))
-        elif isinstance(value, RelCell):
-            value = CellRec(name_of(value.dom), name_of(value.cod), ())
-        elif not isinstance(value, FinSet):
-            raise FmtError("cannot describe a %s" % type(value).__name__)
-        first.setdefault(value, name)
-        doc.declare(name, value)
-
+    fresh = map("S%d".__mod__, itertools.count())
     for name, value in entities.items():
         if not (isinstance(value, FinSet) and value in first):
-            add(name, value)
+            _describe_value(doc, first, fresh, name, value)
     return doc
+
+
+def _described_name(doc: Document, first: dict, fresh, value) -> str:
+    """``value``'s first name, or else the next free ``S<n>`` drawn from
+    ``fresh``, the one counter of the whole document."""
+    name = first.get(value)
+    if name is None:
+        name = next(itertools.filterfalse(doc.entities.__contains__, fresh))
+        _describe_value(doc, first, fresh, name, value)
+    return name
+
+
+def _describe_value(doc: Document, first: dict, fresh, name: str, value):
+    """Declare ``value`` as ``name`` after naming its dependencies."""
+    if isinstance(value, SetFn):
+        _described_name(doc, first, fresh, value.domain)
+        _described_name(doc, first, fresh, value.codomain)
+    elif isinstance(value, (Span, Rel)):
+        _described_name(doc, first, fresh, value.source)
+        _described_name(doc, first, fresh, value.target)
+    elif isinstance(value, SpanCell):
+        value = CellRec(_described_name(doc, first, fresh, value.dom),
+                        _described_name(doc, first, fresh, value.cod), tuple(
+                            (s, value.fn(s)) for s in value.dom.apex))
+    elif isinstance(value, RelCell):
+        value = CellRec(_described_name(doc, first, fresh, value.dom),
+                        _described_name(doc, first, fresh, value.cod), ())
+    elif not isinstance(value, FinSet):
+        raise FmtError("cannot describe a %s" % type(value).__name__)
+    first.setdefault(value, name)
+    doc.declare(name, value)

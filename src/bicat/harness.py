@@ -25,6 +25,7 @@ as the check's payload so reports show what the failure looks like.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 
@@ -793,12 +794,28 @@ def run_suite(B, cfg: GenConfig, suite: str) -> SuiteReport:
                                     for spec in SUITE_CHECKS[suite]))
 
 
-def run_config(cfg: GenConfig, fixture_docs=()) -> RunReport:
-    B = instance_for(cfg.instance)
-    fixtures = [spec for doc in fixture_docs
-                for spec in fixture_checks(B, doc)]
-    suites = [run_suite(B, cfg, s) for s in SUITES if s in cfg.suites]
-    if fixtures:
-        suites.append(SuiteReport("fixtures", tuple(
-            run_check(B, cfg, spec) for spec in fixtures)))
-    return RunReport(cfg, tuple(suites))
+def run_config(cfg: GenConfig, fixture_doc: Document | None = None
+               ) -> RunReport:
+    """Every selected suite, then ``fixture_doc``'s claims as a ``fixtures``
+    suite, with the cyclic garbage collector paused.
+
+    No value graph holds a reference cycle, so reference counting frees a
+    unit's values when :func:`clear_table` empties the memo, and collector
+    passes would only rescan the live memo.  The caller's collector state
+    is restored on return or raise.  ``tests/test_harness.py::
+    test_a_run_makes_no_reference_cycles`` keeps the heap acyclic.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        B = instance_for(cfg.instance)
+        fixtures = (() if fixture_doc is None
+                    else fixture_checks(B, fixture_doc))
+        suites = [run_suite(B, cfg, s) for s in SUITES if s in cfg.suites]
+        if fixtures:
+            suites.append(SuiteReport("fixtures", tuple(
+                run_check(B, cfg, spec) for spec in fixtures)))
+        return RunReport(cfg, tuple(suites))
+    finally:
+        if enabled:
+            gc.enable()

@@ -101,20 +101,29 @@ def test_memo_scope_does_not_change_reports(monkeypatch):
 
 def test_value_table_returns_to_its_size_after_a_run():
     # Values are interned weakly: once the report is all that is left of a
-    # run, every value the run built has left the table.
-    spec = next(c for c in SUITE_CHECKS["lax"]
-                if c.check_id == "tensor-assoc-constraint")
-    for name in ("span", "rel"):
-        gc.collect()
-        before = len(fin._VALUES)
-        result = run_check(instance_for(name),
-                           FAST._replace(instance=name, trials=20), spec)
-        assert (result.status, result.trials) == ("pass", 20)
-        assert len(fin._VALUES) > before
-        del result
-        fin.clear_table()
-        gc.collect()
-        assert len(fin._VALUES) == before, name
+    # run, every value the run built has left the table.  Reference counting
+    # alone frees them, with the collector off; a negative control covers
+    # the payload path.
+    trials = {"tensor-assoc-constraint": 20,
+              "negative-transposed-constraint": 1}
+    specs = [c for c in SUITE_CHECKS["lax"] if c.check_id in trials]
+    gc.disable()
+    try:
+        for name, spec in itertools.product(("span", "rel"), specs):
+            gc.collect()
+            before = len(fin._VALUES)
+            result = run_check(instance_for(name),
+                               FAST._replace(instance=name, trials=20), spec)
+            assert (result.status, result.trials) == (
+                "pass", trials[spec.check_id])
+            assert len(fin._VALUES) > before
+            del result
+            fin.clear_table()
+            assert len(fin._VALUES) == before, (name, spec.check_id)
+            gc.collect()
+            assert len(fin._VALUES) == before, name
+    finally:
+        gc.enable()
 
 
 def test_cli_exits_cleanly_under_dev_mode():
@@ -258,7 +267,7 @@ def test_fixture_results_appended_as_own_suite():
     doc = parse_document("set X = x0\nrel R : X -> X = x0:x0\ncheck map R\n")
     cfg = GenConfig(seed=0, max_carrier=2, trials=2, instance="rel",
                     suites=("kernel",))
-    run = run_config(cfg, fixture_docs=(doc,))
+    run = run_config(cfg, fixture_doc=doc)
     assert [s.suite for s in run.suites] == ["kernel", "fixtures"]
     assert run.suites[-1].checks[0].check_id == "fixture-0-map"
 
@@ -505,6 +514,41 @@ def test_check_that_raises_is_an_error_row_and_the_run_goes_on(
     for c in errors:
         assert c.trials == 0
         assert re.fullmatch(r"# \w+: .+\n", c.counterexample), c
+
+
+def test_a_run_makes_no_reference_cycles(monkeypatch):
+    # Reference counting alone frees what a run builds, which is why
+    # run_config may pause the cyclic collector: every suite on both
+    # instances, false fixture claims that print payloads and checks that
+    # raise leave nothing for a collection to find.
+    broken = parse_document((ROOT / "fixtures" / "rel-broken.bicat")
+                            .read_text(encoding="utf-8"))
+    cfg = FAST._replace(trials=3)
+    gc.collect()
+    # Off, so that no automatic pass frees a cycle before it is counted.
+    gc.disable()
+    try:
+        run = run_config(cfg._replace(instance="span"))
+        assert gc.collect() == 0
+        run = run_config(cfg, broken)
+        assert gc.collect() == 0
+        assert [c.status for c in run.suites[-1].checks] == ["fail"] * 3
+        monkeypatch.setattr(RelBicat, *REL_MUTANTS["comp-drops-first-pair"])
+        assert "error" in run_config(cfg).statuses
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # The caller's collector state comes back on a return and on a raise.
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run_config(cfg._replace(suites=("kernel",)))
+            assert gc.isenabled() is enabled
+            with pytest.raises(FixtureError):
+                run_config(cfg, parse_document("check map NOWHERE\n"))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("instance,entry", [("span", "s0:x0:a0"),
