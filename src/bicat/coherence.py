@@ -199,6 +199,20 @@ def syllepsis_data(B, X, Y):
     return sigma, phi, psi
 
 
+def braid_syllepsis_holds(B, L, X, Y) -> bool:
+    """The braid at the level ``L`` of ``B``'s maps has the comparisons
+    ``mu``, ``nu`` of the swapped cone, and the syllepsis restricts to the
+    braid-triangle pastings and is invertible."""
+    p, r = L.cone(X, Y)[1]
+    ps, rs = L.cone(Y, X)[1]
+    s, mu, nu = braid(L, X, Y)
+    sigma, phi, psi = syllepsis_data(B, X, Y)
+    return (mu.dom == L.comp(s, rs) and mu.cod == p
+            and nu.dom == L.comp(s, ps) and nu.cod == r
+            and B.whisker_right(sigma, p) == phi
+            and B.whisker_right(sigma, r) == psi and B.is_invertible(sigma))
+
+
 def symmetry_holds(B, X, Y) -> bool:
     """The self-inverse equation for the braid cell."""
     s, _, _ = braid(maps(B), X, Y)

@@ -37,9 +37,9 @@ from collections import namedtuple
 from . import kernel
 from .fin import UNIT, memoised
 from .kernel import (compose_adjunctions, mate_to_primary, mate_to_secondary,
-                     right_mate_of_map_cell)
+                     require_map, right_mate_of_map_cell)
 from .homprod import transport_cell, transport_hom
-from .mapprod import FillError, NotAMap, bang, diag, pairing, product_object
+from .mapprod import FillError, bang, diag, pairing, product_object
 
 
 class GArr(namedtuple("GArr", "dom cod f u primary")):
@@ -57,8 +57,7 @@ class GCell(namedtuple("GCell", "dom cod phi psi")):
 
 
 def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
-    if not f.is_map() or not u.is_map():
-        raise NotAMap("square frames must be maps")
+    require_map(f, u)
     if primary.dom != B.comp(dom, u) or primary.cod != B.comp(f, cod):
         raise ValueError("primary cell boundary does not match the square")
     return GArr(dom, cod, f, u, primary)
@@ -66,8 +65,7 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
 
 @memoised
 def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
-    if not f.is_map() or not u.is_map():
-        raise NotAMap("square frames must be maps")
+    require_map(f, u)
     adj = B.map_adjunction(u)
     expected = B.comp(f, B.comp(cod, adj.right))
     if secondary.dom != dom or secondary.cod != expected:

@@ -17,40 +17,47 @@ interchange format, whose printer refuses any name or label without a text
 form, so every reported payload parses back to the entities it names.
 
 A row body reads a law checker's verdict (see :mod:`bicat.kernel`) only
-through ``is None`` or its ``"kind"``.  Negative controls run a
-deliberately corrupted instance through the same machinery and pass
-exactly when the corruption is caught; the caught violation is attached
-as the check's payload so reports show what the failure looks like.
+through ``is None`` or its ``"kind"``.  A negative control
+(:func:`negative_check`) guards one row of its suite: it runs that row's
+own checker once, at pinned inputs that do not depend on the seed, with one
+input corrupted (an instance proxy :class:`_Corrupt`, a corrupted
+:class:`~bicat.coherence.Level` or a corrupted value), and passes exactly
+when the checker reports the violation it expects.  A control catches
+nothing, so a checker that raises instead gives an ``error`` row.  The
+payload shows the corrupted input.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import time
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
-from .fin import FinSet, SetFn, UNIT, clear_table
+from .fin import FinSet, SetFn, UNIT, clear_table, is_atom
 from .fmt import _KEYWORDS, Document, FmtError, describe, print_document
 from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
                   one_cell, rng_for, thicken, thin)
 from .homprod import transport_cell, transport_hom
 from .mapprod import (ProductCone, bang_nat, check_product_cone, diag_nat,
-                      fill2, maps_isomorphic, pairing, product_object)
-from .rels import Rel
+                      fill2, pairing, product_object)
 from .report import CheckResult, RunReport, SuiteReport
-from .spans import Span
 
 
 class CheckSpec:
     """A report row's id and ``run(B, cfg) -> (status, trials, entities)``,
-    where ``entities`` is ``None`` or the dict the payload prints."""
+    where ``entities`` is ``None`` or the dict the payload prints.  A
+    negative control also names the ``row`` it guards and the verdict it
+    expects."""
 
-    __slots__ = ("check_id", "run")
+    __slots__ = ("check_id", "run", "row", "expect")
 
-    def __init__(self, check_id, run):
+    def __init__(self, check_id, run, row=None, expect=None):
         self.check_id = check_id
         self.run = run
+        self.row = row
+        self.expect = expect
 
 
 def _payload(entities: dict) -> str:
@@ -130,14 +137,32 @@ def exhaustive_check(check_id, prefixes, body, size_cap):
     return CheckSpec(check_id, run)
 
 
-def negative_check(check_id, body):
-    """A corrupted-fixture check: ``body(B, cfg) -> (caught, entities)``."""
+def negative_check(check_id, row, corrupt, expect):
+    """A negative control of the row ``row``: ``corrupt(B) -> (verdict,
+    shown)`` runs that row's checker once, at pinned inputs with one of them
+    corrupted, and the control passes exactly when the verdict is
+    ``expect``: ``False`` from a law that answers a ``bool``, else the
+    violation's ``"kind"``.  ``shown`` is the payload."""
 
     def run(B, cfg: GenConfig):
-        caught, entities = body(B, cfg)
-        return "pass" if caught else "fail", 1, entities
+        verdict, shown = corrupt(B)
+        got = verdict["kind"] if isinstance(verdict, dict) else verdict
+        return "pass" if got == expect else "fail", 1, shown
 
-    return CheckSpec(check_id, run)
+    return CheckSpec(check_id, run, row, expect)
+
+
+class _Corrupt:
+    """``B`` with each operation ``op=fn`` answered by ``fn(B, ...)`` and
+    every other one by ``B`` itself."""
+
+    def __init__(self, B, **ops):
+        self._inner = B
+        for op, fn in ops.items():
+            setattr(self, op, functools.partial(fn, B))
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 def skipped_check(check_id):
@@ -198,20 +223,10 @@ def _chk_assoc_inverse(B, rng, carriers):
     return None if ok else {"R": R, "T": T, "U": U}
 
 
-def _neg_nonmap(B, cfg):
-    X = FinSet(("x0",))
-    A = FinSet(("a0", "a1"))
-    if B.name == "rel":
-        bad = Rel(X, A, (("x0", "a0"), ("x0", "a1")))
-    else:
-        S = FinSet(("s0", "s1"))
-        bad = Span(X, A, S, SetFn(S, X, ("x0", "x0")), SetFn(S, A, ("a0", "a1")))
-    try:
-        B.map_adjunction(bad)
-        caught = False
-    except ValueError:
-        caught = True
-    return caught, {"claimed-map": bad}
+def _nonmap_adjunction(B):
+    # The local terminal from one point to two is not a map.
+    bad = B.local_terminal(canonical_carrier("x", 1), canonical_carrier("a", 2))
+    return kernel.has_map_adjunction(B, bad), {"claimed-map": bad}
 
 
 KERNEL_CHECKS = (
@@ -221,7 +236,8 @@ KERNEL_CHECKS = (
                    _chk_mate_round_trip, size_cap=3),
     property_check("rebracket-two-sided-inverse", ("x", "a", "l", "m"),
                    _chk_assoc_inverse),
-    negative_check("negative-nonmap-rejected", _neg_nonmap),
+    negative_check("negative-nonmap-rejected", "map-adjunction-triangles",
+                   _nonmap_adjunction, False),
 )
 
 
@@ -271,19 +287,13 @@ def _chk_transport_functor(B, rng, carriers):
     return None if ok else {"f": f, "u": u, "S": S, "al": al, "be": be}
 
 
-def _neg_corrupt_terminal(B, cfg):
-    X = FinSet(("x0", "x1"))
-    A = FinSet(("a0",))
-    top = B.local_terminal(X, A)
-    if B.name == "rel":
-        fake = Rel(X, A, top.pairs[1:])
-        probe = top
-    else:
-        _, inc = thicken(B, rng_for(cfg.seed, "neg-top"), top, 1)
-        fake = inc.cod
-        probe = fake
-    cells = list(B.hom_cells(probe, fake))
-    return len(cells) != 1, {"claimed-terminal": fake, "probe": probe}
+def _misplaced_tau(B):
+    # tau(R) answers a cell out of the local terminal, which R is not.
+    R = B.identity(canonical_carrier("x", 2))
+    top = B.local_terminal(R.source, R.target)
+    bad = _Corrupt(B, tau=lambda B, T: B.id2(top))
+    return (_tau_is_the_only_cell(bad, R, top),
+            {"R": R, "claimed-cell": bad.tau(R)})
 
 
 HOMPROD_CHECKS = (
@@ -291,7 +301,8 @@ HOMPROD_CHECKS = (
     property_check("terminal-cell-unique", ("x", "a"), _chk_terminal_unique),
     property_check("transport-functorial", ("x", "a", "y", "b"),
                    _chk_transport_functor, size_cap=3),
-    negative_check("negative-thick-terminal", _neg_corrupt_terminal),
+    negative_check("negative-misplaced-terminal-cell", "terminal-cell-unique",
+                   _misplaced_tau, False),
 )
 
 
@@ -338,14 +349,12 @@ def _chk_fill_recovers(B, rng, carriers):
     return None if got == gamma else {"T": T, "U": U, "gamma": gamma}
 
 
-def _neg_collapsed_cone(B, cfg):
-    X = FinSet(("x0", "x1"))
-    Y = FinSet(("y0", "y1"))
+def _collapsed_cone(B):
+    # X with a constant second leg, claimed as the product of X and Y.
+    X, Y = canonical_carrier("x", 2), canonical_carrier("y", 2)
     fake = ProductCone(X, (B.identity(X), B.graph(SetFn.constant(X, Y, "y0"))),
                        (X, Y))
-    violation = check_product_cone(B, fake)
-    caught = violation is not None and violation["kind"] == "not-essentially-surjective"
-    return caught, {"X": X, "Y": Y, "claimed-vertex": X}
+    return check_product_cone(B, fake), {"X": X, "Y": Y, "claimed-vertex": X}
 
 
 MAPPROD_CHECKS = (
@@ -355,7 +364,8 @@ MAPPROD_CHECKS = (
                    size_cap=3, trial_cap=20),
     property_check("diag-bang-pseudonatural", ("x", "y"), _chk_diag_bang_nat),
     property_check("fill-recovers-cell", ("w", "x", "y"), _chk_fill_recovers),
-    negative_check("negative-collapsed-cone", _neg_collapsed_cone),
+    negative_check("negative-collapsed-cone", "product-cone-universal",
+                   _collapsed_cone, "not-essentially-surjective"),
 )
 
 
@@ -384,8 +394,10 @@ def _chk_tensor_pairing(B, rng, carriers):
     return None if ok else {"R": R, "S": S, "T0": T0}
 
 
-def _chk_pair_unique(B, rng, carriers):
-    R, S, T0, tens, aR, aS = _tensor_cone(B, rng, carriers)
+def _pair_unique(B, tens, aR, aS) -> bool:
+    """The pairing of the cone ``aR, aS`` is the only square over its frames
+    into the tensor with the same two projections."""
+    T0 = aR.dom
     arrow, _, _ = groth.g_pair(B, tens, aR, aS)
     w_star = B.map_adjunction(arrow.u).right
     E = B.comp(arrow.f, B.comp(tens.obj, w_star))
@@ -398,7 +410,12 @@ def _chk_pair_unique(B, rng, carriers):
                groth.g_compose(B, cand, tens.proj2))
         if got == want:
             found.append(cand)
-    ok = found == [arrow]
+    return found == [arrow]
+
+
+def _chk_pair_unique(B, rng, carriers):
+    R, S, T0, tens, aR, aS = _tensor_cone(B, rng, carriers)
+    ok = _pair_unique(B, tens, aR, aS)
     return None if ok else {"R": R, "S": S, "T0": T0}
 
 
@@ -439,20 +456,14 @@ def _chk_diag_dunit(B, rng, carriers):
     return None if ok else {"R": R, "S": S}
 
 
-def _neg_swapped_cone(B, cfg):
-    X = FinSet(("x0",))
-    Y = FinSet(("y0", "y1"))
-    A = FinSet(("a0",))
-    rng = rng_for(cfg.seed, "neg-swapped")
-    R = one_cell(B, rng, X, A, 1)
-    S = one_cell(B, rng, Y, A, 1)
+def _doubled_cells(B):
+    # Every cell enumerated twice, so the pairing is found twice.
+    R = B.identity(canonical_carrier("x", 2))
+    S = B.identity(canonical_carrier("y", 1))
     tens = groth.g_tensor(B, R, S)
-    try:
-        groth.g_pair(B, tens, tens.proj2, tens.proj1)
-        caught = False
-    except ValueError:
-        caught = True
-    return caught, {"R": R, "S": S}
+    bad = _Corrupt(B, hom_cells=lambda B, R, S: (
+        cell for cell in B.hom_cells(R, S) for _ in (0, 1)))
+    return _pair_unique(bad, tens, tens.proj1, tens.proj2), {"R": R, "S": S}
 
 
 GROTH_CHECKS = (
@@ -464,7 +475,8 @@ GROTH_CHECKS = (
                    _chk_square_cells, size_cap=2, trial_cap=30),
     property_check("diagonal-unit-comparison", ("x", "a"), _chk_diag_dunit,
                    size_cap=2),
-    negative_check("negative-swapped-cone", _neg_swapped_cone),
+    negative_check("negative-doubled-cells", "tensor-pairing-uniqueness",
+                   _doubled_cells, False),
 )
 
 
@@ -521,22 +533,15 @@ def _chk_tensor_functorial(B, rng, carriers):
     return {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
 
 
-def _neg_transposed_constraint(B, cfg):
-    X = FinSet(("x0", "x1"))
-    A = FinSet(("a0",))
-    L = FinSet(("l0", "l1"))
-    rng = rng_for(cfg.seed, "neg-lax")
-    R = one_cell(B, rng, X, A, 2)
-    T = one_cell(B, rng, A, L, 2)
-    S = one_cell(B, rng, L, X, 2)
-    U = one_cell(B, rng, X, A, 2)
-    good = cartesian.tensor_comp_cell(B, R, S, T, U)
-    try:
-        bad = cartesian.tensor_comp_cell(B, R, S, U, T)
-        caught = bad.dom != good.dom
-    except ValueError:
-        caught = True
-    return caught, {"R": R, "S": S, "T": T, "U": U}
+def _tau_as_identity(B):
+    # id2 answers tau out of a product carrier: R (x) S is not terminal.
+    R = B.identity(canonical_carrier("x", 2))
+    S = B.identity(canonical_carrier("y", 1))
+    bad = _Corrupt(B, id2=lambda B, T: B.id2(T) if all(map(is_atom, T.source))
+                   else B.tau(T))
+    holds = cartesian.tensor_functor_law_holds(bad, B.id2(R), B.tau(R),
+                                               B.id2(S), B.tau(S))
+    return holds, {"R": R, "S": S}
 
 
 LAX_CHECKS = (
@@ -548,7 +553,8 @@ LAX_CHECKS = (
                    _chk_tensor_naturality, size_cap=2),
     property_check("tensor-2cell-functorial", ("x", "a", "y", "c"),
                    _chk_tensor_functorial, size_cap=2),
-    negative_check("negative-transposed-constraint", _neg_transposed_constraint),
+    negative_check("negative-tau-as-identity", "tensor-2cell-functorial",
+                   _tau_as_identity, False),
 )
 
 
@@ -610,34 +616,14 @@ def _chk_unit_factor_pairing(B, rng, carriers):
     return None if ok else {"R": R, "S": S}
 
 
-class _CorruptTau:
-    """Instance proxy whose terminal cell at one boundary has the wrong
-    domain, as if the implementation looked up the wrong hom-category."""
-
-    def __init__(self, inner, source, target):
-        self._inner = inner
-        self._key = (source, target)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def tau(self, R):
-        if (R.source, R.target) == self._key:
-            top = self._inner.local_terminal(R.source, R.target)
-            return self._inner.id2(top)
-        return self._inner.tau(R)
-
-
-def _neg_corrupt_cartesian(B, cfg):
-    X = FinSet(("x0", "x1"))
-    A = FinSet(("a0",))
-    if B.name == "rel":
-        R = Rel(X, A, (("x0", "a0"),))
-    else:
-        R = B.graph(SetFn.constant(X, A, "a0"))
-    proxy = _CorruptTau(B, X, A)
-    caught = not _tau_is_the_only_cell(proxy, R, B.local_terminal(X, A))
-    return caught, {"R": R, "claimed-cell": proxy.tau(R)}
+def _empty_terminal(B):
+    # The local terminal answers the empty 1-cell, through the empty carrier.
+    X, Y, E = map(canonical_carrier, "xye", (1, 1, 0))
+    bad = _Corrupt(B, local_terminal=lambda B, S, T: B.comp(
+        B.local_terminal(S, E), B.local_terminal(E, T)))
+    R, S = B.identity(X), B.identity(Y)
+    return (cartesian.is_cartesian(bad, (X, Y), (R, S, R, S)),
+            {"claimed-terminal": bad.local_terminal(UNIT, UNIT)})
 
 
 CARTESIAN_CHECKS = (
@@ -651,7 +637,8 @@ CARTESIAN_CHECKS = (
                    _chk_composition_comparisons, size_cap=2, trial_cap=40),
     property_check("unit-factor-pairing", ("x", "a"),
                    _chk_unit_factor_pairing, size_cap=3),
-    negative_check("negative-corrupt-terminal", _neg_corrupt_cartesian),
+    negative_check("negative-empty-terminal", "global-constraints-invertible",
+                   _empty_terminal, "unit-functor"),
 )
 
 
@@ -659,15 +646,7 @@ CARTESIAN_CHECKS = (
 
 def _chk_braid_syllepsis(B, rng, carriers):
     X, Y = carriers
-    p, r = product_object(B, X, Y).legs
-    ps, rs = product_object(B, Y, X).legs
-    s, bmu, bnu = coherence.braid(coherence.maps(B), X, Y)
-    sigma, phi, psi = coherence.syllepsis_data(B, X, Y)
-    ok = (bmu.dom == B.comp(s, rs) and bmu.cod == p
-          and bnu.dom == B.comp(s, ps) and bnu.cod == r
-          and B.whisker_right(sigma, p) == phi
-          and B.whisker_right(sigma, r) == psi
-          and B.is_invertible(sigma))
+    ok = coherence.braid_syllepsis_holds(B, coherence.maps(B), X, Y)
     return None if ok else {"X": X, "Y": Y}
 
 
@@ -697,13 +676,12 @@ def _chk_modification_pair(B, rng, carriers):
     return None if ok else {"R": R, "S": S, "T": T, "U": U}
 
 
-def _neg_identity_braid(B, cfg):
-    X = FinSet(("x0", "x1"))
-    cone = product_object(B, X, X)
-    claimed = B.identity(cone.vertex)
-    p, r = cone.legs
-    caught = not maps_isomorphic(B.comp(claimed, r), p)
-    return caught, {"X": X, "claimed-braid": claimed}
+def _identity_braid(B):
+    # Pairing its arguments swapped makes the braid the identity pairing.
+    X = canonical_carrier("x", 2)
+    bad = coherence.maps(B)._replace(pair=lambda f, g: pairing(B, g, f))
+    return (coherence.braid_syllepsis_holds(B, bad, X, X),
+            {"X": X, "claimed-braid": coherence.braid(bad, X, X)[0]})
 
 
 MONOIDAL_CHECKS = (
@@ -718,7 +696,8 @@ MONOIDAL_CHECKS = (
                    _chk_modification_pair, size_cap=2, trial_cap=10),
     skipped_check("unit-coherence-axiom-left"),
     skipped_check("unit-coherence-axiom-right"),
-    negative_check("negative-identity-braid", _neg_identity_braid),
+    negative_check("negative-identity-braid", "braid-syllepsis-equations",
+                   _identity_braid, False),
 )
 
 

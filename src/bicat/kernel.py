@@ -27,6 +27,17 @@ class AdjunctionMismatch(ValueError):
     """Input cells do not have the boundaries the adjunction calls for."""
 
 
+class NotAMap(ValueError):
+    """A 1-cell that is not a map where a map is required: the one refusal
+    of both instances' ``map_adjunction`` and of every map construction."""
+
+
+def require_map(*cells):
+    for R in cells:
+        if not R.is_map():
+            raise NotAMap("non-map 1-cell where a map is required")
+
+
 # --- adjunctions ----------------------------------------------------------
 
 class Adjunction(namedtuple("Adjunction", "left right unit counit")):
@@ -86,6 +97,16 @@ def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
         second.counit,
     )
     return Adjunction(left, right, unit, counit)
+
+
+def has_map_adjunction(B, R) -> bool:
+    """``False`` when ``B.map_adjunction`` refuses ``R`` with
+    :class:`NotAMap`; any other exception propagates."""
+    try:
+        B.map_adjunction(R)
+    except NotAMap:
+        return False
+    return True
 
 
 # --- mates ---------------------------------------------------------------

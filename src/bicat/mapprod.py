@@ -26,10 +26,7 @@ import math
 from collections import namedtuple
 
 from .fin import FinSet, SetFn, UNIT, all_functions, memoised
-
-
-class NotAMap(ValueError):
-    pass
+from .kernel import require_map
 
 
 class FillError(ValueError):
@@ -41,12 +38,6 @@ class FillError(ValueError):
 class ProductCone(namedtuple("ProductCone", "vertex legs factors")):
     """A cone over ``factors``: a ``vertex`` with one leg into each."""
     __slots__ = ()
-
-
-def _require_map(B, m):
-    if not m.is_map():
-        raise NotAMap("expected a map 1-cell")
-    return m
 
 
 def maps_isomorphic(m1, m2) -> bool:
@@ -83,8 +74,7 @@ def pairing(B, f, g):
     ``comp(<f,g>, p) -> f`` and ``comp(<f,g>, r) -> g``; both are identities
     when f and g are canonical graphs.
     """
-    _require_map(B, f)
-    _require_map(B, g)
+    require_map(f, g)
     if f.source != g.source:
         raise ValueError("pairing of maps with different sources")
     cone = product_object(B, f.target, g.target)
@@ -97,8 +87,7 @@ def pairing(B, f, g):
 
 def times_on_arrows(B, f, g):
     """The product of two maps, ``X x Y -> A x B`` pointwise."""
-    _require_map(B, f)
-    _require_map(B, g)
+    require_map(f, g)
     src = f.source.product(g.source)
     tgt = f.target.product(g.target)
     ffn, gfn = f.fn(), g.fn()
@@ -114,7 +103,7 @@ def bang(B, X: FinSet):
 def bang_nat(B, f):
     """Naturality square of the terminal transformation at a map: the cell
     ``comp(f, bang(A)) -> bang(X)``."""
-    _require_map(B, f)
+    require_map(f)
     return map_iso(B, B.comp(f, bang(B, f.target)), bang(B, f.source))
 
 
@@ -128,7 +117,7 @@ def diag(B, X: FinSet):
 def diag_nat(B, f):
     """Naturality square of the diagonal at a map: the cell from ``d . f``
     to ``(f x f) . d``."""
-    _require_map(B, f)
+    require_map(f)
     return map_iso(B, B.comp(f, diag(B, f.target)),
                    B.comp(diag(B, f.source), times_on_arrows(B, f, f)))
 

@@ -25,7 +25,7 @@ import itertools
 from .fin import (_VALUES, FinSet, SetFn, _intern, label_key, memoised,
                   render_label)
 from .homprod import LocalProductWitness
-from .kernel import Adjunction
+from .kernel import Adjunction, require_map
 
 
 def _pair_key(p):
@@ -220,8 +220,7 @@ class RelBicat:
     @memoised
     def map_adjunction(self, R: Rel):
         """``R -| converse(R)`` when R is the graph of a function."""
-        if not R.is_map():
-            raise ValueError("adjunction requested for a non-map relation")
+        require_map(R)
         rstar = converse(R)
         unit = RelCell(self.identity(R.source), self.comp(R, rstar))
         counit = RelCell(self.comp(rstar, R), self.identity(R.target))

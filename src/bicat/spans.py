@@ -48,7 +48,7 @@ import itertools
 from .fin import (_VALUES, FinSet, SetFn, UNIT, _intern, all_functions,
                   memoised, render_label)
 from .homprod import LocalProductWitness
-from .kernel import Adjunction
+from .kernel import Adjunction, require_map
 
 #: Guards against a blow-up: one :meth:`SpanBicat.hom_cells` enumeration
 #: raises past this many cells, so an existence query never trips it.
@@ -441,8 +441,7 @@ class SpanBicat:
         The unit is the diagonal into the kernel-pair apex and the counit
         collapses each fibre pair to its common image.
         """
-        if not R.is_map():
-            raise ValueError("adjunction requested for a non-map span")
+        require_map(R)
         rstar = reverse(R)
         diagonal = R.left.inverse().values
         unit = self._cell(self.identity(R.source), self.comp(R, rstar),

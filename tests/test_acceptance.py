@@ -19,10 +19,11 @@ from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, all_functions
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig, canonical_carrier, map_cell, one_cell
-from bicat.harness import (_chk_braid_syllepsis, _chk_modification_pair,
-                           _chk_pentagon, _chk_product_cone, _chk_rebracket,
-                           _chk_symmetry, exhaustive_check, property_check,
-                           run_check, run_config)
+from bicat.harness import (SUITE_CHECKS, _chk_braid_syllepsis,
+                           _chk_modification_pair, _chk_pentagon,
+                           _chk_product_cone, _chk_rebracket, _chk_symmetry,
+                           exhaustive_check, property_check, run_check,
+                           run_config)
 from bicat.homprod import is_product_diagram
 
 MODULE_T0 = time.monotonic()
@@ -324,8 +325,30 @@ def test_criterion_7_symmetry_and_pentagon(capsys):
     _report(capsys, 7, body)
 
 
+#: Each suite's control: the row it guards and the verdict that row's
+#: checker must give on the corrupted input (``False`` from a ``bool`` law,
+#: else the violation's kind).
+CONTROLS = {
+    "kernel": ("negative-nonmap-rejected", "map-adjunction-triangles", False),
+    "homprod": ("negative-misplaced-terminal-cell", "terminal-cell-unique",
+                False),
+    "mapprod": ("negative-collapsed-cone", "product-cone-universal",
+                "not-essentially-surjective"),
+    "groth": ("negative-doubled-cells", "tensor-pairing-uniqueness", False),
+    "lax": ("negative-tau-as-identity", "tensor-2cell-functorial", False),
+    "cartesian": ("negative-empty-terminal", "global-constraints-invertible",
+                  "unit-functor"),
+    "monoidal": ("negative-identity-braid", "braid-syllepsis-equations",
+                 False),
+}
+
+
 def test_criterion_8_negative_controls(capsys):
     def body():
+        assert {suite: tuple((c.check_id, c.row, c.expect) for c in specs
+                             if c.row is not None)
+                for suite, specs in SUITE_CHECKS.items()} == {
+                    suite: (control,) for suite, control in CONTROLS.items()}
         found = {}
         for name in ("span", "rel"):
             cfg = GenConfig(seed=0, max_carrier=2, trials=4, instance=name,
@@ -340,9 +363,11 @@ def test_criterion_8_negative_controls(capsys):
                     assert c.counterexample
                     parse_document(c.counterexample)
                     found.setdefault(s.suite, set()).add(c.check_id)
-        assert set(found) == set(SUITES), found
-        n = sum(len(v) for v in found.values())
-        return "every suite carries a corrupted-claim control with a " \
-               "re-parseable counterexample (%d controls)" % n
+        assert found == {suite: {control[0]}
+                         for suite, control in CONTROLS.items()}, found
+        return "every suite carries one control that runs one of its " \
+               "rows' checkers on a corrupted input and gets the expected " \
+               "verdict, with a re-parseable payload (%d controls)" \
+               % len(found)
 
     _report(capsys, 8, body)

@@ -9,8 +9,7 @@ from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet
 from bicat.gen import carrier, map_cell, one_cell, thicken
 from bicat.groth import g_tensor
-from bicat.harness import (_CorruptTau, _neg_corrupt_cartesian,
-                           _tau_is_the_only_cell)
+from bicat.harness import _Corrupt, _misplaced_tau, _tau_is_the_only_cell
 from bicat.mapprod import FillError, fill2, product_object
 
 INSTANCES = (span_instance(), rel_instance())
@@ -120,13 +119,13 @@ def test_cartesian_recognition_report():
 
 
 def test_corrupt_terminal_control_catches_only_the_corruption():
-    # The control's comparison holds on the honest instance, at the
-    # control's own 1-cell and at drawn ones; only the proxy fails it.
+    # The terminal-cell control's comparison holds on the honest instance,
+    # at the control's own 1-cell and at drawn ones; only the proxy fails it.
     rng = random.Random(65)
     for B in INSTANCES:
-        caught, entities = _neg_corrupt_cartesian(B, None)
+        holds, entities = _misplaced_tau(B)
         R = entities["R"]
-        assert caught
+        assert holds is False
         assert _tau_is_the_only_cell(B, R, B.local_terminal(R.source,
                                                             R.target))
         X, A = carrier(rng, "x", 3), carrier(rng, "a", 3)
@@ -135,18 +134,11 @@ def test_corrupt_terminal_control_catches_only_the_corruption():
             assert _tau_is_the_only_cell(B, R, B.local_terminal(X, A))
 
 
-class _BuggyTau(_CorruptTau):
-    """Instance proxy whose ``tau`` has a programming error."""
-
-    def tau(self, R):
-        return self._inner.tau_of(R)
-
-
 def test_terminal_comparison_lets_programming_errors_through():
     # A bug inside ``tau`` is not a violation of the local-terminal law.
     for B in INSTANCES:
         R = B.identity(FinSet(("x0", "x1")))
-        proxy = _BuggyTau(B, R.source, R.target)
+        proxy = _Corrupt(B, tau=lambda B, R: B.tau_of(R))
         with pytest.raises(AttributeError):
             _tau_is_the_only_cell(proxy, R, B.local_terminal(R.source,
                                                              R.target))

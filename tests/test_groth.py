@@ -12,7 +12,8 @@ from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
                          g_is_equivalence, g_map_arrow, g_pair, g_tensor,
                          g_terminal, garr_from_primary,
                          garr_from_secondary, paste_vertical, secondary)
-from bicat.mapprod import FillError, NotAMap
+from bicat.kernel import NotAMap
+from bicat.mapprod import FillError
 from bicat.rels import Rel
 
 INSTANCES = (span_instance(), rel_instance())

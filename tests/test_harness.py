@@ -1,6 +1,8 @@
 """End-to-end runs of the check harness and the command line entry."""
 
+import contextlib
 import gc
+import io
 import itertools
 import os
 import pathlib
@@ -9,8 +11,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bicat import cli, coherence, fin, gen, harness
+from bicat import cartesian, cli, coherence, fin, gen, harness, mapprod
 from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
@@ -18,6 +21,7 @@ from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
                            property_check, run_check, run_config)
 from bicat.homprod import LocalProductWitness
 from bicat.rels import Rel, RelBicat, RelCell
+from bicat.spans import Span
 from bicat.report import parse_machine, render_machine, strip_wall
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
@@ -55,10 +59,18 @@ def test_suite_selection_is_respected():
 
 
 def test_negative_controls_present_with_payloads():
+    # Exactly one control per suite, guarding a row of that suite that is
+    # not itself a control.
+    for suite, specs in SUITE_CHECKS.items():
+        controls = [c for c in specs if c.check_id.startswith("negative-")]
+        assert [c for c in specs if c.row is not None] == controls, suite
+        assert len(controls) == 1, suite
+        rows = {c.check_id for c in specs if c.row is None}
+        assert controls[0].row in rows, (suite, controls[0].row)
     run = run_config(FAST)
     negatives = [c for s in run.suites for c in s.checks
                  if c.check_id.startswith("negative-")]
-    assert len(negatives) >= len(SUITES) - 1
+    assert len(negatives) == len(SUITES)
     for c in negatives:
         assert c.status == "pass"
         assert c.counterexample
@@ -105,7 +117,7 @@ def test_value_table_returns_to_its_size_after_a_run():
     # alone frees them, with the collector off; a negative control covers
     # the payload path.
     trials = {"tensor-assoc-constraint": 20,
-              "negative-transposed-constraint": 1}
+              "negative-tau-as-identity": 1}
     specs = [c for c in SUITE_CHECKS["lax"] if c.check_id in trials]
     gc.disable()
     try:
@@ -157,6 +169,117 @@ def test_nonmap_control_asks_the_instance():
         assert (honest.status, lax.status) == ("pass", "fail")
         assert lax.counterexample == honest.counterexample
         assert "claimed-map" in honest.counterexample
+
+
+#: ``is_map`` mutants that accept a non-map: a relation need only be total,
+#: a span's left leg need only be surjective.
+IS_MAP_MUTANTS = {
+    "rel": (Rel, lambda self: {x for x, _ in self.pairset} == set(self.source)),
+    "span": (Span, lambda self: set(self.left.values) == set(self.source)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IS_MAP_MUTANTS))
+def test_nonmap_control_is_not_passed_by_an_is_map_mutant(monkeypatch, name):
+    # The mutant's map_adjunction goes on to fail with an untyped error, not
+    # the NotAMap refusal, so the control cannot count it as a catch.
+    spec = next(c for c in KERNEL_CHECKS
+                if c.check_id == "negative-nonmap-rejected")
+    B = instance_for(name)
+    assert run_check(B, FAST, spec).status == "pass"
+    cls, is_map = IS_MAP_MUTANTS[name]
+    monkeypatch.setattr(cls, "is_map", is_map)
+    assert run_check(B, FAST, spec).status != "pass"
+
+
+def _raise(*args):
+    raise ValueError("corruption raised")
+
+
+class _RaisingCorrupt(harness._Corrupt):
+    def __init__(self, B, **ops):
+        super().__init__(B, **dict.fromkeys(ops, _raise))
+
+
+#: Per control, the row's checker (``"instance"`` names the instance's
+#: class), one replacement that always holds and one that never does.
+ROW_CHECKERS = {
+    "negative-nonmap-rejected": ("instance", "map_adjunction",
+                                 lambda self, R: None, _raise),
+    "negative-misplaced-terminal-cell": (harness, "_tau_is_the_only_cell",
+                                         lambda *a: True, lambda *a: False),
+    "negative-collapsed-cone": (harness, "check_product_cone",
+                                lambda *a: None, lambda *a: {"kind": "any"}),
+    "negative-doubled-cells": (harness, "_pair_unique",
+                               lambda *a: True, lambda *a: False),
+    "negative-tau-as-identity": (cartesian, "tensor_functor_law_holds",
+                                 lambda *a: True, lambda *a: False),
+    "negative-empty-terminal": (cartesian, "is_cartesian",
+                                lambda *a: None, lambda *a: {"kind": "any"}),
+    "negative-identity-braid": (coherence, "braid_syllepsis_holds",
+                                lambda *a: True, lambda *a: False),
+}
+#: Per control, what makes its corruption raise a plain ``ValueError``, and
+#: for a corrupted instance or level, what takes the corruption away.
+CORRUPTIONS = {
+    "negative-nonmap-rejected": (("instance", "map_adjunction", _raise),
+                                 None),
+    "negative-collapsed-cone": ((harness, "ProductCone", _raise), None),
+    "negative-identity-braid": (
+        (harness, "pairing", _raise),
+        (harness, "pairing", lambda B, f, g: mapprod.pairing(B, g, f))),
+    **dict.fromkeys(
+        ("negative-misplaced-terminal-cell", "negative-doubled-cells",
+         "negative-tau-as-identity", "negative-empty-terminal"),
+        ((harness, "_Corrupt", _RaisingCorrupt),
+         (harness, "_Corrupt", lambda B, **ops: B))),
+}
+CONTROLS = {c.check_id: (suite, c) for suite, specs in SUITE_CHECKS.items()
+            for c in specs if c.row is not None}
+
+
+def _patch(monkeypatch, B, target, attr, value):
+    monkeypatch.setattr(type(B) if target == "instance" else target, attr,
+                        value)
+
+
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+def test_each_control_runs_the_checker_of_its_row(monkeypatch, control):
+    # With the checker always holding, the control fails; with it never
+    # holding, the row no longer passes: both read the same function.
+    assert set(ROW_CHECKERS) == set(CONTROLS) == set(CORRUPTIONS)
+    suite, spec = CONTROLS[control]
+    row = next(c for c in SUITE_CHECKS[suite] if c.check_id == spec.row)
+    target, attr, holds, fails = ROW_CHECKERS[control]
+    for name in ("span", "rel"):
+        B = instance_for(name)
+        cfg = FAST._replace(instance=name)
+        assert run_check(B, cfg, spec).status == "pass"
+        with monkeypatch.context() as m:
+            _patch(m, B, target, attr, holds)
+            assert run_check(B, cfg, spec).status == "fail", name
+        with monkeypatch.context() as m:
+            _patch(m, B, target, attr, fails)
+            assert run_check(B, cfg, row).status != "pass", name
+
+
+@pytest.mark.parametrize("control", sorted(CONTROLS))
+def test_a_control_whose_corruption_raises_is_an_error(monkeypatch, control):
+    # A control catches nothing: a plain ValueError from its corruption is
+    # an error row, never a catch.  Without the corruption, it fails.
+    spec = CONTROLS[control][1]
+    raising, honest = CORRUPTIONS[control]
+    for name in ("span", "rel"):
+        B = instance_for(name)
+        with monkeypatch.context() as m:
+            _patch(m, B, *raising)
+            result = run_check(B, FAST, spec)
+            assert result.status == "error", name
+            assert "ValueError: corruption raised" in result.counterexample
+        if honest is not None:
+            with monkeypatch.context() as m:
+                _patch(m, B, *honest)
+                assert run_check(B, FAST, spec).status == "fail", name
 
 
 def test_counterexamples_shrink_to_local_minimum():
@@ -444,6 +567,49 @@ def test_cli_hostile_fixture_names_and_labels_exit_two(tmp_path, capsys,
     assert rc == 2
     assert "bicat-check: malformed fixtures: line " in err
     assert "Traceback" not in out + err
+
+
+#: The fixture files, each with the instance it is written for.
+FUZZ_BASES = [(f.name.split("-")[0], f.read_text(encoding="utf-8"))
+              for f in sorted((ROOT / "fixtures").glob("*.bicat"))]
+#: Pieces of the format a mutation inserts.
+FUZZ_TOKENS = (" ", "\n", ":", ",", "(", ")", "=", "->", "#", "*", "x0",
+               "a0", "s0", "X", "A", "set ", "span ", "rel ", "cell ",
+               "check ", "map ", "compose ", "equal ")
+
+
+@st.composite
+def _mutated_fixture(draw):
+    instance, text = draw(st.sampled_from(FUZZ_BASES))
+    if draw(st.booleans()):
+        # A span record with an oversized apex, and claims that read it.
+        n = draw(st.integers(0, 60))
+        text += "span BIG : X -> A = %s\ncheck map BIG\ncheck cell BIG -> " \
+                "BIG\ncheck compose BIG %s = BIG\n" % (
+                    " ".join("s%d:x%d:a0" % (i, i % 2) for i in range(n)),
+                    draw(st.sampled_from(("BIG", "G", "S", "ID"))))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.sampled_from(("",) + FUZZ_TOKENS)) + text[j:]
+    return draw(st.sampled_from((instance, "span", "rel"))), text
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mutated_fixture())
+def test_cli_exit_codes_are_total_on_mutated_fixtures(tmp_path_factory, case):
+    # Whatever the fixture text, the command answers with an exit code of
+    # its contract and a message, never a traceback.
+    instance, text = case
+    fix = tmp_path_factory.getbasetemp() / "mutated.bicat"
+    fix.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["--instance", instance, "--suite", "kernel",
+                       "--max-size", "0", "--trials", "1", "--fixtures",
+                       str(fix), "--out", str(fix.with_suffix(".report"))])
+    assert rc in (0, 1, 2, 3), rc
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_does_not_read_jobs_env(monkeypatch, capsys):

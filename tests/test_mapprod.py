@@ -8,7 +8,8 @@ from bicat import rel_instance, span_instance
 from bicat.coherence import bracket_cone, maps
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell
-from bicat.mapprod import (FillError, NotAMap, ProductCone, bang, bang_nat,
+from bicat.kernel import NotAMap
+from bicat.mapprod import (FillError, ProductCone, bang, bang_nat,
                            check_product_cone, diag, diag_nat, fill2, map_iso,
                            maps_isomorphic, pairing, product_object,
                            times_on_arrows)

@@ -448,7 +448,7 @@ def test_is_map_rejects_non_bijective_left_leg():
     S = FinSet(("s0", "s1"))
     bad = Span(X, A, S, SetFn.constant(S, X, "x0"), SetFn(S, A, ("a0", "a1")))
     assert not bad.is_map()
-    with pytest.raises(ValueError, match="non-map"):
+    with pytest.raises(kernel.NotAMap, match="non-map"):
         B.map_adjunction(bad)
 
 

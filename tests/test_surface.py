@@ -17,8 +17,9 @@ their equality, every memoised operation is exercised by the memo laws, no
 law verdict is compared with a dict display, both instances expose the
 same operations with the same parameters, no function of ``src/bicat``
 imports inside its body, importing the command line loads neither
-``dataclasses`` nor ``inspect`` (nor, without ``site``, ``typing``), and
-one function of the harness runs every report row.
+``dataclasses`` nor ``inspect`` (nor, without ``site``, ``typing``),
+one function of the harness runs every report row, and no negative
+control catches an exception or reads an instance's name.
 """
 
 import ast
@@ -344,3 +345,28 @@ def test_harness_has_one_row_driver():
                           getattr(node, "attr", None))
              if name in jobs]
     assert not reads, "only run_check may do these: %s" % reads
+
+
+def test_controls_catch_nothing_and_ask_no_instance_name():
+    # A control is its row's checker on a corrupted input: a handler in it
+    # could count a boundary error as a catch, and a branch on the
+    # instance's name would be a per-instance answer.  Nor does the
+    # harness build an instance's 1-cells by hand.
+    tree = ast.parse((ROOT / "src" / "bicat" / "harness.py")
+                     .read_text(encoding="utf-8"))
+    corrupt = {call.args[2].id for call in ast.walk(tree)
+               if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "negative_check"}
+    assert len(corrupt) == 7, corrupt
+    control = [node for node in tree.body
+               if getattr(node, "name", None) in
+               corrupt | {"negative_check", "_Corrupt"}]
+    assert len(control) == len(corrupt) + 2
+    found = ["%s:%d" % (fn.name, node.lineno) for fn in control
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Try)
+             or isinstance(node, ast.Attribute) and node.attr == "name"]
+    assert not found, "control code catches or reads a name: %s" % found
+    imported = {a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"Rel", "Span", "RelBicat", "SpanBicat"}

@@ -15,7 +15,7 @@ from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import canonical_carrier
 from bicat.groth import (TensorWitness, g_compose, g_identity, g_pair,
                          g_tensor, g_terminal, garr_from_secondary, secondary)
-from bicat.harness import _CorruptTau
+from bicat.harness import _Corrupt
 from bicat.homprod import LocalProductWitness, transport_cell, transport_hom
 from bicat.kernel import compose_adjunctions, right_mate_of_map_cell
 from bicat.mapprod import (bang, check_product_cone, map_iso, pairing,
@@ -155,7 +155,7 @@ def test_refused_upper_calls_raise_on_every_call():
 def test_a_proxy_instance_gets_entries_of_its_own():
     for B in INSTANCES:
         full, f, _, _ = _cells(B)
-        proxy = _CorruptTau(B, X, A)
+        proxy = _Corrupt(B)
         mine = g_tensor(B, full, f)
         theirs = g_tensor(proxy, full, f)
         assert theirs is not mine
