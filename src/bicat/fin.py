@@ -34,8 +34,9 @@ Values are hash-consed for as long as they live.  Two stores hold them:
 
 No value graph holds a reference cycle, so reference counting frees a
 unit's values as soon as the memo empties, and no collector pass is
-needed; :func:`bicat.harness.run_config` therefore pauses the cyclic
-collector for a run.  ``tests/test_harness.py::
+needed; :func:`collector_paused` therefore pauses the cyclic collector for
+a run (:func:`bicat.harness.run_config`) and for a parse
+(:func:`bicat.fmt.parse_document`).  ``tests/test_harness.py::
 test_a_run_makes_no_reference_cycles`` enforces this.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
@@ -45,6 +46,7 @@ the canonical copy, and a rebuild returns it.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import re
 import weakref
@@ -108,6 +110,24 @@ def memoised(op):
         return got
 
     run.table = table
+    return run
+
+
+def collector_paused(op):
+    """``op`` with the cyclic garbage collector off while it runs; the
+    caller's setting comes back on return or raise.  Reference counting
+    alone frees what ``op`` drops, as no value graph holds a cycle."""
+
+    @functools.wraps(op)
+    def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return op(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
     return run
 
 

@@ -23,8 +23,13 @@ alphabet, pairs written ``(a,b)`` and nesting at most
 
 ``:`` never occurs inside a label (the atom alphabet has none), so one
 colon count checks a record's entries and one split yields their labels.
-Each distinct label text is parsed once per :func:`parse_document` call (a
-pair ``(a,R)`` from its halves) and rendered once per ``print_document``.
+When one linear match shows that every label of a record is an atom or a
+pair of two atoms, the record is decided a column of entries at a time:
+its atoms are made canonical in the document's label table and its pairs
+are built from those canonical halves.  Any other record goes label by
+label: each distinct text is parsed once per :func:`parse_document` call
+(a pair ``(a,R)`` from its halves), and :func:`bicat.fin.parse_label` is
+the one source of label errors.  The cyclic collector sits out a parse.
 
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
 to entities declared earlier in the same document.  Blank lines and lines
@@ -37,19 +42,24 @@ printer sorts the table stably in that order and names each boundary by the
 first name its (interned) value was given.  ``_CHECK_FORMS`` states the
 tokens of each ``check`` kind for both parsing and printing.
 
-Printing a document and parsing it back yields an equal document: the
-printer refuses any name or label with no text form.  Check reports embed
-counterexamples in this format without re-parsing them; the tests
-round-trip every payload of the golden runs and shipped fixtures.
+The printer renders each distinct label once per document and writes a
+record's body by joining its columns (domain and values, apex and legs,
+the two sides of a relation's pairs in label order, a cell's sources and
+targets).  Printing a document and parsing it back yields an equal
+document: the printer refuses any name or label with no text form.  Check
+reports embed counterexamples in this format without re-parsing them; the
+tests round-trip every payload of the golden runs and shipped fixtures.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from collections import namedtuple
 
-from .fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label, render_label,
-                  _ATOM)
+from .fin import (MAX_LABEL_DEPTH, FinSet, SetFn, collector_paused,
+                  parse_label, render_label, _ATOM)
 from .rels import Rel, RelCell
 from .spans import Span, SpanCell
 
@@ -152,16 +162,16 @@ def print_document(doc: Document) -> str:
             continue
         if isinstance(value, SetFn):
             dom, cod = ends(value, what, "domain", "codomain")
-            entries = zip(value.domain, value.values)
+            columns = value.domain, value.values
         elif isinstance(value, Span):
             dom, cod = ends(value, what, "source", "target")
-            entries = zip(value.apex, value.left.values, value.right.values)
+            columns = value.apex, value.left.values, value.right.values
         elif isinstance(value, Rel):
             dom, cod = ends(value, what, "source", "target")
-            entries = value.pairs
+            columns = zip(*value.pairs)
         else:
-            dom, cod, entries = value.dom, value.cod, value.entries
-        body = " ".join(":".join(map(text, entry)) for entry in entries)
+            dom, cod, columns = value.dom, value.cod, zip(*value.entries)
+        body = " ".join(map(":".join, zip(*[map(text, c) for c in columns])))
         lines.append(("%s : %s -> %s = %s" % (what, dom, cod, body)).rstrip())
     for chk in doc.checks:
         form = _CHECK_FORMS.get(chk.kind)
@@ -201,28 +211,59 @@ class _Labels(dict):
         return parse_label(text)
 
 
+@collector_paused
 def parse_document(text: str) -> Document:
     doc = Document()
-    label = _Labels().__getitem__
+    labels = _Labels()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            _parse_line(doc, line, label)
+            _parse_line(doc, line, labels)
         except ValueError as exc:
             raise FmtError("line %d: %s" % (lineno, exc)) from exc
     return doc
 
 
-def _entries(body: list, parts: int, label) -> list:
-    """A record's labels, ``parts`` per entry; its first bad entry raises."""
+@functools.cache
+def _flat_labels():
+    """Colon-separated labels, each an atom or a pair of two atoms.  Its
+    parts are told apart by their first character, so a match, or a
+    refusal, takes time linear in the text."""
+    label = r"(?:{0}|\({0},{0}\))".format(_ATOM.pattern)
+    return re.compile(r"{0}(?::{0})*".format(label))
+
+
+def _entries(body: list, parts: int, labels: _Labels) -> list:
+    """A record's labels, ``parts`` per entry; its first bad entry raises.
+
+    When every label of the record is an atom or a pair of two atoms, each
+    column of entries is decided at once: atoms are made canonical in
+    ``labels`` and pairs are built from canonical halves.  A column mixing
+    atoms and pairs, and any other record, goes label by label."""
     counts = list(map(str.count, body, itertools.repeat(":")))
     if counts.count(parts - 1) != len(body):
         bad = next(i for i, n in enumerate(counts) if n != parts - 1)
-        _entries(body[:bad], parts, label)  # a bad label there comes first
+        _entries(body[:bad], parts, labels)  # a bad label there comes first
         raise FmtError("expected %d-part entry, got %r" % (parts, body[bad]))
-    return list(map(label, ":".join(body).split(":"))) if body else []
+    text = ":".join(body)
+    texts = text.split(":") if body else []
+    if not _flat_labels().fullmatch(text):
+        return list(map(labels.__getitem__, texts))
+    for column in range(parts):
+        own = texts[column::parts]
+        joined = ":".join(own)
+        pairs = joined.count("(")
+        if not pairs:
+            texts[column::parts] = map(labels.setdefault, own, own)
+        elif pairs == len(own):
+            atoms = _ATOM.findall(joined)
+            halves = iter(map(labels.setdefault, atoms, atoms))
+            texts[column::parts] = zip(halves, halves)
+        else:
+            texts[column::parts] = map(labels.__getitem__, own)
+    return texts
 
 
 def _header(tokens, keyword):
@@ -239,18 +280,18 @@ def _named_set(doc: Document, name: str) -> FinSet:
     return value
 
 
-def _parse_line(doc: Document, line: str, label):
+def _parse_line(doc: Document, line: str, labels: _Labels):
     tokens = line.split()
     kind, rest = tokens[0], tokens[1:]
     if kind == "set":
         if len(rest) < 2 or rest[1] != "=":
             raise FmtError("malformed set record")
         name = rest[0]
-        doc.declare(name, FinSet(map(label, rest[2:])))
+        doc.declare(name, FinSet(map(labels.__getitem__, rest[2:])))
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
-        flat = _entries(body, 2, label)
+        flat = _entries(body, 2, labels)
         table = dict(zip(flat[0::2], flat[1::2]))
         if len(table) != len(body):
             raise FmtError("fn %s lists a domain element twice" % name)
@@ -260,21 +301,21 @@ def _parse_line(doc: Document, line: str, label):
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        flat = _entries(body, 3, label)
+        flat = _entries(body, 3, labels)
         apex = FinSet(flat[0::3])
         left, right = SetFn(apex, X, flat[1::3]), SetFn(apex, A, flat[2::3])
         doc.declare(name, Span(X, A, apex, left, right))
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        flat = _entries(body, 2, label)
+        flat = _entries(body, 2, labels)
         pairs = set(zip(flat[0::2], flat[1::2]))
         if len(pairs) != len(body):
             raise FmtError("rel %s lists a pair twice" % name)
         doc.declare(name, Rel(X, A, pairs))
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
-        flat = _entries(body, 2, label)
+        flat = _entries(body, 2, labels)
         entries = tuple(zip(flat[0::2], flat[1::2]))
         _check_cell_entries(doc, dom, cod, entries)
         doc.declare(name, CellRec(dom, cod, entries))

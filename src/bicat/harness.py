@@ -30,12 +30,11 @@ payload shows the corrupted input.
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import time
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
-from .fin import FinSet, SetFn, UNIT, clear_table, is_atom
+from .fin import FinSet, SetFn, UNIT, clear_table, collector_paused, is_atom
 from .fmt import _KEYWORDS, Document, FmtError, describe, print_document
 from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
                   one_cell, rng_for, thicken, thin)
@@ -67,8 +66,8 @@ def _payload(entities: dict) -> str:
 def run_check(B, cfg: GenConfig, spec: CheckSpec) -> CheckResult:
     """One report row, timed, on an empty memo; ``error`` with no trials
     and the exception as a comment if the check raises."""
+    clear_table()  # the previous row's memo is freed outside this row's time
     t0 = time.monotonic()
-    clear_table()
     try:
         status, trials, entities = spec.run(B, cfg)
         payload = None if entities is None else _payload(entities)
@@ -773,6 +772,7 @@ def run_suite(B, cfg: GenConfig, suite: str) -> SuiteReport:
                                     for spec in SUITE_CHECKS[suite]))
 
 
+@collector_paused
 def run_config(cfg: GenConfig, fixture_doc: Document | None = None
                ) -> RunReport:
     """Every selected suite, then ``fixture_doc``'s claims as a ``fixtures``
@@ -784,17 +784,11 @@ def run_config(cfg: GenConfig, fixture_doc: Document | None = None
     is restored on return or raise.  ``tests/test_harness.py::
     test_a_run_makes_no_reference_cycles`` keeps the heap acyclic.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        B = instance_for(cfg.instance)
-        fixtures = (() if fixture_doc is None
-                    else fixture_checks(B, fixture_doc))
-        suites = [run_suite(B, cfg, s) for s in SUITES if s in cfg.suites]
-        if fixtures:
-            suites.append(SuiteReport("fixtures", tuple(
-                run_check(B, cfg, spec) for spec in fixtures)))
-        return RunReport(cfg, tuple(suites))
-    finally:
-        if enabled:
-            gc.enable()
+    B = instance_for(cfg.instance)
+    fixtures = (() if fixture_doc is None
+                else fixture_checks(B, fixture_doc))
+    suites = [run_suite(B, cfg, s) for s in SUITES if s in cfg.suites]
+    if fixtures:
+        suites.append(SuiteReport("fixtures", tuple(
+            run_check(B, cfg, spec) for spec in fixtures)))
+    return RunReport(cfg, tuple(suites))

@@ -1,5 +1,6 @@
 """The plain-text interchange format: printing, parsing, describing."""
 
+import gc
 import pathlib
 import random
 import sys
@@ -8,16 +9,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicat import cli, rel_instance, span_instance
+from bicat import cli, fmt, rel_instance, span_instance
 from bicat.fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label,
                        render_label)
-from bicat.fmt import (Check, FmtError, _Labels, describe, parse_document,
-                       print_document)
+from bicat.fmt import (CellRec, Check, FmtError, _Labels, describe,
+                       parse_document, print_document)
 from bicat.gen import one_cell
 from bicat.rels import Rel
 from bicat.spans import Span
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 import fixturegen  # noqa: E402
 
 SAMPLE = """\
@@ -418,3 +420,204 @@ def test_pair_labels_share_their_parsed_halves():
             assert r is left[r] and t is right[t]
             shared += 1
     assert shared > 1000
+
+
+def test_parsing_makes_no_reference_cycles():
+    # parse_document pauses the collector as run_config does, so a parsed
+    # document must be freed by reference counting alone.
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "fixtures").glob("*.bicat"))]
+    texts.append(fixturegen.generate(3, 300)[0])
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            doc = parse_document(text)
+            assert doc.entities
+            del doc
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fixture,code", [
+    ("set X = x0\nrel R : X -> X = x0:x0\ncheck map R\n", 0),
+    ("set X = x0\nrel R : X -> X = x0:\n", 2),
+    ("check map NOWHERE\n", 2),
+], ids=["good", "malformed", "uninterpretable"])
+def test_cli_leaves_the_collector_as_it_found_it(tmp_path, capsys, fixture,
+                                                 code):
+    fix = tmp_path / "claims.bicat"
+    fix.write_text(fixture)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli.main(["--instance", "rel", "--max-size", "1",
+                             "--trials", "1", "--suite", "kernel",
+                             "--fixtures", str(fix)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
+# --- whole records against label-by-label references ------------------------
+
+def _reference_entries(body, parts, labels):
+    """Each entry's colon count, then each of its labels by parse_label."""
+    flat = []
+    for entry in body:
+        texts = entry.split(":")
+        if len(texts) != parts:
+            raise FmtError("expected %d-part entry, got %r" % (parts, entry))
+        flat.extend(map(parse_label, texts))
+    return flat
+
+
+class _ParsedEachTime(dict):
+    """A label table that parses every text with parse_label and keeps
+    nothing."""
+
+    def __missing__(self, text):
+        return parse_label(text)
+
+
+def _reference_parse(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fmt, "_entries", _reference_entries)
+        mp.setattr(fmt, "_Labels", _ParsedEachTime)
+        return _outcome(parse_document, text)
+
+
+flat_labels = st.one_of(atoms, st.tuples(atoms, atoms))
+any_labels = st.one_of(
+    flat_labels,
+    st.tuples(st.tuples(atoms, atoms), atoms),      # left-nested
+    st.tuples(atoms, st.tuples(atoms, atoms)),      # right-nested
+    st.just(parse_label(_nested(MAX_LABEL_DEPTH))))
+#: Any token at all: labels of every shape, too deep and mutated texts.
+tokens = st.one_of(
+    any_labels.map(render_label),
+    st.sampled_from([_nested(MAX_LABEL_DEPTH + 1),
+                     "(a,%s)" % _nested(MAX_LABEL_DEPTH)]),
+    label_texts)
+
+
+@st.composite
+def record_documents(draw):
+    """Two carriers, a span on them, then one record of a drawn kind.  In
+    a noisy document a quarter of the tokens are drawn from ``tokens``."""
+    labels = draw(st.sampled_from([flat_labels, any_labels]))
+    noisy = draw(st.booleans())
+
+    def texts(min_size=0):
+        return [render_label(x) for x in draw(st.lists(
+            labels, unique=True, min_size=min_size, max_size=4))]
+
+    def pick(choices):
+        if noisy and draw(st.integers(0, 3)) == 0:
+            return draw(tokens)
+        return draw(st.sampled_from(choices))
+
+    X, A, apex, more = texts(1), texts(1), texts(), texts(1)
+    lines = ["set X = " + " ".join(X), "set A = " + " ".join(A),
+             "span S : X -> A = " + " ".join(
+                 "%s:%s:%s" % (e, pick(X), pick(A)) for e in apex)]
+    kind = draw(st.sampled_from(["span", "fn", "rel", "cell", "set"]))
+    if kind == "span":
+        body = ["%s:%s:%s" % (pick(more), pick(X), pick(A))
+                for _ in range(draw(st.integers(0, 4)))]
+    elif kind == "fn":
+        body = ["%s:%s" % (pick(X), pick(A)) for _ in X]
+    elif kind == "rel":
+        body = ["%s:%s" % (pick(X), pick(A))
+                for _ in range(draw(st.integers(0, 4)))]
+    elif kind == "cell":
+        body = ["%s:%s" % (pick(apex), pick(apex)) for _ in apex]
+    else:
+        body = [pick(more) for _ in range(draw(st.integers(0, 4)))]
+    head = {"set": "set Y =", "cell": "cell c : S -> S ="}.get(
+        kind, "%s R : X -> A =" % kind)
+    lines.append(" ".join([head, *body]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_documents())
+def test_records_parse_as_label_by_label(text):
+    # The same document, or the same error on the same line, as parsing
+    # every label of every entry on its own.
+    assert _outcome(parse_document, text) == _reference_parse(text)
+
+
+@pytest.mark.parametrize("text", ["((" + "," * 200_000 + ")",
+                                  "(a," + "," * 200_000 + ")"],
+                         ids=["pair-left", "atom-left"])
+def test_a_long_comma_run_in_a_record_is_refused_at_once(text):
+    with pytest.raises(ValueError) as parsed:
+        parse_label(text)
+    start = time.perf_counter()
+    with pytest.raises(FmtError) as refused:
+        parse_document("set X = x\nspan S : X -> X = %s:x:x\n" % text)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == "line 2: %s" % parsed.value
+
+
+def test_a_record_of_100k_pair_entries_parses_at_once():
+    n = 100_000
+    text = "set X = x\nspan S : X -> X = %s\n" % " ".join(
+        "(p%d,q%d):x:x" % (i, i) for i in range(n))
+    start = time.perf_counter()
+    doc = parse_document(text)
+    assert time.perf_counter() - start < 1.0
+    apex = doc.lookup("S").apex
+    assert len(apex) == n and apex.elements[-1] == ("p%d" % (n - 1),
+                                                    "q%d" % (n - 1))
+
+
+def _reference_body(value):
+    """A record's body, one entry at a time."""
+    if isinstance(value, FinSet):
+        entries = ((e,) for e in value)
+    elif isinstance(value, SetFn):
+        entries = zip(value.domain, value.values)
+    elif isinstance(value, Span):
+        entries = zip(value.apex, value.left.values, value.right.values)
+    elif isinstance(value, Rel):
+        entries = value.pairs
+    else:
+        entries = value.entries
+    return " ".join(":".join(map(render_label, entry)) for entry in entries)
+
+
+@st.composite
+def documents_to_print(draw):
+    """A span with pair apex labels, a relation, a function and a span
+    cell on its carriers, and a relation cell, which has no entries."""
+    R = draw(spans_with_pair_apexes())
+    X, A = R.source, R.target
+    pairs = draw(st.lists(st.tuples(st.sampled_from(X.elements),
+                                    st.sampled_from(A.elements)),
+                          unique=True, max_size=6)) if len(X) and len(A) else []
+    named = {"R": R, "Q": Rel(X, A, pairs)}
+    if len(A) or not len(X):
+        named["f"] = SetFn(X, A, (draw(st.sampled_from(A.elements))
+                                  for _ in X))
+    doc = describe(named)
+    apex = R.apex.elements
+    doc.declare("c", CellRec("R", "R", tuple(
+        zip(apex, draw(st.permutations(apex))))))
+    doc.declare("e", CellRec("Q", "Q", ()))
+    return doc
+
+
+@settings(max_examples=30, deadline=None)
+@given(documents_to_print())
+def test_printer_matches_a_per_entry_reference(doc):
+    lines = print_document(doc).splitlines()
+    assert not [line for line in lines if line.endswith(" ")]
+    printed = {line.split()[1]: line for line in lines}
+    for name, value in doc.entities.items():
+        head = printed[name].partition(" =")[0]
+        assert printed[name] == (
+            "%s = %s" % (head, _reference_body(value))).rstrip()

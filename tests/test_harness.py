@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -715,6 +716,16 @@ def test_a_run_makes_no_reference_cycles(monkeypatch):
             assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def test_row_time_leaves_out_freeing_the_previous_memo(monkeypatch):
+    # Emptying the memo frees what the row before built: none of this row's
+    # time.
+    monkeypatch.setattr(harness, "clear_table", lambda: time.sleep(0.05))
+    row = run_check(instance_for("span"), FAST,
+                    harness.skipped_check("unit-coherence-axiom-left"))
+    assert row.status == "skipped"
+    assert row.wall_ms < 50
 
 
 @pytest.mark.parametrize("instance,entry", [("span", "s0:x0:a0"),
