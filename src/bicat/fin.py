@@ -25,12 +25,14 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   included.  It holds the pure operations a unit repeats: the instances'
   structure operations, local products, ``fn``, ``is_map`` and the
   span fibre index; ``gen``'s canonical carriers; ``mapprod``'s cones,
-  pairings, ``map_iso`` and cone checks; both ``homprod`` transports;
-  ``compose_adjunctions`` and ``right_mate_of_map_cell``; ``g_tensor``,
-  ``g_pair``, ``g_compose``, ``secondary``, ``garr_from_secondary`` and
-  ``tensor_unit_cell``.  A ``None`` result is stored; a raised error never
-  is.  :func:`clear_table` empties every table when a unit starts: peak
-  memory follows the largest unit.
+  pairings, ``map_iso``, cone checks and the hom-set counts a cone check
+  reads; both ``homprod`` transports; ``compose_adjunctions`` and
+  ``right_mate_of_map_cell``; ``g_tensor``, ``g_pair``, ``g_compose``,
+  ``secondary``, ``garr_from_secondary`` and ``tensor_unit_cell``.  A
+  ``None`` result is stored; a raised error never is.  An operation may
+  store a result another one derived on the way, as ``garr_from_secondary``
+  stores its square's ``secondary``.  :func:`clear_table` empties every
+  table when a unit starts: peak memory follows the largest unit.
 
 No value graph holds a reference cycle, so reference counting frees a
 unit's values as soon as the memo empties, and no collector pass is

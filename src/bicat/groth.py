@@ -9,9 +9,11 @@ two interchangeable forms:
 * secondary ``R -> comp(f, comp(S, u*))``
 
 where ``u*`` is the right adjoint of ``u``; passing between the two is the
-mate construction and is exact.  A square keeps only its primary filler;
-:func:`garr_from_secondary` builds one from the other form, and
-:func:`secondary` derives that form for the few readers that need it.
+mate construction, a bijection, so each form is derived at most once.  A
+square keeps only its primary filler.  :func:`garr_from_secondary` builds
+one from the other form and records that cell as the square's entry in the
+memo of :func:`secondary`, which derives the form for squares built from
+their primary.
 
 Squares compose two ways.  :func:`g_compose` composes along the frames
 (source objects stay 1-cells, frames compose as maps); :func:`paste_vertical`
@@ -24,10 +26,11 @@ compares by identity.
 
 The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
-by the carrier projections; :func:`g_pair` mediates an arbitrary cone
-through it and is the workhorse every constraint cell downstream is built
-from.  Tensors, mediating squares, composites along the frames and both
-filler forms are memoised in the per-unit memo of :mod:`bicat.fin`.
+by the carrier projections, each built when first read; :func:`g_pair`
+mediates an arbitrary cone through it and is the workhorse every
+constraint cell downstream is built from.  Tensors, mediating squares,
+composites along the frames and both filler forms are memoised in the
+per-unit memo of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations
@@ -64,14 +67,18 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
 
 
 @memoised
-def garr_from_secondary(B, dom, cod, f, u, secondary) -> GArr:
+def garr_from_secondary(B, dom, cod, f, u, secondary_cell) -> GArr:
     require_map(f, u)
     adj = B.map_adjunction(u)
     expected = B.comp(f, B.comp(cod, adj.right))
-    if secondary.dom != dom or secondary.cod != expected:
+    if secondary_cell.dom != dom or secondary_cell.cod != expected:
         raise ValueError("secondary cell boundary does not match the square")
-    primary = mate_to_primary(B, secondary, dom, cod, f, adj)
-    return GArr(dom, cod, f, u, primary)
+    arr = GArr(dom, cod, f, u, mate_to_primary(B, secondary_cell, dom, cod,
+                                               f, adj))
+    # The mates are a bijection, so the square's secondary form is the
+    # cell it was built from.
+    secondary.table.setdefault((B, arr), secondary_cell)
+    return arr
 
 
 @memoised
@@ -176,17 +183,30 @@ def g_is_equivalence(B, a: GArr):
 
 class TensorWitness:
     """The chosen tensor of two objects with its projection squares; it
-    compares by identity."""
+    compares by identity.  A projection square, ``proj1`` or ``proj2``, is
+    built from its secondary cell, the wedge projection, when first read."""
 
-    __slots__ = ("obj", "proj1", "proj2", "wedge", "src_cone", "tgt_cone")
+    __slots__ = ("obj", "proj1", "proj2", "wedge", "src_cone", "tgt_cone",
+                 "_B", "_factors")
 
-    def __init__(self, obj, proj1, proj2, wedge, src_cone, tgt_cone):
+    def __init__(self, B, obj, factors, wedge, src_cone, tgt_cone):
         self.obj = obj
-        self.proj1 = proj1
-        self.proj2 = proj2
         self.wedge = wedge          # LocalProductWitness of the factors
         self.src_cone = src_cone    # product cone of the source carriers
         self.tgt_cone = tgt_cone    # product cone of the target carriers
+        self._B = B
+        self._factors = factors
+
+    def __getattr__(self, name):
+        """Called only for an unset slot: build that projection square."""
+        if name not in ("proj1", "proj2"):
+            raise AttributeError(name)
+        side = 1 if name == "proj2" else 0
+        square = garr_from_secondary(
+            self._B, self.obj, self._factors[side], self.src_cone.legs[side],
+            self.tgt_cone.legs[side], getattr(self.wedge, name))
+        setattr(self, name, square)
+        return square
 
 
 @memoised
@@ -202,10 +222,7 @@ def g_tensor(B, R, S) -> TensorWitness:
     C1 = transport_hom(B, p_s, R, adj_pt.right)
     C2 = transport_hom(B, r_s, S, adj_rt.right)
     wedge = B.local_product(C1, C2)
-    obj = wedge.product
-    proj1 = garr_from_secondary(B, obj, R, p_s, p_t, wedge.proj1)
-    proj2 = garr_from_secondary(B, obj, S, r_s, r_t, wedge.proj2)
-    return TensorWitness(obj, proj1, proj2, wedge, src, tgt)
+    return TensorWitness(B, wedge.product, (R, S), wedge, src, tgt)
 
 
 @memoised

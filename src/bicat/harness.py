@@ -203,8 +203,11 @@ def _chk_mate_round_trip(B, rng, carriers):
     u_star = B.map_adjunction(u).right
     E = B.comp(f, B.comp(S, u_star))
     R, sec = thin(B, rng, E)
-    arr = groth.garr_from_secondary(B, R, S, f, u, sec)
-    if groth.secondary(B, arr) == sec:
+    primary = groth.garr_from_secondary(B, R, S, f, u, sec).primary
+    # Back through the kernel, as ``groth.secondary`` answers the input.
+    if (primary.dom == B.comp(R, u) and primary.cod == B.comp(f, S)
+            and kernel.mate_to_secondary(B, primary, R, S, f,
+                                         B.map_adjunction(u)) == sec):
         return None
     return {"f": f, "u": u, "S": S, "R": R}
 

@@ -91,12 +91,17 @@ def parse_machine(text: str) -> RunReport:
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0] != "bicat-report 2":
         raise ValueError("not a bicat machine report")
-    fields = dict(kv.split("=", 1) for kv in lines[1].split()[1:])
-    config = GenConfig(seed=int(fields["seed"]),
-                       max_carrier=int(fields["max-size"]),
-                       trials=int(fields["trials"]),
-                       instance=fields["instance"],
-                       suites=tuple(fields["suites"].split(",")))
+    if len(lines) < 2 or not lines[1].startswith("config "):
+        raise ValueError("report has no config line")
+    try:
+        fields = dict(kv.split("=", 1) for kv in lines[1].split()[1:])
+        config = GenConfig(seed=int(fields["seed"]),
+                           max_carrier=int(fields["max-size"]),
+                           trials=int(fields["trials"]),
+                           instance=fields["instance"],
+                           suites=tuple(fields["suites"].split(",")))
+    except KeyError as exc:
+        raise ValueError("config line lacks the field %s" % exc) from None
     suites, checks, cx = [], [], []
     suite_name = None
 
@@ -118,12 +123,17 @@ def parse_machine(text: str) -> RunReport:
             flush_suite()
             suite_name = line.split(None, 1)[1]
         elif line.startswith("check "):
+            if suite_name is None:
+                raise ValueError("check line before any suite line %r" % line)
             flush_check()
             m = _CHECK.fullmatch(line)
             if m is None:
                 raise ValueError("unrecognized check line %r" % line)
             checks.append(CheckResult(m[1], m[2], int(m[3]), None, int(m[4])))
         elif line == "|" or line.startswith("| "):
+            if not checks:
+                raise ValueError("counterexample line before any check line"
+                                 " %r" % line)
             cx.append(line[2:])
         else:
             raise ValueError("unrecognized report line %r" % line)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bicat import groth, rel_instance, span_instance
+from bicat import groth, kernel, rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
 from bicat.gen import carrier, map_cell, one_cell, thicken
 from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
@@ -17,6 +17,13 @@ from bicat.mapprod import FillError
 from bicat.rels import Rel
 
 INSTANCES = (span_instance(), rel_instance())
+
+
+def _mate_of_primary(B, a):
+    """``a``'s secondary form derived from its primary through the kernel,
+    not read back from the memo."""
+    return kernel.mate_to_secondary(B, a.primary, a.dom, a.cod, a.f,
+                                    B.map_adjunction(a.u))
 
 
 def _inclusion_square(B, rng, R):
@@ -75,7 +82,10 @@ def test_wrapping_init_sees_every_construction(monkeypatch):
     B = span_instance()
     R = B.identity(FinSet(("x0", "x1")))
     tens = g_tensor(B, R, R)
-    assert [id(a) for a in built[GArr]] == [id(tens.proj1), id(tens.proj2)]
+    # The tensor alone builds no square: its projections wait to be read.
+    assert built[GArr] == []
+    projections = [id(tens.proj1), id(tens.proj2)]
+    assert [id(a) for a in built[GArr]] == projections
     assert built[FinSet] and built[SetFn]
 
 
@@ -100,6 +110,76 @@ def test_primary_and_secondary_views_agree():
             assert again.primary == a.primary
             assert again == a
             done += 1
+
+
+def _square_and_secondary(B, rng):
+    """A random square built from its primary, with its secondary form."""
+    while True:
+        X, Y = carrier(rng, "x", 2), carrier(rng, "y", 2)
+        A, C = carrier(rng, "a", 2), carrier(rng, "c", 2)
+        f = map_cell(B, rng, X, Y)
+        u = map_cell(B, rng, A, C)
+        if f is None or u is None:
+            continue
+        R = one_cell(B, rng, X, A, 3)
+        S = one_cell(B, rng, Y, C, 3)
+        cells = list(B.hom_cells(B.comp(R, u), B.comp(f, S)))
+        if cells:
+            a = garr_from_primary(B, R, S, f, u, cells[-1])
+            return a, _mate_of_primary(B, a)
+
+
+def test_a_square_keeps_the_secondary_it_was_built_from(monkeypatch):
+    # The mates are a bijection: the cell a square was built from is its
+    # secondary form, read back with no mate taken.  A square built from
+    # its primary derives that form, once per unit.
+    derived = []
+    mate = groth.mate_to_secondary
+    monkeypatch.setattr(groth, "mate_to_secondary",
+                        lambda *args: derived.append(args) or mate(*args))
+    rng = random.Random(11)
+    for B in INSTANCES:
+        for _ in range(5):
+            a, sec = _square_and_secondary(B, rng)
+            clear_table()
+            built = garr_from_secondary(B, a.dom, a.cod, a.f, a.u, sec)
+            assert built == a
+            assert secondary(B, built) is sec
+            assert derived == []
+            clear_table()
+            assert secondary(B, a) is sec
+            assert secondary(B, a) is sec
+            assert len(derived) == 1
+            derived.clear()
+
+
+def test_projections_are_built_once_each_when_first_read(monkeypatch):
+    built = []
+    build = groth.garr_from_secondary
+
+    def counted(B, dom, cod, f, u, cell):
+        built.append(cod)
+        return build(B, dom, cod, f, u, cell)
+
+    monkeypatch.setattr(groth, "garr_from_secondary", counted)
+    for B in INSTANCES:
+        R = B.identity(FinSet(("x0", "x1")))
+        S = B.identity(FinSet(("y0",)))
+        tens = g_tensor(B, R, S)
+        assert built == []
+        first = tens.proj1
+        assert built == [R]
+        assert tens.proj1 is first and g_tensor(B, R, S).proj1 is first
+        second = tens.proj2
+        assert tens.proj2 is second
+        assert built == [R, S]
+        # A new unit has a new witness, which builds its own projections.
+        clear_table()
+        again = g_tensor(B, R, S)
+        assert again.proj2 == second and again.proj1 == first
+        assert built == [R, S, S, R]
+        built.clear()
+        clear_table()
 
 
 def test_square_constructor_rejections():
@@ -249,7 +329,7 @@ def test_terminal_and_bang():
         R = B.graph(SetFn.constant(X, A, "a0"))
         sq = g_bang(B, R)
         assert sq.dom == R and sq.cod == g_terminal(B)
-        assert secondary(B, sq) == B.tau(R)
+        assert _mate_of_primary(B, sq) == B.tau(R)
 
 
 def test_diagonal_square_and_unit_comparison(monkeypatch):
@@ -279,7 +359,7 @@ def test_diagonal_square_and_unit_comparison(monkeypatch):
             assert d.dom == R and d.cod == tens.obj
             assert [a for a, _ in built[:3]] == [tens.proj1, tens.proj2, d]
             for a, cell in built:
-                assert secondary(B, a) == cell
+                assert _mate_of_primary(B, a) == cell
             iso = dunit_iso(B, R, S)
             assert B.is_invertible(iso)
             assert iso.cod == B.local_product(R, S).product

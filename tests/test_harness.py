@@ -14,7 +14,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicat import cartesian, cli, coherence, fin, gen, harness, mapprod
+from bicat import (cartesian, cli, coherence, fin, gen, groth, harness,
+                   kernel, mapprod)
 from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
 from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
@@ -281,6 +282,59 @@ def test_a_control_whose_corruption_raises_is_an_error(monkeypatch, control):
             with monkeypatch.context() as m:
                 _patch(m, B, *honest)
                 assert run_check(B, FAST, spec).status == "fail", name
+
+
+def _another_cell(B, right):
+    return next((c for c in B.hom_cells(right.dom, right.cod) if c != right),
+                right)
+
+
+def _into_terminal(B, right):
+    return B.vcomp(right, B.tau(right.cod))
+
+
+#: Mate mutants, each a rewrite of the right cell and the instances it
+#: can tell apart there: a relation's hom-sets hold at most one cell, so
+#: there a wrong mate has the wrong boundary.
+MATE_MUTANTS = {"another-cell": (_another_cell, ("span",)),
+                "into-terminal": (_into_terminal, ("span", "rel"))}
+
+
+@pytest.mark.parametrize("mutant", sorted(MATE_MUTANTS))
+@pytest.mark.parametrize("mate", ["mate_to_secondary", "mate_to_primary"])
+def test_mate_round_trip_fails_under_a_mate_mutant(monkeypatch, mate, mutant):
+    # A square keeps the cell it was built from as its secondary form, so
+    # the row takes the mate back through the kernel, where a mutant shows.
+    spec = next(c for c in KERNEL_CHECKS if c.check_id == "mate-round-trip")
+    rewrite, names = MATE_MUTANTS[mutant]
+    right = getattr(kernel, mate)
+
+    def mutated(B, cell, *rest):
+        return rewrite(B, right(B, cell, *rest))
+
+    for name in names:
+        B = instance_for(name)
+        cfg = GenConfig(seed=0, max_carrier=3, trials=50, instance=name,
+                        suites=("kernel",))
+        assert run_check(B, cfg, spec).status == "pass"
+        with monkeypatch.context() as m:
+            # ``groth`` binds the kernel's mates by name.
+            for module in (kernel, groth):
+                m.setattr(module, mate, mutated)
+            assert run_check(B, cfg, spec).status == "fail", name
+
+
+def test_a_projection_that_raises_is_an_error_row(monkeypatch):
+    # A tensor's projection squares are built when a row first reads them,
+    # so a construction that raises there is that row's error.
+    spec = next(c for c in SUITE_CHECKS["groth"]
+                if c.check_id == "tensor-pairing-projections")
+    monkeypatch.setattr(groth, "garr_from_secondary", _raise)
+    for name in ("span", "rel"):
+        result = run_check(instance_for(name), FAST._replace(instance=name),
+                           spec)
+        assert (result.status, result.trials) == ("error", 0), name
+        assert "ValueError: corruption raised" in result.counterexample
 
 
 def test_counterexamples_shrink_to_local_minimum():

@@ -1,13 +1,16 @@
 """Products of objects through maps: cones, pairings, fills."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.coherence import bracket_cone, maps
-from bicat.fin import UNIT, FinSet, SetFn, clear_table
-from bicat.gen import carrier, map_cell
+from bicat.fin import UNIT, FinSet, SetFn, all_functions, clear_table
+from bicat.gen import canonical_carrier, carrier, map_cell
+from bicat.harness import _Corrupt
 from bicat.kernel import NotAMap
 from bicat.mapprod import (FillError, ProductCone, bang, bang_nat,
                            check_product_cone, diag, diag_nat, fill2, map_iso,
@@ -248,3 +251,80 @@ def test_collapsed_cone_is_rejected():
     verdict = check_product_cone(B, crooked)
     assert verdict is not None
     assert verdict["kind"] == "not-essentially-surjective"
+
+
+def _recounting_cone_check(B, cone):
+    """``check_product_cone`` as it was before hom-set counts were shared:
+    every pair of probe maps counts the cells between its leg composites
+    again."""
+    for leg in cone.legs:
+        if not leg.is_map():
+            return {"kind": "leg-not-a-map", "leg": leg}
+
+    probes = [FinSet("a%d" % i for i in range(n)) for n in range(3)]
+    for A in probes:
+        reachable = {tuple(B.comp(B.graph(h), leg).fn() for leg in cone.legs)
+                     for h in all_functions(A, cone.vertex)}
+        for fns in itertools.product(
+                *(tuple(all_functions(A, X)) for X in cone.factors)):
+            if tuple(fns) not in reachable:
+                return {
+                    "kind": "not-essentially-surjective",
+                    "test_carrier": A,
+                    "cone_maps": tuple(fns),
+                }
+
+    for A in probes:
+        maps = [B.graph(h) for h in all_functions(A, cone.vertex)]
+        composites = [tuple(B.comp(m, leg) for leg in cone.legs) for m in maps]
+        for Tm, Tlegs in zip(maps, composites):
+            for Um, Ulegs in zip(maps, composites):
+                direct = list(B.hom_cells(Tm, Um))
+                legwise = [list(B.hom_cells(T, U)) for T, U in zip(Tlegs, Ulegs)]
+                combined = math.prod(map(len, legwise))
+                if len(direct) > 1 or combined > 1:
+                    return {"kind": "hom-enumeration-broken", "pair": (Tm, Um)}
+                if len(direct) != combined:
+                    return {
+                        "kind": "not-fully-faithful",
+                        "pair": (Tm, Um),
+                        "direct": len(direct),
+                        "through_legs": combined,
+                    }
+    return None
+
+
+def _hiding_cells(into):
+    """A ``hom_cells`` corruption: no cell between 1-cells into ``into``."""
+    return lambda B, R, S: (iter(()) if R.target == into
+                            else B.hom_cells(R, S))
+
+
+def test_cone_check_agrees_with_a_per_pair_recount():
+    # Counting each pair of leg composites once changes no verdict: the
+    # canonical cones, and cones or instances corrupted to give each kind.
+    small = [canonical_carrier(p, n) for p in "xy" for n in range(3)]
+    kinds = set()
+    for B in INSTANCES:
+        X, Y = small[2], small[5]
+        doubled = _Corrupt(B, hom_cells=lambda B, R, S: (
+            c for c in B.hom_cells(R, S) for _ in (0, 1)))
+        cases = [(B, product_object(B, P, Q))
+                 for P in small[:3] for Q in small[3:]]
+        cases += [
+            (doubled, product_object(B, X, Y)),
+            (_Corrupt(B, hom_cells=_hiding_cells(X.product(Y))),
+             product_object(B, X, Y)),
+            (_Corrupt(B, hom_cells=_hiding_cells(X)), product_object(B, X, Y)),
+            (B, ProductCone(X, (B.identity(X),
+                                B.graph(SetFn.constant(X, Y, "y0"))), (X, Y))),
+            (B, ProductCone(X, (B.identity(X), B.local_terminal(X, Y)),
+                            (X, Y))),
+        ]
+        for inst, cone in cases:
+            want = _recounting_cone_check(inst, cone)
+            assert check_product_cone(inst, cone) == want, (B.name, cone)
+            kinds.add(None if want is None else want["kind"])
+        clear_table()
+    assert kinds == {None, "hom-enumeration-broken", "not-fully-faithful",
+                     "not-essentially-surjective", "leg-not-a-map"}

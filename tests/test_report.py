@@ -74,6 +74,25 @@ def test_parse_rejects_foreign_text():
     with pytest.raises(ValueError):
         parse_machine(render_machine(_sample_run()).replace(" fail ",
                                                             " broken "))
+    header = ("bicat-report 2\nconfig seed=0 max-size=1 trials=1 "
+              "instance=rel suites=kernel\n")
+    # A row outside any suite, or a counterexample line outside any row,
+    # would be dropped or moved to another row.
+    with pytest.raises(ValueError, match="before any suite"):
+        parse_machine(header + "check a fail trials=1 wall_ms=0\n")
+    with pytest.raises(ValueError, match="before any check"):
+        parse_machine(header + "suite kernel\n| set X = x0\n"
+                      "check a pass trials=1 wall_ms=0\n")
+    with pytest.raises(ValueError, match="before any check"):
+        parse_machine(header + "suite kernel\ncheck a fail trials=1 "
+                      "wall_ms=0\nsuite homprod\n| set X = x0\n")
+    # The config line must be there, with every field.
+    with pytest.raises(ValueError, match="no config"):
+        parse_machine("bicat-report 2\n")
+    with pytest.raises(ValueError, match="no config"):
+        parse_machine("bicat-report 2\nsuite kernel\n")
+    with pytest.raises(ValueError, match="lacks the field 'trials'"):
+        parse_machine(header.replace(" trials=1", ""))
 
 
 def test_text_rendering_mentions_every_check():
