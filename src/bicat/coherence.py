@@ -9,18 +9,24 @@ never a record such as a cone, which is a named tuple) or a pair of trees.
 :func:`bracket_cone` is its product cone, one leg per leaf, and
 :func:`mediate_into` sends a flat cone into any tree, so every
 rebracketing, unit and swap arrow is mediated through product cones, never
-written down as raw label surgery.  A route is a list of bracketings, each
-one associator from the next; :func:`route` composes those associators.
-Each naturality law is one function for both levels.
+written down as raw label surgery.  Each naturality law is one function
+for both levels.
 
-On carriers, the syllepsis is the unique fill of the two braid-triangle
-pastings against the binary cone.  The quadruple rebracketing filler is
-the unique cell between two routes compatible with the mediators into the
-left-nested flat product of the leaves; the pentagon check finds exactly
-one such cell between the six-step and three-step routes through five
-factors, which forces the two pastings to agree.  On squares, the pair of
-carrier fillers at the ends of the two pasted four-factor routes must be
-an invertible 2-cell between them.  Verdicts are as in :mod:`bicat.kernel`.
+The coherence side of the theorem is one question asked of pairs of
+routes.  A route is a list of trees over leaf names, the carriers or
+1-cells looked up by name, so a braid of two equal carriers is still a
+step.  Each tree is one step from the next: an associator ``((a, b), c)
+-> (a, (b, c))`` or a braid ``(a, b) -> (b, a)`` at one subtree, tensored
+with identities on the rest; :func:`route` composes the steps, and a route
+of one tree is the identity.  :data:`ROUTES` holds the pairs the report
+checks: the syllepsis, the symmetry, a hexagon, the two four-factor
+rebracketings and the pentagon.  :func:`route_cells` finds every cell
+between the two routes of a pair that is compatible with the mediators
+into the flat product of the leaves, the end's cone legs permuted back by
+the route's leaf permutation; in the bicategory of maps of both instances
+there is at most one.  On squares, the pair of carrier fillers at the
+ends of the two pasted four-factor routes must be an invertible 2-cell
+between them.  Verdicts are as in :mod:`bicat.kernel`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import functools
 from collections import namedtuple
 
 from .fin import UNIT
-from .mapprod import (FillError, ProductCone, bang, fill2, map_iso, pairing,
+from .mapprod import (ProductCone, bang, map_iso, maps_isomorphic, pair_map,
                       pinned_cells, product_object, times_on_arrows)
 from . import groth
 from .groth import g_compose, g_identity, g_pair, g_tensor, g_terminal
@@ -40,10 +46,10 @@ from .groth import g_compose, g_identity, g_pair, g_tensor, g_terminal
 class Level(namedtuple("Level",
                        "cone pair comp identity times unit bang ends")):
     """The operations the bracketing trees need from one level: a chosen
-    product ``cone(X, Y) -> (vertex, (p, r))``, ``pair(f, g) -> (h, c1,
-    c2)`` into the product of the targets with its comparisons, the product
-    ``times(f, g)`` of two arrows, the terminal object ``unit`` with
-    ``bang(X)`` into it, and ``ends(f) -> (source, target)``."""
+    product ``cone(X, Y) -> (vertex, (p, r))``, the arrow ``pair(f, g)``
+    into the product of the targets that the legs take to ``f`` and ``g``,
+    the product ``times(f, g)`` of two arrows, the terminal object ``unit``
+    with ``bang(X)`` into it, and ``ends(f) -> (source, target)``."""
     __slots__ = ()
 
 
@@ -53,7 +59,7 @@ def maps(B) -> Level:
         c = product_object(B, X, Y)
         return c.vertex, c.legs
 
-    return Level(cone, functools.partial(pairing, B), B.comp, B.identity,
+    return Level(cone, functools.partial(pair_map, B), B.comp, B.identity,
                  functools.partial(times_on_arrows, B), UNIT,
                  functools.partial(bang, B), lambda f: (f.source, f.target))
 
@@ -65,11 +71,11 @@ def squares(B) -> Level:
         return t.obj, (t.proj1, t.proj2)
 
     def pair(a1, a2):
-        return g_pair(B, g_tensor(B, a1.cod, a2.cod), a1, a2)
+        return g_pair(B, g_tensor(B, a1.cod, a2.cod), a1, a2)[0]
 
     def times(a1, a2):
         t = g_tensor(B, a1.dom, a2.dom)
-        return pair(g_compose(B, t.proj1, a1), g_compose(B, t.proj2, a2))[0]
+        return pair(g_compose(B, t.proj1, a1), g_compose(B, t.proj2, a2))
 
     return Level(cone, pair, functools.partial(g_compose, B),
                  functools.partial(g_identity, B), times, g_terminal(B),
@@ -78,16 +84,11 @@ def squares(B) -> Level:
 
 # --- bracketing trees --------------------------------------------------------
 
-def _leaves(tree) -> tuple:
+def leaves(tree) -> tuple:
+    """The leaves of ``tree``, left to right."""
     if not isinstance(tree, tuple):
         return (tree,)
-    return _leaves(tree[0]) + _leaves(tree[1])
-
-
-def _vertex(L, tree):
-    if not isinstance(tree, tuple):
-        return tree
-    return L.cone(_vertex(L, tree[0]), _vertex(L, tree[1]))[0]
+    return leaves(tree[0]) + leaves(tree[1])
 
 
 def _vertex_and_legs(L, tree):
@@ -105,20 +106,23 @@ def bracket_cone(L, tree) -> ProductCone:
     """The nested product ``tree`` as a cone with one leg per leaf; a lone
     leaf's one leg is its identity."""
     vertex, legs = _vertex_and_legs(L, tree)
-    return ProductCone(vertex, legs or (L.identity(vertex),), _leaves(tree))
+    return ProductCone(vertex, legs or (L.identity(vertex),), leaves(tree))
 
 
 def mediate_into(L, legs, tree):
     """The arrow classified by a flattened cone: sends the legs' common
     source into ``tree`` so that its cone's legs recover them."""
     legs = tuple(legs)
-    if len(legs) != len(_leaves(tree)):
+    if len(legs) != len(leaves(tree)):
         raise ValueError("cone arity does not match the bracketing")
+    return _mediate(L, iter(legs), tree)
+
+
+def _mediate(L, legs, tree):
+    # ``legs`` is an iterator: the left subtree takes its legs first.
     if not isinstance(tree, tuple):
-        return legs[0]
-    split = len(_leaves(tree[0]))
-    return L.pair(mediate_into(L, legs[:split], tree[0]),
-                  mediate_into(L, legs[split:], tree[1]))[0]
+        return next(legs)
+    return L.pair(_mediate(L, legs, tree[0]), _mediate(L, legs, tree[1]))
 
 
 def rebracket(L, src, tgt):
@@ -126,34 +130,11 @@ def rebracket(L, src, tgt):
     return mediate_into(L, bracket_cone(L, src).legs, tgt)
 
 
-# --- associativity and units --------------------------------------------------
+# --- associativity, units and the braid -------------------------------------
 
 def assoc_map(L, X, Y, Z):
     """The rebracketing equivalence ``(X x Y) x Z -> X x (Y x Z)``."""
     return rebracket(L, ((X, Y), Z), (X, (Y, Z)))
-
-
-def _step(L, t1, t2):
-    """The one associator from ``t1`` to ``t2``, tensored with identities on
-    the subtrees it leaves alone; ``ValueError`` unless ``t2`` is ``t1``
-    with one subtree ``((a, b), c)`` rebracketed to ``(a, (b, c))``."""
-    if isinstance(t1, tuple) and isinstance(t2, tuple):
-        if isinstance(t1[0], tuple) and t2 == (t1[0][0], (t1[0][1], t1[1])):
-            a, (b, c) = t2
-            return assoc_map(L, _vertex(L, a), _vertex(L, b), _vertex(L, c))
-        if t1[0] == t2[0]:
-            return L.times(L.identity(_vertex(L, t1[0])),
-                           _step(L, t1[1], t2[1]))
-        if t1[1] == t2[1]:
-            return L.times(_step(L, t1[0], t2[0]),
-                           L.identity(_vertex(L, t1[1])))
-    raise ValueError("bracketings are not one associator apart")
-
-
-def route(L, *trees):
-    """The composite of the associators along a route of bracketings."""
-    return functools.reduce(L.comp, (_step(L, t1, t2)
-                                     for t1, t2 in zip(trees, trees[1:])))
 
 
 def left_unit_map(L, X):
@@ -163,125 +144,117 @@ def left_unit_map(L, X):
 
 def right_unit_map(L, X):
     """``X -> X x I``: the pairing of the identity with the terminal arrow."""
-    return L.pair(L.identity(X), L.bang(X))[0]
+    return L.pair(L.identity(X), L.bang(X))
 
-
-# --- braiding, syllepsis, symmetry -------------------------------------------
 
 def braid(L, X, Y):
-    """The swap ``s : X x Y -> Y x X`` mediated through the swapped cone,
-    with the invertible comparisons ``mu : comp(s, r') -> p`` and
-    ``nu : comp(s, p') -> r`` its universal property provides."""
+    """The swap ``s : X x Y -> Y x X`` mediated through the swapped cone."""
     p, r = L.cone(X, Y)[1]
-    s, c1, c2 = L.pair(r, p)
-    return s, c2, c1
+    return L.pair(r, p)
 
 
-def syllepsis_data(B, X, Y):
-    """The unique cell ``sigma : 1 -> comp(s, s')`` filling the two pasted
-    braid triangles against the binary cone.
+# --- routes ------------------------------------------------------------------
 
-    Returns ``(sigma, phi, psi)`` where ``phi`` and ``psi`` are the
-    pastings it must project onto.
-    """
-    L = maps(B)
-    cone = bracket_cone(L, (X, Y))
-    p, r = cone.legs
-    s, mu, nu = braid(L, X, Y)
-    ss, mus, nus = braid(L, Y, X)
-    phi = B.vc(B.invert(mu),
-               B.whisker_left(s, B.invert(nus)),
-               B.assoc_inv(s, ss, p))
-    psi = B.vc(B.invert(nu),
-               B.whisker_left(s, B.invert(mus)),
-               B.assoc_inv(s, ss, r))
-    sigma = fill2(B, B.identity(cone.vertex), B.comp(s, ss), phi, psi, cone)
-    return sigma, phi, psi
-
-
-def braid_syllepsis_holds(B, L, X, Y) -> bool:
-    """The braid at the level ``L`` of ``B``'s maps has the comparisons
-    ``mu``, ``nu`` of the swapped cone, and the syllepsis restricts to the
-    braid-triangle pastings and is invertible."""
-    p, r = L.cone(X, Y)[1]
-    ps, rs = L.cone(Y, X)[1]
-    s, mu, nu = braid(L, X, Y)
-    sigma, phi, psi = syllepsis_data(B, X, Y)
-    return (mu.dom == L.comp(s, rs) and mu.cod == p
-            and nu.dom == L.comp(s, ps) and nu.cod == r
-            and B.whisker_right(sigma, p) == phi
-            and B.whisker_right(sigma, r) == psi and B.is_invertible(sigma))
+#: Pairs of routes with the same ends, over the leaf names of their first
+#: tree; each must have exactly one compatible cell, an invertible one.
+#: Read with its arrows reversed, the second hexagon is the first one on
+#: relabelled leaves.
+ROUTES = {
+    "syllepsis": ((("x", "y"),),
+                  (("x", "y"), ("y", "x"), ("x", "y"))),
+    "symmetry": ((("x", "y"), ("y", "x")),
+                 (("x", "y"), ("y", "x"), ("x", "y"), ("y", "x"))),
+    "hexagon": (((("x", "y"), "z"), ("x", ("y", "z")), (("y", "z"), "x"),
+                 ("y", ("z", "x"))),
+                ((("x", "y"), "z"), (("y", "x"), "z"), ("y", ("x", "z")),
+                 ("y", ("z", "x")))),
+    "rebracket": (((((("x", "y"), "z"), "w"), (("x", ("y", "z")), "w"),
+                   ("x", (("y", "z"), "w")), ("x", ("y", ("z", "w"))))),
+                  (((("x", "y"), "z"), "w"), (("x", "y"), ("z", "w")),
+                   ("x", ("y", ("z", "w"))))),
+    "pentagon": ((((((("x", "y"), "z"), "u"), "v"),
+                   ((("x", ("y", "z")), "u"), "v"),
+                   (("x", (("y", "z"), "u")), "v"),
+                   (("x", ("y", ("z", "u"))), "v"),
+                   ("x", (("y", ("z", "u")), "v")),
+                   ("x", ("y", (("z", "u"), "v"))),
+                   ("x", ("y", ("z", ("u", "v")))))),
+                 ((((("x", "y"), "z"), "u"), "v"),
+                  ((("x", "y"), "z"), ("u", "v")),
+                  (("x", "y"), ("z", ("u", "v"))),
+                  ("x", ("y", ("z", ("u", "v")))))),
+}
 
 
-def symmetry_holds(B, X, Y) -> bool:
-    """The self-inverse equation for the braid cell."""
-    s, _, _ = braid(maps(B), X, Y)
-    sigma = syllepsis_data(B, X, Y)[0]
-    sigma_s = syllepsis_data(B, Y, X)[0]
-    return B.whisker_right(sigma, s) == B.whisker_left(s, sigma_s)
+def _at(env, tree):
+    """``tree`` with each leaf name replaced by its value in ``env``."""
+    if not isinstance(tree, tuple):
+        return env[tree]
+    return _at(env, tree[0]), _at(env, tree[1])
 
 
-# --- the quadruple rebracketing filler ----------------------------------------
-
-class QuadFiller(namedtuple("QuadFiller", "m n cell")):
-    """The two rebracketing routes through four factors with the unique
-    compatible cell between them."""
-    __slots__ = ()
-
-
-def _quad_routes(X, Y, Z, W):
-    """The three-step and two-step routes of bracketings from
-    ``((X x Y) x Z) x W`` to ``X x (Y x (Z x W))``."""
-    start, end = (((X, Y), Z), W), (X, (Y, (Z, W)))
-    return ((start, ((X, (Y, Z)), W), (X, ((Y, Z), W)), end),
-            (start, ((X, Y), (Z, W)), end))
+def _vertex(L, env, tree):
+    """The product of the values of ``tree``'s leaves, bracketed as it is."""
+    if not isinstance(tree, tuple):
+        return env[tree]
+    return L.cone(_vertex(L, env, tree[0]), _vertex(L, env, tree[1]))[0]
 
 
-def _route_cells(B, m_trees, n_trees):
-    """Two carrier routes ``m``, ``n`` with the same ends, and every
+def _step(L, env, t1, t2):
+    """The one step from ``t1`` to ``t2``, trees over the names of ``env``,
+    tensored with identities on the subtrees it leaves alone; ``ValueError``
+    unless ``t2`` is ``t1`` with one subtree ``((a, b), c)`` rebracketed to
+    ``(a, (b, c))`` or one subtree ``(a, b)`` braided to ``(b, a)``."""
+    if isinstance(t1, tuple) and isinstance(t2, tuple):
+        if isinstance(t1[0], tuple) and t2 == (t1[0][0], (t1[0][1], t1[1])):
+            a, (b, c) = t2
+            return assoc_map(L, *(_vertex(L, env, t) for t in (a, b, c)))
+        if t2 == (t1[1], t1[0]):
+            return braid(L, *(_vertex(L, env, t) for t in t1))
+        if t1[0] == t2[0]:
+            return L.times(L.identity(_vertex(L, env, t1[0])),
+                           _step(L, env, t1[1], t2[1]))
+        if t1[1] == t2[1]:
+            return L.times(_step(L, env, t1[0], t2[0]),
+                           L.identity(_vertex(L, env, t1[1])))
+    raise ValueError("trees are not one step apart")
+
+
+def route(L, trees, values):
+    """The composite of the steps along ``trees``, at ``values``: one per
+    leaf of the first tree, in order.  A route of one tree is its identity."""
+    env = dict(zip(leaves(trees[0]), values))
+    steps = [_step(L, env, t1, t2) for t1, t2 in zip(trees, trees[1:])]
+    if not steps:
+        return L.identity(_vertex(L, env, trees[0]))
+    return functools.reduce(L.comp, steps)
+
+
+def route_cells(B, L, routes, values):
+    """The two routes ``m``, ``n`` of the pair ``routes`` at ``values``
+    (see :func:`route`) on ``L``, the level of ``B``'s maps, and every
     ``g : m -> n`` whose whiskering with ``v`` is ``alpha`` followed by the
-    inverse of ``beta``, for ``alpha : comp(m, v) -> u`` and
-    ``beta : comp(n, v) -> u`` where ``u``, ``v`` mediate from the ends
-    into the flat product."""
-    L = maps(B)
-    m, n = route(L, *m_trees), route(L, *n_trees)
-    src, tgt = bracket_cone(L, m_trees[0]), bracket_cone(L, m_trees[-1])
+    inverse of ``beta``: ``(m, n, cells)`` in ``hom_cells`` order.  Here
+    ``u`` mediates from the start's cone into the flat product of the
+    leaves, ``v`` from the end's cone with its legs in the start's leaf
+    order, and ``alpha : comp(m, v) -> u``, ``beta : comp(n, v) -> u``.
+    When a route's composite is not isomorphic to ``u``, returns
+    ``{"kind": "not-mediated", "route": "m" | "n"}`` instead."""
+    start, end = routes[0][0], routes[0][-1]
+    env = dict(zip(leaves(start), values))
+    src, tgt = (bracket_cone(L, _at(env, t)) for t in (start, end))
+    legs = dict(zip(leaves(end), tgt.legs))
     flat = functools.reduce(lambda t, leaf: (t, leaf), src.factors)
-    u, v = (mediate_into(L, cone.legs, flat) for cone in (src, tgt))
-    alpha = map_iso(B, B.comp(m, v), u)
-    beta = map_iso(B, B.comp(n, v), u)
+    u = mediate_into(L, src.legs, flat)
+    v = mediate_into(L, (legs[name] for name in leaves(start)), flat)
+    m, n = (route(L, trees, values) for trees in routes)
+    composites = B.comp(m, v), B.comp(n, v)
+    for name, composite in zip("mn", composites):
+        if not maps_isomorphic(composite, u):
+            return {"kind": "not-mediated", "route": name}
+    alpha, beta = (map_iso(B, composite, u) for composite in composites)
     pin = (v, B.vcomp(alpha, B.invert(beta)))
     return m, n, list(pinned_cells(B, m, n, (pin,)))
-
-
-def quad_assoc_filler(B, X, Y, Z, W) -> QuadFiller:
-    """The unique compatible cell between the three-step and two-step
-    routes ``((X x Y) x Z) x W -> X x (Y x (Z x W))``; raises
-    :class:`~bicat.mapprod.FillError` when there is none or several."""
-    m, n, cells = _route_cells(B, *_quad_routes(X, Y, Z, W))
-    if len(cells) != 1:
-        raise FillError("non-unique" if cells else "no-solution",
-                        "%d rebracketing fillers" % len(cells))
-    return QuadFiller(m, n, cells[0])
-
-
-def check_quad_assoc(B, X, Y, Z, W) -> bool:
-    """Whether the unique rebracketing filler is invertible."""
-    return B.is_invertible(quad_assoc_filler(B, X, Y, Z, W).cell)
-
-
-def pentagon_unique(B, X, Y, Z, U, V):
-    """The count of cells between the six-step and three-step routes
-    through five factors that are compatible with the mediators into the
-    flat product.  Both classical pastings are such cells, so a count of
-    one settles their equality; ``hom_cells`` yields nothing between
-    non-parallel routes, so it also says the routes are parallel."""
-    start, end = ((((X, Y), Z), U), V), (X, (Y, (Z, (U, V))))
-    six = (start, (((X, (Y, Z)), U), V), ((X, ((Y, Z), U)), V),
-           ((X, (Y, (Z, U))), V), (X, ((Y, (Z, U)), V)),
-           (X, (Y, ((Z, U), V))), end)
-    three = (start, (((X, Y), Z), (U, V)), ((X, Y), (Z, (U, V))), end)
-    return len(_route_cells(B, six, three)[2])
 
 
 # --- naturality, at either level ----------------------------------------------
@@ -289,8 +262,8 @@ def pentagon_unique(B, X, Y, Z, U, V):
 def braid_natural(L, f, g) -> bool:
     """The braid commutes with the product of two arrows."""
     (fs, ft), (gs, gt) = L.ends(f), L.ends(g)
-    return (L.comp(L.times(f, g), braid(L, ft, gt)[0])
-            == L.comp(braid(L, fs, gs)[0], L.times(g, f)))
+    return (L.comp(L.times(f, g), braid(L, ft, gt))
+            == L.comp(braid(L, fs, gs), L.times(g, f)))
 
 
 def assoc_natural(L, f, g, h) -> bool:
@@ -319,7 +292,7 @@ def g_constraints_invertible(B, R, S, T):
     verdict with ``"constraint"`` naming the square."""
     L = squares(B)
     constraints = (("assoc", assoc_map(L, R, S, T)),
-                   ("braid", braid(L, R, S)[0]),
+                   ("braid", braid(L, R, S)),
                    ("left_unit", left_unit_map(L, R)),
                    ("right_unit", right_unit_map(L, R)))
     for name, arrow in constraints:
@@ -334,14 +307,21 @@ def modification_pair_check(B, R, S, T, U):
     the pair of carrier fillers: that pair must satisfy the square 2-cell
     equation, giving an invertible 2-cell between the routes.  Returns
     ``None`` or a violation naming the first condition that fails."""
-    L = squares(B)
-    M, N = (route(L, *trees) for trees in _quad_routes(R, S, T, U))
-    src = quad_assoc_filler(B, R.source, S.source, T.source, U.source)
-    tgt = quad_assoc_filler(B, R.target, S.target, T.target, U.target)
-    if not (M.f == src.m and N.f == src.n and M.u == tgt.m and N.u == tgt.n):
+    routes, arrows = ROUTES["rebracket"], (R, S, T, U)
+    fillers = []
+    for ends in ([a.source for a in arrows], [a.target for a in arrows]):
+        found = route_cells(B, maps(B), routes, ends)
+        if isinstance(found, dict):
+            return found
+        if len(found[2]) != 1:
+            return {"kind": "non-unique" if found[2] else "no-solution"}
+        fillers.append(found)
+    (sm, sn, (src,)), (tm, tn, (tgt,)) = fillers
+    M, N = (route(squares(B), trees, arrows) for trees in routes)
+    if not (M.f == sm and N.f == sn and M.u == tm and N.u == tn):
         return {"kind": "frames-mismatch"}
     try:
-        cell = groth.g_cell(B, M, N, src.cell, tgt.cell)
+        cell = groth.g_cell(B, M, N, src, tgt)
     except ValueError as exc:
         return {"kind": "not-a-cell", "error": str(exc)}
     if not groth.g_cell_invertible(B, cell):

@@ -40,7 +40,7 @@ from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
                   one_cell, rng_for, thicken, thin)
 from .homprod import transport_cell, transport_hom
 from .mapprod import (ProductCone, bang_nat, check_product_cone, diag_nat,
-                      fill2, pairing, product_object)
+                      fill2, pair_map, pairing, product_object)
 from .report import CheckResult, RunReport, SuiteReport
 
 
@@ -646,26 +646,21 @@ CARTESIAN_CHECKS = (
 
 # --- monoidal suite ---------------------------------------------------------
 
-def _chk_braid_syllepsis(B, rng, carriers):
-    X, Y = carriers
-    ok = coherence.braid_syllepsis_holds(B, coherence.maps(B), X, Y)
-    return None if ok else {"X": X, "Y": Y}
+def _chk_routes(name):
+    """The row body of the route pair ``name`` of :data:`coherence.ROUTES`,
+    its carriers one per leaf: exactly one cell between the two routes is
+    compatible with their mediators, and it is invertible."""
+    routes = coherence.ROUTES[name]
+    shown = [leaf.upper() for leaf in coherence.leaves(routes[0][0])]
 
+    def body(B, rng, carriers):
+        found = coherence.route_cells(B, coherence.maps(B), routes, carriers)
+        if (not isinstance(found, dict) and len(found[2]) == 1
+                and B.is_invertible(found[2][0])):
+            return None
+        return dict(zip(shown, carriers))
 
-def _chk_symmetry(B, rng, carriers):
-    X, Y = carriers
-    return None if coherence.symmetry_holds(B, X, Y) else {"X": X, "Y": Y}
-
-
-def _chk_rebracket(B, rng, carriers):
-    X, Y, Z, W = carriers
-    ok = coherence.check_quad_assoc(B, X, Y, Z, W)
-    return None if ok else {"X": X, "Y": Y, "Z": Z, "W": W}
-
-
-def _chk_pentagon(B, rng, carriers):
-    ok = coherence.pentagon_unique(B, *carriers) == 1
-    return None if ok else dict(zip("XYZUV", carriers))
+    return body
 
 
 def _chk_modification_pair(B, rng, carriers):
@@ -679,27 +674,32 @@ def _chk_modification_pair(B, rng, carriers):
 
 
 def _identity_braid(B):
-    # Pairing its arguments swapped makes the braid the identity pairing.
+    # Pairing its arguments swapped makes the braid the identity pairing, so
+    # the symmetry pair's composites miss the mediator into the flat product.
     X = canonical_carrier("x", 2)
-    bad = coherence.maps(B)._replace(pair=lambda f, g: pairing(B, g, f))
-    return (coherence.braid_syllepsis_holds(B, bad, X, X),
-            {"X": X, "claimed-braid": coherence.braid(bad, X, X)[0]})
+    bad = coherence.maps(B)._replace(pair=lambda f, g: pair_map(B, g, f))
+    symmetry = coherence.ROUTES["symmetry"]
+    return (coherence.route_cells(B, bad, symmetry, (X, X)),
+            {"X": X, "claimed-braid": coherence.braid(bad, X, X)})
 
 
 MONOIDAL_CHECKS = (
     exhaustive_check("braid-syllepsis-equations", ("x", "y"),
-                     _chk_braid_syllepsis, size_cap=3),
-    exhaustive_check("swap-involution", ("x", "y"), _chk_symmetry, size_cap=4),
+                     _chk_routes("syllepsis"), size_cap=3),
+    exhaustive_check("swap-involution", ("x", "y"), _chk_routes("symmetry"),
+                     size_cap=4),
+    exhaustive_check("braid-hexagon", ("x", "y", "z"), _chk_routes("hexagon"),
+                     size_cap=2),
     property_check("rebracket-filler", ("x", "y", "z", "w"),
-                   _chk_rebracket, size_cap=3, trial_cap=40),
+                   _chk_routes("rebracket"), size_cap=3, trial_cap=40),
     property_check("pentagon-route-uniqueness", ("x", "y", "z", "u", "v"),
-                   _chk_pentagon, size_cap=2, trial_cap=10),
+                   _chk_routes("pentagon"), size_cap=2, trial_cap=10),
     property_check("square-rebracket-modification", tuple("abcdefgh"),
                    _chk_modification_pair, size_cap=2, trial_cap=10),
     skipped_check("unit-coherence-axiom-left"),
     skipped_check("unit-coherence-axiom-right"),
-    negative_check("negative-identity-braid", "braid-syllepsis-equations",
-                   _identity_braid, False),
+    negative_check("negative-identity-braid", "swap-involution",
+                   _identity_braid, "not-mediated"),
 )
 
 

@@ -68,22 +68,28 @@ def product_object(B, X: FinSet, Y: FinSet) -> ProductCone:
 
 
 @memoised
-def pairing(B, f, g):
-    """``(f, g) -> <f,g>`` into the canonical product of the targets.
-
-    Returns the pairing map and the two constraint cells
-    ``comp(<f,g>, p) -> f`` and ``comp(<f,g>, r) -> g``; both are identities
-    when f and g are canonical graphs.
-    """
+def pair_map(B, f, g):
+    """``<f,g>`` into the canonical product of the targets: the map whose
+    composites with the product's legs are ``f`` and ``g``."""
     require_map(f, g)
     if f.source != g.source:
         raise ValueError("pairing of maps with different sources")
-    cone = product_object(B, f.target, g.target)
+    vertex = product_object(B, f.target, g.target).vertex
     ffn, gfn = f.fn(), g.fn()
-    h = B.graph(SetFn(f.source, cone.vertex, zip(ffn.values, gfn.values)))
-    mu = map_iso(B, B.comp(h, cone.legs[0]), f)
-    nu = map_iso(B, B.comp(h, cone.legs[1]), g)
-    return h, mu, nu
+    return B.graph(SetFn(f.source, vertex, zip(ffn.values, gfn.values)))
+
+
+@memoised
+def pairing(B, f, g):
+    """``(f, g) -> <f,g>`` into the canonical product of the targets.
+
+    Returns :func:`pair_map` and the two constraint cells
+    ``comp(<f,g>, p) -> f`` and ``comp(<f,g>, r) -> g``; both are identities
+    when f and g are canonical graphs.
+    """
+    h = pair_map(B, f, g)
+    p, r = product_object(B, f.target, g.target).legs
+    return h, map_iso(B, B.comp(h, p), f), map_iso(B, B.comp(h, r), g)
 
 
 def times_on_arrows(B, f, g):

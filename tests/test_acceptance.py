@@ -19,11 +19,9 @@ from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, all_functions
 from bicat.fmt import parse_document
 from bicat.gen import SUITES, GenConfig, canonical_carrier, map_cell, one_cell
-from bicat.harness import (SUITE_CHECKS, _chk_braid_syllepsis,
-                           _chk_modification_pair, _chk_pentagon,
-                           _chk_product_cone, _chk_rebracket, _chk_symmetry,
-                           exhaustive_check, property_check, run_check,
-                           run_config)
+from bicat.harness import (SUITE_CHECKS, _chk_modification_pair,
+                           _chk_product_cone, _chk_routes, exhaustive_check,
+                           property_check, run_check, run_config)
 from bicat.homprod import is_product_diagram
 
 MODULE_T0 = time.monotonic()
@@ -309,18 +307,21 @@ def test_criterion_7_symmetry_and_pentagon(capsys):
                 B, rng, _larger("abcdefgh", carriers, 1))
 
         for B in INSTANCES:
-            # The bodies and size caps of the two exhaustive monoidal rows.
-            assert _passes(B, ("x", "y"), _chk_braid_syllepsis, 3) == 16
-            assert _passes(B, ("x", "y"), _chk_symmetry, 4) == 25
-            assert _passes(B, tuple("abcd"), _chk_rebracket, 2) == 81
-            assert _passes(B, tuple("abcde"), _chk_pentagon, 2) == 243
+            # The bodies and size caps of the three exhaustive monoidal rows.
+            assert _passes(B, ("x", "y"), _chk_routes("syllepsis"), 3) == 16
+            assert _passes(B, ("x", "y"), _chk_routes("symmetry"), 4) == 25
+            assert _passes(B, tuple("xyz"), _chk_routes("hexagon"), 2) == 27
+            assert _passes(B, tuple("abcd"), _chk_routes("rebracket"), 2) == 81
+            assert _passes(B, tuple("abcde"), _chk_routes("pentagon"), 2) \
+                == 243
             assert _passes(B, tuple("abcdefgh"), modification_pair, 1, 5) == 5
         elapsed = time.monotonic() - MODULE_T0
         assert elapsed < 300, elapsed
-        return "syllepsis equations at 16 pairs <= 3, swap squares at 25 " \
-               "pairs <= 4, all rebracket routes at 81 + 243 carrier " \
-               "tuples <= 2, 5 square modification pairs per instance, " \
-               "%.0fs since module import" % elapsed
+        return "syllepsis routes at 16 pairs <= 3, symmetry routes at 25 " \
+               "pairs <= 4, hexagon routes at 27 triples <= 2, all " \
+               "rebracket routes at 81 + 243 carrier tuples <= 2, 5 square " \
+               "modification pairs per instance, %.0fs since module " \
+               "import" % elapsed
 
     _report(capsys, 7, body)
 
@@ -338,8 +339,8 @@ CONTROLS = {
     "lax": ("negative-tau-as-identity", "tensor-2cell-functorial", False),
     "cartesian": ("negative-empty-terminal", "global-constraints-invertible",
                   "unit-functor"),
-    "monoidal": ("negative-identity-braid", "braid-syllepsis-equations",
-                 False),
+    "monoidal": ("negative-identity-braid", "swap-involution",
+                 "not-mediated"),
 }
 
 

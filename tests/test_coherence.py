@@ -10,7 +10,7 @@ from bicat import groth, kernel
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import canonical_carrier, one_cell
-from bicat.mapprod import (FillError, maps_isomorphic, product_object,
+from bicat.mapprod import (maps_isomorphic, pairing, product_object,
                            times_on_arrows)
 
 INSTANCES = (span_instance(), rel_instance())
@@ -49,50 +49,79 @@ def test_unit_maps_are_equivalences():
 
 
 def test_braid_cone_comparisons():
+    # The braid is the pairing of the swapped legs, whose comparisons
+    # with the swapped cone's legs are invertible.
     for B in INSTANCES:
         X, Y = map(canonical_carrier, "ab", (2, 3))
-        s, bmu, bnu = C.braid(C.maps(B), X, Y)
         p, r = product_object(B, X, Y).legs
         ps, rs = product_object(B, Y, X).legs
+        s, bnu, bmu = pairing(B, r, p)
+        assert s == C.braid(C.maps(B), X, Y)
         assert bmu.dom == B.comp(s, rs) and bmu.cod == p
         assert bnu.dom == B.comp(s, ps) and bnu.cod == r
         assert B.is_invertible(bmu) and B.is_invertible(bnu)
 
 
+def _filler(B, name, values):
+    """The one compatible cell between the two routes of ``name``."""
+    m, n, (cell,) = C.route_cells(B, C.maps(B), C.ROUTES[name], values)
+    return cell
+
+
 def test_syllepsis_equations():
+    # The oracle: the two braid-triangle pastings, which the cell between
+    # no step and a braid then its reverse must restrict to along p and r.
     for B in INSTANCES:
+        L = C.maps(B)
         X, Y = map(canonical_carrier, "ab", (2, 3))
-        s = C.braid(C.maps(B), X, Y)[0]
-        ss = C.braid(C.maps(B), Y, X)[0]
-        sigma, phi, psi = C.syllepsis_data(B, X, Y)
-        p, r = product_object(B, X, Y).legs
+        cone = product_object(B, X, Y)
+        p, r = cone.legs
+        s, nu, mu = pairing(B, r, p)
+        ss, nus, mus = pairing(B, *reversed(product_object(B, Y, X).legs))
+        assert (s, ss) == (C.braid(L, X, Y), C.braid(L, Y, X))
+        phi = B.vc(B.invert(mu), B.whisker_left(s, B.invert(nus)),
+                   B.assoc_inv(s, ss, p))
+        psi = B.vc(B.invert(nu), B.whisker_left(s, B.invert(mus)),
+                   B.assoc_inv(s, ss, r))
+        m, n, (sigma,) = C.route_cells(B, L, C.ROUTES["syllepsis"], (X, Y))
+        assert m == B.identity(cone.vertex) and n == B.comp(s, ss)
         assert B.whisker_right(sigma, p) == phi
         assert B.whisker_right(sigma, r) == psi
         assert B.is_invertible(sigma)
-        assert sigma.dom == B.identity(product_object(B, X, Y).vertex)
+        assert sigma.dom == B.identity(cone.vertex)
         assert sigma.cod == B.comp(s, ss)
 
 
 def test_swap_squares_to_identity():
+    # The symmetry pair's cell is the syllepsis whiskered with the braid on
+    # either side, including at equal carriers, where only the leaf names
+    # tell the braid from no step.
     for B in INSTANCES:
         X, Y = map(canonical_carrier, "ab", (2, 3))
         pairs = [(X, Y), (Y, X), (X, X), (FinSet(()), Y), (UNIT, X)]
         for Xa, Ya in pairs:
-            assert C.symmetry_holds(B, Xa, Ya), (B.name, Xa, Ya)
+            s = C.braid(C.maps(B), Xa, Ya)
+            sigma = _filler(B, "syllepsis", (Xa, Ya))
+            sigma_s = _filler(B, "syllepsis", (Ya, Xa))
+            cell = _filler(B, "symmetry", (Xa, Ya))
+            assert (B.whisker_right(sigma, s) == B.whisker_left(s, sigma_s)
+                    == cell), (B.name, Xa, Ya)
+            assert B.is_invertible(cell)
 
 
 def test_quadruple_rebracket_filler():
     for B in INSTANCES:
         X, Y, Z, W = map(canonical_carrier, "abcd", (2, 3, 2, 1))
-        assert C.check_quad_assoc(B, X, Y, Z, W) is True
-        data = C.quad_assoc_filler(B, X, Y, Z, W)
-        assert data.m.is_map() and data.n.is_map()
-        degenerate = C.quad_assoc_filler(B, UNIT, UNIT, UNIT, UNIT)
-        assert B.is_invertible(degenerate.cell)
+        for values in ((X, Y, Z, W), (UNIT,) * 4):
+            m, n, cells = C.route_cells(B, C.maps(B), C.ROUTES["rebracket"],
+                                        values)
+            assert m.is_map() and n.is_map()
+            assert len(cells) == 1 and B.is_invertible(cells[0])
 
 
 def test_routes_match_their_written_out_composites():
-    # The oracle: each route as the associators and tensors it stands for.
+    # The oracle: each route as the associators, braids and tensors it
+    # stands for.
     for B in INSTANCES:
         L = C.maps(B)
         X, Y, Z, U, V = map(canonical_carrier, "abcde", (2, 1, 2, 1, 2))
@@ -100,14 +129,17 @@ def test_routes_match_their_written_out_composites():
         a = functools.partial(C.assoc_map, L)
         t = functools.partial(times_on_arrows, B)
 
+        def s(P, Q):
+            return C.braid(L, P, Q)
+
         def vx(P, Q):
             return product_object(B, P, Q).vertex
 
-        data = C.quad_assoc_filler(B, X, Y, Z, U)
-        assert data.m == B.comp(B.comp(t(a(X, Y, Z), one(U)),
-                                       a(X, vx(Y, Z), U)),
-                                t(one(X), a(Y, Z, U)))
-        assert data.n == B.comp(a(vx(X, Y), Z, U), a(X, Y, vx(Z, U)))
+        m, n = (C.route(L, trees, (X, Y, Z, U))
+                for trees in C.ROUTES["rebracket"])
+        assert m == B.comp(B.comp(t(a(X, Y, Z), one(U)), a(X, vx(Y, Z), U)),
+                           t(one(X), a(Y, Z, U)))
+        assert n == B.comp(a(vx(X, Y), Z, U), a(X, Y, vx(Z, U)))
         six = B.comp(B.comp(B.comp(B.comp(B.comp(
             t(t(a(X, Y, Z), one(U)), one(V)),
             t(a(X, vx(Y, Z), U), one(V))),
@@ -115,30 +147,47 @@ def test_routes_match_their_written_out_composites():
             a(X, vx(Y, vx(Z, U)), V)),
             t(one(X), a(Y, vx(Z, U), V))),
             t(one(X), t(one(Y), a(Z, U, V))))
-        assert six == C.route(
-            L, ((((X, Y), Z), U), V), (((X, (Y, Z)), U), V),
-            ((X, ((Y, Z), U)), V), ((X, (Y, (Z, U))), V),
-            (X, ((Y, (Z, U)), V)), (X, (Y, ((Z, U), V))),
-            (X, (Y, (Z, (U, V)))))
+        assert six == C.route(L, C.ROUTES["pentagon"][0], (X, Y, Z, U, V))
+        first, second = (C.route(L, trees, (X, Y, Z))
+                         for trees in C.ROUTES["hexagon"])
+        assert first == B.comp(B.comp(a(X, Y, Z), s(X, vx(Y, Z))),
+                               a(Y, Z, X))
+        assert second == B.comp(B.comp(t(s(X, Y), one(Z)), a(Y, X, Z)),
+                                t(one(Y), s(X, Z)))
+        assert C.route(L, C.ROUTES["syllepsis"][0], (X, Y)) == one(vx(X, Y))
 
 
-def test_step_refuses_all_but_one_forward_associator():
-    # Every carrier has two elements, so a leaf unpacks like a pair of
-    # subtrees: only the tree structure may tell the two apart.
+def test_step_takes_one_associator_or_one_braid_at_one_subtree():
+    # Every leaf name stands for the same two-point carrier, so only the
+    # names tell a braid from no step and a leaf from a renamed one.
     for B in INSTANCES:
         L = C.maps(B)
-        X, Y, Z, W = map(canonical_carrier, "abcd", (2, 2, 2, 2))
-        P = canonical_carrier("p", 2)
-        assert C._step(L, ((X, Y), Z), (X, (Y, Z))) == C.assoc_map(L, X, Y, Z)
-        for t1, t2 in (((X, (Y, Z)), ((X, Y), Z)),
-                       ((((X, Y), Z), W), (X, (Y, (Z, W)))),
-                       (((X, Y), (Z, W)), (((X, Y), Z), W)),
-                       (((X, Y), Z), ((X, Y), Z)),
-                       ((P, Z), (X, (Y, Z))),
-                       (((X, Y), Z), (P, Z)),
-                       (X, Y)):
+        X = canonical_carrier("a", 2)
+        env = dict.fromkeys("xyzwp", X)
+        one, t = B.identity, functools.partial(times_on_arrows, B)
+        a, s = C.assoc_map(L, X, X, X), C.braid(L, X, X)
+        assert s != one(product_object(B, X, X).vertex)
+        accepted = (
+            ((("x", "y"), "z"), ("x", ("y", "z")), a),
+            (((("x", "y"), "z"), "w"), (("x", ("y", "z")), "w"),
+             t(a, one(X))),
+            (("x", "y"), ("y", "x"), s),
+            ((("x", "y"), "z"), (("y", "x"), "z"), t(s, one(X))),
+            (("z", ("x", "y")), ("z", ("y", "x")), t(one(X), s)))
+        for t1, t2, expected in accepted:
+            assert C._step(L, env, t1, t2) == expected, (t1, t2)
+        refused = (
+            (("x", "y"), ("x", "y")),
+            ((("x", "y"), "z"), ("z", ("y", "x"))),
+            (((("x", "y"), "z"), "w"), ("x", ("y", ("z", "w")))),
+            (("x", ("y", "z")), (("x", "y"), "z")),
+            ((("x", "y"), ("z", "w")), ((("x", "y"), "z"), "w")),
+            (("p", "z"), ("x", ("y", "z"))),
+            ((("x", "y"), "z"), ("p", "z")),
+            ("x", "y"))
+        for t1, t2 in refused:
             with pytest.raises(ValueError):
-                C._step(L, t1, t2)
+                C._step(L, env, t1, t2)
 
 
 class _TwiceOver:
@@ -158,13 +207,18 @@ class _TwiceOver:
 
 
 def test_a_doubled_enumeration_makes_the_route_fillers_non_unique():
+    rng = random.Random(71)
     for B in INSTANCES:
         proxy = _TwiceOver(B)
         X, Y, Z, U, V = map(canonical_carrier, "abcde", (2, 1, 2, 1, 1))
-        with pytest.raises(FillError) as info:
-            C.quad_assoc_filler(proxy, X, Y, Z, U)
-        assert info.value.kind == "non-unique"
-        assert C.pentagon_unique(proxy, X, Y, Z, U, V) == 2
+        for name, values in (("rebracket", (X, Y, Z, U)),
+                             ("pentagon", (X, Y, Z, U, V))):
+            cells = C.route_cells(proxy, C.maps(proxy), C.ROUTES[name],
+                                  values)[2]
+            assert len(cells) == 2 and cells[0] == cells[1]
+        R, S, T, W = (one_cell(B, rng, P, P, 2) for P in (X, Y, Z, U))
+        verdict = C.modification_pair_check(proxy, R, S, T, W)
+        assert verdict["kind"] == "non-unique"
 
 
 def test_square_level_constraints_are_equivalences():
@@ -256,16 +310,16 @@ def test_square_constructions_match_their_written_out_pairings():
         # with the leaf's identity square is built.
         assert (C.bracket_cone(L, ((R, S), T)).legs[2]
                 is tensor(tRS.obj, T).proj2)
-        assert C.braid(L, R, S)[0] == pair(tensor(S, R), tRS.proj2, tRS.proj1)
+        assert C.braid(L, R, S) == pair(tensor(S, R), tRS.proj2, tRS.proj1)
         assert C.left_unit_map(L, R) == tensor(one, R).proj2
         assert C.right_unit_map(L, R) == pair(
             tensor(R, one), groth.g_identity(B, R), groth.g_bang(B, R))
-        m_trees, n_trees = C._quad_routes(R, S, T, U)
-        assert C.route(L, *m_trees) == compose(
+        m_trees, n_trees = C.ROUTES["rebracket"]
+        assert C.route(L, m_trees, (R, S, T, U)) == compose(
             compose(times(assoc(R, S, T), groth.g_identity(B, U)),
                     assoc(R, tensor(S, T).obj, U)),
             times(groth.g_identity(B, R), assoc(S, T, U)))
-        assert C.route(L, *n_trees) == compose(
+        assert C.route(L, n_trees, (R, S, T, U)) == compose(
             assoc(tRS.obj, T, U), assoc(R, S, tensor(T, U).obj))
 
 

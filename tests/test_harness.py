@@ -218,8 +218,9 @@ ROW_CHECKERS = {
                                  lambda *a: True, lambda *a: False),
     "negative-empty-terminal": (cartesian, "is_cartesian",
                                 lambda *a: None, lambda *a: {"kind": "any"}),
-    "negative-identity-braid": (coherence, "braid_syllepsis_holds",
-                                lambda *a: True, lambda *a: False),
+    "negative-identity-braid": (coherence, "route_cells",
+                                lambda *a: (None, None, []),
+                                lambda *a: {"kind": "any"}),
 }
 #: Per control, what makes its corruption raise a plain ``ValueError``, and
 #: for a corrupted instance or level, what takes the corruption away.
@@ -228,8 +229,8 @@ CORRUPTIONS = {
                                  None),
     "negative-collapsed-cone": ((harness, "ProductCone", _raise), None),
     "negative-identity-braid": (
-        (harness, "pairing", _raise),
-        (harness, "pairing", lambda B, f, g: mapprod.pairing(B, g, f))),
+        (harness, "pair_map", _raise),
+        (harness, "pair_map", lambda B, f, g: mapprod.pair_map(B, g, f))),
     **dict.fromkeys(
         ("negative-misplaced-terminal-cell", "negative-doubled-cells",
          "negative-tau-as-identity", "negative-empty-terminal"),
@@ -377,9 +378,10 @@ def test_property_check_passes_when_body_never_fires():
 def test_exhaustive_row_finds_what_sampling_misses(monkeypatch):
     # A swap that fails only at sizes (3, 3): ten sampled trials at these
     # seeds never draw that pair, the exhaustive row always reaches it.
-    honest = coherence.symmetry_holds
-    monkeypatch.setattr(coherence, "symmetry_holds", lambda B, X, Y: (
-        (len(X), len(Y)) != (3, 3) and honest(B, X, Y)))
+    honest = coherence.route_cells
+    monkeypatch.setattr(coherence, "route_cells", lambda B, L, pair, values: (
+        {"kind": "any"} if tuple(map(len, values)) == (3, 3)
+        else honest(B, L, pair, values)))
     spec = next(c for c in SUITE_CHECKS["monoidal"]
                 if c.check_id == "swap-involution")
     for seed in (0, 7, 13):
@@ -389,6 +391,38 @@ def test_exhaustive_row_finds_what_sampling_misses(monkeypatch):
         assert (result.status, result.trials) == ("fail", 16)
         doc = parse_document(result.counterexample)
         assert (len(doc.lookup("X")), len(doc.lookup("Y"))) == (3, 3)
+
+
+def _twisted_braid(B):
+    """The braid's map composed with a transposition of the first two
+    elements of its first factor."""
+    honest = coherence.braid
+
+    def twisted(L, X, Y):
+        xs = tuple(X)
+        swap = dict(zip(xs[:2], reversed(xs[:2])))
+        tau = B.graph(fin.SetFn(X, X, (swap.get(x, x) for x in xs)))
+        return L.comp(L.times(tau, L.identity(Y)), honest(L, X, Y))
+
+    return twisted
+
+
+def test_a_twisted_braid_fails_the_braid_rows(monkeypatch):
+    # A wrong braid leaves the route composites off their mediators: the
+    # route pairs report it as a violation, so the rows fail, not error.
+    rows = ("braid-syllepsis-equations", "swap-involution", "braid-hexagon")
+    specs = {c.check_id: c for c in SUITE_CHECKS["monoidal"]}
+    for name in ("span", "rel"):
+        B = instance_for(name)
+        cfg = GenConfig(seed=0, max_carrier=3, trials=10, instance=name,
+                        suites=("monoidal",))
+        with monkeypatch.context() as m:
+            m.setattr(coherence, "braid", _twisted_braid(B))
+            for row in rows:
+                assert run_check(B, cfg, specs[row]).status == "fail", (
+                    name, row)
+            control = run_check(B, cfg, specs["negative-identity-braid"])
+            assert control.status == "pass", name
 
 
 def test_fixture_checks_pass_and_fail():

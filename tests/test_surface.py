@@ -222,8 +222,9 @@ def test_only_spans_reads_the_span_shape_tags():
 def test_only_the_levels_name_the_product_operations():
     # The bracketing trees reach products only through a level, so a second
     # per-level construction of a constraint cannot creep back in.
-    ops = {"product_object", "pairing", "times_on_arrows", "bang", "g_tensor",
-           "g_pair", "g_compose", "g_identity", "g_terminal", "g_bang", "UNIT"}
+    ops = {"product_object", "pairing", "pair_map", "times_on_arrows", "bang",
+           "g_tensor", "g_pair", "g_compose", "g_identity", "g_terminal",
+           "g_bang", "UNIT"}
     tree = ast.parse((ROOT / "src" / "bicat" / "coherence.py")
                      .read_text(encoding="utf-8"))
     modules = {a.asname or a.name for node in tree.body

@@ -19,7 +19,7 @@ from bicat.harness import _Corrupt
 from bicat.homprod import LocalProductWitness, transport_cell, transport_hom
 from bicat.kernel import compose_adjunctions, right_mate_of_map_cell
 from bicat.mapprod import (_hom_count, bang, check_product_cone, map_iso,
-                           pairing, product_object)
+                           pair_map, pairing, product_object)
 from bicat.rels import Rel, RelCell
 from bicat.spans import Span, SpanCell, _fibres, relabel_apex
 from memo_laws import stored
@@ -63,6 +63,7 @@ def _memoised_calls(B):
         ("g_tensor", g_tensor, (B, full, f)),
         ("garr_from_secondary", garr_from_secondary,
          (B, full, g_terminal(B), bang(B, X), bang(B, A), B.tau(full))),
+        ("pair_map", pair_map, (B, f, swap)),
         ("pairing", pairing, (B, f, swap)),
         ("map_iso", map_iso, (B, scrambled, f)),
         ("transport_hom", transport_hom, (B, swap, full, f_star)),
@@ -150,6 +151,8 @@ def test_refused_upper_calls_raise_on_every_call():
         for _ in range(2):
             with pytest.raises(ValueError, match="different sources"):
                 pairing(B, f, other)
+            with pytest.raises(ValueError, match="different sources"):
+                pair_map(B, f, other)
             with pytest.raises(ValueError, match="not isomorphic"):
                 map_iso(B, swap, B.identity(X))
 
