@@ -24,7 +24,7 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   per :func:`memoised` operation, keyed on its arguments, the instance
   included.  It holds the pure operations a unit repeats: the instances'
   structure operations, local products, ``fn``, ``is_map`` and the
-  span fibre index; ``gen``'s canonical carriers; ``mapprod``'s cones,
+  span fibre index; the canonical carriers; ``mapprod``'s cones,
   pairings, ``map_iso``, cone checks and the hom-set counts a cone check
   reads; both ``homprod`` transports; ``compose_adjunctions`` and
   ``right_mate_of_map_cell``; ``g_tensor``, ``g_pair``, ``g_compose``,
@@ -324,3 +324,17 @@ def all_functions(domain: FinSet, codomain: FinSet) -> Iterator[SetFn]:
         return
     for values in itertools.product(codomain.elements, repeat=len(domain)):
         yield SetFn(domain, codomain, values)
+
+
+@memoised
+def canonical_carrier(prefix: str, size: int) -> FinSet:
+    """The carrier ``prefix0 .. prefix{size-1}``: the laws are invariant
+    under relabelling, so one carrier per size stands for all of them."""
+    return FinSet("%s%d" % (prefix, i) for i in range(size))
+
+
+def set_fn(rng, A: FinSet, C: FinSet):
+    """A uniform function ``A -> C`` drawn from ``rng``, or None if none."""
+    if len(A) and not len(C):
+        return None
+    return SetFn(A, C, (rng.choice(C.elements) for _ in A))

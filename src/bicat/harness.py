@@ -34,13 +34,14 @@ import itertools
 import time
 
 from . import cartesian, coherence, groth, kernel, rel_instance, span_instance
-from .fin import FinSet, SetFn, UNIT, clear_table, collector_paused, is_atom
+from .fin import (FinSet, SetFn, UNIT, canonical_carrier, clear_table,
+                  collector_paused, is_atom)
 from .fmt import _KEYWORDS, Document, FmtError, describe, print_document
-from .gen import (GenConfig, SUITES, canonical_carrier, carrier, map_cell,
-                  one_cell, rng_for, thicken, thin)
+from .gen import GenConfig, SUITES, carrier, map_cell, rng_for
 from .homprod import transport_cell, transport_hom
-from .mapprod import (ProductCone, bang_nat, check_product_cone, diag_nat,
-                      fill2, pair_map, pairing, product_object)
+from .mapprod import (ProductCone, bang_sides, check_product_cone, diag_sides,
+                      fill2, map_iso, maps_isomorphic, pair_map, pairing,
+                      product_object)
 from .report import CheckResult, RunReport, SuiteReport
 
 
@@ -172,12 +173,12 @@ def skipped_check(check_id):
 
 def _chk_interchange(B, rng, carriers):
     X, A, L = carriers
-    R = one_cell(B, rng, X, A, len(X) + len(A))
-    R1, a1 = thicken(B, rng, R, rng.randint(0, 2))
-    _, a2 = thicken(B, rng, R1, rng.randint(0, 2))
-    T = one_cell(B, rng, A, L, len(A) + len(L))
-    T1, b1 = thicken(B, rng, T, rng.randint(0, 2))
-    _, b2 = thicken(B, rng, T1, rng.randint(0, 2))
+    R = B.one_cell(rng, X, A, len(X) + len(A))
+    R1, a1 = B.thicken(rng, R, rng.randint(0, 2))
+    _, a2 = B.thicken(rng, R1, rng.randint(0, 2))
+    T = B.one_cell(rng, A, L, len(A) + len(L))
+    T1, b1 = B.thicken(rng, T, rng.randint(0, 2))
+    _, b2 = B.thicken(rng, T1, rng.randint(0, 2))
     if kernel.interchange_holds(B, a1, a2, b1, b2):
         return None
     return {"X": X, "A": A, "L": L, "R": R, "T": T,
@@ -199,10 +200,10 @@ def _chk_mate_round_trip(B, rng, carriers):
     u = map_cell(B, rng, A, Bc)
     if f is None or u is None:
         return None
-    S = one_cell(B, rng, Y, Bc, max(len(Y), len(Bc)))
+    S = B.one_cell(rng, Y, Bc, max(len(Y), len(Bc)))
     u_star = B.map_adjunction(u).right
     E = B.comp(f, B.comp(S, u_star))
-    R, sec = thin(B, rng, E)
+    R, sec = B.thin(rng, E)
     primary = groth.garr_from_secondary(B, R, S, f, u, sec).primary
     # Back through the kernel, as ``groth.secondary`` answers the input.
     if (primary.dom == B.comp(R, u) and primary.cod == B.comp(f, S)
@@ -214,9 +215,9 @@ def _chk_mate_round_trip(B, rng, carriers):
 
 def _chk_assoc_inverse(B, rng, carriers):
     X, A, L, M = carriers
-    R = one_cell(B, rng, X, A, 2)
-    T = one_cell(B, rng, A, L, 2)
-    U = one_cell(B, rng, L, M, 2)
+    R = B.one_cell(rng, X, A, 2)
+    T = B.one_cell(rng, A, L, 2)
+    U = B.one_cell(rng, L, M, 2)
     fwd = B.assoc(R, T, U)
     bwd = B.assoc_inv(R, T, U)
     ok = (B.vcomp(fwd, bwd) == B.id2(fwd.dom)
@@ -247,10 +248,10 @@ KERNEL_CHECKS = (
 
 def _chk_wedge_universal(B, rng, carriers):
     X, A = carriers
-    R = one_cell(B, rng, X, A, len(X) + len(A))
-    S = one_cell(B, rng, X, A, len(X) + len(A))
+    R = B.one_cell(rng, X, A, len(X) + len(A))
+    S = B.one_cell(rng, X, A, len(X) + len(A))
     w = B.local_product(R, S)
-    T, inc = thin(B, rng, w.product)
+    T, inc = B.thin(rng, w.product)
     phi = B.vcomp(inc, w.proj1)
     psi = B.vcomp(inc, w.proj2)
     med = w.pair(phi, psi)
@@ -265,7 +266,7 @@ def _tau_is_the_only_cell(B, R, top):
 
 def _chk_terminal_unique(B, rng, carriers):
     X, A = carriers
-    R = one_cell(B, rng, X, A, len(X) + len(A))
+    R = B.one_cell(rng, X, A, len(X) + len(A))
     top = B.local_terminal(X, A)
     ok = _tau_is_the_only_cell(B, R, top)
     return None if ok else {"X": X, "A": A, "R": R, "top": top}
@@ -278,9 +279,9 @@ def _chk_transport_functor(B, rng, carriers):
     if f is None or u is None:
         return None
     u_star = B.map_adjunction(u).right
-    S = one_cell(B, rng, Y, Bc, max(len(Y), len(Bc)))
-    S1, al = thicken(B, rng, S, rng.randint(0, 2))
-    _, be = thicken(B, rng, S1, rng.randint(0, 2))
+    S = B.one_cell(rng, Y, Bc, max(len(Y), len(Bc)))
+    S1, al = B.thicken(rng, S, rng.randint(0, 2))
+    _, be = B.thicken(rng, S1, rng.randint(0, 2))
     ok = (transport_cell(B, f, B.id2(S), u_star)
           == B.id2(transport_hom(B, f, S, u_star))
           and transport_cell(B, f, B.vcomp(al, be), u_star)
@@ -316,9 +317,14 @@ def _chk_pairing_projections(B, rng, carriers):
     g = map_cell(B, rng, W, Y)
     if f is None or g is None:
         return None
-    h, mu, nu = pairing(B, f, g)
-    ok = (h.is_map() and B.is_invertible(mu) and B.is_invertible(nu)
-          and mu.cod == f and nu.cod == g)
+    h = pair_map(B, f, g)
+    ok = h.is_map() and all(
+        maps_isomorphic(B.comp(h, leg), m)
+        for leg, m in zip(product_object(B, X, Y).legs, (f, g)))
+    if ok:
+        _, mu, nu = pairing(B, f, g)
+        ok = (B.is_invertible(mu) and B.is_invertible(nu)
+              and mu.cod == f and nu.cod == g)
     return None if ok else {"f": f, "g": g, "h": h}
 
 
@@ -335,16 +341,16 @@ def _chk_diag_bang_nat(B, rng, carriers):
     f = map_cell(B, rng, X, Y)
     if f is None:
         return None
-    ok = (B.is_invertible(bang_nat(B, f))
-          and B.is_invertible(diag_nat(B, f)))
+    ok = all(maps_isomorphic(*sides) and B.is_invertible(map_iso(B, *sides))
+             for sides in (bang_sides(B, f), diag_sides(B, f)))
     return None if ok else {"f": f}
 
 
 def _chk_fill_recovers(B, rng, carriers):
     W, X, Y = carriers
     cone = product_object(B, X, Y)
-    T = one_cell(B, rng, W, cone.vertex, max(len(W), 2))
-    U, gamma = thicken(B, rng, T, rng.randint(0, 2))
+    T = B.one_cell(rng, W, cone.vertex, max(len(W), 2))
+    U, gamma = B.thicken(rng, T, rng.randint(0, 2))
     alpha = B.whisker_right(gamma, cone.legs[0])
     beta = B.whisker_right(gamma, cone.legs[1])
     got = fill2(B, T, U, alpha, beta, cone)
@@ -377,10 +383,10 @@ def _tensor_cone(B, rng, carriers):
     """A tensor ``R (x) S`` with a cone into it: the two projections of the
     inclusion square of a sub-1-cell ``T0`` of the tensor object."""
     X, Y, A, Bc = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, Bc, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, Bc, 2)
     tens = groth.g_tensor(B, R, S)
-    T0, inc = thin(B, rng, tens.obj)
+    T0, inc = B.thin(rng, tens.obj)
     base = groth.garr_from_primary(B, T0, tens.obj, B.identity(T0.source),
                                    B.identity(T0.target), inc)
     return (R, S, T0, tens, groth.g_compose(B, base, tens.proj1),
@@ -423,8 +429,8 @@ def _chk_pair_unique(B, rng, carriers):
 
 def _chk_square_cells(B, rng, carriers):
     X, Y, A, Bc = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, Bc, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, Bc, 2)
     tens = groth.g_tensor(B, R, S)
     M = tens.proj1
     brute = []
@@ -449,8 +455,8 @@ def _chk_square_cells(B, rng, carriers):
 
 def _chk_diag_dunit(B, rng, carriers):
     X, A = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, X, A, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, X, A, 2)
     iso = groth.dunit_iso(B, R, S)
     d = groth.g_diag(B, R)
     ok = (B.is_invertible(iso)
@@ -486,12 +492,12 @@ GROTH_CHECKS = (
 
 def _chk_lax_assoc(B, rng, carriers):
     X0, X1, X2, X3, Y0, Y1, Y2, Y3 = carriers
-    R = one_cell(B, rng, X0, X1, 2)
-    T = one_cell(B, rng, X1, X2, 2)
-    V = one_cell(B, rng, X2, X3, 2)
-    S = one_cell(B, rng, Y0, Y1, 2)
-    U = one_cell(B, rng, Y1, Y2, 2)
-    W = one_cell(B, rng, Y2, Y3, 2)
+    R = B.one_cell(rng, X0, X1, 2)
+    T = B.one_cell(rng, X1, X2, 2)
+    V = B.one_cell(rng, X2, X3, 2)
+    S = B.one_cell(rng, Y0, Y1, 2)
+    U = B.one_cell(rng, Y1, Y2, 2)
+    W = B.one_cell(rng, Y2, Y3, 2)
     lhs, rhs = cartesian.lax_assoc_sides(B, R, S, T, U, V, W)
     if lhs == rhs:
         return None
@@ -500,8 +506,8 @@ def _chk_lax_assoc(B, rng, carriers):
 
 def _chk_lax_unit(B, rng, carriers):
     X, A, Y, C = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, C, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, C, 2)
     (left, lid), (right, rid) = cartesian.lax_unit_sides(B, R, S)
     ok = left == lid and right == rid
     return None if ok else {"R": R, "S": S}
@@ -509,14 +515,14 @@ def _chk_lax_unit(B, rng, carriers):
 
 def _chk_tensor_naturality(B, rng, carriers):
     X0, X1, X2, Y0, Y1, Y2 = carriers
-    R = one_cell(B, rng, X0, X1, 2)
-    T = one_cell(B, rng, X1, X2, 2)
-    S = one_cell(B, rng, Y0, Y1, 2)
-    U = one_cell(B, rng, Y1, Y2, 2)
-    _, alpha = thicken(B, rng, R, rng.randint(0, 2))
-    _, gamma = thicken(B, rng, T, rng.randint(0, 2))
-    _, beta = thicken(B, rng, S, rng.randint(0, 2))
-    _, delta = thicken(B, rng, U, rng.randint(0, 2))
+    R = B.one_cell(rng, X0, X1, 2)
+    T = B.one_cell(rng, X1, X2, 2)
+    S = B.one_cell(rng, Y0, Y1, 2)
+    U = B.one_cell(rng, Y1, Y2, 2)
+    _, alpha = B.thicken(rng, R, rng.randint(0, 2))
+    _, gamma = B.thicken(rng, T, rng.randint(0, 2))
+    _, beta = B.thicken(rng, S, rng.randint(0, 2))
+    _, delta = B.thicken(rng, U, rng.randint(0, 2))
     if cartesian.tensor_naturality_holds(B, alpha, beta, gamma, delta):
         return None
     return {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta}
@@ -524,12 +530,12 @@ def _chk_tensor_naturality(B, rng, carriers):
 
 def _chk_tensor_functorial(B, rng, carriers):
     X, A, Y, C = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, C, 2)
-    R1, a1 = thicken(B, rng, R, rng.randint(0, 2))
-    _, a2 = thicken(B, rng, R1, rng.randint(0, 2))
-    S1, b1 = thicken(B, rng, S, rng.randint(0, 2))
-    _, b2 = thicken(B, rng, S1, rng.randint(0, 2))
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, C, 2)
+    R1, a1 = B.thicken(rng, R, rng.randint(0, 2))
+    _, a2 = B.thicken(rng, R1, rng.randint(0, 2))
+    S1, b1 = B.thicken(rng, S, rng.randint(0, 2))
+    _, b2 = B.thicken(rng, S1, rng.randint(0, 2))
     if cartesian.tensor_functor_law_holds(B, a1, a2, b1, b2):
         return None
     return {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
@@ -564,10 +570,10 @@ LAX_CHECKS = (
 
 def _chk_global_constraints(B, rng, carriers):
     X, A, Y, C = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, C, 2)
-    T = one_cell(B, rng, A, X, 2)
-    U = one_cell(B, rng, C, Y, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, C, 2)
+    T = B.one_cell(rng, A, X, 2)
+    U = B.one_cell(rng, C, Y, 2)
     ok = cartesian.is_cartesian(B, (X, Y), (R, S, T, U)) is None
     return None if ok else {"R": R, "S": S, "T": T, "U": U}
 
@@ -587,7 +593,7 @@ def _chk_map_comparison(B, rng, carriers):
 
 def _chk_projection_conjugates(B, rng, carriers):
     X, A, Y = carriers
-    R = one_cell(B, rng, X, A, 2)
+    R = B.one_cell(rng, X, A, 2)
     p1, p2 = cartesian.projection_fillers(B, R, Y)
     pb = cartesian.prebeck_cell(B, R, Y)
     ok = B.is_invertible(p1) and B.is_invertible(p2) and B.is_invertible(pb)
@@ -602,8 +608,8 @@ def _chk_composition_comparisons(B, rng, carriers):
     v = map_cell(B, rng, A, C, scramble=False)
     if None in (f, g, u, v):
         return None
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, C, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, C, 2)
     pre = cartesian.precompose_iso(B, f, g, R, S)
     post = cartesian.postcompose_star_iso(B, R, S, u, v)
     ok = B.is_invertible(pre) and B.is_invertible(post)
@@ -612,8 +618,8 @@ def _chk_composition_comparisons(B, rng, carriers):
 
 def _chk_unit_factor_pairing(B, rng, carriers):
     X, A = carriers
-    R = one_cell(B, rng, X, UNIT, 2)
-    S = one_cell(B, rng, UNIT, A, 2)
+    R = B.one_cell(rng, X, UNIT, 2)
+    S = B.one_cell(rng, UNIT, A, 2)
     ok = cartesian.strange_pair(B, R, S)[1] is None
     return None if ok else {"R": R, "S": S}
 
@@ -665,10 +671,10 @@ def _chk_routes(name):
 
 def _chk_modification_pair(B, rng, carriers):
     X, Y, Z, W, A, C, D, E = carriers
-    R = one_cell(B, rng, X, A, 2)
-    S = one_cell(B, rng, Y, C, 2)
-    T = one_cell(B, rng, Z, D, 2)
-    U = one_cell(B, rng, W, E, 2)
+    R = B.one_cell(rng, X, A, 2)
+    S = B.one_cell(rng, Y, C, 2)
+    T = B.one_cell(rng, Z, D, 2)
+    U = B.one_cell(rng, W, E, 2)
     ok = coherence.modification_pair_check(B, R, S, T, U) is None
     return None if ok else {"R": R, "S": S, "T": T, "U": U}
 

@@ -107,26 +107,25 @@ def bang(B, X: FinSet):
     return B.graph(SetFn.constant(X, UNIT, "*"))
 
 
-def bang_nat(B, f):
-    """Naturality square of the terminal transformation at a map: the cell
-    ``comp(f, bang(A)) -> bang(X)``."""
+def bang_sides(B, f):
+    """The two sides of the terminal transformation's naturality square at
+    a map ``f : X -> A``, ``comp(f, bang(A))`` and ``bang(X)``: the law is
+    that they are isomorphic, and :func:`map_iso` is then the square."""
     require_map(f)
-    return map_iso(B, B.comp(f, bang(B, f.target)), bang(B, f.source))
+    return B.comp(f, bang(B, f.target)), bang(B, f.source)
 
 
 def diag(B, X: FinSet):
     """The diagonal map ``d_X : X -> X x X``."""
-    one = B.identity(X)
-    h, _, _ = pairing(B, one, one)
-    return h
+    return pair_map(B, B.identity(X), B.identity(X))
 
 
-def diag_nat(B, f):
-    """Naturality square of the diagonal at a map: the cell from ``d . f``
-    to ``(f x f) . d``."""
+def diag_sides(B, f):
+    """The two sides of the diagonal's naturality square at a map, ``d . f``
+    and ``(f x f) . d``, as for :func:`bang_sides`."""
     require_map(f)
-    return map_iso(B, B.comp(f, diag(B, f.target)),
-                   B.comp(diag(B, f.source), times_on_arrows(B, f, f)))
+    return (B.comp(f, diag(B, f.target)),
+            B.comp(diag(B, f.source), times_on_arrows(B, f, f)))
 
 
 # --- cells fixed by their whiskerings ---------------------------------------

@@ -5,11 +5,13 @@ first is contained in the second.  Composition of relations is strictly
 associative and unital on the nose, so every structural cell here is an
 identity witness and equation checking degenerates to boundary equality.
 The real content sits in cell construction: building a pasting whose
-underlying containment fails raises immediately.
+underlying containment fails raises immediately.  Random relations and
+their thickenings and thinnings are drawn here, from a given ``rng``, next
+to the exhaustive :meth:`RelBicat.one_cells`.
 
 A relation keeps its pairs once, as a ``frozenset``; composition,
 containment and intersection read that set, and only the readers that need
-an order (printing, the generators' draws) ask for the label-sorted
+an order (printing, the random draws) ask for the label-sorted
 ``pairs`` view, computed on each read.  Relations and their cells are
 hash-consed in the value table of :mod:`bicat.fin`, so they compare by
 identity, and :class:`RelBicat` memoises its structure operations
@@ -233,6 +235,31 @@ class RelBicat:
         for n in range(len(universe) + 1):
             for chosen in itertools.combinations(universe, n):
                 yield Rel(source, target, chosen)
+
+    def one_cell(self, rng, source: FinSet, target: FinSet, max_apex: int):
+        """A random relation, each pair in it with probability 1/2; the
+        bound is ignored, as in :meth:`one_cells`."""
+        return Rel(source, target, [(x, a) for x in source for a in target
+                                    if rng.random() < 0.5])
+
+    def thicken(self, rng, R: Rel, extra: int):
+        """A relation containing ``R`` with the inclusion 2-cell into it: each
+        pair of the carriers joins with probability 0.3; ``extra`` is ignored."""
+        bigger = Rel(R.source, R.target,
+                     R.pairset.union((x, a) for x in R.source for a in R.target
+                                     if rng.random() < 0.3))
+        return bigger, RelCell(R, bigger)
+
+    def thin(self, rng, R: Rel):
+        """A relation contained in ``R`` with the inclusion 2-cell out of it:
+        each pair, in label order, kept with probability 0.7."""
+        smaller = Rel(R.source, R.target,
+                      (p for p in R.pairs if rng.random() < 0.7))
+        return smaller, RelCell(smaller, R)
+
+    def scramble(self, rng, m: Rel) -> Rel:
+        """``m``: a relation has no apex to relabel, so nothing is drawn."""
+        return m
 
 
 def span_image(span) -> Rel:

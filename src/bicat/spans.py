@@ -39,6 +39,9 @@ Identity 2-cells are recognised once, when they are built, and the structure
 operations return them without building a cell: a composite with, or a
 whiskering or an inverse of, an identity, and the associator in the three
 cases :meth:`SpanBicat.assoc` lists.
+
+Random spans, thickenings, thinnings and apex relabellings are drawn here,
+from a given ``rng``, next to the exhaustive :meth:`SpanBicat.one_cells`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import itertools
 
 from .fin import (_VALUES, FinSet, SetFn, UNIT, _intern, all_functions,
-                  memoised, render_label)
+                  canonical_carrier, memoised, render_label, set_fn)
 from .homprod import LocalProductWitness
 from .kernel import Adjunction, require_map
 
@@ -144,7 +147,7 @@ def reverse(span: Span) -> Span:
 def relabel_apex(span: Span, names: SetFn) -> Span:
     """Transport a span along a bijective renaming of its apex.
 
-    Used by generators to produce maps that are not in canonical graph form.
+    :meth:`SpanBicat.scramble` produces maps out of graph form with it.
     """
     refused = "apex relabeling must be a bijection from the apex"
     if names.domain != span.apex:
@@ -461,4 +464,49 @@ class SpanBicat:
                 for right in all_functions(apex, target):
                     yield Span(source, target, apex, left, right)
 
+    # -- random draws, each from the ``rng`` it is given --------------------
 
+    def one_cell(self, rng, source: FinSet, target: FinSet, max_apex: int):
+        """A random span: a canonical apex of size uniform on [0, max_apex]
+        (empty when a carrier is), with uniform legs."""
+        apex = canonical_carrier("s", rng.randint(0, max_apex))
+        if len(apex) > 0 and (len(source) == 0 or len(target) == 0):
+            apex = FinSet(())
+        return Span(source, target, apex, set_fn(rng, apex, source),
+                    set_fn(rng, apex, target))
+
+    def thicken(self, rng, R: Span, extra: int):
+        """A span containing ``R`` with the inclusion 2-cell into it: the
+        first ``extra`` of ``e0, e1, ...`` not in R's apex join it, with
+        uniform legs, unless a carrier is empty."""
+        names = ("e%d" % i for i in range(len(R.apex) + extra))
+        fresh = [e for e in names if e not in R.apex][:extra]
+        if len(R.source) == 0 or len(R.target) == 0:
+            fresh = []
+        apex = FinSet(R.apex.elements + tuple(fresh))
+        xs, ys = R.source.elements, R.target.elements
+        lvals = R.left.values + tuple(rng.choice(xs) for _ in fresh)
+        rvals = R.right.values + tuple(rng.choice(ys) for _ in fresh)
+        bigger = Span(R.source, R.target, apex, SetFn(apex, R.source, lvals),
+                      SetFn(apex, R.target, rvals))
+        return bigger, self._cell(R, bigger, R.apex.elements)
+
+    def thin(self, rng, R: Span):
+        """A span contained in ``R`` with the inclusion 2-cell out of it:
+        each apex element kept with probability 0.7."""
+        keep = tuple(s for s in R.apex if rng.random() < 0.7)
+        apex = FinSet(keep)
+        smaller = Span(R.source, R.target, apex,
+                       SetFn(apex, R.source, R.left.values_at(keep)),
+                       SetFn(apex, R.target, R.right.values_at(keep)))
+        return smaller, self._cell(smaller, R, keep)
+
+    def scramble(self, rng, m: Span) -> Span:
+        """``m``, or with probability 1/2 ``m`` with its apex relabelled by a
+        uniform bijection onto ``q0, q1, ...``; an empty apex draws nothing."""
+        if len(m.apex) > 0 and rng.random() < 0.5:
+            names = canonical_carrier("q", len(m.apex))
+            values = list(names)
+            rng.shuffle(values)
+            m = relabel_apex(m, SetFn(m.apex, names, values))
+        return m

@@ -16,9 +16,9 @@ from bicat import coherence as C
 from bicat import kernel
 from bicat import mapprod as mp
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, all_functions
+from bicat.fin import UNIT, all_functions, canonical_carrier
 from bicat.fmt import parse_document
-from bicat.gen import SUITES, GenConfig, canonical_carrier, map_cell, one_cell
+from bicat.gen import SUITES, GenConfig, map_cell
 from bicat.harness import (SUITE_CHECKS, _chk_modification_pair,
                            _chk_product_cone, _chk_routes, exhaustive_check,
                            property_check, run_check, run_config)
@@ -125,8 +125,8 @@ def test_criterion_2_local_products_and_terminals(capsys):
 
         def sampled_wedge(B, rng, carriers):
             X, A = _larger("xa", carriers, 2)
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, X, A, 3)
             w = B.local_product(R, S)
             bad = is_product_diagram(B, w.product, w.proj1, w.proj2, R, S,
                                      list(B.one_cells(X, A, 2)))
@@ -206,10 +206,10 @@ def test_criterion_5_tensor_constraints_invertible(capsys):
 
         def comp_constraint(B, rng, carriers):
             X, Y, A, Cc, L, M = carriers
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, Cc, 2)
-            T = one_cell(B, rng, A, L, 2)
-            U = one_cell(B, rng, Cc, M, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, Y, Cc, 2)
+            T = B.one_cell(rng, A, L, 2)
+            U = B.one_cell(rng, Cc, M, 2)
             ok = _two_sided(B, ct.tensor_comp_cell(B, R, S, T, U))
             return None if ok else {"R": R, "S": S, "T": T, "U": U}
 
@@ -255,7 +255,7 @@ def test_criterion_6_projection_and_unit_isos(capsys):
 
         def projections(B, rng, carriers):
             X, Y, A = carriers
-            R = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
             cells = (*ct.projection_fillers(B, R, Y), ct.prebeck_cell(B, R, Y))
             ok = all(_two_sided(B, c) for c in cells)
             return None if ok else {"R": R, "Y": Y}
@@ -264,8 +264,8 @@ def test_criterion_6_projection_and_unit_isos(capsys):
             X, Y, A, Cc, L, M = carriers
             f = map_cell(B, rng, X, A, scramble=False)
             g = map_cell(B, rng, Y, Cc, scramble=False)
-            R = one_cell(B, rng, A, L, 2)
-            S = one_cell(B, rng, Cc, M, 2)
+            R = B.one_cell(rng, A, L, 2)
+            S = B.one_cell(rng, Cc, M, 2)
             u = map_cell(B, rng, X, L, scramble=False)
             v = map_cell(B, rng, Y, M, scramble=False)
             if None in (f, g, u, v):

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn
-from bicat.gen import canonical_carrier, carrier, map_cell, one_cell, thin
+from bicat.fin import FinSet, SetFn, canonical_carrier
+from bicat.gen import carrier, map_cell
 from bicat.kernel import (Adjunction, AdjunctionMismatch, check_adjunction,
                           compose_adjunctions, mate_to_primary,
                           mate_to_secondary, right_mate_of_map_cell)
@@ -114,10 +114,10 @@ def test_mates_are_mutually_inverse():
             u = map_cell(B, rng, A, C)
             if f is None or u is None:
                 continue
-            S = one_cell(B, rng, Y, C, 3)
+            S = B.one_cell(rng, Y, C, 3)
             adj = B.map_adjunction(u)
             E = B.comp(f, B.comp(S, adj.right))
-            R, beta = thin(B, rng, E)
+            R, beta = B.thin(rng, E)
 
             alpha = mate_to_primary(B, beta, R, S, f, adj)
             assert alpha.dom == B.comp(R, u)

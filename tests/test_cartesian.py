@@ -7,7 +7,7 @@ import pytest
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
 from bicat.fin import UNIT, FinSet
-from bicat.gen import carrier, map_cell, one_cell, thicken
+from bicat.gen import carrier, map_cell
 from bicat.groth import g_tensor
 from bicat.harness import _Corrupt, _misplaced_tau, _tau_is_the_only_cell
 from bicat.mapprod import FillError, fill2, product_object
@@ -23,10 +23,10 @@ def test_unit_and_composition_constraints_invertible():
             A, C = carrier(rng, "a", 3), carrier(rng, "c", 3)
             L, M = carrier(rng, "l", 3), carrier(rng, "m", 3)
             assert B.is_invertible(ct.tensor_unit_cell(B, X, Y))
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, Y, C, 3)
-            T = one_cell(B, rng, A, L, 3)
-            U = one_cell(B, rng, C, M, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, Y, C, 3)
+            T = B.one_cell(rng, A, L, 3)
+            U = B.one_cell(rng, C, M, 3)
             cc = ct.tensor_comp_cell(B, R, S, T, U)
             assert B.is_invertible(cc)
             # Source and target really are the two ways around the square.
@@ -56,12 +56,12 @@ def test_lax_associativity_and_units():
             X, Y = carrier(rng, "x", 2), carrier(rng, "y", 2)
             A, C = carrier(rng, "a", 2), carrier(rng, "c", 2)
             L, M = carrier(rng, "l", 2), carrier(rng, "m", 2)
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, C, 2)
-            T = one_cell(B, rng, A, L, 2)
-            U = one_cell(B, rng, C, M, 2)
-            V = one_cell(B, rng, L, X, 2)
-            W = one_cell(B, rng, M, Y, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, Y, C, 2)
+            T = B.one_cell(rng, A, L, 2)
+            U = B.one_cell(rng, C, M, 2)
+            V = B.one_cell(rng, L, X, 2)
+            W = B.one_cell(rng, M, Y, 2)
             lhs, rhs = ct.lax_assoc_sides(B, R, S, T, U, V, W)
             assert lhs == rhs
             (left, left_expect), (right, right_expect) = ct.lax_unit_sides(B, R, S)
@@ -76,10 +76,10 @@ def test_tensor_respects_vertical_structure():
             X, Y = carrier(rng, "x", 2), carrier(rng, "y", 2)
             A, C = carrier(rng, "a", 2), carrier(rng, "c", 2)
             L, M = carrier(rng, "l", 2), carrier(rng, "m", 2)
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, C, 2)
-            T = one_cell(B, rng, A, L, 2)
-            U = one_cell(B, rng, C, M, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, Y, C, 2)
+            T = B.one_cell(rng, A, L, 2)
+            U = B.one_cell(rng, C, M, 2)
             endo = lambda P: list(B.hom_cells(P, P))
             choices = [endo(P) for P in (R, S, T, U)]
             if not all(choices):
@@ -110,10 +110,10 @@ def test_cartesian_recognition_report():
     for B in INSTANCES:
         X, Y = FinSet(("x0", "x1")), FinSet(("y0",))
         A, C = FinSet(("a0",)), FinSet(("c0", "c1"))
-        R = one_cell(B, rng, X, A, 2)
-        S = one_cell(B, rng, Y, C, 2)
-        T = one_cell(B, rng, A, X, 2)
-        U = one_cell(B, rng, C, Y, 2)
+        R = B.one_cell(rng, X, A, 2)
+        S = B.one_cell(rng, Y, C, 2)
+        T = B.one_cell(rng, A, X, 2)
+        U = B.one_cell(rng, C, Y, 2)
         assert ct.is_cartesian(B, (X, Y), (R, S, T, U)) is None
         assert ct.is_cartesian(B, (A, C), (R, S, T, U)) is None
 
@@ -130,7 +130,7 @@ def test_corrupt_terminal_control_catches_only_the_corruption():
                                                             R.target))
         X, A = carrier(rng, "x", 3), carrier(rng, "a", 3)
         for _ in range(5):
-            R = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
             assert _tau_is_the_only_cell(B, R, B.local_terminal(X, A))
 
 
@@ -150,8 +150,8 @@ def test_unit_factor_pairing_is_an_equivalence():
         for _ in range(6):
             X = carrier(rng, "x", 3)
             A = carrier(rng, "a", 3)
-            R = one_cell(B, rng, X, UNIT, 3)
-            S = one_cell(B, rng, UNIT, A, 3)
+            R = B.one_cell(rng, X, UNIT, 3)
+            S = B.one_cell(rng, UNIT, A, 3)
             arrow, verdict = ct.strange_pair(B, R, S)
             assert verdict is None
             assert arrow.dom.source == X and arrow.dom.target == A
@@ -168,9 +168,9 @@ def test_fill_cross_check_against_enumeration():
         p, r = cone.legs
         recovered = refused = 0
         for trial in range(60):
-            T = one_cell(B, rng, A, cone.vertex, 2)
-            U = (thicken(B, rng, T, 2)[0] if trial % 2
-                 else one_cell(B, rng, A, cone.vertex, 3))
+            T = B.one_cell(rng, A, cone.vertex, 2)
+            U = (B.thicken(rng, T, 2)[0] if trial % 2
+                 else B.one_cell(rng, A, cone.vertex, 3))
             restricted = set()
             for gamma in B.hom_cells(T, U):
                 alpha = B.whisker_right(gamma, p)

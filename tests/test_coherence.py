@@ -8,8 +8,7 @@ import pytest
 from bicat import coherence as C
 from bicat import groth, kernel
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, SetFn
-from bicat.gen import canonical_carrier, one_cell
+from bicat.fin import UNIT, FinSet, SetFn, canonical_carrier
 from bicat.mapprod import (maps_isomorphic, pairing, product_object,
                            times_on_arrows)
 
@@ -216,7 +215,7 @@ def test_a_doubled_enumeration_makes_the_route_fillers_non_unique():
             cells = C.route_cells(proxy, C.maps(proxy), C.ROUTES[name],
                                   values)[2]
             assert len(cells) == 2 and cells[0] == cells[1]
-        R, S, T, W = (one_cell(B, rng, P, P, 2) for P in (X, Y, Z, U))
+        R, S, T, W = (B.one_cell(rng, P, P, 2) for P in (X, Y, Z, U))
         verdict = C.modification_pair_check(proxy, R, S, T, W)
         assert verdict["kind"] == "non-unique"
 
@@ -226,9 +225,9 @@ def test_square_level_constraints_are_equivalences():
     for B in INSTANCES:
         X, Y, Z = map(canonical_carrier, "abc", (2, 3, 2))
         A, A2, A3 = map(canonical_carrier, "abc", (2, 2, 1))
-        R = one_cell(B, rng, X, A, 2)
-        S = one_cell(B, rng, Y, A2, 2)
-        T = one_cell(B, rng, Z, A3, 2)
+        R = B.one_cell(rng, X, A, 2)
+        S = B.one_cell(rng, Y, A2, 2)
+        T = B.one_cell(rng, Z, A3, 2)
         assert C.g_constraints_invertible(B, R, S, T) is None
 
 
@@ -246,7 +245,7 @@ def _square_triples(B, rng):
     ends = tuple(zip(map(canonical_carrier, "xyz", (2, 3, 1)),
                      map(canonical_carrier, "abc", (2, 2, 1))))
     for _ in range(3):
-        cells = [one_cell(B, rng, X, A, 2) for X, A in ends]
+        cells = [B.one_cell(rng, X, A, 2) for X, A in ends]
         yield [groth.g_identity(B, R) for R in cells]
         yield [groth.g_bang(B, R) for R in cells]
         yield [groth.g_map_arrow(B, B.graph(_rand_fn(rng, X, A)))
@@ -284,7 +283,7 @@ def test_square_constructions_match_their_written_out_pairings():
         L = C.squares(B)
         ends = zip(map(canonical_carrier, "abcd", (2, 1, 2, 1)),
                    map(canonical_carrier, "abcd", (1, 2, 1, 1)))
-        R, S, T, U = (one_cell(B, rng, X, A, 2) for X, A in ends)
+        R, S, T, U = (B.one_cell(rng, X, A, 2) for X, A in ends)
         tensor = functools.partial(groth.g_tensor, B)
         compose = functools.partial(groth.g_compose, B)
 
@@ -328,10 +327,10 @@ def test_square_rebracket_modification():
     for B in INSTANCES:
         X, Y, Z, W = map(canonical_carrier, "abcd", (2, 1, 2, 1))
         A1, A2, A3, A4 = map(canonical_carrier, "abcd", (1, 2, 1, 1))
-        R = one_cell(B, rng, X, A1, 2)
-        S = one_cell(B, rng, Y, A2, 2)
-        T = one_cell(B, rng, Z, A3, 2)
-        U = one_cell(B, rng, W, A4, 2)
+        R = B.one_cell(rng, X, A1, 2)
+        S = B.one_cell(rng, Y, A2, 2)
+        T = B.one_cell(rng, Z, A3, 2)
+        U = B.one_cell(rng, W, A4, 2)
         assert C.modification_pair_check(B, R, S, T, U) is None
 
 

@@ -14,7 +14,6 @@ from bicat.fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label,
                        render_label)
 from bicat.fmt import (CellRec, Check, FmtError, _Labels, describe,
                        parse_document, print_document)
-from bicat.gen import one_cell
 from bicat.rels import Rel
 from bicat.spans import Span
 
@@ -89,8 +88,8 @@ def test_describe_round_trips_random_cells():
         for trial in range(15):
             X = FinSet("x%d" % i for i in range(rng.randint(0, 3)))
             A = FinSet("a%d" % i for i in range(rng.randint(0, 3)))
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, X, A, 3)
             doc = describe({"R": R, "S": S})
             parsed = parse_document(print_document(doc))
             assert parsed.lookup("R") == R

@@ -11,9 +11,11 @@ import sys
 import pytest
 
 from bicat import kernel, rel_instance, span_instance
-from bicat.fin import FinSet
+from bicat.fin import FinSet, SetFn, canonical_carrier
 from bicat.gen import (SUITES, GenConfig, InvalidConfig, carrier, derive_seed,
-                       map_cell, one_cell, rng_for, thicken, thin)
+                       map_cell, rng_for)
+from bicat.rels import Rel, RelCell
+from bicat.spans import Span
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -72,7 +74,7 @@ def test_one_cell_boundaries():
         for _ in range(20):
             X = carrier(rng, "x", 3)
             A = carrier(rng, "a", 3)
-            R = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
             assert R.source == X and R.target == A
 
 
@@ -95,19 +97,20 @@ def test_map_cell_is_a_map_or_none():
 
 
 def test_scrambled_maps_still_normalize():
-    rng = random.Random(4)
-    B = span_instance()
-    scrambled = 0
-    for _ in range(60):
-        X = carrier(rng, "x", 3)
-        A = carrier(rng, "a", 3)
-        m = map_cell(B, rng, X, A)
-        if m is None:
-            continue
-        if m != B.graph(m.fn()):
-            scrambled += 1
-        assert kernel.check_adjunction(B, B.map_adjunction(m)) is None
-    assert scrambled > 5
+    # Spans relabel about half of the map apexes; a relation has no apex.
+    for B in INSTANCES:
+        rng = random.Random(4)
+        scrambled = 0
+        for _ in range(60):
+            X = carrier(rng, "x", 3)
+            A = carrier(rng, "a", 3)
+            m = map_cell(B, rng, X, A)
+            if m is None:
+                continue
+            if m != B.graph(m.fn()):
+                scrambled += 1
+            assert kernel.check_adjunction(B, B.map_adjunction(m)) is None
+        assert scrambled > 5 if B.name == "span" else scrambled == 0
 
 
 def test_thicken_and_thin_produce_inclusions():
@@ -116,25 +119,59 @@ def test_thicken_and_thin_produce_inclusions():
         for _ in range(25):
             X = carrier(rng, "x", 3)
             A = carrier(rng, "a", 3)
-            R = one_cell(B, rng, X, A, 3)
-            bigger, inc = thicken(B, rng, R, 2)
+            R = B.one_cell(rng, X, A, 3)
+            bigger, inc = B.thicken(rng, R, 2)
             assert inc.dom == R and inc.cod == bigger
-            smaller, out = thin(B, rng, R)
+            smaller, out = B.thin(rng, R)
             assert out.dom == smaller and out.cod == R
 
 
 def test_thicken_avoids_apex_collisions():
-    B = span_instance()
-    rng = random.Random(6)
+    # Fresh span apex elements skip the names R's apex has; a relation has
+    # no apex, and its thickening ignores ``extra``.
     X = FinSet(("x0",))
-    from bicat.spans import Span
-    from bicat.fin import SetFn
     apex = FinSet(("e0", "e2"))
     R = Span(X, X, apex, SetFn.constant(apex, X, "x0"),
              SetFn.constant(apex, X, "x0"))
-    bigger, _ = thicken(B, rng, R, 2)
+    bigger, _ = span_instance().thicken(random.Random(6), R, 2)
     assert len(bigger.apex) == 4
     assert len(set(bigger.apex)) == 4
+    full = Rel(X, X, (("x0", "x0"),))
+    assert rel_instance().thicken(random.Random(6), full, 2) == (
+        full, RelCell(full, full))
+
+
+def test_no_draw_is_memoised():
+    # A draw keyed on its ``rng`` would hand back its first value and skip
+    # its draws, so a second call would not see where the first left off.
+    X, A = canonical_carrier("x", 3), canonical_carrier("a", 3)
+    for B in INSTANCES:
+        R = B.local_terminal(X, A)
+        m = B.graph(SetFn(X, A, ("a0", "a2", "a0")))
+        draws = (lambda rng: B.one_cell(rng, X, A, 3),
+                 lambda rng: B.thicken(rng, R, 2),
+                 lambda rng: B.thin(rng, R),
+                 lambda rng: B.scramble(rng, m),
+                 lambda rng: map_cell(B, rng, X, A))
+        for draw in draws:
+            rng = random.Random(8)
+            draw(rng)
+            after_first = rng.getstate()
+            second = draw(rng)
+            fresh = random.Random()
+            fresh.setstate(after_first)
+            assert second == draw(fresh)
+            assert rng.getstate() == fresh.getstate()
+
+
+def test_rel_scramble_leaves_the_stream_where_it_was():
+    B = rel_instance()
+    X = canonical_carrier("x", 2)
+    m = B.graph(SetFn(X, X, ("x1", "x0")))
+    rng = random.Random(9)
+    state = rng.getstate()
+    assert B.scramble(rng, m) is m
+    assert rng.getstate() == state
 
 
 def test_config_validation():

@@ -6,7 +6,7 @@ import pytest
 
 from bicat import groth, kernel, rel_instance, span_instance
 from bicat.fin import UNIT, FinSet, SetFn, clear_table
-from bicat.gen import carrier, map_cell, one_cell, thicken
+from bicat.gen import carrier, map_cell
 from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
                          g_cell_invertible, g_compose, g_diag, g_identity,
                          g_is_equivalence, g_map_arrow, g_pair, g_tensor,
@@ -28,7 +28,7 @@ def _mate_of_primary(B, a):
 
 def _inclusion_square(B, rng, R):
     """A square R => R1 with identity frames given by thickening R."""
-    R1, inc = thicken(B, rng, R, 1)
+    R1, inc = B.thicken(rng, R, 1)
     return garr_from_primary(B, R, R1,
                              B.identity(R.source), B.identity(R.target), inc)
 
@@ -100,8 +100,8 @@ def test_primary_and_secondary_views_agree():
             u = map_cell(B, rng, A, C)
             if f is None or u is None:
                 continue
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, Y, C, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, Y, C, 3)
             cells = list(B.hom_cells(B.comp(R, u), B.comp(f, S)))
             if not cells:
                 continue
@@ -121,8 +121,8 @@ def _square_and_secondary(B, rng):
         u = map_cell(B, rng, A, C)
         if f is None or u is None:
             continue
-        R = one_cell(B, rng, X, A, 3)
-        S = one_cell(B, rng, Y, C, 3)
+        R = B.one_cell(rng, X, A, 3)
+        S = B.one_cell(rng, Y, C, 3)
         cells = list(B.hom_cells(B.comp(R, u), B.comp(f, S)))
         if cells:
             a = garr_from_primary(B, R, S, f, u, cells[-1])
@@ -220,8 +220,8 @@ def test_compose_and_paste_boundaries():
             X = carrier(rng, "x", 3)
             A = carrier(rng, "a", 3)
             C = carrier(rng, "c", 3)
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, A, C, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, A, C, 3)
             a1 = _inclusion_square(B, rng, R)
             a2 = _inclusion_square(B, rng, a1.cod)
             h = g_compose(B, a1, a2)
@@ -245,7 +245,7 @@ def test_square_two_cells_validate_and_compose():
         while done < 10:
             X = carrier(rng, "x", 2)
             A = carrier(rng, "a", 2)
-            R = one_cell(B, rng, X, A, 2)
+            R = B.one_cell(rng, X, A, 2)
             a = _inclusion_square(B, rng, R)
             ident = g_cell(B, a, a, B.id2(a.f), B.id2(a.u))
             assert g_cell_invertible(B, ident)
@@ -279,8 +279,8 @@ def test_tensor_projection_squares():
         while done < 8:
             X, Y = carrier(rng, "x", 2), carrier(rng, "y", 2)
             A, C = carrier(rng, "a", 2), carrier(rng, "c", 2)
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, C, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, Y, C, 2)
             tens = g_tensor(B, R, S)
             assert tens.obj.source == X.product(Y)
             assert tens.obj.target == A.product(C)
@@ -297,8 +297,8 @@ def test_pairing_the_projections_gives_the_identity_square():
         while done < 8:
             X, Y = carrier(rng, "x", 2), carrier(rng, "y", 2)
             A, C = carrier(rng, "a", 2), carrier(rng, "c", 2)
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, Y, C, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, Y, C, 2)
             tens = g_tensor(B, R, S)
             arrow, c1, c2 = g_pair(B, tens, tens.proj1, tens.proj2)
             assert arrow == g_identity(B, tens.obj)
@@ -351,8 +351,8 @@ def test_diagonal_square_and_unit_comparison(monkeypatch):
             clear_table()
             X = carrier(rng, "x", 2)
             A = carrier(rng, "a", 2)
-            R = one_cell(B, rng, X, A, 2)
-            S = one_cell(B, rng, X, A, 2)
+            R = B.one_cell(rng, X, A, 2)
+            S = B.one_cell(rng, X, A, 2)
             built.clear()
             d = g_diag(B, R)
             tens = g_tensor(B, R, R)

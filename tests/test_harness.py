@@ -109,7 +109,7 @@ def test_memo_scope_does_not_change_reports(monkeypatch):
     shared = [render_machine(strip_wall(run_config(c))) for c in cfgs]
     monkeypatch.setattr(harness, "rng_for", fresh(gen.rng_for))
     monkeypatch.setattr(harness, "canonical_carrier",
-                        fresh(gen.canonical_carrier))
+                        fresh(fin.canonical_carrier))
     assert [render_machine(strip_wall(run_config(c))) for c in cfgs] == shared
 
 
@@ -336,6 +336,88 @@ def test_a_projection_that_raises_is_an_error_row(monkeypatch):
                            spec)
         assert (result.status, result.trials) == ("error", 0), name
         assert "ValueError: corruption raised" in result.counterexample
+
+
+def _from_empty(B, T):
+    """The one cell into ``T`` from the empty 1-cell parallel to it."""
+    E = fin.FinSet(())
+    empty = B.comp(B.local_terminal(T.source, E), B.local_terminal(E, T.target))
+    return next(B.hom_cells(empty, T))
+
+
+def _comparison_from_empty(transported_wedge):
+    # The transported wedge's comparison starts from the empty 1-cell.
+    def mutated(B, *args):
+        W0, e = transported_wedge(B, *args)
+        return W0, B.vcomp(_from_empty(B, e.dom), e)
+    return mutated
+
+
+def _empty_off_diagonal(g_tensor):
+    # The tensor of two different 1-cells is the empty 1-cell.
+    def mutated(B, R, S):
+        tens = g_tensor(B, R, S)
+        if R is S:
+            return tens
+        p1, p2 = (_from_empty(B, p.cod)
+                  for p in (tens.wedge.proj1, tens.wedge.proj2))
+        return groth.TensorWitness(B, p1.dom, (R, S),
+                                   LocalProductWitness(p1.dom, p1, p2, None),
+                                   tens.src_cone, tens.tgt_cone)
+    return mutated
+
+
+def _second_reversed(pair_map):
+    # ``<f, g>`` pairs f with g's values in reverse order.
+    def mutated(B, f, g):
+        back = fin.SetFn(g.source, g.target, g.fn().values[::-1])
+        return pair_map(B, f, B.graph(back))
+    return mutated
+
+
+def _mirror_diagonal(diag):
+    # ``d_X`` pairs each element with its mirror image.
+    def mutated(B, X):
+        return B.graph(fin.SetFn(X, diag(B, X).target,
+                                 zip(X, reversed(X.elements))))
+    return mutated
+
+
+#: ``(suite, row, function, mutant)``: under ``mutant(function)`` the row's
+#: comparison is not invertible, or its law's two composites are not
+#: isomorphic, while every cell stays well formed.
+LAW_MUTANTS = [
+    ("cartesian", "composition-comparisons", groth.transported_wedge,
+     _comparison_from_empty),
+    ("groth", "diagonal-unit-comparison", groth.g_tensor, _empty_off_diagonal),
+    ("mapprod", "pairing-projection-identities", mapprod.pair_map,
+     _second_reversed),
+    ("mapprod", "diag-bang-pseudonatural", mapprod.pair_map, _second_reversed),
+    ("mapprod", "diag-bang-pseudonatural", mapprod.diag, _mirror_diagonal),
+]
+
+
+@pytest.mark.parametrize("suite,row,function,mutant", LAW_MUTANTS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_a_row_decides_its_law_and_fails_under_a_mutant(
+        monkeypatch, suite, row, function, mutant):
+    # The row, not an exception inside the construction, says that the law
+    # fails: ``fail`` with a payload that parses, not ``error``.
+    spec = next(c for c in SUITE_CHECKS[suite] if c.check_id == row)
+    for name in ("span", "rel"):
+        B = instance_for(name)
+        cfg = GenConfig(seed=0, max_carrier=3, trials=50, instance=name,
+                        suites=(suite,))
+        assert run_check(B, cfg, spec).status == "pass"
+        with monkeypatch.context() as m:
+            # Every module that binds the function by name sees the mutant.
+            for module in (cartesian, coherence, groth, harness, mapprod):
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        m.setattr(module, attr, mutant(function))
+            result = run_check(B, cfg, spec)
+        assert result.status == "fail", (name, result.counterexample)
+        assert parse_document(result.counterexample).entities, name
 
 
 def test_counterexamples_shrink_to_local_minimum():

@@ -4,7 +4,7 @@ import random
 
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
-from bicat.gen import carrier, map_cell, one_cell, thicken, thin
+from bicat.gen import carrier, map_cell
 from bicat.homprod import is_product_diagram, transport_cell, transport_hom
 
 INSTANCES = (span_instance(), rel_instance())
@@ -18,8 +18,8 @@ def test_wedge_universal_property_enumerated():
         for _ in range(12):
             X = carrier(rng, "x", 2)
             A = carrier(rng, "a", 2)
-            R = one_cell(B, rng, X, A, 3)
-            S = one_cell(B, rng, X, A, 3)
+            R = B.one_cell(rng, X, A, 3)
+            S = B.one_cell(rng, X, A, 3)
             w = B.local_product(R, S)
             tests = list(B.one_cells(X, A, 2))
             assert is_product_diagram(B, w.product, w.proj1, w.proj2,
@@ -32,10 +32,10 @@ def test_wedge_pairing_recovers_inclusions():
         for _ in range(25):
             X = carrier(rng, "x", 3)
             A = carrier(rng, "a", 3)
-            R = one_cell(B, rng, X, A, 4)
-            S = one_cell(B, rng, X, A, 4)
+            R = B.one_cell(rng, X, A, 4)
+            S = B.one_cell(rng, X, A, 4)
             w = B.local_product(R, S)
-            T, inc = thin(B, rng, w.product)
+            T, inc = B.thin(rng, w.product)
             med = w.pair(B.vcomp(inc, w.proj1), B.vcomp(inc, w.proj2))
             assert med == inc
 
@@ -75,7 +75,7 @@ def test_module_level_helpers_agree_with_instance_methods():
     for B in INSTANCES:
         X = carrier(rng, "x", 3)
         A = carrier(rng, "a", 3)
-        R = one_cell(B, rng, X, A, 3)
+        R = B.one_cell(rng, X, A, 3)
         w = B.local_product(R, R)
         d = w.pair(B.id2(R), B.id2(R))
         assert d.dom == R and d.cod == w.product
@@ -93,9 +93,9 @@ def test_transport_is_a_functor():
             if f is None or u is None:
                 continue
             u_star = B.map_adjunction(u).right
-            S = one_cell(B, rng, Y, C, 3)
-            S1, al = thicken(B, rng, S, 1)
-            _, be = thicken(B, rng, S1, 1)
+            S = B.one_cell(rng, Y, C, 3)
+            S1, al = B.thicken(rng, S, 1)
+            _, be = B.thicken(rng, S1, 1)
             assert (transport_cell(B, f, B.id2(S), u_star)
                     == B.id2(transport_hom(B, f, S, u_star)))
             assert (transport_cell(B, f, B.vcomp(al, be), u_star)

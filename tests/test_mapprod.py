@@ -8,12 +8,13 @@ import pytest
 
 from bicat import rel_instance, span_instance
 from bicat.coherence import bracket_cone, maps
-from bicat.fin import UNIT, FinSet, SetFn, all_functions, clear_table
-from bicat.gen import canonical_carrier, carrier, map_cell
+from bicat.fin import (UNIT, FinSet, SetFn, all_functions, canonical_carrier,
+                       clear_table)
+from bicat.gen import carrier, map_cell
 from bicat.harness import _Corrupt
 from bicat.kernel import NotAMap
-from bicat.mapprod import (FillError, ProductCone, bang, bang_nat,
-                           check_product_cone, diag, diag_nat, fill2, map_iso,
+from bicat.mapprod import (FillError, ProductCone, bang, bang_sides,
+                           check_product_cone, diag, diag_sides, fill2, map_iso,
                            maps_isomorphic, pairing, product_object,
                            times_on_arrows)
 from bicat.rels import Rel
@@ -136,7 +137,7 @@ def test_non_maps_are_refused():
     with pytest.raises(NotAMap):
         pairing(B, partial, partial)
     with pytest.raises(NotAMap):
-        bang_nat(B, partial)
+        bang_sides(B, partial)
 
 
 def test_map_iso_identity_and_failure():
@@ -160,7 +161,8 @@ def test_bang_and_diag_squares():
             f = map_cell(B, rng, X, A)
             if f is None:
                 continue
-            nb, nd = bang_nat(B, f), diag_nat(B, f)
+            nb, nd = (map_iso(B, *sides(B, f))
+                      for sides in (bang_sides, diag_sides))
             assert nb.dom == B.comp(f, bang(B, A))
             assert nb.cod == bang(B, X)
             assert nd.dom == B.comp(f, diag(B, A))

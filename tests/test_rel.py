@@ -5,8 +5,8 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn, clear_table
-from bicat.gen import canonical_carrier, carrier, one_cell, set_fn
+from bicat.fin import FinSet, SetFn, canonical_carrier, clear_table, set_fn
+from bicat.gen import carrier
 from bicat.rels import Rel, RelCell, converse, identity_rel, rel_graph, span_image
 from bicat.spans import graph, reverse
 import memo_laws as laws
@@ -25,8 +25,8 @@ def test_composition_oracle():
         X = carrier(rng, "x", 4)
         A = carrier(rng, "a", 4)
         L = carrier(rng, "l", 4)
-        f = one_cell(R, rng, X, A, 0)
-        g = one_cell(R, rng, A, L, 0)
+        f = R.one_cell(rng, X, A, 0)
+        g = R.one_cell(rng, A, L, 0)
         assert set(R.comp(f, g).pairs) == naive_compose(f, g)
 
 
@@ -49,11 +49,11 @@ def test_converse_is_an_involution():
     for _ in range(30):
         X = carrier(rng, "x", 4)
         A = carrier(rng, "a", 4)
-        r = one_cell(R, rng, X, A, 0)
+        r = R.one_cell(rng, X, A, 0)
         assert converse(converse(r)) == r
         # Contravariant on composition.
         L = carrier(rng, "l", 4)
-        s = one_cell(R, rng, A, L, 0)
+        s = R.one_cell(rng, A, L, 0)
         assert converse(R.comp(r, s)) == R.comp(converse(s), converse(r))
 
 
@@ -96,8 +96,8 @@ def test_span_image_is_a_quotient_functor():
     for trial in range(90):
         shape = trial % 3
         X, A, L = (canonical_carrier(p, rng.randint(1, 3)) for p in "xal")
-        u = one_cell(S, rng, X, A, 4)
-        v = one_cell(S, rng, A, L, 4)
+        u = S.one_cell(rng, X, A, 4)
+        v = S.one_cell(rng, A, L, 4)
         if shape == 1:
             v = graph(set_fn(rng, A, L))
         elif shape == 2:

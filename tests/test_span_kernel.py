@@ -14,8 +14,9 @@ import random
 import pytest
 
 from bicat import span_instance
-from bicat.fin import FinSet, SetFn, UNIT, all_functions, clear_table
-from bicat.gen import carrier, map_cell, one_cell, set_fn, span, thicken
+from bicat.fin import (FinSet, SetFn, UNIT, all_functions, clear_table,
+                       set_fn)
+from bicat.gen import carrier, map_cell
 from bicat.spans import (Span, SpanCell, graph, identity_span, relabel_apex,
                          reverse)
 from bicat import kernel, spans
@@ -50,8 +51,8 @@ def test_composition_matches_path_counting():
         X = carrier(rng, "x", 3)
         A = carrier(rng, "a", 3)
         L = carrier(rng, "l", 3)
-        R = one_cell(B, rng, X, A, 4)
-        T = one_cell(B, rng, A, L, 4)
+        R = B.one_cell(rng, X, A, 4)
+        T = B.one_cell(rng, A, L, 4)
         assert span_counts(B.comp(R, T)) == path_counts(R, T)
 
 
@@ -60,7 +61,7 @@ def test_identity_composition_is_strict():
     for _ in range(30):
         X = carrier(rng, "x", 4)
         A = carrier(rng, "a", 4)
-        R = one_cell(B, rng, X, A, 4)
+        R = B.one_cell(rng, X, A, 4)
         assert B.comp(B.identity(X), R) == R
         assert B.comp(R, B.identity(A)) == R
 
@@ -122,7 +123,7 @@ def test_composite_matches_nested_loop_pullback():
             "graph second": 0, "cograph first": 0}
     for trial in range(240):
         X, A, L = (carrier(rng, p, 4) for p in "xal")
-        R, T = span(rng, X, A, 6), span(rng, A, L, 6)
+        R, T = B.one_cell(rng, X, A, 6), B.one_cell(rng, A, L, 6)
         if trial % 4 == 1 and len(A):
             R = graph(set_fn(rng, X, A))
         elif trial % 4 == 2 and len(L):
@@ -157,7 +158,7 @@ def test_hom_cells_and_wedge_match_nested_loop_references():
             "several cells": 0}
     for _ in range(240):
         X, A = carrier(rng, "x", 2), carrier(rng, "a", 2)
-        R, S = span(rng, X, A, 3), span(rng, X, A, 5)
+        R, S = B.one_cell(rng, X, A, 3), B.one_cell(rng, X, A, 5)
         fibres = reference_fibres(R, S)
         seen["empty R apex"] += not fibres
         seen["empty fibre"] += any(not f for f in fibres)
@@ -202,9 +203,9 @@ def test_vcomp_and_whiskering_boundaries():
     X = carrier(rng, "x", 3)
     A = carrier(rng, "a", 3)
     L = carrier(rng, "l", 3)
-    R = one_cell(B, rng, X, A, 3)
-    R1, a = thicken(B, rng, R, 2)
-    T = one_cell(B, rng, A, L, 3)
+    R = B.one_cell(rng, X, A, 3)
+    R1, a = B.thicken(rng, R, 2)
+    T = B.one_cell(rng, A, L, 3)
 
     assert a.dom == R and a.cod == R1
     assert B.vcomp(B.id2(R), a) == a
@@ -213,7 +214,7 @@ def test_vcomp_and_whiskering_boundaries():
     wr = B.whisker_right(a, T)
     assert wr.dom == B.comp(R, T) and wr.cod == B.comp(R1, T)
 
-    U = one_cell(B, rng, L, X, 3)
+    U = B.one_cell(rng, L, X, 3)
     wl = B.whisker_left(U, a)
     assert wl.dom == B.comp(U, R) and wl.cod == B.comp(U, R1)
 
@@ -224,12 +225,12 @@ def test_interchange_seeded():
         X = carrier(rng, "x", 3)
         A = carrier(rng, "a", 3)
         L = carrier(rng, "l", 3)
-        R = one_cell(B, rng, X, A, 3)
-        R1, a1 = thicken(B, rng, R, rng.randint(0, 2))
-        _, a2 = thicken(B, rng, R1, rng.randint(0, 2))
-        T = one_cell(B, rng, A, L, 3)
-        T1, b1 = thicken(B, rng, T, rng.randint(0, 2))
-        _, b2 = thicken(B, rng, T1, rng.randint(0, 2))
+        R = B.one_cell(rng, X, A, 3)
+        R1, a1 = B.thicken(rng, R, rng.randint(0, 2))
+        _, a2 = B.thicken(rng, R1, rng.randint(0, 2))
+        T = B.one_cell(rng, A, L, 3)
+        T1, b1 = B.thicken(rng, T, rng.randint(0, 2))
+        _, b2 = B.thicken(rng, T1, rng.randint(0, 2))
         assert kernel.interchange_holds(B, a1, a2, b1, b2)
 
 
@@ -237,9 +238,9 @@ def test_associator_is_two_sided_inverse_and_natural():
     rng = random.Random(31)
     for _ in range(25):
         X, A, L, M = (carrier(rng, p, 3) for p in "xalm")
-        R = one_cell(B, rng, X, A, 3)
-        T = one_cell(B, rng, A, L, 3)
-        U = one_cell(B, rng, L, M, 3)
+        R = B.one_cell(rng, X, A, 3)
+        T = B.one_cell(rng, A, L, 3)
+        U = B.one_cell(rng, L, M, 3)
         fwd = B.assoc(R, T, U)
         bwd = B.assoc_inv(R, T, U)
         assert fwd.dom == B.comp(B.comp(R, T), U)
@@ -248,7 +249,7 @@ def test_associator_is_two_sided_inverse_and_natural():
         assert B.vcomp(bwd, fwd) == B.id2(fwd.cod)
 
         # Naturality in the first argument.
-        R1, al = thicken(B, rng, R, 1)
+        R1, al = B.thicken(rng, R, 1)
         lhs = B.vcomp(B.whisker_right(B.whisker_right(al, T), U),
                       B.assoc(R1, T, U))
         rhs = B.vcomp(B.assoc(R, T, U),
@@ -386,8 +387,8 @@ def test_hom_cells_count_oracle():
     for _ in range(20):
         X = carrier(rng, "x", 2)
         A = carrier(rng, "a", 2)
-        R = one_cell(B, rng, X, A, 3)
-        S = one_cell(B, rng, X, A, 3)
+        R = B.one_cell(rng, X, A, 3)
+        S = B.one_cell(rng, X, A, 3)
         expect = 1
         for r in R.apex:
             expect *= sum(1 for s in S.apex

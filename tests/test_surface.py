@@ -200,12 +200,19 @@ def test_no_function_imports_inside_its_body():
 
 def test_paper_layers_do_not_branch_on_the_instance():
     # Reading an instance's ``name`` picks per-instance code: a second
-    # answer to a question the instance's own operations answer.
-    reads = ["%s:%d" % (path.name, node.lineno) for path in PROGRAM
-             if path.stem in PAPER_LAYERS
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    # answer to a question the instance's own operations answer.  The
+    # generator too draws through those operations, so it imports neither
+    # instance module.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PROGRAM if path.stem in PAPER_LAYERS + ("gen",)}
+    reads = ["%s.py:%d" % (stem, node.lineno) for stem, tree in trees.items()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "name"]
     assert not reads, "paper layers read an instance's name: %s" % reads
+    imported = {name for node in ast.walk(trees["gen"])
+                if isinstance(node, ast.ImportFrom)
+                for name in (node.module, *(a.name for a in node.names))}
+    assert not imported & {"spans", "rels", "bicat.spans", "bicat.rels"}
 
 
 def test_only_spans_reads_the_span_shape_tags():

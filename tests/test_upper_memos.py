@@ -11,8 +11,7 @@ import pytest
 
 from bicat import mapprod, rel_instance, span_instance
 from bicat.cartesian import tensor_unit_cell
-from bicat.fin import UNIT, FinSet, SetFn, clear_table
-from bicat.gen import canonical_carrier
+from bicat.fin import UNIT, FinSet, SetFn, canonical_carrier, clear_table
 from bicat.groth import (TensorWitness, g_compose, g_identity, g_pair,
                          g_tensor, g_terminal, garr_from_secondary, secondary)
 from bicat.harness import _Corrupt
