@@ -65,7 +65,7 @@ def main(argv=None) -> int:
             print("bicat-check: cannot read fixtures: %s" % exc,
                   file=sys.stderr)
             return 2
-        except FmtError as exc:
+        except (FmtError, UnicodeDecodeError) as exc:
             print("bicat-check: malformed fixtures: %s" % exc,
                   file=sys.stderr)
             return 2

@@ -14,9 +14,9 @@ identical structures.
 
 Values are hash-consed for as long as they live.  Two stores hold them:
 
-* ``_VALUES`` maps each value's class and components to a weak reference
-  to the value, and the reference's callback drops the entry when the value
-  dies.  Building an equal value while one is alive returns that object and
+* ``_VALUES`` maps each value's class and components to the value, held
+  strongly if built since the last :func:`clear_table`, else weakly.
+  Building an equal value while one is alive returns that object and
   skips validation, so two live equal values are always one object:
   equality and hashing are identity, and keys made of values hash in C.
 * ``_TABLES`` is the current unit's memo (a seeded check with its trials
@@ -35,14 +35,17 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   table when a unit starts: peak memory follows the largest unit.
 
 No value graph holds a reference cycle, so reference counting frees a
-unit's values as soon as the memo empties, and no collector pass is
-needed; :func:`collector_paused` therefore pauses the cyclic collector for
-a run (:func:`bicat.harness.run_config`) and for a parse
-(:func:`bicat.fmt.parse_document`).  ``tests/test_harness.py::
+unit's values once the memo empties and the sweep below runs, and no
+collector pass is needed; :func:`collector_paused` therefore pauses the
+cyclic collector for a run (:func:`bicat.harness.run_config`) and for a
+parse (:func:`bicat.fmt.parse_document`).  ``tests/test_harness.py::
 test_a_run_makes_no_reference_cycles`` enforces this.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
-the canonical copy, and a rebuild returns it.
+the canonical copy, and a rebuild returns it: after the memo,
+:func:`clear_table` sweeps the strongly held values newest first, freeing
+each one nothing else holds and holding the rest weakly.  One pass is
+exact, as a value is interned after its components.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import functools
 import gc
 import itertools
 import re
+import sys
 import weakref
 from collections.abc import Iterable, Iterator
 
@@ -63,8 +67,10 @@ _ATOM = re.compile(r"[A-Za-z0-9_*'+.=|!?$-]+")
 #: stay inside the interpreter's recursion limit.
 MAX_LABEL_DEPTH = 100
 
-#: Every live value, keyed on its class and components.
+#: Every live value, keyed on its class and components; see above.
 _VALUES: dict = {}
+#: How many strong entries the sweeps popped: the values units interned.
+interned = 0
 
 #: The current unit's memoised results, one table per memoised operation.
 _TABLES: list = []
@@ -85,17 +91,36 @@ def _drop(ref, values=_VALUES):
         del values[ref.key]
 
 
-def _intern(key, value):
-    """Make ``value`` the live value for ``key``."""
-    ref = _VALUES[key] = _Ref(value, _drop)
-    ref.key = key
-    return value
+def _sweep(dead, values=_VALUES):
+    """Pop the strong entries, which follow the weak ones, newest first:
+    free each value whose count reads ``dead`` and hold the rest weakly.
+    Return how many there were, and the entries kept."""
+    found, kept = 0, []
+    while values:
+        key, value = values.popitem()
+        if type(value) is _Ref:  # the newest weak entry goes back, unless
+            if value() is not None:  # freeing the last one popped killed it
+                values[key] = value
+            break
+        found += 1
+        if sys.getrefcount(value) > dead:
+            ref = _Ref(value, _drop)
+            ref.key = key
+            kept.append((key, ref))
+    values.update(kept)
+    return found, kept
+
+
+#: The sweep's count for a value only its table holds; CPython versions vary.
+_DEAD = next(d for d in itertools.count() if not _sweep(d, {0: set()})[1])
 
 
 def clear_table() -> None:
     """Forget every memoised result; a unit (a whole check) starts."""
+    global interned
     for table in _TABLES:
         table.clear()
+    interned += _sweep(_DEAD)[0]
 
 
 def memoised(op):
@@ -193,9 +218,8 @@ class FinSet:
     def __new__(cls, elements: Iterable):
         elems = tuple(elements)
         key = (cls, elems)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             index = dict(zip(elems, range(len(elems))))
             if len(index) != len(elems):
                 seen = set()
@@ -204,7 +228,7 @@ class FinSet:
                         raise ValueError("duplicate element %s"
                                          % render_label(e))
                     seen.add(e)
-            self = _intern(key, object.__new__(cls))
+            self = _VALUES[key] = object.__new__(cls)
             self.elements = elems
             self._index = index
         return self
@@ -246,9 +270,8 @@ class SetFn:
     def __new__(cls, domain: FinSet, codomain: FinSet, values: Iterable):
         vals = tuple(values)
         key = (cls, domain, codomain, vals)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             if len(vals) != len(domain):
                 raise ValueError("function values do not cover the domain")
             # Store the codomain's own labels, so equal labels share memory.
@@ -258,7 +281,7 @@ class SetFn:
             except KeyError:
                 bad = next(v for v in vals if v not in codomain)
                 raise ValueError("value %s not in codomain" % render_label(bad))
-            self = _intern((cls, domain, codomain, vals), object.__new__(cls))
+            self = _VALUES[cls, domain, codomain, vals] = object.__new__(cls)
             self.domain = domain
             self.codomain = codomain
             self.values = vals

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fin import (_VALUES, FinSet, SetFn, _intern, label_key, memoised,
+from .fin import (_VALUES, FinSet, SetFn, _Ref, label_key, memoised,
                   render_label)
 from .homprod import LocalProductWitness
 from .kernel import Adjunction, require_map
@@ -42,13 +42,12 @@ class Rel:
     def __new__(cls, source: FinSet, target: FinSet, pairs):
         ps = frozenset(pairs)
         key = (cls, source, target, ps)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             for x, a in ps:
                 if x not in source or a not in target:
                     raise ValueError("relation pair out of bounds")
-            self = _intern(key, object.__new__(cls))
+            self = _VALUES[key] = object.__new__(cls)
             self.source = source
             self.target = target
             self.pairset = ps
@@ -105,9 +104,8 @@ class RelCell:
 
     def __new__(cls, dom: Rel, cod: Rel):
         key = (cls, dom, cod)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             if dom.source != cod.source or dom.target != cod.target:
                 raise ValueError("2-cell between non-parallel relations")
             missing = dom.pairset - cod.pairset
@@ -115,7 +113,7 @@ class RelCell:
                 x, a = min(missing, key=_pair_key)
                 raise ValueError("containment fails at %s:%s"
                                  % (render_label(x), render_label(a)))
-            self = _intern(key, object.__new__(cls))
+            self = _VALUES[key] = object.__new__(cls)
             self.dom = dom
             self.cod = cod
         return self

@@ -157,7 +157,8 @@ def render_text(run: RunReport) -> str:
                        % (c.status.upper().ljust(7), c.check_id,
                           c.trials, c.wall_ms))
             if c.counterexample:
-                out.append("    counterexample:")
+                out.append("    %s:" % ("corrupted input" if c.status == "pass"
+                                        else "counterexample"))
                 for cx in c.counterexample.splitlines():
                     out.append("      " + cx)
     out.append("")

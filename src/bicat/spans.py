@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fin import (_VALUES, FinSet, SetFn, UNIT, _intern, all_functions,
+from .fin import (_VALUES, FinSet, SetFn, UNIT, _Ref, all_functions,
                   canonical_carrier, memoised, render_label, set_fn)
 from .homprod import LocalProductWitness
 from .kernel import Adjunction, require_map
@@ -86,14 +86,13 @@ class Span:
     def __new__(cls, source: FinSet, target: FinSet, apex: FinSet,
                 left: SetFn, right: SetFn):
         key = (cls, source, target, apex, left, right)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             if left.domain != apex or left.codomain != source:
                 raise ValueError("left leg does not match the span boundary")
             if right.domain != apex or right.codomain != target:
                 raise ValueError("right leg does not match the span boundary")
-            self = _intern(key, object.__new__(cls))
+            self = _VALUES[key] = object.__new__(cls)
             self.source = source
             self.target = target
             self.apex = apex
@@ -167,9 +166,8 @@ class SpanCell:
 
     def __new__(cls, dom: Span, cod: Span, fn: SetFn):
         key = (cls, dom, cod, fn)
-        ref = _VALUES.get(key)
-        self = ref and ref()
-        if self is None:
+        self = _VALUES.get(key)
+        if self is None or (type(self) is _Ref and (self := self()) is None):
             if dom.source != cod.source or dom.target != cod.target:
                 raise ValueError("2-cell between non-parallel spans")
             if fn.domain != dom.apex or fn.codomain != cod.apex:
@@ -182,7 +180,7 @@ class SpanCell:
                 if lefts[i] != x or rights[i] != a:
                     raise ValueError("2-cell does not commute with the legs "
                                      "at %s" % render_label(s))
-            self = _intern(key, object.__new__(cls))
+            self = _VALUES[key] = object.__new__(cls)
             self.dom = dom
             self.cod = cod
             self.fn = fn

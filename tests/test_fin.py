@@ -4,8 +4,9 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from bicat.fin import (_TABLES, _VALUES, FinSet, SetFn, UNIT, all_functions,
-                       clear_table, memoised, parse_label, render_label)
+from bicat.fin import (_DEAD, _TABLES, _VALUES, FinSet, SetFn, UNIT, _Ref,
+                       _sweep, all_functions, clear_table, memoised,
+                       parse_label, render_label)
 
 atoms = st.from_regex(r"[A-Za-z0-9_*'+.=|!?$-]{1,8}", fullmatch=True)
 labels = st.recursive(atoms, lambda inner: st.tuples(inner, inner),
@@ -123,17 +124,103 @@ def test_a_clear_empties_every_table():
     assert not any(_TABLES)
 
 
-def test_a_value_leaves_the_value_table_when_it_dies():
-    before = len(_VALUES)
+def _weak():
+    """The keys of the values that outlived a clear, held weakly."""
+    return {key for key, value in _VALUES.items() if type(value) is _Ref}
+
+
+def test_a_value_dropped_within_its_unit_is_freed_at_the_next_clear():
+    clear_table()
+    old = _weak()
     X = FinSet(("p0", "p1"))
     f = SetFn(X, X, ("p1", "p0"))
     gone = weakref.ref(f)
-    assert len(_VALUES) == before + 2
+    key = (FinSet, ("p0", "p1"))
+    # A young value is held strongly, with no weak reference, until the
+    # clear that ends its unit.
+    assert _VALUES[key] is X and len(_VALUES) == len(old) + 2
     del X, f
-    assert gone() is None and len(_VALUES) == before
-    # An equal value built afterwards is interned afresh.
+    assert gone() is not None
+    clear_table()
+    assert gone() is None and key not in _VALUES and _weak() == old
+    # An equal value built afterwards is a new object, interned afresh.
     Z = FinSet(("p0", "p1"))
-    assert Z.elements == ("p0", "p1") and len(_VALUES) == before + 1
+    assert Z.elements == ("p0", "p1") and _VALUES[key] is Z
+
+
+def test_a_value_held_across_a_clear_is_then_held_weakly():
+    clear_table()
+    old = _weak()
+    X = FinSet(("q0", "q1"))
+    key = (FinSet, ("q0", "q1"))
+    clear_table()
+    assert _weak() == old | {key} and _VALUES[key]() is X
+    # A rebuild returns the survivor and interns nothing.
+    assert FinSet(["q0", "q1"]) is X and _weak() == old | {key}
+    assert len(_VALUES) == len(old) + 1
+    del X
+    assert key not in _VALUES and _weak() == old
+
+
+def test_a_young_component_of_a_survivor_survives_with_it():
+    clear_table()
+    old = _weak()
+    X = FinSet(("r0", "r1"))
+    f = SetFn(X, X, ("r1", "r0"))
+    held_only_by_f = weakref.ref(X)
+    del X
+    clear_table()
+    X = held_only_by_f()
+    assert X is f.domain and _VALUES[(FinSet, ("r0", "r1"))]() is X
+    assert FinSet(("r0", "r1")) is X and SetFn(X, X, ("r1", "r0")) is f
+    assert len(_weak() - old) == 2 == len(_VALUES) - len(old)
+    # Both entries go when the survivor dies: its own, then its component's.
+    del X, f
+    assert held_only_by_f() is None and _weak() == old
+
+
+def test_a_weak_value_freed_by_the_sweep_leaves_the_table():
+    # The newest weak entry is popped before the sweep knows it is weak,
+    # and freeing the strong value popped just before can free its value.
+    clear_table()
+    old = _weak()
+    X = FinSet(("t0", "t1"))
+    clear_table()
+    f = SetFn(X, X, ("t1", "t0"))
+    del X, f
+    clear_table()
+    key = (FinSet, ("t0", "t1"))
+    assert key not in _VALUES and _weak() == old
+    # So a rebuild is a young value again, which the next clear frees.
+    assert FinSet(("t0", "t1")) is _VALUES[key]
+    clear_table()
+    assert key not in _VALUES and _weak() == old
+
+
+def test_the_sweep_frees_what_only_its_table_holds():
+    # The threshold is measured, not assumed: a lone entry is freed, and
+    # an entry with one referrer besides the table is kept, weakly.
+    table = {0: set()}
+    assert _sweep(_DEAD, table) == (1, []) and not table
+    kept = set()
+    table = {0: kept}
+    assert _sweep(_DEAD, table) == (1, [(0, table[0])])
+    assert table[0]() is kept
+
+
+def test_the_sweep_stops_at_the_weak_entries():
+    # Strong entries follow weak ones, so the sweep stops at the first
+    # weak entry it pops and leaves the weak entries as they were.
+    old, young = set(), set()
+    table = {"old": old, "dropped": set(), "young": young}
+    found, kept = _sweep(_DEAD, table)
+    assert found == 3 and [key for key, _ in kept] == ["young", "old"]
+    assert table["young"]() is young and table["old"]() is old
+    table["new"] = new = set()
+    found, kept = _sweep(_DEAD, table)
+    assert found == 1 and [key for key, _ in kept] == ["new"]
+    assert list(table) == ["young", "old", "new"]
+    assert [ref() for ref in table.values()] == [young, old, new]
 
 
 def test_invalid_values_raise_on_every_call():

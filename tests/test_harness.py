@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,11 +114,16 @@ def test_memo_scope_does_not_change_reports(monkeypatch):
     assert [render_machine(strip_wall(run_config(c))) for c in cfgs] == shared
 
 
+def _weak_entries():
+    """How many values in the value table outlived a clear, held weakly."""
+    return sum(type(value) is fin._Ref for value in fin._VALUES.values())
+
+
 def test_value_table_returns_to_its_size_after_a_run():
-    # Values are interned weakly: once the report is all that is left of a
-    # run, every value the run built has left the table.  Reference counting
-    # alone frees them, with the collector off; a negative control covers
-    # the payload path.
+    # Once the report is all that is left of a run, the clear that ends
+    # its last unit frees every value the run built: none is left strongly
+    # held, and none is kept weakly.  Reference counting alone frees them,
+    # with the collector off; a negative control covers the payload path.
     trials = {"tensor-assoc-constraint": 20,
               "negative-tau-as-identity": 1}
     specs = [c for c in SUITE_CHECKS["lax"] if c.check_id in trials]
@@ -125,19 +131,101 @@ def test_value_table_returns_to_its_size_after_a_run():
     try:
         for name, spec in itertools.product(("span", "rel"), specs):
             gc.collect()
+            fin.clear_table()
             before = len(fin._VALUES)
+            assert _weak_entries() == before
             result = run_check(instance_for(name),
                                FAST._replace(instance=name, trials=20), spec)
             assert (result.status, result.trials) == (
                 "pass", trials[spec.check_id])
-            assert len(fin._VALUES) > before
+            assert len(fin._VALUES) > before and _weak_entries() == before
             del result
             fin.clear_table()
-            assert len(fin._VALUES) == before, (name, spec.check_id)
+            assert len(fin._VALUES) == _weak_entries() == before, (
+                name, spec.check_id)
             gc.collect()
             assert len(fin._VALUES) == before, name
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def kept(monkeypatch):
+    """A plain weak reference to each value the sweeps keep while the test
+    runs (not the table's, whose key holds the value's components)."""
+    kept, sweep = [], fin._sweep
+
+    def counted(dead):
+        got = sweep(dead)
+        kept.extend(weakref.ref(ref()) for _, ref in got[1])
+        return got
+
+    monkeypatch.setattr(fin, "_sweep", counted)
+    return kept
+
+
+def test_only_values_that_outlive_a_row_get_a_weak_reference(kept):
+    # A default run builds tens of thousands of values, each living for
+    # one row: the sweep at each row's start frees them all, so it keeps
+    # none and makes no weak reference, during the run or after it.
+    for name in ("span", "rel"):
+        fin.clear_table()
+        before, interned = len(fin._VALUES), fin.interned
+        run = run_config(GenConfig(seed=0, max_carrier=3, trials=50,
+                                   instance=name, suites=SUITES))
+        assert run.ok and _weak_entries() <= before, name
+        del run
+        fin.clear_table()
+        assert len(fin._VALUES) == _weak_entries() <= before, name
+        assert fin.interned - interned > 10_000 and not kept, (name, kept)
+
+
+def test_fixture_runs_leave_the_value_table_as_they_found_it(capsys, kept):
+    # A parsed document outlives the rows that read it, so the first clear
+    # keeps its values, weakly; once the command returns and drops it,
+    # they leave, and a second run builds its own.
+    fin.clear_table()
+    before = len(fin._VALUES)
+    argv = ["--instance", "span", "--suite", "kernel", "--max-size", "1",
+            "--trials", "1", "--fixtures",
+            str(ROOT / "fixtures" / "span-basic.bicat")]
+    reports = []
+    for run in range(2):
+        assert cli.main(argv) == 0
+        reports.append(capsys.readouterr().out)
+        assert _weak_entries() == before
+        assert len(kept) > 10 * (run + 1)
+        assert all(ref() is None for ref in kept)
+    fin.clear_table()
+    assert len(fin._VALUES) == _weak_entries() == before
+    assert reports[0] and (re.sub(r"\d+ ms", "", reports[0])
+                           == re.sub(r"\d+ ms", "", reports[1]))
+
+
+def test_the_work_count_does_not_depend_on_hashing():
+    # ``fin.interned`` counts the values each unit built, read at the sweep
+    # that ends it: a count of work that repeats exactly, hash seed or not.
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    code = ("from bicat import fin\n"
+            "from bicat.gen import SUITES, GenConfig\n"
+            "from bicat.harness import run_config\n"
+            "run_config(GenConfig(seed=3, max_carrier=2, trials=5, "
+            "instance='span', suites=SUITES))\n"
+            "fin.clear_table()\n"
+            "print(fin.interned)\n")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONHASHSEED=seed,
+                 PYTHONPATH=src + os.pathsep + path if path else src))
+        for seed in ("1", "2")]
+    counts = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        counts.append(int(out))
+    assert counts[0] == counts[1] > 1000
 
 
 def test_cli_exits_cleanly_under_dev_mode():
@@ -740,6 +828,20 @@ def test_cli_hostile_fixture_names_and_labels_exit_two(tmp_path, capsys,
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00bad",
+                                  b"set X = x0\nset A = a\xc3\n"])
+def test_cli_non_utf8_fixture_exits_two(tmp_path, capsys, data):
+    fix = tmp_path / "bad.bicat"
+    fix.write_bytes(data)
+    rc = cli.main(["--instance", "span", "--suite", "kernel", "--fixtures",
+                   str(fix)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("bicat-check: malformed fixtures: ")
+    assert "codec can't decode" in err
+    assert "Traceback" not in out + err
+
+
 #: The fixture files, each with the instance it is written for.
 FUZZ_BASES = [(f.name.split("-")[0], f.read_text(encoding="utf-8"))
               for f in sorted((ROOT / "fixtures").glob("*.bicat"))]
@@ -747,6 +849,15 @@ FUZZ_BASES = [(f.name.split("-")[0], f.read_text(encoding="utf-8"))
 FUZZ_TOKENS = (" ", "\n", ":", ",", "(", ")", "=", "->", "#", "*", "x0",
                "a0", "s0", "X", "A", "set ", "span ", "rel ", "cell ",
                "check ", "map ", "compose ", "equal ")
+
+
+#: Bytes a byte-level mutation inserts: the format's tokens, a NUL, a
+#: valid two-byte letter and sequences that are not UTF-8 (a stray
+#: continuation byte, truncated sequences, an encoded surrogate, an
+#: overlong form and a UTF-16 byte-order mark).
+FUZZ_BYTES = tuple(t.encode() for t in FUZZ_TOKENS) + (
+    b"\x00", "\u00e9".encode(), b"\x80", b"\xc3", b"\xe2\x82",
+    b"\xed\xa0\x80", b"\xc0\xaf", b"\xff\xfe")
 
 
 @st.composite
@@ -766,14 +877,25 @@ def _mutated_fixture(draw):
     return draw(st.sampled_from((instance, "span", "rel"))), text
 
 
-@settings(max_examples=80, deadline=None)
-@given(_mutated_fixture())
+@st.composite
+def _mutated_fixture_bytes(draw):
+    instance, text = draw(st.sampled_from(FUZZ_BASES))
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data = data[:i] + draw(st.sampled_from(FUZZ_BYTES)) + data[j:]
+    return draw(st.sampled_from((instance, "span", "rel"))), data
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(_mutated_fixture(), _mutated_fixture_bytes()))
 def test_cli_exit_codes_are_total_on_mutated_fixtures(tmp_path_factory, case):
-    # Whatever the fixture text, the command answers with an exit code of
-    # its contract and a message, never a traceback.
-    instance, text = case
+    # Whatever the fixture's text, or bytes, the command answers with an
+    # exit code of its contract and a message, never a traceback.
+    instance, data = case
     fix = tmp_path_factory.getbasetemp() / "mutated.bicat"
-    fix.write_text(text, encoding="utf-8")
+    fix.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main(["--instance", instance, "--suite", "kernel",

@@ -109,6 +109,21 @@ def test_text_rendering_mentions_every_check():
     assert "counterexample:" in text
 
 
+def test_text_rendering_labels_a_payload_by_its_verdict():
+    # A passing row with a payload is a negative control showing the input
+    # it corrupted; only failing and erroring rows show a counterexample.
+    errored = CheckResult("mate-round-trip", "error", 0,
+                          "# ValueError: boom\n", 1)
+    run = _sample_run()
+    run = RunReport(CFG, run.suites + (SuiteReport("kernel", (errored,)),))
+    lines = render_text(run).splitlines()
+    labels = [(lines[i - 1].split("] ")[1].split()[0], line.strip())
+              for i, line in enumerate(lines) if line.endswith(":")]
+    assert labels == [("negative-nonmap-rejected", "corrupted input:"),
+                      ("wedge-universal-pairing", "counterexample:"),
+                      ("mate-round-trip", "counterexample:")]
+
+
 def test_strip_wall_zeroes_only_wall():
     run = _sample_run()
     stripped = strip_wall(run)
