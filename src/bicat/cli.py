@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .fin import collector_paused
 from .fmt import FmtError, parse_document
 from .gen import InvalidConfig, GenConfig, SUITES
 from .harness import FixtureError, run_config
@@ -46,7 +47,11 @@ def _suites(arg: str):
     return SUITES if arg == "all" else tuple(s for s in arg.split(",") if s)
 
 
+@collector_paused
 def main(argv=None) -> int:
+    """The command, with the cyclic collector paused until the report is
+    written, as a parsed fixture document stays live and acyclic until then
+    (see :mod:`bicat.fin`)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = GenConfig(seed=args.seed, max_carrier=args.max_size,

@@ -37,8 +37,11 @@ Values are hash-consed for as long as they live.  Two stores hold them:
 No value graph holds a reference cycle, so reference counting frees a
 unit's values once the memo empties and the sweep below runs, and no
 collector pass is needed; :func:`collector_paused` therefore pauses the
-cyclic collector for a run (:func:`bicat.harness.run_config`) and for a
-parse (:func:`bicat.fmt.parse_document`).  ``tests/test_harness.py::
+cyclic collector for a run (:func:`bicat.harness.run_config`), for a
+parse (:func:`bicat.fmt.parse_document`) and for the whole
+``bicat-check`` command (:func:`bicat.cli.main`), from the parse to the
+written report: a parsed document stays live and acyclic throughout, so a
+pass would only walk it again.  ``tests/test_harness.py::
 test_a_run_makes_no_reference_cycles`` enforces this.
 
 A value that outlives its unit (``UNIT``, parsed fixture documents) stays
@@ -94,7 +97,11 @@ def _drop(ref, values=_VALUES):
 def _sweep(dead, values=_VALUES):
     """Pop the strong entries, which follow the weak ones, newest first:
     free each value whose count reads ``dead`` and hold the rest weakly.
-    Return how many there were, and the entries kept."""
+    Return how many there were, and the entries kept.
+
+    A kept value dies in the sweep if what held it is freed later in it,
+    by a collector pass or with an older value; its ``_drop`` then finds
+    nothing, so its dead entry is dropped here."""
     found, kept = 0, []
     while values:
         key, value = values.popitem()
@@ -108,6 +115,9 @@ def _sweep(dead, values=_VALUES):
             ref.key = key
             kept.append((key, ref))
     values.update(kept)
+    for _, ref in kept:
+        if ref() is None:
+            _drop(ref, values)
     return found, kept
 
 
@@ -218,17 +228,21 @@ class FinSet:
     def __new__(cls, elements: Iterable):
         elems = tuple(elements)
         key = (cls, elems)
-        self = _VALUES.get(key)
-        if self is None or (type(self) is _Ref and (self := self()) is None):
+        # One lookup, so that a miss hashes its key once, not twice.
+        self = _VALUES.setdefault(key, new := object.__new__(cls))
+        if type(self) is _Ref and (self := self()) is None:
+            del _VALUES[key]  # dead: the new value goes last, as it is strong
+            self = _VALUES[key] = new
+        if self is new:
             index = dict(zip(elems, range(len(elems))))
             if len(index) != len(elems):
+                del _VALUES[key]
                 seen = set()
                 for e in elems:
                     if e in seen:
                         raise ValueError("duplicate element %s"
                                          % render_label(e))
                     seen.add(e)
-            self = _VALUES[key] = object.__new__(cls)
             self.elements = elems
             self._index = index
         return self

@@ -29,7 +29,9 @@ its atoms are made canonical in the document's label table and its pairs
 are built from those canonical halves.  Any other record goes label by
 label: each distinct text is parsed once per :func:`parse_document` call
 (a pair ``(a,R)`` from its halves), and :func:`bicat.fin.parse_label` is
-the one source of label errors.  The cyclic collector sits out a parse.
+the one source of label errors.  The cyclic collector sits out a parse,
+and ``bicat-check`` keeps it paused until the report is written, as the
+parsed document stays live and acyclic until then.
 
 ``DOM``, ``COD``, ``SRC``, ``TGT`` and the names in ``check`` records refer
 to entities declared earlier in the same document.  Blank lines and lines
@@ -258,7 +260,8 @@ def _entries(body: list, parts: int, labels: _Labels) -> list:
         if not pairs:
             texts[column::parts] = map(labels.setdefault, own, own)
         elif pairs == len(own):
-            atoms = _ATOM.findall(joined)
+            # Every label is ``(atom,atom)``: the brackets split the atoms.
+            atoms = joined[1:-1].replace("):(", ",").split(",")
             halves = iter(map(labels.setdefault, atoms, atoms))
             texts[column::parts] = zip(halves, halves)
         else:

@@ -790,7 +790,10 @@ def run_config(cfg: GenConfig, fixture_doc: Document | None = None
     No value graph holds a reference cycle, so reference counting frees a
     unit's values when :func:`clear_table` empties the memo, and collector
     passes would only rescan the live memo.  The caller's collector state
-    is restored on return or raise.  ``tests/test_harness.py::
+    is restored on return or raise, for library and test callers;
+    ``bicat-check`` itself keeps the collector paused from the parse of
+    ``fixture_doc`` to the written report, as the document stays live and
+    acyclic until then.  ``tests/test_harness.py::
     test_a_run_makes_no_reference_cycles`` keeps the heap acyclic.
     """
     B = instance_for(cfg.instance)

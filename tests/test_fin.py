@@ -1,3 +1,4 @@
+import gc
 import importlib
 import weakref
 
@@ -223,13 +224,37 @@ def test_the_sweep_stops_at_the_weak_entries():
     assert [ref() for ref in table.values()] == [young, old, new]
 
 
+class _Holder:
+    """A value stand-in that can hold another."""
+
+
+def test_a_value_freed_later_in_the_same_sweep_leaves_the_table():
+    # The young value is kept because the older one holds it; freeing the
+    # older one frees it before its weak entry is in the table, where its
+    # ``_drop`` would have found it.
+    old, older, young = set(), _Holder(), _Holder()
+    older.young = young
+    table = {"old": old, "older": older, "young": young}
+    del older, young
+    found, _ = _sweep(_DEAD, table)
+    assert found == 3 and list(table) == ["old"] and table["old"]() is old
+
+
 def test_invalid_values_raise_on_every_call():
     FinSet(("a", "b"))
     X = FinSet(("a",))
     SetFn(X, X, ("a",))
     for _ in range(2):
-        with pytest.raises(ValueError, match="duplicate"):
-            FinSet(("a", "a"))
+        # FinSet stores its entry before it validates, and takes it back.
+        # With the collector off, no other value can leave the table here.
+        gc.disable()
+        try:
+            size = len(_VALUES)
+            with pytest.raises(ValueError, match="duplicate"):
+                FinSet(("a", "a"))
+            assert len(_VALUES) == size
+        finally:
+            gc.enable()
         with pytest.raises(ValueError, match="not in codomain"):
             SetFn(X, X, ("b",))
         with pytest.raises(ValueError, match="cover"):

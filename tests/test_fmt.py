@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bicat import cli, fmt, rel_instance, span_instance
 from bicat.fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label,
@@ -460,6 +460,29 @@ def test_cli_leaves_the_collector_as_it_found_it(tmp_path, capsys, fixture,
     assert "Traceback" not in "".join(capsys.readouterr())
 
 
+def test_a_fixture_command_starts_no_collector_pass(tmp_path, capsys):
+    # The parsed document stays live until the report is written, so a pass
+    # anywhere in the command would only walk it again.
+    fix = tmp_path / "claims.bicat"
+    fix.write_text(fixturegen.generate(3, 300)[0], encoding="utf-8")
+    phases = []
+
+    def hook(phase, info):
+        phases.append(phase)
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        code = cli.main(["--instance", "span", "--suite", "kernel",
+                         "--report", "machine", "--fixtures", str(fix)])
+    finally:
+        gc.callbacks.remove(hook)
+    assert code in (0, 1)
+    assert "start" not in phases
+    assert gc.isenabled()
+    assert "Traceback" not in "".join(capsys.readouterr())
+
+
 # --- whole records against label-by-label references ------------------------
 
 def _reference_entries(body, parts, labels):
@@ -543,6 +566,13 @@ def record_documents(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(record_documents())
+# An apex column of pairs only, over every atom character but letters and
+# digits: the pair columns are split at their brackets.
+@example("set X = x_ x* x'\nset A = a+ a. a=\nspan R : X -> A = "
+         "(_*,'+):x_:a+ (.=,|!):x*:a. (?$,-_):x':a= (-,$):x_:a+\n")
+# Pairs and atoms in one apex column take the label-by-label branch.
+@example("set X = x0 x1\nset A = a0\nspan R : X -> A = "
+         "(p,q):x0:a0 r:x1:a0 (r,p):x0:a0\n")
 def test_records_parse_as_label_by_label(text):
     # The same document, or the same error on the same line, as parsing
     # every label of every entry on its own.
