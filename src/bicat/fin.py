@@ -226,14 +226,17 @@ class FinSet:
     __slots__ = ("elements", "_index", "__weakref__")
 
     def __new__(cls, elements: Iterable):
+        global _spare
         elems = tuple(elements)
         key = (cls, elems)
-        # One lookup, so that a miss hashes its key once, not twice.
-        self = _VALUES.setdefault(key, new := object.__new__(cls))
+        # One lookup, so that a miss hashes its key once, not twice.  The
+        # object it offers is a spare that only a built value uses up, so a
+        # hit allocates nothing.
+        self = _VALUES.setdefault(key, _spare)
         if type(self) is _Ref and (self := self()) is None:
             del _VALUES[key]  # dead: the new value goes last, as it is strong
-            self = _VALUES[key] = new
-        if self is new:
+            self = _VALUES[key] = _spare
+        if self is _spare:
             index = dict(zip(elems, range(len(elems))))
             if len(index) != len(elems):
                 del _VALUES[key]
@@ -243,6 +246,7 @@ class FinSet:
                         raise ValueError("duplicate element %s"
                                          % render_label(e))
                     seen.add(e)
+            _spare = object.__new__(cls)
             self.elements = elems
             self._index = index
         return self
@@ -267,6 +271,9 @@ class FinSet:
         """Row-major cartesian product carrier with pair labels."""
         return FinSet((a, b) for a in self.elements for b in other.elements)
 
+
+#: The object the next carrier built is made from; see ``FinSet.__new__``.
+_spare = object.__new__(FinSet)
 
 #: The designated one-element carrier used as the monoidal unit.
 UNIT = FinSet(("*",))

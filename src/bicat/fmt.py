@@ -21,15 +21,21 @@ alphabet, pairs written ``(a,b)`` and nesting at most
     check map A
     check cell A -> B
 
-``:`` never occurs inside a label (the atom alphabet has none), so one
-colon count checks a record's entries and one split yields their labels.
-When one linear match shows that every label of a record is an atom or a
-pair of two atoms, the record is decided a column of entries at a time:
-its atoms are made canonical in the document's label table and its pairs
-are built from those canonical halves.  Any other record goes label by
-label: each distinct text is parsed once per :func:`parse_document` call
-(a pair ``(a,R)`` from its halves), and :func:`bicat.fin.parse_label` is
-the one source of label errors.  The cyclic collector sits out a parse,
+The header of an ``fn``, ``span``, ``rel`` or ``cell`` record is split off
+its body, and one linear match checks that the body is whitespace-separated
+entries whose labels are each an atom or a pair of two atoms.  ``:`` never occurs inside a label (the atom
+alphabet has none), so the body is then split once, at colons and
+whitespace, and decided a column of entries at a time.  A column the record
+stores as given (a span's apex, a relation's pairs, a cell's entries) goes
+through the document's label table: atoms are made canonical there and
+pairs are built from those canonical halves.  A column checked against a
+carrier (an ``fn`` record's entries, a span's legs) skips the table, as the
+carrier puts its own labels in place.  A column mixing atoms and pairs, and
+a record the match refuses, go label by label, the latter after a colon
+count per entry: each distinct text is parsed once per
+:func:`parse_document` call (a pair ``(a,R)`` from its halves), and
+:func:`bicat.fin.parse_label` is the one source of label errors.  The
+cyclic collector sits out a parse,
 and ``bicat-check`` keeps it paused until the report is written, as the
 parsed document stays live and acyclic until then.
 
@@ -229,51 +235,69 @@ def parse_document(text: str) -> Document:
 
 
 @functools.cache
-def _flat_labels():
-    """Colon-separated labels, each an atom or a pair of two atoms.  Its
-    parts are told apart by their first character, so a match, or a
-    refusal, takes time linear in the text."""
+def _record(parts: int):
+    """Whitespace-separated entries of ``parts`` colon-separated labels,
+    each an atom or a pair of two atoms.  Its parts are told apart by their
+    first character, so a match, or a refusal, takes time linear in the
+    text."""
     label = r"(?:{0}|\({0},{0}\))".format(_ATOM.pattern)
-    return re.compile(r"{0}(?::{0})*".format(label))
+    entry = ":".join([label] * parts)
+    return re.compile(r"(?:{0}(?:\s+{0})*)?".format(entry))
 
 
-def _entries(body: list, parts: int, labels: _Labels) -> list:
+def _entries(body: str, parts: int, labels: _Labels, stored: tuple) -> list:
     """A record's labels, ``parts`` per entry; its first bad entry raises.
 
-    When every label of the record is an atom or a pair of two atoms, each
-    column of entries is decided at once: atoms are made canonical in
-    ``labels`` and pairs are built from canonical halves.  A column mixing
-    atoms and pairs, and any other record, goes label by label."""
-    counts = list(map(str.count, body, itertools.repeat(":")))
-    if counts.count(parts - 1) != len(body):
-        bad = next(i for i, n in enumerate(counts) if n != parts - 1)
-        _entries(body[:bad], parts, labels)  # a bad label there comes first
-        raise FmtError("expected %d-part entry, got %r" % (parts, body[bad]))
-    text = ":".join(body)
-    texts = text.split(":") if body else []
-    if not _flat_labels().fullmatch(text):
-        return list(map(labels.__getitem__, texts))
+    A body ``_record(parts)`` matches is split once and decided a column at
+    a time, and only the ``stored`` columns go through ``labels`` (see the
+    module docstring).  Any other body goes label by label."""
+    if not _record(parts).fullmatch(body):
+        return _label_by_label(body.split(), parts, labels)
+    texts = body.replace(":", " ").split()
+    if "(" not in body:
+        for column in stored:
+            own = texts[column::parts]
+            texts[column::parts] = map(labels.setdefault, own, own)
+        return texts
     for column in range(parts):
         own = texts[column::parts]
         joined = ":".join(own)
         pairs = joined.count("(")
         if not pairs:
-            texts[column::parts] = map(labels.setdefault, own, own)
+            if column in stored:
+                texts[column::parts] = map(labels.setdefault, own, own)
         elif pairs == len(own):
             # Every label is ``(atom,atom)``: the brackets split the atoms.
             atoms = joined[1:-1].replace("):(", ",").split(",")
-            halves = iter(map(labels.setdefault, atoms, atoms))
+            if column in stored:
+                atoms = map(labels.setdefault, atoms, atoms)
+            halves = iter(atoms)
             texts[column::parts] = zip(halves, halves)
         else:
             texts[column::parts] = map(labels.__getitem__, own)
     return texts
 
 
+def _label_by_label(body: list, parts: int, labels: _Labels) -> list:
+    """Each entry's colon count, then each label through ``labels``: a bad
+    label before the first bad entry comes first."""
+    counts = list(map(str.count, body, itertools.repeat(":")))
+    bad = len(body)
+    if counts.count(parts - 1) != bad:
+        bad = next(i for i, n in enumerate(counts) if n != parts - 1)
+    flat = list(map(labels.__getitem__, ":".join(body[:bad]).split(":"))
+                if bad else [])
+    if bad < len(body):
+        raise FmtError("expected %d-part entry, got %r" % (parts, body[bad]))
+    return flat
+
+
 def _header(tokens, keyword):
-    # NAME : SRC -> TGT = rest...
+    # NAME : SRC -> TGT = body
     if len(tokens) < 6 or tokens[1] != ":" or tokens[3] != "->" or tokens[5] != "=":
         raise FmtError("malformed %s record" % keyword)
-    return tokens[0], tokens[2], tokens[4], tokens[6:]
+    body = tokens[6] if len(tokens) > 6 else ""
+    return tokens[0], tokens[2], tokens[4], body
 
 
 def _named_set(doc: Document, name: str) -> FinSet:
@@ -284,9 +308,11 @@ def _named_set(doc: Document, name: str) -> FinSet:
 
 
 def _parse_line(doc: Document, line: str, labels: _Labels):
-    tokens = line.split()
+    # An fn, span, rel or cell record's body stays one text.
+    tokens = line.split(None, 7)
     kind, rest = tokens[0], tokens[1:]
     if kind == "set":
+        rest = line.split()[1:]
         if len(rest) < 2 or rest[1] != "=":
             raise FmtError("malformed set record")
         name = rest[0]
@@ -294,9 +320,9 @@ def _parse_line(doc: Document, line: str, labels: _Labels):
     elif kind == "fn":
         name, dom, cod, body = _header(rest, "fn")
         A, C = _named_set(doc, dom), _named_set(doc, cod)
-        flat = _entries(body, 2, labels)
+        flat = _entries(body, 2, labels, ())
         table = dict(zip(flat[0::2], flat[1::2]))
-        if len(table) != len(body):
+        if 2 * len(table) != len(flat):
             raise FmtError("fn %s lists a domain element twice" % name)
         if set(table) != set(A.elements):
             raise FmtError("fn %s entries do not cover the domain" % name)
@@ -304,26 +330,26 @@ def _parse_line(doc: Document, line: str, labels: _Labels):
     elif kind == "span":
         name, src, tgt, body = _header(rest, "span")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        flat = _entries(body, 3, labels)
+        flat = _entries(body, 3, labels, (0,))
         apex = FinSet(flat[0::3])
         left, right = SetFn(apex, X, flat[1::3]), SetFn(apex, A, flat[2::3])
         doc.declare(name, Span(X, A, apex, left, right))
     elif kind == "rel":
         name, src, tgt, body = _header(rest, "rel")
         X, A = _named_set(doc, src), _named_set(doc, tgt)
-        flat = _entries(body, 2, labels)
+        flat = _entries(body, 2, labels, (0, 1))
         pairs = set(zip(flat[0::2], flat[1::2]))
-        if len(pairs) != len(body):
+        if 2 * len(pairs) != len(flat):
             raise FmtError("rel %s lists a pair twice" % name)
         doc.declare(name, Rel(X, A, pairs))
     elif kind == "cell":
         name, dom, cod, body = _header(rest, "cell")
-        flat = _entries(body, 2, labels)
+        flat = _entries(body, 2, labels, (0, 1))
         entries = tuple(zip(flat[0::2], flat[1::2]))
         _check_cell_entries(doc, dom, cod, entries)
         doc.declare(name, CellRec(dom, cod, entries))
     elif kind == "check":
-        doc.checks.append(_parse_check(rest))
+        doc.checks.append(_parse_check(line.split()[1:]))
     else:
         raise FmtError("unknown record kind %r" % kind)
 

@@ -5,6 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
+from bicat import fin
 from bicat.fin import (_DEAD, _TABLES, _VALUES, FinSet, SetFn, UNIT, _Ref,
                        _sweep, all_functions, clear_table, memoised,
                        parse_label, render_label)
@@ -249,16 +250,20 @@ def test_invalid_values_raise_on_every_call():
         # With the collector off, no other value can leave the table here.
         gc.disable()
         try:
-            size = len(_VALUES)
+            size, spare = len(_VALUES), fin._spare
             with pytest.raises(ValueError, match="duplicate"):
                 FinSet(("a", "a"))
             assert len(_VALUES) == size
+            # Only a built carrier uses up the spare object: a hit allocates
+            # nothing, and neither does a refusal.
+            assert FinSet(("a",)) is X and fin._spare is spare
         finally:
             gc.enable()
         with pytest.raises(ValueError, match="not in codomain"):
             SetFn(X, X, ("b",))
         with pytest.raises(ValueError, match="cover"):
             SetFn(X, X, ("a", "a"))
+    assert FinSet(("a", "spare")) is spare and fin._spare is not spare
 
 
 def test_unit_outlives_a_clear():

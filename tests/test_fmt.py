@@ -1,6 +1,7 @@
 """The plain-text interchange format: printing, parsing, describing."""
 
 import gc
+import itertools
 import pathlib
 import random
 import sys
@@ -419,6 +420,14 @@ def test_pair_labels_share_their_parsed_halves():
             assert r is left[r] and t is right[t]
             shared += 1
     assert shared > 1000
+    # Legs are checked against their carriers, which keep their own labels.
+    checked = 0
+    for S in doc.entities.values():
+        for leg in (S.left, S.right) if isinstance(S, Span) else ():
+            X = leg.codomain
+            assert all(v is X.elements[X._index[v]] for v in leg.values)
+            checked += len(leg.values)
+    assert checked > 10_000
 
 
 def test_parsing_makes_no_reference_cycles():
@@ -485,10 +494,10 @@ def test_a_fixture_command_starts_no_collector_pass(tmp_path, capsys):
 
 # --- whole records against label-by-label references ------------------------
 
-def _reference_entries(body, parts, labels):
+def _reference_entries(body, parts, labels, stored):
     """Each entry's colon count, then each of its labels by parse_label."""
     flat = []
-    for entry in body:
+    for entry in body.split():
         texts = entry.split(":")
         if len(texts) != parts:
             raise FmtError("expected %d-part entry, got %r" % (parts, entry))
@@ -505,10 +514,24 @@ class _ParsedEachTime(dict):
 
 
 def _reference_parse(text):
+    # A run of whitespace between tokens reads as one space.
+    text = "".join(" ".join(line.split()) + "\n" for line in text.splitlines())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fmt, "_entries", _reference_entries)
         mp.setattr(fmt, "_Labels", _ParsedEachTime)
         return _outcome(parse_document, text)
+
+
+def _flat_entries(body, parts):
+    """Every entry is ``parts`` labels, each an atom or a pair of two."""
+    def flat(text):
+        try:
+            label = parse_label(text)
+        except ValueError:
+            return False
+        return isinstance(label, str) or all(isinstance(h, str) for h in label)
+    return all(len(texts := entry.split(":")) == parts
+               and all(map(flat, texts)) for entry in body)
 
 
 flat_labels = st.one_of(atoms, st.tuples(atoms, atoms))
@@ -528,9 +551,16 @@ tokens = st.one_of(
 @st.composite
 def record_documents(draw):
     """Two carriers, a span on them, then one record of a drawn kind.  In
-    a noisy document a quarter of the tokens are drawn from ``tokens``."""
+    a noisy document a quarter of the tokens are drawn from ``tokens``.
+    Tokens are separated by runs of spaces and tabs."""
     labels = draw(st.sampled_from([flat_labels, any_labels]))
     noisy = draw(st.booleans())
+
+    def spaced(*tokens):
+        gaps = itertools.cycle(draw(st.lists(
+            st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1,
+            max_size=3)))
+        return "".join(map("".join, zip(tokens, gaps))).rstrip()
 
     def texts(min_size=0):
         return [render_label(x) for x in draw(st.lists(
@@ -542,9 +572,9 @@ def record_documents(draw):
         return draw(st.sampled_from(choices))
 
     X, A, apex, more = texts(1), texts(1), texts(), texts(1)
-    lines = ["set X = " + " ".join(X), "set A = " + " ".join(A),
-             "span S : X -> A = " + " ".join(
-                 "%s:%s:%s" % (e, pick(X), pick(A)) for e in apex)]
+    lines = [spaced("set", "X", "=", *X), spaced("set", "A", "=", *A),
+             spaced("span", "S", ":", "X", "->", "A", "=", *(
+                 "%s:%s:%s" % (e, pick(X), pick(A)) for e in apex))]
     kind = draw(st.sampled_from(["span", "fn", "rel", "cell", "set"]))
     if kind == "span":
         body = ["%s:%s:%s" % (pick(more), pick(X), pick(A))
@@ -560,7 +590,7 @@ def record_documents(draw):
         body = [pick(more) for _ in range(draw(st.integers(0, 4)))]
     head = {"set": "set Y =", "cell": "cell c : S -> S ="}.get(
         kind, "%s R : X -> A =" % kind)
-    lines.append(" ".join([head, *body]))
+    lines.append(spaced(*head.split(), *body))
     return "\n".join(lines) + "\n"
 
 
@@ -573,10 +603,25 @@ def record_documents(draw):
 # Pairs and atoms in one apex column take the label-by-label branch.
 @example("set X = x0 x1\nset A = a0\nspan R : X -> A = "
          "(p,q):x0:a0 r:x1:a0 (r,p):x0:a0\n")
+# Legs into a carrier of pairs: a checked column built from its halves.
+@example("set X = (p,q) (q,p)\nset A = a0 (a,b)\nspan R : X -> A = "
+         "s:(q,p):(a,b) t:(p,q):(a,b) u:(q,p):(a,b)\n")
 def test_records_parse_as_label_by_label(text):
     # The same document, or the same error on the same line, as parsing
-    # every label of every entry on its own.
-    assert _outcome(parse_document, text) == _reference_parse(text)
+    # every label of every entry on its own; and only a record with some
+    # entry that is not flat labels leaves the one match.
+    flat_refused = []
+    by_label = fmt._label_by_label
+
+    def spy(body, parts, labels):
+        flat_refused.append(_flat_entries(body, parts))
+        return by_label(body, parts, labels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fmt, "_label_by_label", spy)
+        got = _outcome(parse_document, text)
+    assert got == _reference_parse(text)
+    assert not any(flat_refused)
 
 
 @pytest.mark.parametrize("text", ["((" + "," * 200_000 + ")",
