@@ -14,7 +14,7 @@ import sys
 
 from .fin import collector_paused
 from .fmt import FmtError, parse_document
-from .gen import InvalidConfig, GenConfig, SUITES
+from .gen import INSTANCES, InvalidConfig, GenConfig, SUITES
 from .harness import FixtureError, run_config
 from .report import render_machine, render_text
 
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bicat-check",
         description="Run enumeration checks against a finite bicategory "
                     "instance.")
-    parser.add_argument("--instance", required=True, choices=("span", "rel"))
+    parser.add_argument("--instance", required=True, choices=INSTANCES)
     parser.add_argument("--max-size", type=int, default=3, metavar="N",
                         help="largest carrier size drawn (default 3)")
     parser.add_argument("--trials", type=int, default=50, metavar="N",

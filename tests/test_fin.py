@@ -199,6 +199,22 @@ def test_a_weak_value_freed_by_the_sweep_leaves_the_table():
     assert key not in _VALUES and _weak() == old
 
 
+def test_a_dead_weak_entry_is_rebuilt_as_a_strong_one():
+    # A weak entry whose value died without its callback: the rebuild puts
+    # a strong entry after the weak ones, which the next clear frees.
+    Y = FinSet(("u2",))
+    clear_table()
+    old, key = _weak(), (FinSet, ("u0", "u1"))
+    _VALUES[key] = _Ref(_Holder())
+    _VALUES[FinSet, ("u2",)] = _VALUES.pop((FinSet, ("u2",)))  # Y's goes last
+    X = FinSet(("u0", "u1"))
+    assert list(_VALUES.items())[-1] == (key, X) and _weak() == old
+    held = weakref.ref(X)
+    del X
+    clear_table()
+    assert held() is None and key not in _VALUES and _weak() == old
+
+
 def test_the_sweep_frees_what_only_its_table_holds():
     # The threshold is measured, not assumed: a lone entry is freed, and
     # an entry with one referrer besides the table is kept, weakly.

@@ -4,6 +4,7 @@ import gc
 import itertools
 import pathlib
 import random
+import re
 import sys
 import time
 
@@ -13,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from bicat import cli, fmt, rel_instance, span_instance
 from bicat.fin import (MAX_LABEL_DEPTH, FinSet, SetFn, parse_label,
                        render_label)
-from bicat.fmt import (CellRec, Check, FmtError, _Labels, describe,
-                       parse_document, print_document)
+from bicat.fmt import (CellRec, Check, Document, FmtError, _Labels,
+                       describe, parse_document, print_document)
 from bicat.rels import Rel
 from bicat.spans import Span
 
@@ -228,6 +229,24 @@ def test_unprintable_labels_are_refused():
     leg = SetFn(apex, Y, ("y0",))
     with pytest.raises(FmtError, match="label 'not ok' has no text form"):
         print_document(describe({"R": Span(Y, Y, apex, leg, leg)}))
+
+
+@pytest.mark.parametrize("refused,said", [
+    (lambda doc: doc.declare("f", SetFn.identity(FinSet(("x0",)))),
+     "domain of fn f is not a declared entity"),
+    (lambda doc: doc.declare("bad name", FinSet(("x0",))),
+     "entity name 'bad name' has no text form"),
+    (lambda doc: doc.checks.append(Check("frob", ())),
+     "unknown check kind 'frob'"),
+    (lambda doc: describe({"n": 3}), "cannot describe a int"),
+], ids=["undeclared-domain", "bad-name", "unknown-check", "not-a-value"])
+def test_printer_and_describer_refuse_what_has_no_text(refused, said):
+    # Each case fills a document the printer refuses, or asks the describer
+    # for one.
+    doc = Document()
+    with pytest.raises(FmtError, match="^%s$" % re.escape(said)):
+        refused(doc)
+        print_document(doc)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -15,17 +15,14 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicat import (cartesian, cli, coherence, fin, gen, groth, harness,
-                   kernel, mapprod)
+from bicat import cli, coherence, fin, gen, harness
 from bicat.fmt import parse_document, print_document
 from bicat.gen import SUITES, GenConfig
-from bicat.harness import (KERNEL_CHECKS, SUITE_CHECKS, FixtureError,
-                           exhaustive_check, fixture_checks, instance_for,
-                           property_check, run_check, run_config)
-from bicat.homprod import LocalProductWitness
-from bicat.rels import Rel, RelBicat, RelCell
-from bicat.spans import Span
+from bicat.harness import (SUITE_CHECKS, FixtureError, exhaustive_check,
+                           fixture_checks, instance_for, property_check,
+                           run_check, run_config)
 from bicat.report import parse_machine, render_machine, strip_wall
+from test_mutants import apply_mutant
 
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
                  suites=SUITES)
@@ -242,272 +239,6 @@ def test_cli_exits_cleanly_under_dev_mode():
     assert "pasting-interchange" in proc.stdout
 
 
-def test_nonmap_control_asks_the_instance():
-    # The row is decided by the instance's map_adjunction refusing the
-    # non-map, so an instance that accepts it fails the row, payload intact.
-    spec = next(c for c in KERNEL_CHECKS
-                if c.check_id == "negative-nonmap-rejected")
-    for name in ("rel", "span"):
-        B = instance_for(name)
-
-        class Accepting(type(B)):
-            def map_adjunction(self, R):
-                return None
-
-        honest = run_check(B, FAST, spec)
-        lax = run_check(Accepting(), FAST, spec)
-        assert (honest.status, lax.status) == ("pass", "fail")
-        assert lax.counterexample == honest.counterexample
-        assert "claimed-map" in honest.counterexample
-
-
-#: ``is_map`` mutants that accept a non-map: a relation need only be total,
-#: a span's left leg need only be surjective.
-IS_MAP_MUTANTS = {
-    "rel": (Rel, lambda self: {x for x, _ in self.pairset} == set(self.source)),
-    "span": (Span, lambda self: set(self.left.values) == set(self.source)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(IS_MAP_MUTANTS))
-def test_nonmap_control_is_not_passed_by_an_is_map_mutant(monkeypatch, name):
-    # The mutant's map_adjunction goes on to fail with an untyped error, not
-    # the NotAMap refusal, so the control cannot count it as a catch.
-    spec = next(c for c in KERNEL_CHECKS
-                if c.check_id == "negative-nonmap-rejected")
-    B = instance_for(name)
-    assert run_check(B, FAST, spec).status == "pass"
-    cls, is_map = IS_MAP_MUTANTS[name]
-    monkeypatch.setattr(cls, "is_map", is_map)
-    assert run_check(B, FAST, spec).status != "pass"
-
-
-def _raise(*args):
-    raise ValueError("corruption raised")
-
-
-class _RaisingCorrupt(harness._Corrupt):
-    def __init__(self, B, **ops):
-        super().__init__(B, **dict.fromkeys(ops, _raise))
-
-
-#: Per control, the row's checker (``"instance"`` names the instance's
-#: class), one replacement that always holds and one that never does.
-ROW_CHECKERS = {
-    "negative-nonmap-rejected": ("instance", "map_adjunction",
-                                 lambda self, R: None, _raise),
-    "negative-misplaced-terminal-cell": (harness, "_tau_is_the_only_cell",
-                                         lambda *a: True, lambda *a: False),
-    "negative-collapsed-cone": (harness, "check_product_cone",
-                                lambda *a: None, lambda *a: {"kind": "any"}),
-    "negative-doubled-cells": (harness, "_pair_unique",
-                               lambda *a: True, lambda *a: False),
-    "negative-tau-as-identity": (cartesian, "tensor_functor_law_holds",
-                                 lambda *a: True, lambda *a: False),
-    "negative-empty-terminal": (cartesian, "is_cartesian",
-                                lambda *a: None, lambda *a: {"kind": "any"}),
-    "negative-identity-braid": (coherence, "route_cells",
-                                lambda *a: (None, None, []),
-                                lambda *a: {"kind": "any"}),
-}
-#: Per control, what makes its corruption raise a plain ``ValueError``, and
-#: for a corrupted instance or level, what takes the corruption away.
-CORRUPTIONS = {
-    "negative-nonmap-rejected": (("instance", "map_adjunction", _raise),
-                                 None),
-    "negative-collapsed-cone": ((harness, "ProductCone", _raise), None),
-    "negative-identity-braid": (
-        (harness, "pair_map", _raise),
-        (harness, "pair_map", lambda B, f, g: mapprod.pair_map(B, g, f))),
-    **dict.fromkeys(
-        ("negative-misplaced-terminal-cell", "negative-doubled-cells",
-         "negative-tau-as-identity", "negative-empty-terminal"),
-        ((harness, "_Corrupt", _RaisingCorrupt),
-         (harness, "_Corrupt", lambda B, **ops: B))),
-}
-CONTROLS = {c.check_id: (suite, c) for suite, specs in SUITE_CHECKS.items()
-            for c in specs if c.row is not None}
-
-
-def _patch(monkeypatch, B, target, attr, value):
-    monkeypatch.setattr(type(B) if target == "instance" else target, attr,
-                        value)
-
-
-@pytest.mark.parametrize("control", sorted(CONTROLS))
-def test_each_control_runs_the_checker_of_its_row(monkeypatch, control):
-    # With the checker always holding, the control fails; with it never
-    # holding, the row no longer passes: both read the same function.
-    assert set(ROW_CHECKERS) == set(CONTROLS) == set(CORRUPTIONS)
-    suite, spec = CONTROLS[control]
-    row = next(c for c in SUITE_CHECKS[suite] if c.check_id == spec.row)
-    target, attr, holds, fails = ROW_CHECKERS[control]
-    for name in ("span", "rel"):
-        B = instance_for(name)
-        cfg = FAST._replace(instance=name)
-        assert run_check(B, cfg, spec).status == "pass"
-        with monkeypatch.context() as m:
-            _patch(m, B, target, attr, holds)
-            assert run_check(B, cfg, spec).status == "fail", name
-        with monkeypatch.context() as m:
-            _patch(m, B, target, attr, fails)
-            assert run_check(B, cfg, row).status != "pass", name
-
-
-@pytest.mark.parametrize("control", sorted(CONTROLS))
-def test_a_control_whose_corruption_raises_is_an_error(monkeypatch, control):
-    # A control catches nothing: a plain ValueError from its corruption is
-    # an error row, never a catch.  Without the corruption, it fails.
-    spec = CONTROLS[control][1]
-    raising, honest = CORRUPTIONS[control]
-    for name in ("span", "rel"):
-        B = instance_for(name)
-        with monkeypatch.context() as m:
-            _patch(m, B, *raising)
-            result = run_check(B, FAST, spec)
-            assert result.status == "error", name
-            assert "ValueError: corruption raised" in result.counterexample
-        if honest is not None:
-            with monkeypatch.context() as m:
-                _patch(m, B, *honest)
-                assert run_check(B, FAST, spec).status == "fail", name
-
-
-def _another_cell(B, right):
-    return next((c for c in B.hom_cells(right.dom, right.cod) if c != right),
-                right)
-
-
-def _into_terminal(B, right):
-    return B.vcomp(right, B.tau(right.cod))
-
-
-#: Mate mutants, each a rewrite of the right cell and the instances it
-#: can tell apart there: a relation's hom-sets hold at most one cell, so
-#: there a wrong mate has the wrong boundary.
-MATE_MUTANTS = {"another-cell": (_another_cell, ("span",)),
-                "into-terminal": (_into_terminal, ("span", "rel"))}
-
-
-@pytest.mark.parametrize("mutant", sorted(MATE_MUTANTS))
-@pytest.mark.parametrize("mate", ["mate_to_secondary", "mate_to_primary"])
-def test_mate_round_trip_fails_under_a_mate_mutant(monkeypatch, mate, mutant):
-    # A square keeps the cell it was built from as its secondary form, so
-    # the row takes the mate back through the kernel, where a mutant shows.
-    spec = next(c for c in KERNEL_CHECKS if c.check_id == "mate-round-trip")
-    rewrite, names = MATE_MUTANTS[mutant]
-    right = getattr(kernel, mate)
-
-    def mutated(B, cell, *rest):
-        return rewrite(B, right(B, cell, *rest))
-
-    for name in names:
-        B = instance_for(name)
-        cfg = GenConfig(seed=0, max_carrier=3, trials=50, instance=name,
-                        suites=("kernel",))
-        assert run_check(B, cfg, spec).status == "pass"
-        with monkeypatch.context() as m:
-            # ``groth`` binds the kernel's mates by name.
-            for module in (kernel, groth):
-                m.setattr(module, mate, mutated)
-            assert run_check(B, cfg, spec).status == "fail", name
-
-
-def test_a_projection_that_raises_is_an_error_row(monkeypatch):
-    # A tensor's projection squares are built when a row first reads them,
-    # so a construction that raises there is that row's error.
-    spec = next(c for c in SUITE_CHECKS["groth"]
-                if c.check_id == "tensor-pairing-projections")
-    monkeypatch.setattr(groth, "garr_from_secondary", _raise)
-    for name in ("span", "rel"):
-        result = run_check(instance_for(name), FAST._replace(instance=name),
-                           spec)
-        assert (result.status, result.trials) == ("error", 0), name
-        assert "ValueError: corruption raised" in result.counterexample
-
-
-def _from_empty(B, T):
-    """The one cell into ``T`` from the empty 1-cell parallel to it."""
-    E = fin.FinSet(())
-    empty = B.comp(B.local_terminal(T.source, E), B.local_terminal(E, T.target))
-    return next(B.hom_cells(empty, T))
-
-
-def _comparison_from_empty(transported_wedge):
-    # The transported wedge's comparison starts from the empty 1-cell.
-    def mutated(B, *args):
-        W0, e = transported_wedge(B, *args)
-        return W0, B.vcomp(_from_empty(B, e.dom), e)
-    return mutated
-
-
-def _empty_off_diagonal(g_tensor):
-    # The tensor of two different 1-cells is the empty 1-cell.
-    def mutated(B, R, S):
-        tens = g_tensor(B, R, S)
-        if R is S:
-            return tens
-        p1, p2 = (_from_empty(B, p.cod)
-                  for p in (tens.wedge.proj1, tens.wedge.proj2))
-        return groth.TensorWitness(B, p1.dom, (R, S),
-                                   LocalProductWitness(p1.dom, p1, p2, None),
-                                   tens.src_cone, tens.tgt_cone)
-    return mutated
-
-
-def _second_reversed(pair_map):
-    # ``<f, g>`` pairs f with g's values in reverse order.
-    def mutated(B, f, g):
-        back = fin.SetFn(g.source, g.target, g.fn().values[::-1])
-        return pair_map(B, f, B.graph(back))
-    return mutated
-
-
-def _mirror_diagonal(diag):
-    # ``d_X`` pairs each element with its mirror image.
-    def mutated(B, X):
-        return B.graph(fin.SetFn(X, diag(B, X).target,
-                                 zip(X, reversed(X.elements))))
-    return mutated
-
-
-#: ``(suite, row, function, mutant)``: under ``mutant(function)`` the row's
-#: comparison is not invertible, or its law's two composites are not
-#: isomorphic, while every cell stays well formed.
-LAW_MUTANTS = [
-    ("cartesian", "composition-comparisons", groth.transported_wedge,
-     _comparison_from_empty),
-    ("groth", "diagonal-unit-comparison", groth.g_tensor, _empty_off_diagonal),
-    ("mapprod", "pairing-projection-identities", mapprod.pair_map,
-     _second_reversed),
-    ("mapprod", "diag-bang-pseudonatural", mapprod.pair_map, _second_reversed),
-    ("mapprod", "diag-bang-pseudonatural", mapprod.diag, _mirror_diagonal),
-]
-
-
-@pytest.mark.parametrize("suite,row,function,mutant", LAW_MUTANTS,
-                         ids=lambda x: getattr(x, "__name__", x))
-def test_a_row_decides_its_law_and_fails_under_a_mutant(
-        monkeypatch, suite, row, function, mutant):
-    # The row, not an exception inside the construction, says that the law
-    # fails: ``fail`` with a payload that parses, not ``error``.
-    spec = next(c for c in SUITE_CHECKS[suite] if c.check_id == row)
-    for name in ("span", "rel"):
-        B = instance_for(name)
-        cfg = GenConfig(seed=0, max_carrier=3, trials=50, instance=name,
-                        suites=(suite,))
-        assert run_check(B, cfg, spec).status == "pass"
-        with monkeypatch.context() as m:
-            # Every module that binds the function by name sees the mutant.
-            for module in (cartesian, coherence, groth, harness, mapprod):
-                for attr, value in list(vars(module).items()):
-                    if value is function:
-                        m.setattr(module, attr, mutant(function))
-            result = run_check(B, cfg, spec)
-        assert result.status == "fail", (name, result.counterexample)
-        assert parse_document(result.counterexample).entities, name
-
-
 def test_counterexamples_shrink_to_local_minimum():
     # A sampled check shrinks to a local minimum; an exhaustive one stops
     # at the first failing tuple in product order, which is minimal.
@@ -561,38 +292,6 @@ def test_exhaustive_row_finds_what_sampling_misses(monkeypatch):
         assert (result.status, result.trials) == ("fail", 16)
         doc = parse_document(result.counterexample)
         assert (len(doc.lookup("X")), len(doc.lookup("Y"))) == (3, 3)
-
-
-def _twisted_braid(B):
-    """The braid's map composed with a transposition of the first two
-    elements of its first factor."""
-    honest = coherence.braid
-
-    def twisted(L, X, Y):
-        xs = tuple(X)
-        swap = dict(zip(xs[:2], reversed(xs[:2])))
-        tau = B.graph(fin.SetFn(X, X, (swap.get(x, x) for x in xs)))
-        return L.comp(L.times(tau, L.identity(Y)), honest(L, X, Y))
-
-    return twisted
-
-
-def test_a_twisted_braid_fails_the_braid_rows(monkeypatch):
-    # A wrong braid leaves the route composites off their mediators: the
-    # route pairs report it as a violation, so the rows fail, not error.
-    rows = ("braid-syllepsis-equations", "swap-involution", "braid-hexagon")
-    specs = {c.check_id: c for c in SUITE_CHECKS["monoidal"]}
-    for name in ("span", "rel"):
-        B = instance_for(name)
-        cfg = GenConfig(seed=0, max_carrier=3, trials=10, instance=name,
-                        suites=("monoidal",))
-        with monkeypatch.context() as m:
-            m.setattr(coherence, "braid", _twisted_braid(B))
-            for row in rows:
-                assert run_check(B, cfg, specs[row]).status == "fail", (
-                    name, row)
-            control = run_check(B, cfg, specs["negative-identity-braid"])
-            assert control.status == "pass", name
 
 
 def test_fixture_checks_pass_and_fail():
@@ -676,6 +375,17 @@ def test_cli_out_file(tmp_path):
                    "--suite", "kernel", "--out", str(target)])
     assert rc == 0
     assert "result: all checks passed" in target.read_text()
+
+
+@pytest.mark.parametrize("out", ["missing/report.txt", "."],
+                         ids=["missing-directory", "directory"])
+def test_cli_unwritable_out_exits_two(tmp_path, capsys, out):
+    rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel", "--out", str(tmp_path / out)])
+    printed = capsys.readouterr()
+    assert (rc, printed.out) == (2, "")
+    assert printed.err.startswith("bicat-check: cannot write report: ")
+    assert "Traceback" not in printed.err
 
 
 def test_cli_failing_fixture_exits_one(tmp_path, capsys):
@@ -929,37 +639,16 @@ def test_cli_does_not_read_jobs_env(monkeypatch, capsys):
     assert "BICAT_CHECK_JOBS" not in read
 
 
-def _drop_first_pair(comp):
-    def dropped(self, R, T):
-        got = comp(self, R, T)
-        return Rel(got.source, got.target, got.pairs[1:])
-    return dropped
-
-
-def _union(self, R, S):
-    W = Rel(R.source, R.target, R.pairset | S.pairset)
-    return LocalProductWitness(W, RelCell(W, R), RelCell(W, S),
-                               lambda phi, psi: RelCell(phi.dom, W))
-
-
-#: Relation primitives broken without changing their types.
-REL_MUTANTS = {
-    "comp-drops-first-pair": ("comp", _drop_first_pair(RelBicat.comp)),
-    "local-product-is-union": ("local_product", _union),
-    "local-terminal-is-empty": ("local_terminal",
-                                lambda self, source, target:
-                                Rel(source, target, ())),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(REL_MUTANTS))
+@pytest.mark.parametrize("mutant", ["comp-drops-first-pair",
+                                    "local-product-is-union",
+                                    "local-terminal-is-empty"])
 def test_check_that_raises_is_an_error_row_and_the_run_goes_on(
         tmp_path, capsys, monkeypatch, mutant):
-    # Each mutant makes some checks raise inside the instance.  Those rows
-    # read ``error`` with the exception as their payload, every suite is
-    # still reported, and the exit code is 3: neither a law failure's 1
-    # nor a setup problem's 2.
-    monkeypatch.setattr(RelBicat, *REL_MUTANTS[mutant])
+    # Each relation mutant of the table makes some checks raise inside the
+    # instance.  Those rows read ``error`` with the exception as their
+    # payload, every suite is still reported, and the exit code is 3:
+    # neither a law failure's 1 nor a setup problem's 2.
+    apply_mutant(monkeypatch, mutant)
     out = tmp_path / "report"
     rc = cli.main(["--instance", "rel", "--max-size", "2", "--trials", "3",
                    "--report", "machine", "--out", str(out)])
@@ -992,7 +681,7 @@ def test_a_run_makes_no_reference_cycles(monkeypatch):
         run = run_config(cfg, broken)
         assert gc.collect() == 0
         assert [c.status for c in run.suites[-1].checks] == ["fail"] * 3
-        monkeypatch.setattr(RelBicat, *REL_MUTANTS["comp-drops-first-pair"])
+        apply_mutant(monkeypatch, "comp-drops-first-pair")
         assert "error" in run_config(cfg).statuses
         assert gc.collect() == 0
     finally:
