@@ -302,8 +302,6 @@ def strange_pair(B, R, S):
     on the other side); pairing them through the tensor is an equivalence.
     Returns ``(arrow, verdict)`` with :func:`~bicat.groth.g_is_equivalence`'s
     verdict on the arrow."""
-    if R.target != UNIT or S.source != UNIT:
-        raise ValueError("factors must meet in the unit carrier")
     tens = g_tensor(B, R, S)
     P1 = paste_vertical(B, g_identity(B, R), groth.g_bang(B, S))
     P2 = paste_vertical(B, groth.g_bang(B, R), g_identity(B, S))

@@ -42,7 +42,7 @@ from .fin import UNIT, memoised
 from .kernel import (compose_adjunctions, mate_to_primary, mate_to_secondary,
                      require_map, right_mate_of_map_cell)
 from .homprod import transport_cell, transport_hom
-from .mapprod import FillError, bang, diag, pairing, product_object
+from .mapprod import bang, diag, pairing, product_object
 
 
 class GArr(namedtuple("GArr", "dom cod f u primary")):
@@ -70,9 +70,6 @@ def garr_from_primary(B, dom, cod, f, u, primary) -> GArr:
 def garr_from_secondary(B, dom, cod, f, u, secondary_cell) -> GArr:
     require_map(f, u)
     adj = B.map_adjunction(u)
-    expected = B.comp(f, B.comp(cod, adj.right))
-    if secondary_cell.dom != dom or secondary_cell.cod != expected:
-        raise ValueError("secondary cell boundary does not match the square")
     arr = GArr(dom, cod, f, u, mate_to_primary(B, secondary_cell, dom, cod,
                                                f, adj))
     # The mates are a bijection, so the square's secondary form is the
@@ -127,8 +124,6 @@ def paste_vertical(B, a1: GArr, a2: GArr) -> GArr:
     (matching middle frame) becomes ``comp(R, S) => comp(R', S')``."""
     if a1.u != a2.f:
         raise ValueError("squares do not share the middle frame")
-    if a1.dom.target != a2.dom.source or a1.cod.target != a2.cod.source:
-        raise ValueError("squares are not stacked over composable objects")
     R, R2 = a1.dom, a1.cod
     S, S2 = a2.dom, a2.cod
     mid = a1.u
@@ -236,11 +231,8 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     canonical graph frames).  Returns ``(arrow, cell_R, cell_S)`` where the
     cells exhibit the two projection composites as the given cone legs.
 
-    A failed construction raises :class:`~bicat.mapprod.FillError`, the
-    one error of a failed cell search: ``no-solution`` when the
-    transported-wedge comparison is ill-typed or the mediating square
-    fails the projection equations, and ``instance-invariant-violation``
-    when that comparison is not invertible.
+    A failed construction raises the ``ValueError`` of the step that
+    refuses it: ``B.invert``, the mate or :func:`g_cell`.
     """
     if aR.dom != aS.dom:
         raise ValueError("cone legs have different domain objects")
@@ -252,12 +244,7 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
 
     h, mu0, nu0 = pairing(B, aR.f, aS.f)
     w, mu1, nu1 = pairing(B, aR.u, aS.u)
-    for c in (mu0, mu1, nu0, nu1):
-        if not B.is_invertible(c):
-            raise ValueError("frame comparison cells must be invertible")
-
     adj_w = B.map_adjunction(w)
-    ws = adj_w.right
 
     c1 = _transport_cone_leg(B, aR, h, w, adj_w, mu0, mu1, p_s, p_t, aR.cod)
     c2 = _transport_cone_leg(B, aS, h, w, adj_w, nu0, nu1, r_s, r_t, aS.cod)
@@ -265,23 +252,11 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     # The transported tensor must still be a wedge of the transported
     # factors; the comparison into the canonical wedge witnesses that.
     W0, e = transported_wedge(B, tens, h, w)
-    if e.dom != transport_hom(B, h, tens.obj, ws):
-        raise FillError("no-solution", "transported wedge comparison is ill-typed")
-    if not B.is_invertible(e):
-        raise FillError(
-            "instance-invariant-violation",
-            "frame transport does not preserve the local product")
-
     gamma_sec = B.vcomp(W0.pair(c1, c2), B.invert(e))
     arrow = garr_from_secondary(B, T0, tens.obj, h, w, gamma_sec)
 
-    try:
-        cell_R = g_cell(B, g_compose(B, arrow, tens.proj1), aR, mu0, mu1)
-        cell_S = g_cell(B, g_compose(B, arrow, tens.proj2), aS, nu0, nu1)
-    except ValueError as exc:
-        raise FillError("no-solution",
-                         "mediating square fails the projection equations"
-                         " (%s)" % exc) from None
+    cell_R = g_cell(B, g_compose(B, arrow, tens.proj1), aR, mu0, mu1)
+    cell_S = g_cell(B, g_compose(B, arrow, tens.proj2), aS, nu0, nu1)
     return arrow, cell_R, cell_S
 
 
@@ -352,18 +327,13 @@ def dunit_iso(B, R, S):
     """The canonical comparison between the local wedge and the
     diagonal-conjugated tensor: ``d_A* . (R (x) S) . d_X  ~  R /\\ S``.
     That it is invertible is the law, and the caller decides it."""
-    if R.source != S.source or R.target != S.target:
-        raise ValueError("comparison requires parallel 1-cells")
     tens = g_tensor(B, R, S)
     d_src = diag(B, R.source)
     d_tgt = diag(B, R.target)
     adj_d = B.map_adjunction(d_tgt)
-    D = transport_hom(B, d_src, tens.obj, adj_d.right)
     w = B.local_product(R, S)
     c1 = _collapse_diag_leg(B, tens, 0, d_src, d_tgt, adj_d, R)
     c2 = _collapse_diag_leg(B, tens, 1, d_src, d_tgt, adj_d, S)
-    if c1.dom != D or c2.dom != D:
-        raise ValueError("diagonal transport produced unexpected boundaries")
     return w.pair(c1, c2)
 
 

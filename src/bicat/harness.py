@@ -682,11 +682,14 @@ def _chk_modification_pair(B, rng, carriers):
 def _identity_braid(B):
     # Pairing its arguments swapped makes the braid the identity pairing, so
     # the symmetry pair's composites miss the mediator into the flat product.
+    # The payload pairs the swapped legs itself, not through
+    # ``coherence.braid``, so a wrong braid does not change it.
     X = canonical_carrier("x", 2)
     bad = coherence.maps(B)._replace(pair=lambda f, g: pair_map(B, g, f))
+    p, r = bad.cone(X, X)[1]
     symmetry = coherence.ROUTES["symmetry"]
     return (coherence.route_cells(B, bad, symmetry, (X, X)),
-            {"X": X, "claimed-braid": coherence.braid(bad, X, X)})
+            {"X": X, "claimed-braid": bad.pair(r, p)})
 
 
 MONOIDAL_CHECKS = (

@@ -80,8 +80,6 @@ def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
     """The composite adjunction ``comp(f, g) -| comp(g*, f*)``."""
     f, fs = first.left, first.right
     g, gs = second.left, second.right
-    if f.target != g.source:
-        raise AdjunctionMismatch("adjunctions are not composable")
     left = B.comp(f, g)
     right = B.comp(gs, fs)
     unit = B.vc(

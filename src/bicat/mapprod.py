@@ -15,9 +15,8 @@ gives the negative controls teeth.
 
 A cell fixed by its whiskerings, as by a universal property, is found for
 any instance by filtering ``hom_cells`` (:func:`pinned_cells`).
-:class:`FillError` is the one error of a failed cell search, here and in
-the layers above: ``no-solution`` when no cell fits, ``non-unique`` when
-several do.
+:class:`FillError` is the error of a failed fill (:func:`fill2`):
+``no-solution`` when no cell fits, ``non-unique`` when several do.
 """
 
 from __future__ import annotations

@@ -59,9 +59,12 @@ def test_check_adjunction_rejects_bad_boundaries():
     A = FinSet(("a0",))
     m = B.graph(SetFn.constant(X, A, "a0"))
     adj = B.map_adjunction(m)
-    wrong = Adjunction(adj.left, adj.right, adj.counit, adj.unit)
-    with pytest.raises(AdjunctionMismatch):
-        check_adjunction(B, wrong)
+    for unit, counit, side in ((adj.counit, adj.unit, "unit"),
+                               (adj.unit, adj.unit, "counit")):
+        wrong = Adjunction(adj.left, adj.right, unit, counit)
+        with pytest.raises(AdjunctionMismatch, match="^%s boundary does not "
+                           "match the adjunction$" % side):
+            check_adjunction(B, wrong)
 
 
 def test_non_map_span_fails_the_left_triangle():
@@ -134,10 +137,17 @@ def test_mate_rejects_boundary_mismatch():
     adj = B.map_adjunction(m)
     # The identity on 1_X has the right domain but the wrong codomain for
     # a secondary cell against (R, S, f) = (1_X, 1_A, m).
-    not_secondary = B.id2(B.identity(X))
-    with pytest.raises(AdjunctionMismatch):
-        mate_to_primary(B, not_secondary, B.identity(X), B.identity(A),
-                        m, adj)
+    # It is no primary cell either, nor a cell between m and m.
+    wrong = B.id2(B.identity(X))
+    with pytest.raises(AdjunctionMismatch,
+                       match="^secondary cell boundary mismatch$"):
+        mate_to_primary(B, wrong, B.identity(X), B.identity(A), m, adj)
+    with pytest.raises(AdjunctionMismatch,
+                       match="^primary cell boundary mismatch$"):
+        mate_to_secondary(B, wrong, B.identity(X), B.identity(A), m, adj)
+    with pytest.raises(AdjunctionMismatch, match="^cell boundary does not "
+                                                 "match the adjunctions$"):
+        right_mate_of_map_cell(B, wrong, adj, adj)
 
 
 def test_right_mate_reverses_direction():

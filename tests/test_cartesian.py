@@ -6,7 +6,7 @@ import pytest
 
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet
+from bicat.fin import UNIT, FinSet, SetFn
 from bicat.gen import carrier, map_cell
 from bicat.groth import g_tensor
 from bicat.harness import _Corrupt, _misplaced_tau, _tau_is_the_only_cell
@@ -142,6 +142,17 @@ def test_terminal_comparison_lets_programming_errors_through():
         with pytest.raises(AttributeError):
             _tau_is_the_only_cell(proxy, R, B.local_terminal(R.source,
                                                              R.target))
+
+
+def test_adjoint_switch_needs_one_left_cell():
+    X = FinSet(("x0", "x1"))
+    for B in INSTANCES:
+        one = B.map_adjunction(B.identity(X))
+        swap = B.map_adjunction(B.graph(SetFn(X, X, ("x1", "x0"))))
+        assert ct.adjoint_switch_iso(B, swap, swap) == B.id2(swap.right)
+        with pytest.raises(ValueError, match="^adjunctions do not share the "
+                                             "left 1-cell$"):
+            ct.adjoint_switch_iso(B, one, swap)
 
 
 def test_unit_factor_pairing_is_an_equivalence():

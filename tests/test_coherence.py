@@ -187,6 +187,10 @@ def test_step_takes_one_associator_or_one_braid_at_one_subtree():
         for t1, t2 in refused:
             with pytest.raises(ValueError):
                 C._step(L, env, t1, t2)
+        # A flat cone is mediated only into a tree with one leaf per leg.
+        with pytest.raises(ValueError, match="^cone arity does not match "
+                                             "the bracketing$"):
+            C.mediate_into(L, (one(X),) * 3, ("x", "y"))
 
 
 class _TwiceOver:

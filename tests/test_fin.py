@@ -319,3 +319,6 @@ def test_inverse_refuses_non_bijections_around_a_valid_one():
         valid = SetFn(X, Y, ("y1", "y0"))
         assert valid.inverse() == SetFn(Y, X, ("x1", "x0"))
         assert valid.inverse().then(valid) == SetFn.identity(Y)
+        with pytest.raises(ValueError,
+                           match="^composite of non-composable functions$"):
+            valid.then(valid)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from bicat import rel_instance, span_instance
 from bicat.fin import FinSet, SetFn
 from bicat.gen import carrier, map_cell
@@ -130,3 +132,20 @@ def test_product_diagram_check_spots_a_fake():
     assert many["kind"] == "many-mediators" and many["count"] == 2
     assert is_product_diagram(B, w.product, w.proj1, w.proj2, R, R,
                               list(B.one_cells(X, A, 2))) is None
+
+
+@pytest.mark.parametrize("B", INSTANCES, ids=lambda B: B.name)
+def test_local_products_refuse_what_is_not_a_cone(B):
+    X, A, E = FinSet(("x0", "x1")), FinSet(("a0",)), FinSet(())
+    R = B.local_terminal(X, A)
+    empty = B.comp(B.local_terminal(X, E), B.local_terminal(E, A))
+    w = B.local_product(empty, R)
+    assert w.pair(B.id2(empty), B.tau(empty)) == B.id2(w.product)
+    with pytest.raises(ValueError, match="^cone legs have different domains$"):
+        w.pair(B.id2(empty), B.id2(R))
+    with pytest.raises(ValueError,
+                       match="^cone legs do not land in the two factors$"):
+        w.pair(B.tau(empty), B.id2(empty))
+    with pytest.raises(ValueError, match="^local product of non-parallel "
+                                         "(spans|relations)$"):
+        B.local_product(R, B.local_terminal(A, X))

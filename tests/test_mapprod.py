@@ -212,13 +212,19 @@ def test_fill_boundary_and_no_solution_errors():
     alpha = next(iter(B.hom_cells(B.comp(T, p), B.comp(U, p))))
     beta = next(iter(B.hom_cells(B.comp(T, r), B.comp(U, r))))
     # Both projected containments hold, but T is not contained in U.
-    with pytest.raises(FillError) as info:
+    # A FillError is a ValueError, so callers may catch either.
+    with pytest.raises(ValueError) as info:
         fill2(B, T, U, alpha, beta, cone)
+    assert type(info.value) is FillError
     assert info.value.args[0].startswith("no-solution")
-    with pytest.raises(ValueError):
-        fill2(B, T, U, beta, alpha, cone)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fill boundary mismatch$"):
         fill2(B, B.comp(T, p), U, alpha, beta, cone)
+    with pytest.raises(ValueError,
+                       match="^first cone cell has the wrong boundary$"):
+        fill2(B, T, U, beta, alpha, cone)
+    with pytest.raises(ValueError,
+                       match="^second cone cell has the wrong boundary$"):
+        fill2(B, T, U, alpha, alpha, cone)
 
 
 def test_fill_against_a_forgetful_cone_is_non_unique():

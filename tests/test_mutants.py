@@ -240,9 +240,9 @@ UNCORRUPTED = ("pair-map-swapped", "proxy-is-the-instance")
 def test_each_mutant_reads_its_recorded_statuses(monkeypatch, name, patch,
                                                  instances, rows):
     # At the command's defaults, each named row passes without the patch
-    # and reads its status with it.  A fail shows entities, and a failing
-    # control the same corrupted input as when it passes; an error shows
-    # the exception.
+    # and reads its status with it.  A fail shows entities, and a control,
+    # passing or failing, the same corrupted input as without the patch;
+    # an error shows the exception.
     for instance in instances:
         B = instance_for(instance)
         cfg = GenConfig(seed=0, max_carrier=3, trials=50, instance=instance,
@@ -259,8 +259,9 @@ def test_each_mutant_reads_its_recorded_statuses(monkeypatch, name, patch,
                 assert r.trials == 0 and re.fullmatch(r"# \w+: .+\n", shown)
             elif r.status == "fail":
                 assert parse_document(shown).entities, (instance, row)
-                if ROWS[row].row is not None and name not in UNCORRUPTED:
-                    assert shown == honest[row].counterexample, (instance, row)
+            if (r.status != "error" and ROWS[row].row is not None
+                    and name not in UNCORRUPTED):
+                assert shown == honest[row].counterexample, (instance, row)
 
 
 def test_every_control_and_its_row_are_in_the_table():

@@ -139,6 +139,11 @@ def test_invalid_values_raise_after_a_valid_one():
             RelCell(f, small)
         with pytest.raises(ValueError, match="non-composable"):
             R.vcomp(R.id2(small), R.id2(f))
+        with pytest.raises(ValueError,
+                           match="^2-cell between non-parallel relations$"):
+            RelCell(small, g)
+        with pytest.raises(ValueError, match="^2-cell is not invertible$"):
+            R.invert(RelCell(small, f))
 
 
 def test_pair_set_is_stored_and_read():

@@ -462,8 +462,11 @@ def test_equivalences_are_two_bijective_legs():
     w = kernel.find_equivalence(B, E)
     assert w is not None and w.left == E
 
+    # A map whose right adjoint is not a map, and that adjoint.
     N = graph(SetFn.constant(X, Y, "y0"))
     assert kernel.find_equivalence(B, N) is None
+    assert not reverse(N).is_map()
+    assert kernel.find_equivalence(B, reverse(N)) is None
 
 
 def test_identity_span_shape():
@@ -520,12 +523,24 @@ def test_invalid_cells_raise_after_a_valid_one():
     R = graph(SetFn(X, X, ("x0", "x1")))
     S = graph(SetFn(X, X, ("x1", "x0")))
     ident = SetFn.identity(X)
+    Y = FinSet(("y0",))
+    to_y = SetFn.constant(X, Y, "y0")
+    refused = (
+        (lambda: SpanCell(R, S, ident), "commute"),
+        (lambda: B.vcomp(B.id2(R), B.id2(S)), "non-composable"),
+        (lambda: Span(Y, X, X, ident, ident),
+         "^left leg does not match the span boundary$"),
+        (lambda: Span(X, Y, X, ident, ident),
+         "^right leg does not match the span boundary$"),
+        (lambda: SpanCell(R, graph(to_y), ident),
+         "^2-cell between non-parallel spans$"),
+        (lambda: SpanCell(R, R, to_y),
+         "^2-cell function does not match the apexes$"))
     assert SpanCell(R, R, ident) is B.id2(R)
     for _ in range(2):
-        with pytest.raises(ValueError, match="commute"):
-            SpanCell(R, S, ident)
-        with pytest.raises(ValueError, match="non-composable"):
-            B.vcomp(B.id2(R), B.id2(S))
+        for call, message in refused:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 @pytest.fixture
