@@ -1,13 +1,15 @@
 """The tensor as a lax structure on the base instance, and its comparisons.
 
 Tensoring objects is :func:`bicat.groth.g_tensor`; this module derives the
-rest: the action on 2-cells, the unit and composition constraint cells
-(both produced by pairing canonical cones, so existence and uniqueness come
-from the universal property rather than ad hoc formulas), the lax functor
-axioms, the comparison between carrier products and tensors of maps, and
-the invertibility results that make the structure cartesian rather than
-merely lax: projection fillers on identity factors, Beck-style conjugates,
-composites with map frames, and the degenerate tensor through the unit.
+rest: the action on 2-cells, the unit and composition constraint cells, the
+lax functor axioms, the comparison between carrier products and tensors of
+maps, and the invertibility results that make the structure cartesian
+rather than merely lax: projection fillers on identity factors, Beck-style
+conjugates, composites with map frames, and the degenerate tensor through
+the unit.  Every comparison of the tensor here is the filler of one
+:func:`~bicat.groth.g_pair` of a cone of squares, so existence and
+uniqueness come from the universal property rather than ad hoc formulas,
+and a map in any form, canonical graph or not, is a valid frame.
 
 Constructions return plain 2-cells; the law checkers return verdicts as
 set out in :mod:`bicat.kernel`.  Invertibility is always decided by the
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 from .fin import UNIT, memoised
 from .homprod import transport_cell
-from .kernel import compose_adjunctions, transpose
-from .mapprod import map_iso, times_on_arrows
+from .kernel import transpose
+from .mapprod import map_iso, product_object, times_on_arrows
 from . import groth
 from .groth import (g_identity, g_map_arrow, g_pair, g_tensor,
                     garr_from_primary, paste_vertical)
@@ -50,8 +52,7 @@ def tensor_unit_cell(B, X, Y):
     tens = g_tensor(B, B.identity(X), B.identity(Y))
     aR = g_map_arrow(B, tens.src_cone.legs[0])
     aS = g_map_arrow(B, tens.src_cone.legs[1])
-    arrow, _, _ = g_pair(B, tens, aR, aS)
-    return arrow.primary
+    return g_pair(B, tens, aR, aS).primary
 
 
 def tensor_comp_cell(B, R, S, T, U):
@@ -62,8 +63,7 @@ def tensor_comp_cell(B, R, S, T, U):
     target = g_tensor(B, B.comp(R, T), B.comp(S, U))
     aR = paste_vertical(B, t1.proj1, t2.proj1)
     aS = paste_vertical(B, t1.proj2, t2.proj2)
-    arrow, _, _ = g_pair(B, target, aR, aS)
-    return arrow.primary
+    return g_pair(B, target, aR, aS).primary
 
 
 def unit_functor_cells(B):
@@ -141,19 +141,22 @@ def tensor_functor_law_holds(B, a1, a2, b1, b2) -> bool:
 
 # --- comparison between carrier products and tensors of maps ----------------
 
+def _leg_squares(B, f, g):
+    """The squares ``f x g => f`` and ``f x g => g`` of two maps, framed by
+    the carrier projections and filled by :func:`~bicat.mapprod.map_iso`."""
+    fg = times_on_arrows(B, f, g)
+    src = product_object(B, f.source, g.source)
+    tgt = product_object(B, f.target, g.target)
+    return [garr_from_primary(B, fg, m, p_s, p_t,
+                              map_iso(B, B.comp(fg, p_t), B.comp(p_s, m)))
+            for m, p_s, p_t in zip((f, g), src.legs, tgt.legs)]
+
+
 def m_cell(B, f, g):
     """``m'_{f,g} : f x g -> f (x) g`` comparing the product of maps with
-    their tensor.  Invertible in both instances."""
-    fg = times_on_arrows(B, f, g)
-    tens = g_tensor(B, f, g)
-    p_s, r_s = tens.src_cone.legs
-    p_t, r_t = tens.tgt_cone.legs
-    aR = garr_from_primary(B, fg, f, p_s, p_t,
-                           map_iso(B, B.comp(fg, p_t), B.comp(p_s, f)))
-    aS = garr_from_primary(B, fg, g, r_s, r_t,
-                           map_iso(B, B.comp(fg, r_t), B.comp(r_s, g)))
-    arrow, _, _ = g_pair(B, tens, aR, aS)
-    return arrow.primary
+    their tensor: the pairing of the two leg squares.  Invertible in both
+    instances."""
+    return g_pair(B, g_tensor(B, f, g), *_leg_squares(B, f, g)).primary
 
 
 def check_m(B, f, g, u, v):
@@ -218,82 +221,41 @@ def prebeck_cell(B, R, Y):
     return conjugate_cell(B, tens.proj1)
 
 
-def adjoint_switch_iso(B, adj1, adj2):
-    """Two adjunctions sharing their left 1-cell have canonically
-    isomorphic rights: ``adj1.right -> adj2.right``."""
-    if adj1.left != adj2.left:
-        raise ValueError("adjunctions do not share the left 1-cell")
-    return transpose(B, adj1, adj2.unit, adj2.right)
-
-
 def precompose_iso(B, f, g, R, S):
     """``comp(f x g, R (x) S)  ~  comp(f, R) (x) comp(g, S)`` for maps f, g.
 
-    Precomposition by the product map transports the wedge; the factors
-    line up after rebracketing because graph composites are strict.  That
-    the comparison is invertible is the law, and the caller decides it.
+    The pairing of the tensor projections pasted under the leg squares of
+    ``f x g``.  That it is invertible is the law, and the caller decides it.
     """
     tens = g_tensor(B, R, S)
-    fg = times_on_arrows(B, f, g)
-    W0, e = groth.transported_wedge(B, tens, fg, B.identity(tens.tgt_cone.vertex))
+    sq_f, sq_g = _leg_squares(B, f, g)
     target = g_tensor(B, B.comp(f, R), B.comp(g, S))
-    p_s, r_s = tens.src_cone.legs
-    p_t, r_t = tens.tgt_cone.legs
-
-    def leg_cell(side, leg_src, leg_tgt, m, factor):
-        star = B.map_adjunction(leg_tgt).right
-        inner = B.comp(factor, star)
-        leg2 = target.src_cone.legs[side]
-        return B.vc(
-            B.assoc_inv(fg, leg_src, inner),
-            B.assoc(leg2, m, inner),
-            B.whisker_left(leg2, B.assoc_inv(m, factor, star)),
-        )
-
-    c1 = leg_cell(0, p_s, p_t, f, R)
-    c2 = leg_cell(1, r_s, r_t, g, S)
-    fix = target.wedge.pair(B.vcomp(W0.proj1, c1), B.vcomp(W0.proj2, c2))
-    return B.vcomp(e, fix)
+    return g_pair(B, target, paste_vertical(B, sq_f, tens.proj1),
+                  paste_vertical(B, sq_g, tens.proj2)).primary
 
 
 def postcompose_star_iso(B, R, S, u, v):
     """``comp(R (x) S, (u x v)*)  ~  comp(R, u*) (x) comp(S, v*)`` for maps.
 
-    The right-adjoint side of the previous comparison; the factors line up
-    through the canonical switch between the two composite adjunctions on
-    the strictly equal map composites ``comp(u x v, projection)`` and
-    ``comp(projection, u)``.
+    The right-adjoint side of :func:`precompose_iso`: the pairing of the
+    tensor projections pasted over squares ``(u x v)* => u*`` and ``=> v*``
+    framed by the carrier projections, each the conjugate of the map iso
+    between a projection after ``u`` (or ``v``) and ``u x v`` before one.
     """
     tens = g_tensor(B, R, S)
     uv = times_on_arrows(B, u, v)
-    adj_uv = B.map_adjunction(uv)
-    W0, e = groth.transported_wedge(B, tens, B.identity(tens.src_cone.vertex), uv)
+    uv_star = B.map_adjunction(uv).right
     target = g_tensor(B, B.comp(R, B.map_adjunction(u).right),
                       B.comp(S, B.map_adjunction(v).right))
-    p_t, r_t = tens.tgt_cone.legs
-
-    def leg_cell(side, leg_tgt, m, factor):
-        adj_t = B.map_adjunction(leg_tgt)
-        adj_m = B.map_adjunction(m)
-        adj_leg2 = B.map_adjunction(target.tgt_cone.legs[side])
-        switch = adjoint_switch_iso(
-            B,
-            compose_adjunctions(B, adj_uv, adj_t),
-            compose_adjunctions(B, adj_leg2, adj_m),
-        )
-        leg_src = tens.src_cone.legs[side]
-        return B.vc(
-            B.assoc(leg_src, B.comp(factor, adj_t.right), adj_uv.right),
-            B.whisker_left(leg_src, B.assoc(factor, adj_t.right, adj_uv.right)),
-            B.whisker_left(leg_src, B.whisker_left(factor, switch)),
-            B.whisker_left(leg_src, B.assoc_inv(factor, adj_m.right,
-                                                adj_leg2.right)),
-        )
-
-    c1 = leg_cell(0, p_t, u, R)
-    c2 = leg_cell(1, r_t, v, S)
-    fix = target.wedge.pair(B.vcomp(W0.proj1, c1), B.vcomp(W0.proj2, c2))
-    return B.vcomp(e, fix)
+    legs = []
+    for proj, m, p, q in zip((tens.proj1, tens.proj2), (u, v),
+                             tens.tgt_cone.legs, target.tgt_cone.legs):
+        iso = garr_from_primary(B, q, p, uv, m,
+                                map_iso(B, B.comp(q, m), B.comp(uv, p)))
+        star = garr_from_primary(B, uv_star, B.map_adjunction(m).right, p, q,
+                                 conjugate_cell(B, iso))
+        legs.append(paste_vertical(B, proj, star))
+    return g_pair(B, target, *legs).primary
 
 
 def strange_pair(B, R, S):
@@ -305,5 +267,5 @@ def strange_pair(B, R, S):
     tens = g_tensor(B, R, S)
     P1 = paste_vertical(B, g_identity(B, R), groth.g_bang(B, S))
     P2 = paste_vertical(B, groth.g_bang(B, R), g_identity(B, S))
-    arrow, _, _ = g_pair(B, tens, P1, P2)
+    arrow = g_pair(B, tens, P1, P2)
     return arrow, groth.g_is_equivalence(B, arrow)

@@ -71,7 +71,7 @@ def squares(B) -> Level:
         return t.obj, (t.proj1, t.proj2)
 
     def pair(a1, a2):
-        return g_pair(B, g_tensor(B, a1.cod, a2.cod), a1, a2)[0]
+        return g_pair(B, g_tensor(B, a1.cod, a2.cod), a1, a2)
 
     def times(a1, a2):
         t = g_tensor(B, a1.dom, a2.dom)

@@ -5,7 +5,8 @@ any single check (and any single trial inside it) can be replayed without
 running what came before it.  Carrier sizes are uniform on [0, max].  Each
 instance draws its own values from the ``rng`` it is given (``one_cell``,
 ``thicken``, ``thin``, ``scramble``, next to its exhaustive ``one_cells``),
-so nothing here asks which instance it runs on.
+so nothing here asks which instance it runs on.  Every map drawn here has
+been through ``scramble``, so no check sees only canonical graphs.
 """
 
 from __future__ import annotations
@@ -72,13 +73,10 @@ def carrier(rng: random.Random, prefix: str, max_size: int) -> FinSet:
     return canonical_carrier(prefix, rng.randint(0, max_size))
 
 
-def map_cell(B, rng: random.Random, X: FinSet, A: FinSet, scramble=True):
+def map_cell(B, rng: random.Random, X: FinSet, A: FinSet):
     """A random map ``X -> A`` of the instance, or None when there is none:
-    the graph of a uniform function, passed through the instance's
-    ``scramble`` when ``scramble`` is set, so map-handling code paths see
-    non-normalized inputs too."""
+    the graph of a uniform function passed through the instance's
+    ``scramble``, so every map-handling code path sees non-normalized
+    inputs too."""
     fn = set_fn(rng, X, A)
-    if fn is None:
-        return None
-    m = B.graph(fn)
-    return B.scramble(rng, m) if scramble else m
+    return None if fn is None else B.scramble(rng, B.graph(fn))

@@ -27,10 +27,10 @@ compares by identity.
 The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
 by the carrier projections, each built when first read; :func:`g_pair`
-mediates an arbitrary cone through it and is the workhorse every
-constraint cell downstream is built from.  Tensors, mediating squares,
-composites along the frames and both filler forms are memoised in the
-per-unit memo of :mod:`bicat.fin`.
+mediates an arbitrary cone through it and returns the mediating square
+alone.  Every comparison of the tensor downstream is the filler of one
+such square.  Tensors, mediating squares, composites along the frames and
+both filler forms are memoised in the per-unit memo of :mod:`bicat.fin`.
 """
 
 from __future__ import annotations
@@ -221,24 +221,24 @@ def g_tensor(B, R, S) -> TensorWitness:
 
 
 @memoised
-def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
-    """Mediate a cone through the tensor.
+def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr) -> GArr:
+    """Mediate a cone through the tensor: the square ``T => R (x) S``.
 
     ``aR : T => R`` and ``aS : T => S`` share their domain object.  The
-    pairings ``h`` and ``w`` of the cone's frames come from
-    :func:`~bicat.mapprod.pairing`, with invertible cells ``mu0, mu1, nu0,
-    nu1`` comparing the projected frames with the cone's (identities for
-    canonical graph frames).  Returns ``(arrow, cell_R, cell_S)`` where the
-    cells exhibit the two projection composites as the given cone legs.
+    square's frames ``h`` and ``w`` pair the cone's frames by
+    :func:`~bicat.mapprod.pairing`, whose invertible cells ``mu0, mu1, nu0,
+    nu1`` compare the projected frames with the cone's (identities for
+    canonical graph frames).  Those cells, as :func:`g_cell` pairs, exhibit
+    the two projection composites of the square as the given cone legs; a
+    caller that needs them builds them.
 
     A failed construction raises the ``ValueError`` of the step that
-    refuses it: ``B.invert``, the mate or :func:`g_cell`.
+    refuses it: ``B.invert`` or the mate.
     """
     if aR.dom != aS.dom:
         raise ValueError("cone legs have different domain objects")
     if aR.cod != tens.proj1.cod or aS.cod != tens.proj2.cod:
         raise ValueError("cone legs do not land in the tensor factors")
-    T0 = aR.dom
     p_s, r_s = tens.src_cone.legs
     p_t, r_t = tens.tgt_cone.legs
 
@@ -249,29 +249,15 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr):
     c1 = _transport_cone_leg(B, aR, h, w, adj_w, mu0, mu1, p_s, p_t, aR.cod)
     c2 = _transport_cone_leg(B, aS, h, w, adj_w, nu0, nu1, r_s, r_t, aS.cod)
 
-    # The transported tensor must still be a wedge of the transported
-    # factors; the comparison into the canonical wedge witnesses that.
-    W0, e = transported_wedge(B, tens, h, w)
+    # The wedge transported along ``comp(h, comp(-, w*))`` must still be a
+    # wedge of the transported factors; the comparison ``e`` into their
+    # canonical wedge witnesses that.
+    projs = (tens.wedge.proj1, tens.wedge.proj2)
+    W0 = B.local_product(*(transport_hom(B, h, p.cod, adj_w.right)
+                           for p in projs))
+    e = W0.pair(*(transport_cell(B, h, p, adj_w.right) for p in projs))
     gamma_sec = B.vcomp(W0.pair(c1, c2), B.invert(e))
-    arrow = garr_from_secondary(B, T0, tens.obj, h, w, gamma_sec)
-
-    cell_R = g_cell(B, g_compose(B, arrow, tens.proj1), aR, mu0, mu1)
-    cell_S = g_cell(B, g_compose(B, arrow, tens.proj2), aS, nu0, nu1)
-    return arrow, cell_R, cell_S
-
-
-def transported_wedge(B, tens: TensorWitness, h, w):
-    """Transport the tensor wedge along ``comp(h, comp(-, w*))`` and return
-    the canonical wedge of the transported factors with the comparison
-    into it."""
-    ws = B.map_adjunction(w).right
-    C1 = tens.wedge.proj1.cod
-    C2 = tens.wedge.proj2.cod
-    W0 = B.local_product(transport_hom(B, h, C1, ws),
-                         transport_hom(B, h, C2, ws))
-    e = W0.pair(transport_cell(B, h, tens.wedge.proj1, ws),
-                transport_cell(B, h, tens.wedge.proj2, ws))
-    return W0, e
+    return garr_from_secondary(B, aR.dom, tens.obj, h, w, gamma_sec)
 
 
 def _transport_cone_leg(B, a: GArr, h, w, adj_w, iso0, iso1, p_src, p_tgt, factor):
@@ -319,8 +305,7 @@ def g_diag(B, R) -> GArr:
     identity squares."""
     tens = g_tensor(B, R, R)
     one = g_identity(B, R)
-    arrow, _, _ = g_pair(B, tens, one, one)
-    return arrow
+    return g_pair(B, tens, one, one)
 
 
 def dunit_iso(B, R, S):

@@ -395,10 +395,14 @@ def _tensor_cone(B, rng, carriers):
 
 def _chk_tensor_pairing(B, rng, carriers):
     R, S, T0, tens, aR, aS = _tensor_cone(B, rng, carriers)
-    arrow, c1, c2 = groth.g_pair(B, tens, aR, aS)
-    ok = (groth.g_cell_invertible(B, c1) and groth.g_cell_invertible(B, c2)
-          and c1.dom == groth.g_compose(B, arrow, tens.proj1)
-          and c1.cod == aR and c2.cod == aS)
+    arrow = groth.g_pair(B, tens, aR, aS)
+    # The frame cells of the pairings exhibit each projection composite of
+    # the arrow as its cone leg.
+    _, mu0, nu0 = pairing(B, aR.f, aS.f)
+    _, mu1, nu1 = pairing(B, aR.u, aS.u)
+    c1 = groth.g_cell(B, groth.g_compose(B, arrow, tens.proj1), aR, mu0, mu1)
+    c2 = groth.g_cell(B, groth.g_compose(B, arrow, tens.proj2), aS, nu0, nu1)
+    ok = groth.g_cell_invertible(B, c1) and groth.g_cell_invertible(B, c2)
     return None if ok else {"R": R, "S": S, "T0": T0}
 
 
@@ -406,7 +410,7 @@ def _pair_unique(B, tens, aR, aS) -> bool:
     """The pairing of the cone ``aR, aS`` is the only square over its frames
     into the tensor with the same two projections."""
     T0 = aR.dom
-    arrow, _, _ = groth.g_pair(B, tens, aR, aS)
+    arrow = groth.g_pair(B, tens, aR, aS)
     w_star = B.map_adjunction(arrow.u).right
     E = B.comp(arrow.f, B.comp(tens.obj, w_star))
     want = (groth.g_compose(B, arrow, tens.proj1),
@@ -431,25 +435,29 @@ def _chk_square_cells(B, rng, carriers):
     X, Y, A, Bc = carriers
     R = B.one_cell(rng, X, A, 2)
     S = B.one_cell(rng, Y, Bc, 2)
-    tens = groth.g_tensor(B, R, S)
-    M = tens.proj1
-    brute = []
-    for phi in B.hom_cells(M.f, M.f):
-        for psi in B.hom_cells(M.u, M.u):
-            lhs = B.vcomp(B.whisker_left(M.dom, psi), M.primary)
-            rhs = B.vcomp(M.primary, B.whisker_right(phi, M.cod))
-            if lhs == rhs:
-                brute.append((phi, psi))
+    M = groth.g_tensor(B, R, S).proj1
+    # A square parallel to M over relabelled copies of its frames, its
+    # filler M's conjugated by the frame isos, so that the isos are a cell
+    # M => M2.  A relation has no relabelling: on rel, M2 is M and the isos
+    # are the identity pair.
+    f2, u2 = B.scramble(rng, M.f), B.scramble(rng, M.u)
+    isos = (map_iso(B, M.f, f2), map_iso(B, M.u, u2))
+    M2 = groth.garr_from_primary(B, M.dom, M.cod, f2, u2, B.vc(
+        B.whisker_left(M.dom, B.invert(isos[1])), M.primary,
+        B.whisker_right(isos[0], M.cod)))
+    pairs = list(itertools.product(B.hom_cells(M.f, f2),
+                                   B.hom_cells(M.u, u2)))
+    brute = [(phi, psi) for phi, psi in pairs
+             if B.vcomp(B.whisker_left(M.dom, psi), M2.primary)
+             == B.vcomp(M.primary, B.whisker_right(phi, M.cod))]
     built = []
-    for phi in B.hom_cells(M.f, M.f):
-        for psi in B.hom_cells(M.u, M.u):
-            try:
-                groth.g_cell(B, M, M, phi, psi)
-            except ValueError:
-                continue
-            built.append((phi, psi))
-    identity_pair = (B.id2(M.f), B.id2(M.u))
-    ok = brute == built and identity_pair in brute
+    for phi, psi in pairs:
+        try:
+            groth.g_cell(B, M, M2, phi, psi)
+        except ValueError:
+            continue
+        built.append((phi, psi))
+    ok = brute == built and isos in brute
     return None if ok else {"R": R, "S": S}
 
 
@@ -580,10 +588,10 @@ def _chk_global_constraints(B, rng, carriers):
 
 def _chk_map_comparison(B, rng, carriers):
     X0, X1, X2, Y0, Y1, Y2 = carriers
-    f = map_cell(B, rng, X0, X1, scramble=False)
-    u = map_cell(B, rng, X1, X2, scramble=False)
-    g = map_cell(B, rng, Y0, Y1, scramble=False)
-    v = map_cell(B, rng, Y1, Y2, scramble=False)
+    f = map_cell(B, rng, X0, X1)
+    u = map_cell(B, rng, X1, X2)
+    g = map_cell(B, rng, Y0, Y1)
+    v = map_cell(B, rng, Y1, Y2)
     if None in (f, u, g, v):
         return None
     ok = (cartesian.check_m(B, f, g, u, v) is None
@@ -602,10 +610,10 @@ def _chk_projection_conjugates(B, rng, carriers):
 
 def _chk_composition_comparisons(B, rng, carriers):
     Xp, X, A, Yp, Y, C = carriers
-    f = map_cell(B, rng, Xp, X, scramble=False)
-    g = map_cell(B, rng, Yp, Y, scramble=False)
-    u = map_cell(B, rng, C, A, scramble=False)
-    v = map_cell(B, rng, A, C, scramble=False)
+    f = map_cell(B, rng, Xp, X)
+    g = map_cell(B, rng, Yp, Y)
+    u = map_cell(B, rng, C, A)
+    v = map_cell(B, rng, A, C)
     if None in (f, g, u, v):
         return None
     R = B.one_cell(rng, X, A, 2)

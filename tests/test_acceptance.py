@@ -262,12 +262,12 @@ def test_criterion_6_projection_and_unit_isos(capsys):
 
         def comparisons(B, rng, carriers):
             X, Y, A, Cc, L, M = carriers
-            f = map_cell(B, rng, X, A, scramble=False)
-            g = map_cell(B, rng, Y, Cc, scramble=False)
+            f = map_cell(B, rng, X, A)
+            g = map_cell(B, rng, Y, Cc)
             R = B.one_cell(rng, A, L, 2)
             S = B.one_cell(rng, Cc, M, 2)
-            u = map_cell(B, rng, X, L, scramble=False)
-            v = map_cell(B, rng, Y, M, scramble=False)
+            u = map_cell(B, rng, X, L)
+            v = map_cell(B, rng, Y, M)
             if None in (f, g, u, v):
                 return None
             compared[B.name] += 2

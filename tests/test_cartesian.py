@@ -6,11 +6,12 @@ import pytest
 
 from bicat import cartesian as ct
 from bicat import rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, SetFn
+from bicat.fin import UNIT, FinSet, SetFn, canonical_carrier
 from bicat.gen import carrier, map_cell
 from bicat.groth import g_tensor
 from bicat.harness import _Corrupt, _misplaced_tau, _tau_is_the_only_cell
-from bicat.mapprod import FillError, fill2, product_object
+from bicat.mapprod import FillError, fill2, product_object, times_on_arrows
+from bicat.spans import relabel_apex
 
 INSTANCES = (span_instance(), rel_instance())
 
@@ -144,15 +145,40 @@ def test_terminal_comparison_lets_programming_errors_through():
                                                              R.target))
 
 
-def test_adjoint_switch_needs_one_left_cell():
-    X = FinSet(("x0", "x1"))
-    for B in INSTANCES:
-        one = B.map_adjunction(B.identity(X))
-        swap = B.map_adjunction(B.graph(SetFn(X, X, ("x1", "x0"))))
-        assert ct.adjoint_switch_iso(B, swap, swap) == B.id2(swap.right)
-        with pytest.raises(ValueError, match="^adjunctions do not share the "
-                                             "left 1-cell$"):
-            ct.adjoint_switch_iso(B, one, swap)
+def test_comparisons_take_scrambled_maps():
+    # On apex-relabelled span maps, both comparisons are two-sided
+    # invertible cells with the boundaries their docstrings state.
+    rng = random.Random(75)
+    B = span_instance()
+
+    def scrambled(X, A):
+        m = B.graph(SetFn(X, A, (rng.choice(tuple(A)) for _ in X)))
+        names = canonical_carrier("q", len(X))
+        return relabel_apex(m, SetFn(X, names, reversed(tuple(names))))
+
+    def star(m):
+        return B.map_adjunction(m).right
+
+    for _ in range(10):
+        Xp, X, A, Yp, Y, C = (canonical_carrier(p, rng.randint(1, 2))
+                              for p in ("xp", "x", "a", "yp", "y", "c"))
+        f, g, u, v = (scrambled(D, E)
+                      for D, E in ((Xp, X), (Yp, Y), (C, A), (A, C)))
+        assert all(m != B.graph(m.fn()) for m in (f, g, u, v))
+        R = B.one_cell(rng, X, A, 2)
+        S = B.one_cell(rng, Y, C, 2)
+        tens = g_tensor(B, R, S).obj
+        pre = ct.precompose_iso(B, f, g, R, S)
+        post = ct.postcompose_star_iso(B, R, S, u, v)
+        assert pre.dom == B.comp(times_on_arrows(B, f, g), tens)
+        assert pre.cod == g_tensor(B, B.comp(f, R), B.comp(g, S)).obj
+        assert post.dom == B.comp(tens, star(times_on_arrows(B, u, v)))
+        assert post.cod == g_tensor(B, B.comp(R, star(u)),
+                                    B.comp(S, star(v))).obj
+        for cell in (pre, post):
+            inv = B.invert(cell)
+            assert B.vcomp(cell, inv) == B.id2(cell.dom)
+            assert B.vcomp(inv, cell) == B.id2(cell.cod)
 
 
 def test_unit_factor_pairing_is_an_equivalence():

@@ -292,7 +292,7 @@ def test_square_constructions_match_their_written_out_pairings():
         compose = functools.partial(groth.g_compose, B)
 
         def pair(tens, a1, a2):
-            return groth.g_pair(B, tens, a1, a2)[0]
+            return groth.g_pair(B, tens, a1, a2)
 
         def times(a1, a2):
             t_dom, t_cod = tensor(a1.dom, a2.dom), tensor(a1.cod, a2.cod)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bicat import groth, kernel, rel_instance, span_instance
-from bicat.fin import UNIT, FinSet, SetFn, clear_table
+from bicat.fin import UNIT, FinSet, SetFn, clear_table, set_fn
 from bicat.gen import carrier, map_cell
 from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
                          g_cell_invertible, g_compose, g_diag, g_identity,
@@ -13,6 +13,7 @@ from bicat.groth import (GArr, dunit_iso, g_bang, g_cell,
                          g_terminal, garr_from_primary,
                          garr_from_secondary, paste_vertical, secondary)
 from bicat.kernel import NotAMap
+from bicat.mapprod import pairing
 from bicat.rels import Rel
 
 INSTANCES = (span_instance(), rel_instance())
@@ -205,10 +206,10 @@ def test_map_arrow_squares_compose_like_maps():
         done = 0
         while done < 15:
             X, Y, Z = (carrier(rng, p, 3) for p in "xyz")
-            f = map_cell(B, rng, X, Y, scramble=False)
-            g = map_cell(B, rng, Y, Z, scramble=False)
-            if f is None or g is None:
+            fns = set_fn(rng, X, Y), set_fn(rng, Y, Z)
+            if None in fns:
                 continue
+            f, g = map(B.graph, fns)
             composite = g_compose(B, g_map_arrow(B, f), g_map_arrow(B, g))
             assert composite == g_map_arrow(B, B.comp(f, g))
             done += 1
@@ -309,8 +310,14 @@ def test_pairing_the_projections_gives_the_identity_square():
             R = B.one_cell(rng, X, A, 2)
             S = B.one_cell(rng, Y, C, 2)
             tens = g_tensor(B, R, S)
-            arrow, c1, c2 = g_pair(B, tens, tens.proj1, tens.proj2)
+            arrow = g_pair(B, tens, tens.proj1, tens.proj2)
             assert arrow == g_identity(B, tens.obj)
+            # The cells as the tensor-pairing-projections row builds them.
+            a1, a2 = tens.proj1, tens.proj2
+            _, mu0, nu0 = pairing(B, a1.f, a2.f)
+            _, mu1, nu1 = pairing(B, a1.u, a2.u)
+            c1 = g_cell(B, g_compose(B, arrow, a1), a1, mu0, mu1)
+            c2 = g_cell(B, g_compose(B, arrow, a2), a2, nu0, nu1)
             assert g_cell_invertible(B, c1) and g_cell_invertible(B, c2)
             done += 1
 

@@ -9,7 +9,7 @@ import pytest
 from bicat import rel_instance, span_instance
 from bicat.coherence import bracket_cone, maps
 from bicat.fin import (UNIT, FinSet, SetFn, all_functions, canonical_carrier,
-                       clear_table)
+                       clear_table, set_fn)
 from bicat.gen import carrier, map_cell
 from bicat.harness import _Corrupt
 from bicat.kernel import NotAMap
@@ -69,10 +69,10 @@ def test_pairing_identities_on_canonical_graphs():
             W = carrier(rng, "w", 3)
             X = carrier(rng, "x", 3)
             Y = carrier(rng, "y", 3)
-            f = map_cell(B, rng, W, X, scramble=False)
-            g = map_cell(B, rng, W, Y, scramble=False)
-            if f is None or g is None:
+            fns = set_fn(rng, W, X), set_fn(rng, W, Y)
+            if None in fns:
                 continue
+            f, g = map(B.graph, fns)
             h, mu, nu = pairing(B, f, g)
             cone = product_object(B, X, Y)
             assert mu == B.id2(f) and nu == B.id2(g)

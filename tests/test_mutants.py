@@ -171,23 +171,38 @@ MUTANTS = [
      dict.fromkeys(PROXIED.values(), "fail")),
     # A square keeps the cell it was built from as its secondary form, so
     # the row takes the mate back through the kernel, where a wrong mate
-    # shows.  A relation's hom-sets hold at most one cell.
+    # shows.  A pairing built through a wrong mate is a wrong constraint
+    # cell, which the rows built from pairings show.  A relation's hom-sets
+    # hold at most one cell.
     *((f"{mate.__name__}{rewrite.__name__}".replace("_", "-"),
-       _rewritten(mate, rewrite), instances, {"mate-round-trip": "fail"})
-      for mate in (kernel.mate_to_secondary, kernel.mate_to_primary)
-      for rewrite, instances in ((_another_cell, ("span",)),
-                                 (_into_terminal, BOTH))),
+       _rewritten(mate, rewrite), instances,
+       dict.fromkeys(("mate-round-trip", *rows), "fail"))
+      for mate, rewrite, instances, rows in (
+          (kernel.mate_to_secondary, _another_cell, ("span",),
+           ("tensor-unit-constraint", "unit-factor-pairing",
+            "composition-comparisons")),
+          (kernel.mate_to_secondary, _into_terminal, BOTH, ()),
+          (kernel.mate_to_primary, _another_cell, ("span",),
+           ("unit-factor-pairing", "composition-comparisons")),
+          (kernel.mate_to_primary, _into_terminal, BOTH,
+           ("global-constraints-invertible", "unit-factor-pairing")))),
     # A tensor's projection squares are built when a row first reads them,
     # so a construction that raises there is that row's error.
     ("projection-square-raises", {groth.garr_from_secondary: _raise}, BOTH,
      {"tensor-pairing-projections": "error"}),
     # The row, not an exception inside the construction, says that the law
     # fails: a comparison is not invertible, or a law's two composites are
-    # not isomorphic, while every cell stays well formed.
+    # not isomorphic, while every cell stays well formed.  A pairing from
+    # the empty 1-cell breaks every constraint cell built from one, so the
+    # unit constraint fails before the clause the empty-terminal control
+    # corrupts.
     ("comparison-from-empty",
-     _rewritten(groth.transported_wedge, lambda got, B, *args: (
-         got[0], B.vcomp(_from_empty(B, got[1].dom), got[1]))), BOTH,
-     {"composition-comparisons": "fail"}),
+     _rewritten(groth.g_pair, lambda got, B, *args: got._replace(
+         primary=B.vcomp(_from_empty(B, got.primary.dom), got.primary))),
+     BOTH,
+     dict.fromkeys(("composition-comparisons", "global-constraints-invertible",
+                    "unit-factor-pairing", "negative-empty-terminal"),
+                   "fail")),
     ("tensor-empty-off-diagonal",
      _rewritten(groth.g_tensor, _empty_off_diagonal), BOTH,
      {"diagonal-unit-comparison": "fail"}),
