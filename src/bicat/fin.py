@@ -32,7 +32,9 @@ Values are hash-consed for as long as they live.  Two stores hold them:
   ``None`` result is stored; a raised error never is.  An operation may
   store a result another one derived on the way, as ``garr_from_secondary``
   stores its square's ``secondary``.  :func:`clear_table` empties every
-  table when a unit starts: peak memory follows the largest unit.
+  table when a unit starts: peak memory follows the largest unit.  It
+  adds the tables' sizes to ``memo_entries`` first, so that counter, like
+  ``interned``, is a count of work that repeats exactly, hash seed or not.
 
 No value graph holds a reference cycle, so reference counting frees a
 unit's values once the memo empties and the sweep below runs, and no
@@ -74,6 +76,9 @@ MAX_LABEL_DEPTH = 100
 _VALUES: dict = {}
 #: How many strong entries the sweeps popped: the values units interned.
 interned = 0
+#: How many entries the memo tables held when cleared: the results units
+#: memoised.
+memo_entries = 0
 
 #: The current unit's memoised results, one table per memoised operation.
 _TABLES: list = []
@@ -127,8 +132,9 @@ _DEAD = next(d for d in itertools.count() if not _sweep(d, {0: set()})[1])
 
 def clear_table() -> None:
     """Forget every memoised result; a unit (a whole check) starts."""
-    global interned
+    global interned, memo_entries
     for table in _TABLES:
+        memo_entries += len(table)
         table.clear()
     interned += _sweep(_DEAD)[0]
 

@@ -26,9 +26,10 @@ compares by identity.
 
 The product structure: :func:`g_tensor` builds ``R (x) S`` as the local
 wedge of the two frame-transported factors, with projection squares framed
-by the carrier projections, each built when first read; :func:`g_pair`
-mediates an arbitrary cone through it and returns the mediating square
-alone.  Every comparison of the tensor downstream is the filler of one
+by the carrier projections.  A projection square is built only when
+something reads it: :func:`g_pair` checks a cone against the tensor's
+``factors``, mediates it through the tensor and returns the mediating
+square alone.  Every comparison of the tensor downstream is the filler of one
 such square.  Tensors, mediating squares, composites along the frames and
 both filler forms are memoised in the per-unit memo of :mod:`bicat.fin`.
 """
@@ -179,18 +180,19 @@ def g_is_equivalence(B, a: GArr):
 class TensorWitness:
     """The chosen tensor of two objects with its projection squares; it
     compares by identity.  A projection square, ``proj1`` or ``proj2``, is
-    built from its secondary cell, the wedge projection, when first read."""
+    built from its secondary cell, the wedge projection, when first read;
+    ``factors`` names the two objects without building either."""
 
-    __slots__ = ("obj", "proj1", "proj2", "wedge", "src_cone", "tgt_cone",
-                 "_B", "_factors")
+    __slots__ = ("obj", "proj1", "proj2", "factors", "wedge", "src_cone",
+                 "tgt_cone", "_B")
 
     def __init__(self, B, obj, factors, wedge, src_cone, tgt_cone):
         self.obj = obj
+        self.factors = factors      # the objects R and S of R (x) S
         self.wedge = wedge          # LocalProductWitness of the factors
         self.src_cone = src_cone    # product cone of the source carriers
         self.tgt_cone = tgt_cone    # product cone of the target carriers
         self._B = B
-        self._factors = factors
 
     def __getattr__(self, name):
         """Called only for an unset slot: build that projection square."""
@@ -198,7 +200,7 @@ class TensorWitness:
             raise AttributeError(name)
         side = 1 if name == "proj2" else 0
         square = garr_from_secondary(
-            self._B, self.obj, self._factors[side], self.src_cone.legs[side],
+            self._B, self.obj, self.factors[side], self.src_cone.legs[side],
             self.tgt_cone.legs[side], getattr(self.wedge, name))
         setattr(self, name, square)
         return square
@@ -237,7 +239,7 @@ def g_pair(B, tens: TensorWitness, aR: GArr, aS: GArr) -> GArr:
     """
     if aR.dom != aS.dom:
         raise ValueError("cone legs have different domain objects")
-    if aR.cod != tens.proj1.cod or aS.cod != tens.proj2.cod:
+    if (aR.cod, aS.cod) != tens.factors:
         raise ValueError("cone legs do not land in the tensor factors")
     p_s, r_s = tens.src_cone.legs
     p_t, r_t = tens.tgt_cone.legs

@@ -10,6 +10,14 @@ instances, so no unitors appear; rebracketing is always an explicit
 ``B.assoc`` or ``B.assoc_inv``.  Composite adjunctions and right mates of
 map cells are memoised in the per-unit memo of ``fin``.
 
+The identity adjunction, ``B.map_adjunction(B.identity(X))``, is skipped:
+composing with it returns the other adjunction, and a mate across it
+returns its cell once the cell's boundary is checked.  This is exact, not
+a law assumed: both instances keep identities strict (spans by their
+identity-leg and identity-associator rules, relations by set equality), so
+every link of those pastings is an identity 2-cell and the chain is its
+argument.
+
 Verdicts, for every law checker of the package: one equation gives a
 ``bool``; several give ``None`` when the law holds, else one dict whose
 ``"kind"`` names the first condition that failed, next to the entities
@@ -75,9 +83,24 @@ def check_adjunction(B, adj: Adjunction):
     return None
 
 
+def _is_identity_adjunction(B, adj: Adjunction) -> bool:
+    """Whether ``adj`` is ``B.map_adjunction(B.identity(X))``: its left
+    1-cell is its unit's domain, the identity on ``X``, and the rest is
+    that 1-cell's map adjunction."""
+    one = adj.left
+    return (one == adj.unit.dom and one == B.identity(one.source)
+            and adj == B.map_adjunction(one))
+
+
 @memoised
 def compose_adjunctions(B, first: Adjunction, second: Adjunction) -> Adjunction:
-    """The composite adjunction ``comp(f, g) -| comp(g*, f*)``."""
+    """The composite adjunction ``comp(f, g) -| comp(g*, f*)``; the other
+    adjunction when one is the identity's and the two compose."""
+    if first.left.target == second.left.source:
+        if _is_identity_adjunction(B, first):
+            return second
+        if _is_identity_adjunction(B, second):
+            return first
     f, fs = first.left, first.right
     g, gs = second.left, second.right
     left = B.comp(f, g)
@@ -125,6 +148,8 @@ def mate_to_secondary(B, alpha, R, S, f, adj: Adjunction):
     u, us = adj.left, adj.right
     if alpha.dom != B.comp(R, u) or alpha.cod != B.comp(f, S):
         raise AdjunctionMismatch("primary cell boundary mismatch")
+    if _is_identity_adjunction(B, adj):
+        return alpha
     return B.vc(
         B.whisker_left(R, adj.unit),
         B.assoc_inv(R, u, us),
@@ -139,6 +164,8 @@ def mate_to_primary(B, beta, R, S, f, adj: Adjunction):
     u, us = adj.left, adj.right
     if beta.dom != R or beta.cod != B.comp(f, B.comp(S, us)):
         raise AdjunctionMismatch("secondary cell boundary mismatch")
+    if _is_identity_adjunction(B, adj):
+        return beta
     return B.vc(
         B.whisker_right(beta, u),
         B.assoc(f, B.comp(S, us), u),

@@ -18,6 +18,8 @@ identity, and :class:`RelBicat` memoises its structure operations
 (``comp``, ``identity``, ``id2``, ``vcomp``, the whiskerings, ``hcomp``,
 ``assoc``, ``invert``, ``map_adjunction`` and ``local_product``), and
 :meth:`Rel.fn` and :meth:`Rel.is_map` their results, in the per-unit memo.
+A pasting chain ``vc`` checks that its links are adjacent and builds one
+cell, from the first domain to the last codomain, none in between.
 """
 
 from __future__ import annotations
@@ -149,17 +151,24 @@ class RelBicat:
     def id2(self, R: Rel) -> RelCell:
         return RelCell(R, R)
 
+    @staticmethod
+    def _adjacent(cells) -> None:
+        """Refuse a chain of 2-cells whose links do not meet."""
+        for a, b in zip(cells, cells[1:]):
+            if a.cod != b.dom:
+                raise ValueError("vertical composite of non-composable "
+                                 "2-cells")
+
     @memoised
     def vcomp(self, a: RelCell, b: RelCell) -> RelCell:
-        if a.cod != b.dom:
-            raise ValueError("vertical composite of non-composable 2-cells")
+        self._adjacent((a, b))
         return RelCell(a.dom, b.cod)
 
     def vc(self, *cells):
-        out = cells[0]
-        for c in cells[1:]:
-            out = self.vcomp(out, c)
-        return out
+        """The vertical composite of a chain of adjacent links: the
+        containment of the first domain in the last codomain."""
+        self._adjacent(cells)
+        return RelCell(cells[0].dom, cells[-1].cod)
 
     @memoised
     def whisker_left(self, T: Rel, a: RelCell) -> RelCell:

@@ -38,7 +38,10 @@ within a unit returns the object it returned before.
 Identity 2-cells are recognised once, when they are built, and the structure
 operations return them without building a cell: a composite with, or a
 whiskering or an inverse of, an identity, and the associator in the three
-cases :meth:`SpanBicat.assoc` lists.
+cases :meth:`SpanBicat.assoc` lists, which then builds no ``comp(B, C)``.
+A pasting chain ``vc`` checks that its links are adjacent and builds one
+cell: it composes the apex functions of the non-identity links, so a chain
+of identities returns its first link and builds nothing.
 
 Random spans, thickenings, thinnings and apex relabellings are drawn here,
 from a given ``rng``, next to the exhaustive :meth:`SpanBicat.one_cells`.
@@ -266,19 +269,32 @@ class SpanBicat:
     def id2(self, R: Span) -> SpanCell:
         return SpanCell(R, R, SetFn.identity(R.apex))
 
+    @staticmethod
+    def _adjacent(cells) -> None:
+        """Refuse a chain of 2-cells whose links do not meet."""
+        for a, b in zip(cells, cells[1:]):
+            if a.cod != b.dom:
+                raise ValueError("vertical composite of non-composable "
+                                 "2-cells")
+
     @memoised
     def vcomp(self, a: SpanCell, b: SpanCell) -> SpanCell:
-        if a.cod != b.dom:
-            raise ValueError("vertical composite of non-composable 2-cells")
+        self._adjacent((a, b))
         if a._identity or b._identity:
             return b if a._identity else a
         return SpanCell(a.dom, b.cod, a.fn.then(b.fn))
 
     def vc(self, *cells: SpanCell) -> SpanCell:
-        out = cells[0]
-        for c in cells[1:]:
-            out = self.vcomp(out, c)
-        return out
+        """The vertical composite of a chain, first to last, as one cell:
+        the apex functions of its non-identity links composed."""
+        self._adjacent(cells)
+        links = [c for c in cells if not c._identity]
+        if len(links) < 2:
+            return links[0] if links else cells[0]
+        values = links[0].fn.values
+        for c in links[1:]:
+            values = c.fn.values_at(values)
+        return self._cell(cells[0].dom, cells[-1].cod, values)
 
     @memoised
     def whisker_left(self, T: Span, a: SpanCell) -> SpanCell:
@@ -325,10 +341,11 @@ class SpanBicat:
         * A is a cograph: the mirror image;
         * B is an identity: both sides are ``comp(A, C)``.
         """
-        AB, BC = self.comp(A, B), self.comp(B, C)
+        AB = self.comp(A, B)
         dom = self.comp(AB, C)
         if C._graph or A._cograph or B.is_identity():
             return self.id2(dom)
+        BC = self.comp(B, C)
         abs_, cs = self._split(AB, C, dom.apex.elements)
         as_, bs = self._split(A, B, abs_)
         return self._cell(dom, self.comp(A, BC),

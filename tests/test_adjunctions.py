@@ -1,5 +1,7 @@
-"""Adjunctions, composite adjunctions and mates."""
+"""Adjunctions, composite adjunctions and mates, and the pasting chains
+they are built from."""
 
+import functools
 import itertools
 import math
 import random
@@ -7,7 +9,7 @@ import random
 import pytest
 
 from bicat import rel_instance, span_instance
-from bicat.fin import FinSet, SetFn, canonical_carrier
+from bicat.fin import FinSet, SetFn, canonical_carrier, clear_table
 from bicat.gen import carrier, map_cell
 from bicat.kernel import (Adjunction, AdjunctionMismatch, check_adjunction,
                           compose_adjunctions, mate_to_primary,
@@ -169,3 +171,107 @@ def test_right_mate_reverses_direction():
         assert star == B.id2(adj.right)
         done += 1
 
+
+def _chain(B, *links):
+    """A pasting chain written out: the left fold of ``B.vcomp``, which
+    makes no use of the shortcuts of ``B.vc``."""
+    return functools.reduce(B.vcomp, links)
+
+
+def test_across_the_identity_adjunction_mates_and_composites_are_their_argument():
+    # Every link of these pastings is an identity cell, so the general
+    # chain, written out here as the mates and compose_adjunctions write
+    # it, is the argument; the shortcut must return exactly that.
+    rng = random.Random(39)
+    for B in INSTANCES:
+        done = 0
+        while done < 12:
+            # Without a clear each case would find the last one's results.
+            clear_table()
+            X, Y, A = (carrier(rng, p, 3) for p in "xya")
+            f = map_cell(B, rng, X, Y)
+            if f is None:
+                continue
+            one = B.identity(A)
+            adj = B.map_adjunction(one)
+            S = B.one_cell(rng, Y, A, 3)
+            R, beta = B.thin(rng, B.comp(f, S))
+            # Across 1_A -| 1_A, comp(S, 1_A) is S and comp(R, 1_A) is R, so
+            # beta is a secondary and a primary cell at once.
+            assert beta.cod == B.comp(f, B.comp(S, one))
+            assert beta.dom == B.comp(R, one)
+            to_primary = _chain(
+                B, B.whisker_right(beta, one),
+                B.assoc(f, B.comp(S, one), one),
+                B.whisker_left(f, B.assoc(S, one, one)),
+                B.whisker_left(f, B.whisker_left(S, adj.counit)))
+            to_secondary = _chain(
+                B, B.whisker_left(R, adj.unit), B.assoc_inv(R, one, one),
+                B.whisker_right(beta, one), B.assoc(f, S, one))
+            assert mate_to_primary(B, beta, R, S, f, adj) == to_primary == beta
+            assert (mate_to_secondary(B, beta, R, S, f, adj) == to_secondary
+                    == beta)
+
+            adj_f = B.map_adjunction(f)
+            for first, second in ((B.map_adjunction(B.identity(X)), adj_f),
+                                  (adj_f, B.map_adjunction(B.identity(Y)))):
+                g, gs = first.left, first.right
+                h, hs = second.left, second.right
+                left, right = B.comp(g, h), B.comp(hs, gs)
+                unit = _chain(
+                    B, first.unit,
+                    B.whisker_left(g, B.whisker_right(second.unit, gs)),
+                    B.whisker_left(g, B.assoc(h, hs, gs)),
+                    B.assoc_inv(g, h, right))
+                counit = _chain(
+                    B, B.assoc(hs, gs, left),
+                    B.whisker_left(hs, B.assoc_inv(gs, g, h)),
+                    B.whisker_left(hs, B.whisker_right(first.counit, h)),
+                    second.counit)
+                both = compose_adjunctions(B, first, second)
+                assert both == Adjunction(left, right, unit, counit) == adj_f
+            done += 1
+        # The identity adjunction on another carrier composes with nothing
+        # here: the refusal is the general construction's.
+        Z = FinSet(("z0",))
+        with pytest.raises(ValueError, match="non-composable"):
+            compose_adjunctions(B, B.map_adjunction(B.identity(Z)),
+                                B.map_adjunction(B.identity(X)))
+
+
+def _links_out_of(B, rng, R, n):
+    """``n`` composable cells out of ``R``: identities, inclusions into
+    thickenings and endo-cells, at random."""
+    links = []
+    for _ in range(n):
+        step = rng.randrange(3)
+        if step == 0:
+            links.append(B.id2(R))
+        elif step == 1:
+            R, inclusion = B.thicken(rng, R, 1)
+            links.append(inclusion)
+        else:
+            links.append(rng.choice(
+                list(itertools.islice(B.hom_cells(R, R), 8))))
+    return links
+
+
+def test_a_pasting_chain_is_the_fold_of_its_vertical_composites():
+    rng = random.Random(40)
+    for B in INSTANCES:
+        for _ in range(40):
+            X, A = carrier(rng, "x", 3), carrier(rng, "a", 3)
+            R = B.one_cell(rng, X, A, 3)
+            _, into = B.thin(rng, R)
+            links = [into, *_links_out_of(B, rng, R, rng.randint(0, 7))]
+            assert B.vc(*links) == _chain(B, *links)
+        # A link that does not start where the one before it ends is refused
+        # with vcomp's message, between identity links too.
+        X, A, E = FinSet(("x0",)), FinSet(("a0",)), FinSet(())
+        empty = B.comp(B.local_terminal(X, E), B.local_terminal(E, A))
+        stray = (B.id2(empty), B.tau(empty), B.id2(empty))
+        message = "^vertical composite of non-composable 2-cells$"
+        with pytest.raises(ValueError, match=message):
+            B.vc(*stray)
+        with pytest.raises(ValueError, match=message):
+            _chain(B, *stray)

@@ -356,8 +356,9 @@ def test_diagonal_square_and_unit_comparison(monkeypatch):
         built.append((garr_from_secondary(B, dom, cod, f, u, cell), cell))
         return built[-1][0]
 
-    # g_diag builds the two tensor projections and the g_pair arrow from
-    # their secondary cells; each must derive back to the cell it came from.
+    # g_diag builds one square from a secondary cell, the g_pair arrow, and
+    # no projection square; each square must derive back to the cell it
+    # came from, the projections too when read afterwards.
     monkeypatch.setattr(groth, "garr_from_secondary", recording)
     rng = random.Random(63)
     for B in INSTANCES:
@@ -374,9 +375,11 @@ def test_diagonal_square_and_unit_comparison(monkeypatch):
             d = g_diag(B, R)
             tens = g_tensor(B, R, R)
             assert d.dom == R and d.cod == tens.obj
-            assert [a for a, _ in built[:3]] == [tens.proj1, tens.proj2, d]
-            for a, cell in built:
-                assert _mate_of_primary(B, a) == cell
+            assert [a for a, _ in built] == [d]
+            assert _mate_of_primary(B, d) == built[0][1]
+            for proj, cell in ((tens.proj1, tens.wedge.proj1),
+                               (tens.proj2, tens.wedge.proj2)):
+                assert _mate_of_primary(B, proj) == cell
             iso = dunit_iso(B, R, S)
             assert B.is_invertible(iso)
             assert iso.cod == B.local_product(R, S).product

@@ -341,6 +341,25 @@ def test_associator_matches_nested_loop_reference_on_every_triple():
     assert seen["triples"] > 25_000 and min(seen.values()) >= 100, seen
 
 
+def test_an_identity_associator_composes_no_second_bracketing():
+    # In the three cases where assoc is the identity on its domain it never
+    # composes B with C; otherwise its codomain needs that composite.
+    rng = random.Random(44)
+    cells = chain_one_cells()
+    seen = {True: 0, False: 0}
+    for _ in range(800):
+        clear_table()
+        R = rng.choice(cells[0, 1])
+        k = rng.choice((1, 2))
+        T = rng.choice(cells[1, k])
+        U = rng.choice(cells[k, k + rng.choice((0, 1))])
+        B.assoc(R, T, U)
+        identity = U._graph or R._cograph or T.is_identity()
+        assert laws.stored(B.comp, (T, U)) != identity, (R, T, U)
+        seen[identity] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_identity_tag_and_shortcuts_agree_with_the_general_formulas():
     # Every cell out of a chain 1-cell: the tag is the definition, and the
     # operations that return identities without building them agree with
