@@ -5,11 +5,20 @@ Exit status: 0 when every executed check passes, 1 when any check fails,
 setup or I/O problems (bad flags, a fixture that is unreadable, malformed
 or names no entity of the instance, a report that cannot be written).  So
 CI can tell a broken law from a crashing check and from a broken setup.
+A report that cannot be written to stdout (a full disk, a closed pipe)
+also exits 2, with ``bicat-check: cannot write report: ...`` on stderr.
+
+The installed command and ``python -m bicat.cli`` run :func:`console`: it
+runs :func:`main`, flushes stdout and stderr, and ends the process with
+``os._exit``, so the interpreter does not spend time tearing down a heap of
+interned values that no one reads again.  In-process callers use
+:func:`main`, which returns the exit status and leaves the interpreter be.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .fin import collector_paused
@@ -89,13 +98,36 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            print("bicat-check: cannot write report: %s" % exc,
-                  file=sys.stderr)
-            return 2
+            return _unwritten(exc)
     else:
-        sys.stdout.write(rendered)
+        try:
+            sys.stdout.write(rendered)
+        except OSError as exc:
+            return _unwritten(exc)
     return 3 if "error" in report.statuses else 0 if report.ok else 1
 
 
+def _unwritten(exc: OSError) -> int:
+    print("bicat-check: cannot write report: %s" % exc, file=sys.stderr)
+    return 2
+
+
+def console() -> None:
+    """The ``bicat-check`` command: :func:`main`, then an exit without
+    teardown.  A report still buffered that cannot be flushed exits 2."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # A failed write in ``main`` leaves its bytes buffered and has
+        # been reported already; this flush then fails the same way.
+        code = code if code == 2 else _unwritten(exc)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

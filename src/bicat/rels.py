@@ -20,6 +20,11 @@ identity, and :class:`RelBicat` memoises its structure operations
 :meth:`Rel.fn` and :meth:`Rel.is_map` their results, in the per-unit memo.
 A pasting chain ``vc`` checks that its links are adjacent and builds one
 cell, from the first domain to the last codomain, none in between.
+
+Values are checked and built by set and dict operations, not a Python call
+per pair: bounds by lookups in the carriers' index dicts, containment by a
+subset test, a map by the size of the dict its pairs make, and graphs,
+identities and full relations by zipping or multiplying element tuples.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ class Rel:
         key = (cls, source, target, ps)
         self = _VALUES.get(key)
         if self is None or (type(self) is _Ref and (self := self()) is None):
+            sindex, tindex = source._index, target._index
             for x, a in ps:
-                if x not in source or a not in target:
+                if x not in sindex or a not in tindex:
                     raise ValueError("relation pair out of bounds")
             self = _VALUES[key] = object.__new__(cls)
             self.source = source
@@ -71,12 +77,7 @@ class Rel:
     @memoised
     def is_map(self):
         """True when the relation is the graph of a total function."""
-        seen = {}
-        for x, a in self.pairset:
-            if x in seen:
-                return False
-            seen[x] = a
-        return len(seen) == len(self.source)
+        return len(dict(self.pairset)) == len(self.pairset) == len(self.source)
 
     @memoised
     def fn(self) -> SetFn:
@@ -84,15 +85,16 @@ class Rel:
         table = dict(self.pairset)
         if not len(table) == len(self.pairset) == len(self.source):
             raise ValueError("not a map relation")
-        return SetFn(self.source, self.target, (table[x] for x in self.source))
+        return SetFn(self.source, self.target,
+                     map(table.__getitem__, self.source.elements))
 
 
 def rel_graph(fn: SetFn) -> Rel:
-    return Rel(fn.domain, fn.codomain, ((x, fn(x)) for x in fn.domain))
+    return Rel(fn.domain, fn.codomain, zip(fn.domain.elements, fn.values))
 
 
 def identity_rel(carrier: FinSet) -> Rel:
-    return Rel(carrier, carrier, ((x, x) for x in carrier))
+    return Rel(carrier, carrier, zip(carrier.elements, carrier.elements))
 
 
 def converse(rel: Rel) -> Rel:
@@ -110,9 +112,8 @@ class RelCell:
         if self is None or (type(self) is _Ref and (self := self()) is None):
             if dom.source != cod.source or dom.target != cod.target:
                 raise ValueError("2-cell between non-parallel relations")
-            missing = dom.pairset - cod.pairset
-            if missing:
-                x, a = min(missing, key=_pair_key)
+            if not dom.pairset <= cod.pairset:
+                x, a = min(dom.pairset - cod.pairset, key=_pair_key)
                 raise ValueError("containment fails at %s:%s"
                                  % (render_label(x), render_label(a)))
             self = _VALUES[key] = object.__new__(cls)
@@ -138,14 +139,11 @@ class RelBicat:
         """Relational composite ``R then T``."""
         if R.target != T.source:
             raise ValueError("composite of non-composable relations")
-        out = set()
         by_left = {}
         for y, z in T.pairset:
             by_left.setdefault(y, []).append(z)
-        for x, y in R.pairset:
-            for z in by_left.get(y, ()):
-                out.add((x, z))
-        return Rel(R.source, T.target, out)
+        return Rel(R.source, T.target, {(x, z) for x, y in R.pairset
+                                        for z in by_left.get(y, ())})
 
     @memoised
     def id2(self, R: Rel) -> RelCell:
@@ -218,7 +216,7 @@ class RelBicat:
         # The full relation; on the unit carrier it coincides with the
         # identity, so no special case is needed to keep units strict.
         return Rel(source, target,
-                   ((x, a) for x in source for a in target))
+                   itertools.product(source.elements, target.elements))
 
     def tau(self, R: Rel) -> RelCell:
         return RelCell(R, self.local_terminal(R.source, R.target))

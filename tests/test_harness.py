@@ -228,18 +228,75 @@ def test_the_work_count_does_not_depend_on_hashing():
     assert min(counts[0]) > 1000
 
 
+def _python(*args, env=(), **kwargs):
+    """``python *args`` in a child that imports this tree's ``bicat``, with
+    ``env`` over the current environment."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **dict(env),
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120, **kwargs)
+
+
 def test_cli_exits_cleanly_under_dev_mode():
     # Dev mode shows what a normal run hides, such as an error in a weak
     # reference callback while the interpreter shuts down.
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-m", "bicat.cli", "--instance", "span",
-         "--trials", "2", "--max-size", "2"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _python("-X", "dev", "-m", "bicat.cli", "--instance", "span",
+                   "--trials", "2", "--max-size", "2")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "pasting-interchange" in proc.stdout
+
+
+def test_cli_main_finalizes_cleanly_under_dev_mode():
+    # The command ends without teardown; an in-process caller of ``main``
+    # still lets the interpreter finalize, so shutdown-time errors (a
+    # failing weak reference callback in ``fin``) stay watched here.
+    code = ("import sys\nfrom bicat import cli\n"
+            "sys.exit(cli.main(['--instance', 'rel', '--suite', 'kernel', "
+            "'--trials', '2', '--max-size', '2']))\n")
+    proc = _python("-X", "dev", "-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "result: all checks passed" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["write", "flush"])
+def test_cli_report_to_a_full_device_exits_two(unbuffered):
+    # Unbuffered, ``main``'s write fails; buffered, ``console``'s flush.
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "bicat.cli", "--instance", "rel", "--suite",
+                       "kernel", "--max-size", "1", "--trials", "1",
+                       stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bicat-check: cannot write report: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_main_returns_a_failed_stdout_write_as_two(monkeypatch, capsys):
+    class Refusing(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Refusing())
+    rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "1",
+                   "--suite", "kernel"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "bicat-check: cannot write report: [Errno 28] No space left on "
+        "device\n")
+
+
+def test_cli_main_returns_its_code_and_the_script_runs_console(capsys):
+    # ``main`` returns to an in-process caller; only ``console``, the
+    # installed script, ends the process.
+    assert cli.main(["--instance", "rel", "--max-size", "1", "--trials", "1",
+                     "--suite", "kernel"]) == 0
+    assert "result: all checks passed" in capsys.readouterr().out
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'bicat-check = "bicat.cli:console"' in scripts.splitlines()
 
 
 def test_counterexamples_shrink_to_local_minimum():

@@ -128,6 +128,50 @@ def test_fn_refuses_a_relation_that_is_not_a_graph():
     assert rel_graph(h).fn() == h
 
 
+def test_is_map_and_fn_agree_with_their_definitions():
+    # Every relation between carriers of at most two points, empty ones
+    # included, against "each point has exactly one image" written out.
+    sources = [FinSet(["x%d" % i for i in range(n)]) for n in range(3)]
+    targets = [FinSet(["a%d" % i for i in range(n)]) for n in range(3)]
+    seen = 0
+    for X in sources:
+        for A in targets:
+            for r in R.one_cells(X, A, 0):
+                images = {x: [] for x in X}
+                for x, a in r.pairs:
+                    images[x].append(a)
+                is_map = True
+                for x in X:
+                    if len(images[x]) != 1:
+                        is_map = False
+                assert r.is_map() is is_map
+                if is_map:
+                    assert r.fn() is SetFn(X, A, [images[x][0] for x in X])
+                    assert rel_graph(r.fn()) is r
+                else:
+                    with pytest.raises(ValueError,
+                                       match="^not a map relation$"):
+                        r.fn()
+                seen += 1
+    assert seen == sum(2 ** (m * n) for m in range(3) for n in range(3))
+
+
+def test_refusals_name_what_is_wrong():
+    X, A = FinSet((("p", "q"), "x1", "x0")), FinSet(("a1", "a0"))
+    for pairs in ((("x0", "a0"), ("x2", "a0")), (("x0", "a0"), ("x0", "a2"))):
+        with pytest.raises(ValueError) as err:
+            Rel(X, A, pairs)
+        assert str(err.value) == "relation pair out of bounds"
+    # The smallest missing pair in label order: atoms before pairs, then
+    # by name, whatever the carriers' order.
+    dom = Rel(X, A, [(("p", "q"), "a0"), ("x1", "a1"), ("x1", "a0"),
+                     ("x0", "a0")])
+    cod = Rel(X, A, [("x0", "a0")])
+    with pytest.raises(ValueError) as err:
+        RelCell(dom, cod)
+    assert str(err.value) == "containment fails at x1:a0"
+
+
 def test_invalid_values_raise_after_a_valid_one():
     f, g = laws.full_pair(R, converse)
     X, A = f.source, f.target
