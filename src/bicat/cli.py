@@ -2,17 +2,16 @@
 
 Exit status: 0 when every executed check passes, 1 when any check fails,
 3 when any check raised (an ``error`` row; 3 wins over 1), and 2 for
-setup or I/O problems (bad flags, a fixture that is unreadable, malformed
-or names no entity of the instance, a report that cannot be written).  So
+setup or I/O problems: bad flags, a fixture that is unreadable, malformed
+or names no entity of the instance, or any report, message or help text
+that :func:`_write` cannot write (a failed stdout is told on stderr as
+``bicat-check: cannot write report: ...``, a failed stderr nowhere).  So
 CI can tell a broken law from a crashing check and from a broken setup.
-A report that cannot be written to stdout (a full disk, a closed pipe)
-also exits 2, with ``bicat-check: cannot write report: ...`` on stderr.
 
-The installed command and ``python -m bicat.cli`` run :func:`console`: it
-runs :func:`main`, flushes stdout and stderr, and ends the process with
-``os._exit``, so the interpreter does not spend time tearing down a heap of
-interned values that no one reads again.  In-process callers use
-:func:`main`, which returns the exit status and leaves the interpreter be.
+:func:`console`, the installed command and ``python -m bicat.cli``, ends the
+process with ``os._exit``, so the interpreter neither tears down a heap that
+no one reads again nor flushes a failed stream.  In-process callers use
+:func:`main`, which returns the exit status (argparse's exits still raise).
 """
 
 from __future__ import annotations
@@ -28,8 +27,32 @@ from .harness import FixtureError, run_config
 from .report import render_machine, render_text
 
 
+def _write(text: str, err: bool = False) -> int:
+    """Write and flush ``text`` on stdout, or on stderr with ``err``: 0, or 2
+    when the stream is missing or fails.  A failed stdout is told on stderr."""
+    stream = sys.stderr if err else sys.stdout
+    try:
+        if stream is None:
+            raise ValueError("I/O operation on closed file.")
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:
+        return 2 if err else _fail("cannot write report: %s" % exc)
+    return 0
+
+
+def _fail(message) -> int:
+    return _write("bicat-check: %s\n" % message, err=True) or 2
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse's help or errors
+        if message and _write(message, err=file is not sys.stdout):
+            raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicat-check",
         description="Run enumeration checks against a finite bicategory "
                     "instance.")
@@ -67,8 +90,7 @@ def main(argv=None) -> int:
                         trials=args.trials, instance=args.instance,
                         suites=_suites(args.suite))
     except InvalidConfig as exc:
-        print("bicat-check: %s" % exc, file=sys.stderr)
-        return 2
+        return _fail(exc)
 
     fixture_doc = None
     if args.fixtures:
@@ -76,20 +98,14 @@ def main(argv=None) -> int:
             with open(args.fixtures, "r", encoding="utf-8") as fh:
                 fixture_doc = parse_document(fh.read())
         except OSError as exc:
-            print("bicat-check: cannot read fixtures: %s" % exc,
-                  file=sys.stderr)
-            return 2
+            return _fail("cannot read fixtures: %s" % exc)
         except (FmtError, UnicodeDecodeError) as exc:
-            print("bicat-check: malformed fixtures: %s" % exc,
-                  file=sys.stderr)
-            return 2
+            return _fail("malformed fixtures: %s" % exc)
 
     try:
         report = run_config(cfg, fixture_doc)
     except FixtureError as exc:
-        print("bicat-check: fixture cannot be interpreted: %s" % exc,
-              file=sys.stderr)
-        return 2
+        return _fail("fixture cannot be interpreted: %s" % exc)
 
     rendered = (render_machine(report) if args.report == "machine"
                 else render_text(report))
@@ -98,34 +114,18 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            return _unwritten(exc)
-    else:
-        try:
-            sys.stdout.write(rendered)
-        except OSError as exc:
-            return _unwritten(exc)
+            return _fail("cannot write report: %s" % exc)
+    elif _write(rendered):
+        return 2
     return 3 if "error" in report.statuses else 0 if report.ok else 1
 
 
-def _unwritten(exc: OSError) -> int:
-    print("bicat-check: cannot write report: %s" % exc, file=sys.stderr)
-    return 2
-
-
 def console() -> None:
-    """The ``bicat-check`` command: :func:`main`, then an exit without
-    teardown.  A report still buffered that cannot be flushed exits 2."""
-    code = main()
+    """The ``bicat-check`` command: :func:`main`, then ``os._exit``."""
     try:
-        sys.stdout.flush()
-    except OSError as exc:
-        # A failed write in ``main`` leaves its bytes buffered and has
-        # been reported already; this flush then fails the same way.
-        code = code if code == 2 else _unwritten(exc)
-    try:
-        sys.stderr.flush()
-    except OSError:
-        code = 2
+        code = main()
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     os._exit(code)
 
 

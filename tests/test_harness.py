@@ -1,6 +1,7 @@
 """End-to-end runs of the check harness and the command line entry."""
 
 import contextlib
+import functools
 import gc
 import io
 import itertools
@@ -27,6 +28,8 @@ from test_mutants import apply_mutant
 FAST = GenConfig(seed=0, max_carrier=2, trials=6, instance="rel",
                  suites=SUITES)
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+KERNEL_RUN = ["--instance", "rel", "--suite", "kernel", "--max-size", "1",
+              "--trials", "1"]
 #: A ``check cell`` between 1-cells with the same source but not target.
 NON_PARALLEL_CELL = {
     instance: "set X = x0\nset Y = a0\nset Z = a0 a1\n"
@@ -263,24 +266,85 @@ def test_cli_main_finalizes_cleanly_under_dev_mode():
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses every write")
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["write", "flush"])
-def test_cli_report_to_a_full_device_exits_two(unbuffered):
-    # Unbuffered, ``main``'s write fails; buffered, ``console``'s flush.
+@pytest.mark.parametrize("args, stdout, unbuffered", [
+    (KERNEL_RUN, "full", "1"), (KERNEL_RUN, "full", ""),
+    (KERNEL_RUN, "closed", ""), (["--help"], "full", "")],
+    ids=["write", "flush", "closed", "help"])
+def test_cli_report_to_a_full_device_exits_two(args, stdout, unbuffered):
+    # Unbuffered, the write fails; buffered, the flush.  A closed stdout
+    # starts the child with ``sys.stdout`` None.  Neither the interpreter's
+    # shutdown flush (exit 120) nor a traceback (exit 1) may show.
     with open("/dev/full", "w") as full:
-        proc = _python("-m", "bicat.cli", "--instance", "rel", "--suite",
-                       "kernel", "--max-size", "1", "--trials", "1",
-                       stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+        proc = _python("-m", "bicat.cli", *args,
+                       stdout=full if stdout == "full" else None,
+                       preexec_fn=None if stdout == "full" else
+                       functools.partial(os.close, 1),
+                       env={"PYTHONUNBUFFERED": unbuffered})
     assert proc.returncode == 2
     assert proc.stderr.startswith("bicat-check: cannot write report: ")
     assert "Traceback" not in proc.stderr
 
 
-def test_cli_main_returns_a_failed_stdout_write_as_two(monkeypatch, capsys):
-    class Refusing(io.StringIO):
-        def write(self, text):
-            raise OSError(28, "No space left on device")
+class _Refusing(io.StringIO):
+    """A stream whose ``write`` or ``flush`` raises ``error``."""
 
-    monkeypatch.setattr(sys, "stdout", Refusing())
+    def __init__(self, method, error):
+        super().__init__()
+        setattr(self, method, self._refuse)
+        self.error = error
+
+    def _refuse(self, *args):
+        raise self.error
+
+
+STREAM_FAULTS = {
+    "write-oserror": lambda: _Refusing("write", OSError(28, "No space")),
+    "flush-oserror": lambda: _Refusing("flush", OSError(32, "Broken pipe")),
+    "closed": lambda: _Refusing(
+        "write", ValueError("I/O operation on closed file")),
+    "missing": lambda: None,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+@pytest.mark.parametrize("broken, args, code", [
+    ("stdout", KERNEL_RUN, 2),
+    ("stdout", ["--help"], 2),
+    ("stdout", KERNEL_RUN + ["--out", "{tmp}/report.txt"], 0),
+    ("stdout", KERNEL_RUN + ["--fixtures", "{tmp}/missing.bicat"], 2),
+    ("stderr", KERNEL_RUN + ["--out", "{tmp}/missing/report.txt"], 2),
+    ("stderr", KERNEL_RUN + ["--fixtures", "{tmp}/missing.bicat"], 2),
+    ("stderr", ["--instance", "rel", "--max-size", "-1"], 2),
+    ("stderr", ["--instance", "bogus"], 2),
+    ("stdout stderr", KERNEL_RUN, 2),
+], ids=["report", "help", "out", "fixtures", "out-unwritable",
+        "fixtures-unreadable", "invalid-config", "usage-error", "both"])
+def test_cli_console_keeps_the_exit_contract_when_a_stream_fails(
+        monkeypatch, tmp_path, fault, broken, args, code):
+    # The command's exit code, not ``main``'s: argparse's exits and the
+    # final ``os._exit`` are ``console``'s.  A stream that fails gives 2,
+    # never 1 or a traceback; one the run does not write changes nothing.
+    def exit_(status):
+        raise SystemExit(status)
+
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    for name in broken.split():
+        monkeypatch.setattr(sys, name, STREAM_FAULTS[fault]())
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["bicat-check"] + [
+        a.format(tmp=tmp_path) for a in args])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console()
+    assert exit_info.value.code == code
+    if "stderr" not in broken and code:
+        assert err.getvalue().startswith("bicat-check: ")
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_main_returns_a_failed_stdout_write_as_two(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _Refusing(
+        "write", OSError(28, "No space left on device")))
     rc = cli.main(["--instance", "rel", "--max-size", "1", "--trials", "1",
                    "--suite", "kernel"])
     assert rc == 2

@@ -12,10 +12,11 @@ the program reads is not caught.
 No module of ``src/bicat`` or ``tests`` imports a name it never reads, no
 paper layer asks which instance it runs on, only ``spans`` reads the shape
 tags of its spans and cells, only the two levels of ``coherence`` name the
-product operations, the interned value classes keep object identity as
-their equality, every memoised operation is exercised by the memo laws, no
-law verdict is compared with a dict display, both instances expose the
-same operations with the same parameters, no function of ``src/bicat``
+product operations, only the writer of ``cli`` touches the command's
+streams, the interned value classes keep object identity as their
+equality, every memoised operation is exercised by the memo laws, no law
+verdict is compared with a dict display, both instances expose the same
+operations with the same parameters, no function of ``src/bicat``
 imports inside its body, importing the command line loads neither
 ``dataclasses`` nor ``inspect`` (nor, without ``site``, ``typing``),
 one function of the harness runs every report row, and no negative
@@ -224,6 +225,24 @@ def test_only_spans_reads_the_span_shape_tags():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in tags]
     assert not reads, "shape tags read outside spans.py: %s" % reads
+
+
+def test_only_the_writer_touches_the_command_streams():
+    # ``cli._write`` turns every failure of a stream into exit 2, and the
+    # parser's ``_print_message`` hands argparse's text to it; a second path
+    # to a stream would exit 1 or 120 again when that stream fails.
+    tree = ast.parse((ROOT / "src" / "bicat" / "cli.py")
+                     .read_text(encoding="utf-8"))
+    writer = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              and fn.name in ("_write", "_print_message")
+              for node in ast.walk(fn)}
+    uses = ["cli.py:%d" % node.lineno for node in ast.walk(tree)
+            if id(node) not in writer
+            and (isinstance(node, ast.Name) and node.id == "print"
+                 or isinstance(node, ast.Attribute)
+                 and node.attr in ("stdout", "stderr"))]
+    assert not uses, "streams touched outside the writer: %s" % uses
 
 
 def test_only_the_levels_name_the_product_operations():
